@@ -6,8 +6,9 @@ The package has three layers:
   on its own readings, plus zero-order-hold reconstruction and the error and
   reduction accounting used to judge it.
 * ``topology``, ``engine``, ``sources``: a small device graph, a deterministic
-  discrete-event loop that pushes messages through it, and reproducible
-  sample streams (synthetic or replayed from CSV).
+  engine that computes each run's network and energy metrics in closed form
+  per sensor, and reproducible sample streams (synthetic or replayed from
+  CSV).
 * ``config``, ``report``, ``cli``: the flat config format, byte-stable report
   writing, and the ``mistsim`` command line front end.
 """
@@ -48,7 +49,6 @@ from .engine import (
     Mode,
     RunMetrics,
     account_energy,
-    account_network,
     compare,
     run,
 )
@@ -90,7 +90,6 @@ __all__ = [
     "Mode",
     "RunMetrics",
     "account_energy",
-    "account_network",
     "compare",
     "run",
     "ConfigError",

@@ -1,12 +1,19 @@
-"""Deterministic discrete-event simulation of the sensor-to-cloud path.
+"""Deterministic simulation of the sensor-to-cloud path, in closed form.
 
-Two modes share one loop.  ``cloud_only`` forwards every raw sample to the
-cloud; ``mist_fog_cloud`` runs the dead-band filter on each sensor first and
-forwards only what it transmits.  Messages hop sensor -> gateway -> cloud
-and each hop arrives exactly ``link.latency_ms`` after it was sent.  The
-event queue orders by time with FIFO tie-breaking by insertion, and sensors
-emit in topology declaration order within a timestamp, so a run is fully
-determined by its inputs.
+Two modes share one pipeline.  ``cloud_only`` forwards every raw sample to
+the cloud; ``mist_fog_cloud`` runs the dead-band filter on each sensor first
+and forwards only what it transmits.  Messages hop sensor -> gateway -> cloud
+and each hop arrives exactly ``link.latency_ms`` after it was sent.
+
+The topology is a two-hop tree, latency is fixed per link, no bandwidth or
+contention is modelled, and the gateway forwards every message unchanged.
+Every metric therefore follows from each sensor's transmitted count and its
+two link latencies, and is computed in closed form per sensor; no message is
+ever queued.  The delivery trace is derived only on request, in the
+``(time_ms, device_id, sensor_id, seq)`` form and order of a time-ordered
+event queue with FIFO tie-breaking by insertion, where sensors emit in
+topology declaration order within a timestamp.  A run is fully determined by
+its inputs.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -17,12 +24,11 @@ reported in joules.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .mist_filter import EventFilter, FilterConfig, Sample
 from .reconstruction import (
@@ -83,33 +89,6 @@ class EnergyModel:
             return self.params[kind]
         except KeyError:
             raise ValueError(f"no energy parameters for device kind {kind!r}") from None
-
-
-class Message(NamedTuple):
-    """One telemetry message in flight."""
-
-    sensor_id: str
-    emit_ms: float
-    size_bytes: int
-
-
-class GatewayPolicy:
-    """Seam for gateway-side processing.
-
-    The default forwards every message unchanged.  Aggregation or batching
-    policies would plug in here by returning fewer (or reshaped) messages;
-    none are implemented.
-    """
-
-    def forward(self, message: Message) -> tuple[Message, ...]:
-        return (message,)
-
-
-def account_network(usage: dict, link: Link, size_bytes: int) -> None:
-    """Tally one delivery over a link: count, bytes, and latency-weighted bytes."""
-    usage["messages"] += 1
-    usage["bytes"] += size_bytes
-    usage["byte_ms"] += size_bytes * link.latency_ms
 
 
 def account_energy(
@@ -251,6 +230,38 @@ def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float)
     return kept
 
 
+def _delivery_trace(
+    logs: Mapping[str, TransmissionLog],
+    paths: Mapping[str, tuple[Link, str, Link]],
+    cloud_id: str,
+) -> list[tuple[float, str, str, int]]:
+    """Every delivery as ``(time_ms, device_id, sensor_id, seq)``, in order.
+
+    Reproduces a time-ordered event queue exactly.  Emissions take seq
+    ``0..E-1`` in ``(emit_ms, declaration index)`` order; gateway arrivals
+    forward in ``(due_ms, seq)`` order, the r-th taking seq ``E + r``; all
+    deliveries then sort by ``(due_ms, seq)``.  ``logs`` is in declaration
+    order.
+    """
+    emissions = sorted(
+        (entry.timestamp, decl_idx, sensor_id)
+        for decl_idx, sensor_id in enumerate(logs)
+        for entry in logs[sensor_id].entries
+    )
+    arrivals = sorted(
+        (emit_ms + paths[sensor_id][0].latency_ms, seq, sensor_id)
+        for seq, (emit_ms, _, sensor_id) in enumerate(emissions)
+    )
+    forwarded_from = len(arrivals)
+    deliveries = [(due_ms, paths[s][1], s, seq) for due_ms, seq, s in arrivals]
+    deliveries += [
+        (due_ms + paths[s][2].latency_ms, cloud_id, s, forwarded_from + rank)
+        for rank, (due_ms, _, s) in enumerate(arrivals)
+    ]
+    deliveries.sort(key=lambda d: (d[0], d[3]))
+    return deliveries
+
+
 def run(
     topology: Topology,
     streams: Mapping[str, Sequence[Sample]],
@@ -261,7 +272,6 @@ def run(
     *,
     message_size_bytes: int = 100,
     seed: int = 0,
-    gateway_policy: Optional[GatewayPolicy] = None,
     trace: Optional[list] = None,
 ) -> RunMetrics:
     """Simulate one mode over the given per-sensor streams.
@@ -272,7 +282,8 @@ def run(
     is lost), while energy idles out the configured duration exactly.
 
     ``trace``, when given, collects ``(time_ms, device_id, sensor_id, seq)``
-    tuples in delivery order, mainly for causality tests.
+    tuples in delivery order, mainly for causality tests.  It is derived
+    only on request; the metrics never need it.
     """
     violations = validate(topology)
     if violations:
@@ -297,14 +308,6 @@ def run(
         for sensor_id in sensor_ids
     }
 
-    policy = gateway_policy if gateway_policy is not None else GatewayPolicy()
-    cloud_id = topology.cloud().id
-    paths: dict[str, list[tuple[Link, str]]] = {}
-    for sensor_id in sensor_ids:
-        first, second = topology.uplink_path(sensor_id)
-        gw_id = first.dst if first.src == sensor_id else first.src
-        paths[sensor_id] = [(first, gw_id), (second, cloud_id)]
-
     sensor_reports: dict[str, ErrorReport] = {}
     logs: dict[str, TransmissionLog] = {}
     for sensor_id in sensor_ids:
@@ -323,50 +326,33 @@ def run(
         recon = reconstruct_zoh(log, [s.timestamp for s in samples])
         sensor_reports[sensor_id] = error_report(values, recon, len(log.entries))
 
-    link_usage: dict[str, dict] = {}
-    for link in topology.links:
-        link_usage[f"{link.src}->{link.dst}"] = {
-            "messages": 0,
-            "bytes": 0,
-            "byte_ms": 0.0,
-        }
+    link_usage = {
+        f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
+        for link in topology.links
+    }
     device_messages = {d.id: 0 for d in topology.devices}
 
-    emissions: list[tuple[float, int, str]] = []
-    for decl_idx, sensor_id in enumerate(sensor_ids):
-        for entry in logs[sensor_id].entries:
-            emissions.append((entry.timestamp, decl_idx, sensor_id))
-    emissions.sort(key=lambda e: (e[0], e[1]))
-
-    heap: list[tuple[float, int, Message, int]] = []
-    seq = 0
-    for emit_ms, _, sensor_id in emissions:
-        device_messages[sensor_id] += 1
-        message = Message(sensor_id, emit_ms, message_size_bytes)
-        first_link, _ = paths[sensor_id][0]
-        heapq.heappush(heap, (emit_ms + first_link.latency_ms, seq, message, 0))
-        seq += 1
-    messages_emitted = len(emissions)
-
-    messages_delivered = 0
+    cloud_id = topology.cloud().id
+    paths: dict[str, tuple[Link, str, Link]] = {}
     latencies: list[float] = []
-    while heap:
-        due_ms, msg_seq, message, hop_idx = heapq.heappop(heap)
-        link, device_id = paths[message.sensor_id][hop_idx]
-        account_network(link_usage[f"{link.src}->{link.dst}"], link, message.size_bytes)
-        device_messages[device_id] += 1
-        messages_delivered += 1
-        if trace is not None:
-            trace.append((due_ms, device_id, message.sensor_id, msg_seq))
-        if hop_idx == 0:
-            for forwarded in policy.forward(message):
-                next_link, _ = paths[forwarded.sensor_id][1]
-                heapq.heappush(
-                    heap, (due_ms + next_link.latency_ms, seq, forwarded, 1)
-                )
-                seq += 1
-        else:
-            latencies.append(due_ms - message.emit_ms)
+    for sensor_id in sensor_ids:
+        first, second = topology.uplink_path(sensor_id)
+        gw_id = first.dst if first.src == sensor_id else first.src
+        paths[sensor_id] = (first, gw_id, second)
+        times = [entry.timestamp for entry in logs[sensor_id].entries]
+        count = len(times)
+        for link in (first, second):
+            usage = link_usage[f"{link.src}->{link.dst}"]
+            usage["messages"] += count
+            usage["bytes"] += count * message_size_bytes
+            usage["byte_ms"] += count * (message_size_bytes * link.latency_ms)
+        for device_id in (sensor_id, gw_id, cloud_id):
+            device_messages[device_id] += count
+        l1, l2 = first.latency_ms, second.latency_ms
+        latencies.extend([((t + l1) + l2) - t for t in times])
+    messages_emitted = len(latencies)
+    if trace is not None:
+        trace.extend(_delivery_trace(logs, paths, cloud_id))
 
     device_busy_ms: dict[str, float] = {}
     device_energy_j: dict[str, float] = {}
@@ -395,7 +381,7 @@ def run(
         total_bytes=total_bytes,
         total_byte_ms=total_byte_ms,
         messages_emitted=messages_emitted,
-        messages_delivered=messages_delivered,
+        messages_delivered=2 * messages_emitted,
         latency_count=len(latencies),
         latency_min_ms=min(latencies) if latencies else 0.0,
         latency_max_ms=max(latencies) if latencies else 0.0,

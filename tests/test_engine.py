@@ -1,26 +1,28 @@
-"""Discrete-event engine: latency, accounting, determinism, conservation."""
+"""Engine: latency, accounting, determinism, conservation, heap-oracle agreement."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mistsim.engine import (
     DEFAULT_ENERGY_PARAMS,
     EnergyModel,
     EnergyParams,
-    GatewayPolicy,
-    Message,
     Mode,
     account_energy,
-    account_network,
     compare,
     run,
 )
 from mistsim.mist_filter import FilterConfig, Sample
 from mistsim.sources import SensorSpec, gen_normal
 from mistsim.topology import Device, Link, Topology
+from oracles import dead_band_flags, heap_network
 
 FC = FilterConfig(n=10, p=0.05)
 ENERGY = EnergyModel()
@@ -84,14 +86,6 @@ def test_account_energy_validation():
         account_energy(-1, params, 100.0)
     with pytest.raises(ValueError):
         account_energy(1, params, float("nan"))
-
-
-def test_account_network_tallies():
-    usage = {"messages": 0, "bytes": 0, "byte_ms": 0.0}
-    link = Link("a", "b", 4.0)
-    account_network(usage, link, 100)
-    account_network(usage, link, 100)
-    assert usage == {"messages": 2, "bytes": 200, "byte_ms": 800.0}
 
 
 # ---------------------------------------------------------------- timing
@@ -217,7 +211,7 @@ def test_zero_sample_run_burns_idle_energy_only():
     assert metrics.device_energy_j["s1"] == pytest.approx(60.0 * 0.1)
 
 
-# ---------------------------------------------------- modes and policy
+# ------------------------------------------------------------- modes
 
 
 def test_filtered_mode_sends_no_more_than_cloud_only():
@@ -247,31 +241,6 @@ def test_cloud_message_count_equals_transmissions():
     transmitted = sum(r.transmitted_count for r in metrics.sensor_reports.values())
     assert metrics.device_messages["cloud"] == transmitted
     assert metrics.messages_emitted == transmitted
-
-
-def test_gateway_policy_seam_can_drop_messages():
-    class DropOddPolicy(GatewayPolicy):
-        def __init__(self):
-            self.count = 0
-
-        def forward(self, message: Message):
-            self.count += 1
-            return (message,) if self.count % 2 == 1 else ()
-
-    topo = small_topology(sensor_count=1)
-    streams = {"s1": constant_stream(10, period=100.0)}
-    metrics = run(
-        topo,
-        streams,
-        Mode.CLOUD_ONLY,
-        FC,
-        ENERGY,
-        10_000.0,
-        gateway_policy=DropOddPolicy(),
-    )
-    assert metrics.device_messages["gw"] == 10
-    assert metrics.device_messages["cloud"] == 5
-    assert metrics.latency_count == 5
 
 
 # -------------------------------------------------------- determinism
@@ -394,3 +363,132 @@ def test_compare_rejects_mismatched_scenarios():
     e = run(topo, other, Mode.MIST_FOG_CLOUD, FC, ENERGY, 30_000.0)
     with pytest.raises(ValueError, match="sources_fp"):
         compare(a, e)
+
+
+# ------------------------------------------------------ heap oracle
+
+LATENCIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 4.0, 50.0]),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+TIME_STEPS = st.one_of(
+    st.integers(min_value=1, max_value=300).map(float),
+    st.floats(min_value=0.25, max_value=300.0),
+)
+VALUES = st.one_of(
+    st.integers(min_value=-50, max_value=50).map(float),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@st.composite
+def network_scenarios(draw):
+    """A valid tree in random declaration order, one stream per sensor, a horizon."""
+    gateways = [f"g{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    owner = {
+        f"s{i}": draw(st.sampled_from(gateways))
+        for i in range(draw(st.integers(min_value=1, max_value=8)))
+    }
+    devices = (
+        [Device("cloud", "cloud", 0)]
+        + [Device(gw, "gateway", 1) for gw in gateways]
+        + [Device(sensor, "sensor", 2) for sensor in owner]
+    )
+    links = [Link(gw, "cloud", draw(LATENCIES)) for gw in gateways] + [
+        Link(sensor, gw, draw(LATENCIES)) for sensor, gw in owner.items()
+    ]
+    links = [
+        link if draw(st.booleans()) else Link(link.dst, link.src, link.latency_ms)
+        for link in draw(st.permutations(links))
+    ]
+    topology = Topology(devices=list(draw(st.permutations(devices))), links=links)
+    duration = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=2000).map(float),
+            st.floats(min_value=1.0, max_value=2000.0),
+        )
+    )
+    streams = {}
+    for sensor in owner:
+        start = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0)))
+        times = list(itertools.accumulate([start] + draw(st.lists(TIME_STEPS, max_size=12))))
+        values = draw(st.lists(VALUES, min_size=len(times), max_size=len(times)))
+        streams[sensor] = [Sample(t, v) for t, v in zip(times, values)]
+    return topology, streams, duration
+
+
+def transmitted_times(samples, mode, n, p):
+    if mode is Mode.CLOUD_ONLY:
+        return [s.timestamp for s in samples]
+    flags = dead_band_flags([s.value for s in samples], n, p)
+    return [s.timestamp for s, flag in zip(samples, flags) if flag]
+
+
+@given(
+    scenario=network_scenarios(),
+    n=st.integers(min_value=1, max_value=4),
+    p=st.floats(min_value=0.0, max_value=0.3),
+    size=st.integers(min_value=1, max_value=500),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_closed_form_matches_heap_oracle(scenario, n, p, size):
+    topo, streams, duration = scenario
+    sensor_ids = [d.id for d in topo.devices if d.kind == "sensor"]
+    kept = {s: [x for x in streams[s] if x.timestamp < duration] for s in sensor_ids}
+    energy_params = {
+        kind: (e.busy_w, e.idle_w, e.busy_ms_per_message)
+        for kind, e in DEFAULT_ENERGY_PARAMS.items()
+    }
+    # Integer-valued inputs make every float sum exact, whatever its order.
+    integral = all(
+        float(x).is_integer()
+        for x in [l.latency_ms for l in topo.links]
+        + [s.timestamp for samples in kept.values() for s in samples]
+    )
+    for mode in Mode:
+        emitted = {s: transmitted_times(kept[s], mode, n, p) for s in sensor_ids}
+        want = heap_network(
+            [(d.id, d.kind) for d in topo.devices],
+            [(l.src, l.dst, l.latency_ms) for l in topo.links],
+            emitted,
+            size,
+            duration,
+            energy_params,
+        )
+        trace = []
+        got = run(
+            topo,
+            streams,
+            mode,
+            FilterConfig(n=n, p=p),
+            ENERGY,
+            duration,
+            message_size_bytes=size,
+            trace=trace,
+        )
+
+        assert {k: (u["messages"], u["bytes"]) for k, u in got.link_usage.items()} == {
+            k: (u["messages"], u["bytes"]) for k, u in want["link_usage"].items()
+        }
+        assert got.device_messages == want["device_messages"]
+        assert got.messages_emitted == want["messages_emitted"]
+        assert got.messages_delivered == want["messages_delivered"]
+        assert got.latency_count == want["latency_count"]
+        assert got.latency_min_ms == want["latency_min_ms"]
+        assert got.latency_max_ms == want["latency_max_ms"]
+        assert trace == want["trace"]
+
+        pairs = [
+            (got.link_usage[k]["byte_ms"], want["link_usage"][k]["byte_ms"])
+            for k in got.link_usage
+        ]
+        pairs += [(got.device_energy_j[d], want["device_energy_j"][d]) for d in got.device_energy_j]
+        pairs += [
+            (got.total_byte_ms, want["total_byte_ms"]),
+            (got.latency_mean_ms, want["latency_mean_ms"]),
+        ]
+        for closed_form, oracle in pairs:
+            if integral:
+                assert closed_form == oracle
+            else:
+                assert math.isclose(closed_form, oracle, rel_tol=1e-12)

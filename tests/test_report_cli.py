@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -284,6 +285,45 @@ def test_cli_resolved_config_reruns_identically(tmp_path, sim_cfg):
     )
     assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
     assert (out1 / "resolved.cfg").read_bytes() == (out2 / "resolved.cfg").read_bytes()
+
+
+# --------------------------------------------------------- golden bytes
+
+# sha256 of every file the two reference runs write, recorded with the
+# event-queue engine that the closed-form engine replaced.  Any change here
+# changes the published numbers and must be deliberate.
+GOLDEN_RUNS = {
+    "simulate-table2": (
+        ["simulate", "--config", "table2.cfg"],
+        {
+            "link_usage.csv": "19e4c53b4cfb33f93f2043267e64267396aef7c9b24d1c391c9a56cf1af12a40",
+            "report.json": "393a259957931b94295e1132f08ef6977e2ef284c4214ad6efe98851310cdb13",
+            "resolved.cfg": "29da857051f5e0e06e243641bc1bc6f2d46d2769d7b36d9d8d5328174f77b83f",
+            "sensor_metrics.csv": "15d363b94ec6afeb8f34bf3bbbb8fde431c5fd93caa98a106d17a8fe41354274",
+        },
+    ),
+    "filter-office": (
+        ["filter", "--dataset", "tests/data/office_temperature.csv", "--column", "temp_c"],
+        {
+            "plot_office_temperature_n10_p0.05.csv": (
+                "7181f64a25367f9a37819fcf0d7b7d61bb324b95c5cad353ad0a140d82b1615e"
+            ),
+            "report.json": "8c56d5c244269dabf1bbc6e43668309f5fc4e14fca9309d515806b964d835182",
+            "resolved.cfg": "284baeb22016501e7e27d9b2a97978a4cccd7d1f2b06ec59ceb3dc9332d4e054",
+            "sensor_metrics.csv": "a2f9fe64947e43ccce2121867ac9f9a7f47dd459216f78f535725287d76f9909",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_reference_runs_are_byte_golden(name, tmp_path, table2_cfg_path, monkeypatch):
+    # Relative paths from the repo root, since resolved.cfg echoes them.
+    args, golden = GOLDEN_RUNS[name]
+    monkeypatch.chdir(table2_cfg_path.parent)
+    assert main([*args, "--out", str(tmp_path), "--quiet"]) == 0
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert digests == golden
 
 
 # ------------------------------------------------------------ exit codes
