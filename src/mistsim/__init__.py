@@ -19,17 +19,15 @@ from .mist_filter import (
     Reason,
     Sample,
     TransmitDecision,
-    classify,
-    compute_thresholds,
-    reset,
-    sliding_average,
 )
 from .reconstruction import (
     ErrorReport,
+    Measurement,
     TransmissionLog,
     build_log,
     empty_report,
     error_report,
+    measure_stream,
     reconstruct_zoh,
     reduction_stats,
 )
@@ -62,15 +60,13 @@ __all__ = [
     "Reason",
     "Sample",
     "TransmitDecision",
-    "classify",
-    "compute_thresholds",
-    "reset",
-    "sliding_average",
     "ErrorReport",
+    "Measurement",
     "TransmissionLog",
     "build_log",
     "empty_report",
     "error_report",
+    "measure_stream",
     "reconstruct_zoh",
     "reduction_stats",
     "SplitMix64",

@@ -22,8 +22,10 @@ from typing import Optional, Sequence
 from . import __version__
 from .config import ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
 from .engine import Mode, compare, run
-from .mist_filter import EventFilter, Sample
-from .reconstruction import build_log, empty_report, error_report, reconstruct_zoh
+from .mist_filter import Sample
+from .reconstruction import measure_stream
+# Unused here; perfbench/tracing.py wraps these names on this module.
+from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
 from .report import check_assertion, emit_report
 from .sources import ReplaySpec, SensorSpec, gen_normal, load_csv
 
@@ -138,30 +140,11 @@ def _build_streams(scenario: Scenario):
     return streams, ingest
 
 
-def _sensor_block(report) -> dict:
-    total = report.total_count
-    return {
-        "total": total,
-        "transmitted": report.transmitted_count,
-        "suppressed": report.suppressed_count,
-        "reduction_percent": (100.0 * report.suppressed_count / total) if total else 0.0,
-        "avg_abs_error": report.avg_abs_error,
-        "max_abs_error": report.max_abs_error,
-        "avg_error_pct_of_mean": report.avg_error_pct_of_mean,
-    }
-
-
-_SENSOR_HEADER_FILTER = (
-    "n",
-    "p",
-    "sensor",
-    "total",
-    "transmitted",
-    "suppressed",
-    "reduction_percent",
-    "avg_abs_error",
-    "max_abs_error",
+# sensor_metrics.csv columns taken from each sensor's report block.
+_SENSOR_COLUMNS = (
+    "total", "transmitted", "suppressed", "reduction_percent", "avg_abs_error", "max_abs_error"
 )
+_SENSOR_HEADER_FILTER = ("n", "p", "sensor", *_SENSOR_COLUMNS)
 
 
 def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
@@ -177,31 +160,12 @@ def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
         sensors = {}
         for spec in scenario.sources:
             samples = streams[spec.device_id]
-            filt = EventFilter(cfg)
-            decisions = [filt.step(s) for s in samples]
-            log = build_log(samples, decisions)
-            if samples:
-                recon = reconstruct_zoh(log, [s.timestamp for s in samples])
-                rep = error_report([s.value for s in samples], recon, len(log.entries))
-            else:
-                rep = empty_report()
-            sensors[spec.device_id] = _sensor_block(rep)
-            sensor_rows.append(
-                (
-                    cfg.n,
-                    cfg.p,
-                    spec.device_id,
-                    rep.total_count,
-                    rep.transmitted_count,
-                    rep.suppressed_count,
-                    sensors[spec.device_id]["reduction_percent"],
-                    rep.avg_abs_error,
-                    rep.max_abs_error,
-                )
-            )
+            measured = measure_stream(samples, cfg)
+            block = sensors[spec.device_id] = measured.report.to_dict()
+            sensor_rows.append((cfg.n, cfg.p, spec.device_id, *(block[k] for k in _SENSOR_COLUMNS)))
             if scenario.plot_data:
                 stem = f"plot_{spec.device_id}_n{cfg.n}_p{cfg.p!r}"
-                plot_series[stem] = (samples, log)
+                plot_series[stem] = (samples, measured.flags)
         runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors})
 
     report = {
@@ -225,16 +189,7 @@ def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
     return report, written + [echo_path], None
 
 
-_SENSOR_HEADER_SIM = (
-    "mode",
-    "sensor",
-    "total",
-    "transmitted",
-    "suppressed",
-    "reduction_percent",
-    "avg_abs_error",
-    "max_abs_error",
-)
+_SENSOR_HEADER_SIM = ("mode", "sensor", *_SENSOR_COLUMNS)
 
 
 def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
@@ -299,28 +254,16 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
     plot_series: dict = {}
     for mode_name, metrics in results.items():
         for sensor_id in sorted(metrics.sensor_reports):
-            rep = metrics.sensor_reports[sensor_id]
-            total = rep.total_count
-            sensor_rows.append(
-                (
-                    mode_name,
-                    sensor_id,
-                    total,
-                    rep.transmitted_count,
-                    rep.suppressed_count,
-                    (100.0 * rep.suppressed_count / total) if total else 0.0,
-                    rep.avg_abs_error,
-                    rep.max_abs_error,
-                )
-            )
+            block = metrics.sensor_reports[sensor_id].to_dict()
+            sensor_rows.append((mode_name, sensor_id, *(block[k] for k in _SENSOR_COLUMNS)))
         for link_name in sorted(metrics.link_usage):
             usage = metrics.link_usage[link_name]
             link_rows.append(
                 (mode_name, link_name, usage["messages"], usage["bytes"], usage["byte_ms"])
             )
         if scenario.plot_data and mode_name == Mode.MIST_FOG_CLOUD.value:
-            for sensor_id, log in metrics.logs.items():
-                plot_series[f"plot_{sensor_id}"] = (streams[sensor_id], log)
+            for sensor_id, flags in metrics.flags.items():
+                plot_series[f"plot_{sensor_id}"] = (streams[sensor_id], flags)
 
     written = emit_report(
         report,

@@ -30,15 +30,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .mist_filter import EventFilter, FilterConfig, Sample
-from .reconstruction import (
-    ErrorReport,
-    TransmissionLog,
-    build_log,
-    empty_report,
-    error_report,
-    reconstruct_zoh,
-)
+from .mist_filter import FilterConfig, Sample
+from .reconstruction import ErrorReport, TransmissionLog, measure_stream
+# Unused here; perfbench/tracing.py wraps these names on this module.
+from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
 from .topology import Link, Topology, validate
 
 
@@ -123,6 +118,7 @@ class RunMetrics:
     sources_fp: str
     sensor_reports: dict[str, ErrorReport]
     logs: dict[str, TransmissionLog]
+    flags: dict[str, bytearray]
     link_usage: dict[str, dict]
     device_messages: dict[str, int]
     device_busy_ms: dict[str, float]
@@ -139,20 +135,10 @@ class RunMetrics:
 
     def to_dict(self) -> dict:
         """Plain nested dict; transmission logs appear as digests only."""
-        sensors = {}
-        for sensor_id, report in self.sensor_reports.items():
-            total = report.total_count
-            suppressed = report.suppressed_count
-            sensors[sensor_id] = {
-                "total": total,
-                "transmitted": report.transmitted_count,
-                "suppressed": suppressed,
-                "reduction_percent": (100.0 * suppressed / total) if total else 0.0,
-                "avg_abs_error": report.avg_abs_error,
-                "max_abs_error": report.max_abs_error,
-                "avg_error_pct_of_mean": report.avg_error_pct_of_mean,
-                "log_digest": _log_digest(self.logs[sensor_id]),
-            }
+        sensors = {
+            sensor_id: {**report.to_dict(), "log_digest": _log_digest(self.logs[sensor_id])}
+            for sensor_id, report in self.sensor_reports.items()
+        }
         return {
             "mode": self.mode,
             "seed": self.seed,
@@ -222,6 +208,8 @@ def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float)
         ts = sample.timestamp
         if not math.isfinite(ts) or ts < 0:
             raise ValueError(f"sensor {sensor_id!r}: timestamps must be finite and >= 0")
+        if not math.isfinite(sample.value):
+            raise ValueError(f"sensor {sensor_id!r}: non-finite value at timestamp {ts!r}")
         if last is not None and ts <= last:
             raise ValueError(f"sensor {sensor_id!r}: timestamps must strictly increase")
         last = ts
@@ -308,23 +296,9 @@ def run(
         for sensor_id in sensor_ids
     }
 
-    sensor_reports: dict[str, ErrorReport] = {}
-    logs: dict[str, TransmissionLog] = {}
-    for sensor_id in sensor_ids:
-        samples = kept[sensor_id]
-        if mode is Mode.MIST_FOG_CLOUD:
-            filt = EventFilter(filter_config)
-            decisions = [filt.step(s) for s in samples]
-            log = build_log(samples, decisions)
-        else:
-            log = TransmissionLog(entries=tuple(samples), total_count=len(samples))
-        logs[sensor_id] = log
-        if not samples:
-            sensor_reports[sensor_id] = empty_report()
-            continue
-        values = [s.value for s in samples]
-        recon = reconstruct_zoh(log, [s.timestamp for s in samples])
-        sensor_reports[sensor_id] = error_report(values, recon, len(log.entries))
+    config = filter_config if mode is Mode.MIST_FOG_CLOUD else None
+    measured = {sensor_id: measure_stream(kept[sensor_id], config) for sensor_id in sensor_ids}
+    logs = {sensor_id: m.log for sensor_id, m in measured.items()}
 
     link_usage = {
         f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
@@ -372,8 +346,9 @@ def run(
         message_size_bytes=message_size_bytes,
         topology_fp=_topology_fp(topology),
         sources_fp=_sources_fp(kept, sensor_ids),
-        sensor_reports=sensor_reports,
+        sensor_reports={sensor_id: m.report for sensor_id, m in measured.items()},
         logs=logs,
+        flags={sensor_id: m.flags for sensor_id, m in measured.items()},
         link_usage=link_usage,
         device_messages=device_messages,
         device_busy_ms=device_busy_ms,

@@ -24,6 +24,9 @@ Two consequences of the band definition worth spelling out:
 The window average is recomputed from the stored window at every step, in
 chronological order, so the result is bit-for-bit identical to what a
 from-scratch implementation produces on the same values.
+
+Every value, and every full window's average, must be finite; ``step``
+rejects a NaN, an infinity or an overflowing window sum with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, NamedTuple, Optional, Sequence
+from typing import Deque, NamedTuple, Optional
 
 
 class Reason(str, Enum):
@@ -59,6 +62,8 @@ class TransmitDecision(NamedTuple):
     transmit: bool
     reason: Reason
 
+
+_isfinite = math.isfinite
 
 # Shared singletons: step() allocates nothing on the hot path.
 _WARMUP = TransmitDecision(True, Reason.WARMUP)
@@ -89,36 +94,6 @@ class FilterConfig:
             raise ValueError(f"band fraction p must be a number, got {self.p!r}")
         if not math.isfinite(self.p) or self.p < 0:
             raise ValueError(f"band fraction p must be finite and >= 0, got {self.p!r}")
-
-
-def sliding_average(window: Sequence[float], n: int) -> float:
-    """Arithmetic mean of a full window of ``n`` values.
-
-    The window must contain exactly ``n`` values, oldest first.  Summation
-    runs in that order, which keeps results reproducible across
-    implementations that walk the same values the same way.
-    """
-    if len(window) != n:
-        raise ValueError(f"window must hold exactly n={n} values, got {len(window)}")
-    return sum(window) / n
-
-
-def compute_thresholds(avg: float, p: float) -> tuple[float, float]:
-    """Return ``(t_hi, t_lo)`` for a window average.
-
-    The band half width is ``p * abs(avg)`` so that a negative average still
-    yields ``t_lo <= avg <= t_hi``.
-    """
-    band = p * abs(avg)
-    return avg + band, avg - band
-
-def classify(value: float, t_hi: float, t_lo: float) -> bool:
-    """True when ``value`` lies on or outside the dead band.
-
-    Boundary equality transmits.  A zero-width band (``t_hi == t_lo``)
-    therefore classifies every value as an event.
-    """
-    return value >= t_hi or value <= t_lo
 
 
 class EventFilter:
@@ -153,7 +128,10 @@ class EventFilter:
         Raises
         ------
         ValueError
-            If the sample's timestamp does not exceed the previous one.
+            If the sample's timestamp does not exceed the previous one, if
+            its value is NaN or infinite, or if the full window's average is
+            not finite (its sum overflowed).  After either of the last two
+            the window holds the offending value; discard the filter.
         """
         timestamp, value = sample
         last = self._last_timestamp
@@ -164,6 +142,8 @@ class EventFilter:
         self._last_timestamp = timestamp
 
         if self.seen < self.n:
+            if not _isfinite(value):
+                raise ValueError(f"non-finite value {value!r} at timestamp {timestamp!r}")
             decision = _WARMUP
         elif value >= self.t_hi or value <= self.t_lo:
             decision = _EVENT
@@ -177,13 +157,17 @@ class EventFilter:
             # Full recompute each step; cheap at telemetry window sizes and
             # immune to incremental-sum drift on adversarial value ranges.
             avg = sum(window) / self.n
+            if not _isfinite(avg):
+                # After warm-up a non-finite value always lands here too.
+                if not _isfinite(value):
+                    raise ValueError(f"non-finite value {value!r} at timestamp {timestamp!r}")
+                raise ValueError(
+                    f"window average overflowed to {avg!r} at timestamp {timestamp!r}; "
+                    "the sum of the last n values exceeds the float range"
+                )
             band = self.p * abs(avg)
             self.avg = avg
             self.t_hi = avg + band
             self.t_lo = avg - band
         return decision
 
-
-def reset(config: FilterConfig) -> EventFilter:
-    """Fresh filter state: empty window, unset thresholds, zero seen."""
-    return EventFilter(config)

@@ -4,14 +4,20 @@ The receiving side only ever sees the transmitted values.  Reconstruction
 holds each transmitted value flat until the next one arrives, then the
 reconstructed series is compared point-by-point against the raw series the
 sensor actually observed.
+
+:func:`measure_stream` does all of that in one pass and is what the engine
+and the command line use; :func:`build_log`, :func:`reconstruct_zoh` and
+:func:`error_report` are its steps one at a time, kept as its reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import compress
+from operator import itemgetter
+from typing import NamedTuple, Optional, Sequence
 
-from .mist_filter import Sample, TransmitDecision
+from .mist_filter import EventFilter, FilterConfig, Sample, TransmitDecision
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,19 @@ class ErrorReport:
     avg_abs_error: float
     max_abs_error: float
     avg_error_pct_of_mean: Optional[float]
+
+    def to_dict(self) -> dict:
+        """The per-sensor block of a report; an empty stream reduces by 0 %."""
+        total = self.total_count
+        return {
+            "total": total,
+            "transmitted": self.transmitted_count,
+            "suppressed": self.suppressed_count,
+            "reduction_percent": (100.0 * self.suppressed_count / total) if total else 0.0,
+            "avg_abs_error": self.avg_abs_error,
+            "max_abs_error": self.max_abs_error,
+            "avg_error_pct_of_mean": self.avg_error_pct_of_mean,
+        }
 
 
 def empty_report() -> ErrorReport:
@@ -139,6 +158,64 @@ def error_report(
         max_abs_error=max_err,
         avg_error_pct_of_mean=pct,
     )
+
+
+_value = itemgetter(1)  # Sample.value
+
+
+class Measurement(NamedTuple):
+    """A measured stream; ``flags[i]`` is 1 when sample ``i`` was transmitted."""
+
+    log: TransmissionLog
+    report: ErrorReport
+    flags: bytearray
+
+
+def measure_stream(
+    samples: Sequence[Sample], filter_config: Optional[FilterConfig]
+) -> Measurement:
+    """Filter a stream and account its zero-order-hold error in one pass.
+
+    ``filter_config=None`` means no filter: every sample is transmitted.
+    The result equals :func:`build_log`, :func:`reconstruct_zoh` and
+    :func:`error_report` applied in turn (:func:`empty_report` for an empty
+    stream).  Raises ``ValueError`` where :meth:`EventFilter.step` does.
+    """
+    total = len(samples)
+    if filter_config is None:
+        flags = bytearray(b"\x01" * total)
+        abs_errors = [0.0] * total
+    else:
+        step = EventFilter(filter_config).step
+        flags = bytearray(total)
+        abs_errors = []
+        append = abs_errors.append
+        held = 0.0
+        for i, sample in enumerate(samples):
+            if step(sample).transmit:
+                flags[i] = 1
+                held = sample.value
+                append(0.0)
+            else:
+                append(abs(sample.value - held))
+    log = TransmissionLog(entries=tuple(compress(samples, flags)), total_count=total)
+    if not total:
+        return Measurement(log, empty_report(), flags)
+    # sum() over the ordered list, as error_report does: a running total
+    # rounds differently wherever sum() compensates (Python >= 3.12).
+    avg_err = sum(abs_errors) / total
+    transmitted = len(log.entries)
+    mean_abs_raw = sum(map(abs, map(_value, samples))) / total
+    report = ErrorReport(
+        total_count=total,
+        transmitted_count=transmitted,
+        suppressed_count=total - transmitted,
+        reduction_fraction=(total - transmitted) / total,
+        avg_abs_error=avg_err,
+        max_abs_error=max(abs_errors),
+        avg_error_pct_of_mean=100.0 * avg_err / mean_abs_raw if mean_abs_raw > 0 else None,
+    )
+    return Measurement(log, report, flags)
 
 
 def reduction_stats(total_count: int, transmitted_count: int) -> tuple[int, float]:

@@ -13,8 +13,8 @@ import math
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from .mist_filter import Sample
-from .reconstruction import TransmissionLog, reconstruct_zoh
+# Unused here; perfbench/tracing.py wraps this name on this module.
+from .reconstruction import reconstruct_zoh  # noqa: F401
 
 _OPS = ("<=", ">=", "==", "!=", "<", ">")  # two-char ops first
 
@@ -69,9 +69,11 @@ def emit_report(
 ) -> list[Path]:
     """Write the report document plus its CSV side tables.
 
-    ``plot_series`` maps a file stem to ``(samples, log)``; each becomes a
-    ``<stem>.csv`` with the raw value, its zero-order-hold reconstruction,
-    and whether that sample was transmitted.  Returns the written paths.
+    ``plot_series`` maps a file stem to ``(samples, flags)``, ``flags[i]``
+    being 1 when ``samples[i]`` was transmitted (0 past its end); each
+    becomes a ``<stem>.csv`` with the raw value, its zero-order-hold
+    reconstruction and the flag.  Series sharing one ``samples`` list are
+    written together, formatting its cells once.  Returns the written paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -91,24 +93,39 @@ def emit_report(
         write_csv(path, ("mode", "link", "messages", "bytes", "byte_ms"), link_rows)
         written.append(path)
 
-    for stem, (samples, log) in (plot_series or {}).items():
-        written.append(_write_plot_csv(out / f"{stem}.csv", samples, log))
+    plot_series = plot_series or {}
+    by_source: dict[int, tuple[Sequence, list]] = {}
+    for stem, (samples, flags) in plot_series.items():
+        by_source.setdefault(id(samples), (samples, []))[1].append((stem, flags))
+    plot_paths: dict[str, Path] = {}
+    for samples, series in by_source.values():
+        # Timestamps and raw values keep full precision; they are data, not
+        # derived metrics.  The held value is the text of a raw value.
+        raws = [repr(s.value) for s in samples]
+        cells = [f"{s.timestamp!r},{raw}," for s, raw in zip(samples, raws)]
+        for stem, flags in series:
+            plot_paths[stem] = _write_plot_csv(out / f"{stem}.csv", cells, raws, flags)
+        del raws, cells
+    written.extend(plot_paths[stem] for stem in plot_series)
 
     return written
 
 
-def _write_plot_csv(path: Path, samples: Sequence[Sample], log: TransmissionLog) -> Path:
-    transmitted = {entry.timestamp for entry in log.entries}
-    if samples and log.entries:
-        recon = reconstruct_zoh(log, [s.timestamp for s in samples])
-    else:
-        recon = [s.value for s in samples]
+def _write_plot_csv(
+    path: Path, cells: Sequence[str], raws: Sequence[str], flags: bytearray
+) -> Path:
+    """One plot file from a source's ``timestamp,raw,`` cells and raw texts."""
+    flags = flags + bytes(len(cells) - len(flags))
     lines = ["timestamp,raw,reconstructed,transmitted_flag"]
-    for sample, value in zip(samples, recon):
-        flag = 1 if sample.timestamp in transmitted else 0
-        # Timestamps and raw values keep full precision; they are data, not
-        # derived metrics.
-        lines.append(f"{sample.timestamp!r},{sample.value!r},{value!r},{flag}")
+    if 1 not in flags:
+        # Nothing was transmitted: there is no held value, the raw one stands in.
+        lines += [f"{cell}{raw},0" for cell, raw in zip(cells, raws)]
+    else:
+        held = ""
+        for cell, raw, flag in zip(cells, raws, flags):
+            if flag:
+                held = raw
+            lines.append(f"{cell}{held},{flag}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 

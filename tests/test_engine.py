@@ -193,6 +193,14 @@ def test_run_rejects_bad_timestamps():
         run(topo, {"s1": [Sample(-1.0, 1.0)]}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+def test_run_rejects_non_finite_values(mode):
+    # Cloud-only never steps a filter, so the engine checks values itself.
+    stream = [Sample(0.0, 1.0), Sample(1.0, float("nan"))]
+    with pytest.raises(ValueError, match="non-finite value at timestamp 1.0"):
+        run(small_topology(sensor_count=1), {"s1": stream}, mode, FC, ENERGY, 1000.0)
+
+
 # ----------------------------------------------------------- empty runs
 
 

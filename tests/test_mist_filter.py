@@ -16,10 +16,6 @@ from mistsim.mist_filter import (
     FilterConfig,
     Reason,
     Sample,
-    classify,
-    compute_thresholds,
-    reset,
-    sliding_average,
 )
 from oracles import dead_band_flags, dead_band_reasons
 
@@ -58,44 +54,58 @@ def test_config_accepts_edge_values():
     assert FilterConfig(n=1, p=0).p == 0
 
 
-# ------------------------------------------------------ helper functions
+# ------------------------------------------------ window and band state
+
+
+def filled(values, n, p):
+    """A filter that has stepped through ``values`` (index as timestamp)."""
+    filt = EventFilter(FilterConfig(n=n, p=p))
+    for i, v in enumerate(values):
+        filt.step(Sample(float(i), v))
+    return filt
 
 
 def test_sliding_average_exact():
-    assert sliding_average([1.0, 2.0, 3.0, 4.0], 4) == 2.5
+    assert filled([1.0, 2.0, 3.0, 4.0], n=4, p=0.1).avg == 2.5
 
 
 def test_sliding_average_requires_full_window():
-    with pytest.raises(ValueError):
-        sliding_average([1.0, 2.0], 3)
-    with pytest.raises(ValueError):
-        sliding_average([1.0, 2.0, 3.0, 4.0], 3)
+    # No average until n values were seen; afterwards only the last n count.
+    assert filled([1.0, 2.0], n=3, p=0.1).avg is None
+    assert filled([1.0, 2.0, 3.0, 4.0], n=3, p=0.1).avg == 3.0
 
 
 def test_thresholds_positive_average():
-    assert compute_thresholds(25.0, 0.05) == (26.25, 23.75)
+    filt = filled([25.0] * 4, n=4, p=0.05)
+    assert (filt.t_hi, filt.t_lo) == (26.25, 23.75)
 
 
 def test_thresholds_negative_average_brackets_it():
-    hi, lo = compute_thresholds(-10.0, 0.1)
-    assert (hi, lo) == (-9.0, -11.0)
-    assert lo <= -10.0 <= hi
+    filt = filled([-10.0] * 3, n=3, p=0.1)
+    assert (filt.t_hi, filt.t_lo) == (-9.0, -11.0)
+    assert filt.t_lo <= filt.avg == -10.0 <= filt.t_hi
+    # A value inside the bracket is suppressed, one on either edge is not.
+    for probe, reason in ((-9.5, Reason.SUPPRESSED), (-9.0, Reason.EVENT), (-11.0, Reason.EVENT)):
+        assert run_values([-10.0] * 3 + [probe], 3, 0.1)[3].reason is reason, probe
 
 
 def test_thresholds_zero_average_collapse():
-    assert compute_thresholds(0.0, 0.3) == (0.0, 0.0)
+    filt = filled([1.0, -1.0], n=2, p=0.3)
+    assert (filt.avg, filt.t_hi, filt.t_lo) == (0.0, 0.0, 0.0)
 
 
 def test_classify_boundary_equality_transmits():
-    assert classify(26.25, 26.25, 23.75)
-    assert classify(23.75, 26.25, 23.75)
-    assert not classify(25.0, 26.25, 23.75)
+    # Each probe follows its own warm-up of four 25s: band (23.75, 26.25).
+    for probe, transmit in ((26.25, True), (23.75, True), (25.0, False)):
+        decision = run_values([25.0] * 4 + [probe], n=4, p=0.05)[4]
+        assert decision.transmit is transmit, probe
 
 
 def test_classify_zero_width_band_transmits_everything():
-    for v in (-1.0, 0.0, 1.0, 5.0):
-        assert classify(v, 5.0, 5.0) or v != 5.0  # v == band edge
-        assert classify(v, v, v)
+    # p = 0 collapses the band onto the average: every value is an event,
+    # including one equal to the average.
+    decisions = run_values([5.0, 5.0, -1.0, 0.0, 1.0, 5.0], n=1, p=0.0)
+    assert [d.reason for d in decisions[1:]] == [Reason.EVENT] * 5
 
 
 # ------------------------------------------------------ hand-worked runs
@@ -174,16 +184,43 @@ def test_timestamps_must_strictly_increase():
         filt.step(Sample(4.0, 2.0))
 
 
+@pytest.mark.parametrize("at", [1, 3])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_value_is_rejected(bad, at):
+    # A NaN used to be suppressed silently and then poison the window for n
+    # steps, so that the outlier of 50 after it was suppressed too.  Now the
+    # bad value itself is rejected, during warm-up (at=1) or after it (at=3).
+    values = [10.0] * 6 + [50.0]
+    values[at] = bad
+    filt = EventFilter(FilterConfig(n=3, p=0.1))
+    with pytest.raises(ValueError, match=rf"non-finite value {bad!r} at timestamp {at}\.0"):
+        for i, v in enumerate(values):
+            filt.step(Sample(float(i), v))
+    # Without the bad value the outlier is an event.
+    assert run_values([10.0] * 6 + [50.0], 3, 0.1)[-1].reason is Reason.EVENT
+
+
+def test_overflowing_window_average_is_rejected():
+    filt = EventFilter(FilterConfig(n=2, p=0.1))
+    filt.step(Sample(0.0, 1e308))
+    with pytest.raises(ValueError, match=r"overflowed .* at timestamp 1\.0"):
+        filt.step(Sample(1.0, 1e308))
+
+
 def test_reset_returns_fresh_state():
+    # A new EventFilter is the reset: nothing carries over from another
+    # filter built from the same config, so its timestamps may start over.
     cfg = FilterConfig(n=3, p=0.2)
     filt = EventFilter(cfg)
     for i in range(5):
         filt.step(Sample(float(i), float(i)))
-    fresh = reset(cfg)
+    fresh = EventFilter(cfg)
     assert fresh.seen == 0
     assert fresh.avg is None
     assert fresh.t_hi is None and fresh.t_lo is None
     assert list(fresh.window) == []
+    assert fresh.step(Sample(0.0, 9.0)).reason is Reason.WARMUP
+    assert filt.seen == 5
 
 
 def test_decision_transmit_matches_reason():

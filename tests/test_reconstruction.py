@@ -18,6 +18,7 @@ from mistsim.reconstruction import (
     build_log,
     empty_report,
     error_report,
+    measure_stream,
     reconstruct_zoh,
     reduction_stats,
 )
@@ -210,3 +211,58 @@ def test_property_reduction_stats_consistent(total, transmitted):
     assert suppressed + transmitted == total
     assert pct == 100.0 * suppressed / total
     assert 0.0 <= pct <= 100.0
+
+
+# ------------------------------------------------------- single-pass path
+
+
+def reference_measurement(samples, filter_config):
+    """The step-by-step chain that measure_stream folds into one pass."""
+    if filter_config is None:
+        decisions = [TransmitDecision(True, Reason.EVENT)] * len(samples)
+    else:
+        filt = EventFilter(filter_config)
+        decisions = [filt.step(s) for s in samples]
+    log = build_log(samples, decisions)
+    if not samples:
+        return log, empty_report(), bytearray()
+    recon = reconstruct_zoh(log, [s.timestamp for s in samples])
+    report = error_report([s.value for s in samples], recon, len(log.entries))
+    return log, report, bytearray(d.transmit for d in decisions)
+
+
+@given(
+    values=st.one_of(
+        st.lists(VALUES, max_size=60),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -7.0]), max_size=40),
+    ),
+    shift=st.sampled_from([0.0, -100.0, 100.0]),
+    n=st.one_of(st.just(1), st.integers(min_value=1, max_value=70)),
+    p=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=0.5)),
+    filtered=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_measure_stream_matches_reference_chain(values, shift, n, p, filtered):
+    # Empty streams, streams shorter than n, n=1, p=0, negative and zero
+    # means, and no filter at all.  Every field must match bit for bit.
+    samples = samples_of([v + shift for v in values])
+    config = FilterConfig(n=n, p=p) if filtered else None
+    log, report, flags = reference_measurement(samples, config)
+    got = measure_stream(samples, config)
+    assert got.log == log
+    assert repr(got.report) == repr(report)
+    assert got.flags == flags
+    assert len(got.flags) == len(samples) and set(got.flags) <= {0, 1}
+
+
+def test_measure_stream_hand_case():
+    samples = samples_of([25.0] * 3 + [30.0, 26.0, 25.0])
+    got = measure_stream(samples, FilterConfig(n=3, p=0.1))
+    # Band (22.5, 27.5) lets 30 through; then the bands (24.0, 29.33) and
+    # (24.3, 29.7) suppress 26 and 25, which are held at 30.
+    assert list(got.flags) == [1, 1, 1, 1, 0, 0]
+    assert got.log.entries == tuple(samples[:4])
+    assert got.report.max_abs_error == 5.0
+    assert got.report.avg_abs_error == 9.0 / 6
+    assert got.report.to_dict()["reduction_percent"] == 100.0 * 2 / 6
+

@@ -9,7 +9,7 @@ import pytest
 
 from mistsim.cli import main
 from mistsim.mist_filter import Sample
-from mistsim.reconstruction import TransmissionLog
+from mistsim.reconstruction import TransmissionLog, reconstruct_zoh
 from mistsim.report import (
     check_assertion,
     dumps_stable,
@@ -107,14 +107,13 @@ def test_write_csv_formatting(tmp_path):
 
 def test_emit_report_writes_expected_files(tmp_path):
     samples = [Sample(0.0, 1.0), Sample(1.0, 2.0), Sample(2.0, 3.0)]
-    log = TransmissionLog(entries=(samples[0], samples[2]), total_count=3)
     written = emit_report(
         {"k": 1.0},
         tmp_path,
         sensor_rows=[("x", 1)],
         sensor_header=("sensor", "total"),
         link_rows=[("m", "a->b", 1, 100, 400.0)],
-        plot_series={"plot_x": (samples, log)},
+        plot_series={"plot_x": (samples, bytearray([1, 0, 1]))},
     )
     names = [p.name for p in written]
     assert names == ["report.json", "sensor_metrics.csv", "link_usage.csv", "plot_x.csv"]
@@ -125,6 +124,36 @@ def test_emit_report_writes_expected_files(tmp_path):
     assert flags == [1, 0, 1]
     # Suppressed sample holds the last transmitted value.
     assert plot_lines[2].split(",")[2] == "1.0"
+
+
+def test_plot_rows_match_reference_reconstruction(tmp_path):
+    # Two series share one source and a third has its own; paths come back
+    # in the given order whatever order the files are written in.  Flags
+    # shorter than the stream mark the rest as not transmitted (samples past
+    # the simulation horizon), and with nothing transmitted at all the raw
+    # value stands in for the reconstruction.
+    a = [Sample(float(i), v) for i, v in enumerate([1.5, -0.0, 2.25, 1e-300, 7.0])]
+    b = [Sample(10.0, 3.0), Sample(11.0, 4.0)]
+    series = {
+        "first": (a, bytearray([1, 0, 0, 1, 0])),
+        "other": (b, bytearray()),
+        "second": (a, bytearray([1, 1, 0])),
+    }
+    written = emit_report({}, tmp_path, plot_series=series)
+    assert [p.name for p in written] == ["report.json", "first.csv", "other.csv", "second.csv"]
+    for stem, (samples, flags) in series.items():
+        padded = list(flags) + [0] * (len(samples) - len(flags))
+        log = TransmissionLog(
+            tuple(s for s, f in zip(samples, padded) if f), total_count=len(samples)
+        )
+        if log.entries:
+            recon = reconstruct_zoh(log, [s.timestamp for s in samples])
+        else:
+            recon = [s.value for s in samples]
+        want = ["timestamp,raw,reconstructed,transmitted_flag"] + [
+            f"{s.timestamp!r},{s.value!r},{r!r},{f}" for s, r, f in zip(samples, recon, padded)
+        ]
+        assert (tmp_path / f"{stem}.csv").read_text().splitlines() == want
 
 
 # ----------------------------------------------------------- assertions
@@ -313,6 +342,51 @@ GOLDEN_RUNS = {
             "sensor_metrics.csv": "a2f9fe64947e43ccce2121867ac9f9a7f47dd459216f78f535725287d76f9909",
         },
     ),
+    # Recorded before plot rows were rendered from transmit flags.
+    "filter-grid": (
+        ["filter", "--config", "tests/data/filter_grid.cfg", "--n", "5,50", "--p", "0.01,0.1"],
+        {
+            "plot_cold_n50_p0.01.csv": (
+                "5df545c4328bfade238ba5694f23584ab01a7f6a6986f037eead439a68e95f78"
+            ),
+            "plot_cold_n50_p0.1.csv": (
+                "7d66bdd3c1977d7d39a4ec9fdc4a0283c32c90837c156f1bbf234e3b6d8cf5c0"
+            ),
+            "plot_cold_n5_p0.01.csv": (
+                "23eebeed34abe05cd54f4d144c47190dffdd9dc2771e03bf9261141cbfff515a"
+            ),
+            "plot_cold_n5_p0.1.csv": (
+                "b0116db05bbbad97b6bbbb7627344f19248d123aadfc7774649698770d2ec8a8"
+            ),
+            "plot_office_temperature_n50_p0.01.csv": (
+                "d9d8659d83815cc44ec3a8ac3da0490c56ad1db981c208ad1b6258adec68d44b"
+            ),
+            "plot_office_temperature_n50_p0.1.csv": (
+                "d48ffe01237c5155858022c5dce6e736ab4cc5fb534d93699c29dec628853092"
+            ),
+            "plot_office_temperature_n5_p0.01.csv": (
+                "634769d14b9490c2ba5f732d29f6819549f102a2948f39f1aa2150fafeb58a4d"
+            ),
+            "plot_office_temperature_n5_p0.1.csv": (
+                "7a4b0a08e40e7a826809b29a62ebd156d4be5bef6197bce05caaac0ba6f5178a"
+            ),
+            "plot_warm_n50_p0.01.csv": (
+                "f68b70809a921bc3d093abaa88485bbef648daa0aeaf4114e401f2a775129b26"
+            ),
+            "plot_warm_n50_p0.1.csv": (
+                "f3f09e1738de524dcc2097af7448ba950f0b02bc3c632d3da6b4d68d9a54407e"
+            ),
+            "plot_warm_n5_p0.01.csv": (
+                "4b5b7ebfd422aaca870db6d60196e3aba0f988a4a3a15fd58e24ea6169bb74d8"
+            ),
+            "plot_warm_n5_p0.1.csv": (
+                "af994ae9bf50f22ecbc888a3a44c5f30d17744dd3a027b9e4813700c2861e3ad"
+            ),
+            "report.json": "d3f6b72f69b417971038aa7f6516435ca71dcd305e8177e9c6fc8a4954c95b19",
+            "resolved.cfg": "a226d13a6117f78856ba40ae513f489c33ae3cbea6f7bd080e4a90377fe6ff25",
+            "sensor_metrics.csv": "27ad32fd09a422c3efb7c0f16184a0e824dcf71147347caba1344d21dca3c9c2",
+        },
+    ),
 }
 
 
@@ -364,6 +438,38 @@ def test_exit_2_runtime_error(tmp_path, capsys):
     code = main(["filter", "--dataset", str(csv), "--column", "value"])
     assert code == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+def test_exit_2_overflowing_window_writes_nothing(tmp_path, capsys):
+    # Finite values whose window sum overflows are rejected before any file
+    # is written, instead of failing at report time after all the work.
+    csv = tmp_path / "huge.csv"
+    rows = [f"{t},{v}" for t, v in enumerate([1e308, 1e308, -1e308, 1e308, -1e308])]
+    csv.write_text("timestamp,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--dataset", str(csv), "--n", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "runtime error" in err and "overflowed" in err and "timestamp 2.0" in err
+    assert not (out / "report.json").exists()
+
+
+def test_filter_wrote_lines_follow_the_grid(tmp_path, table2_cfg_path, monkeypatch, capsys):
+    args, golden = GOLDEN_RUNS["filter-grid"]
+    monkeypatch.chdir(table2_cfg_path.parent)
+    assert main([*args, "--out", str(tmp_path)]) == 0
+    wrote = [
+        line.removeprefix(f"wrote {tmp_path}/")
+        for line in capsys.readouterr().out.splitlines()
+        if line.startswith("wrote ")
+    ]
+    plots = [
+        f"plot_{source}_n{n}_p{p}.csv"
+        for n in (5, 50)
+        for p in ("0.01", "0.1")
+        for source in ("warm", "cold", "office_temperature")
+    ]
+    assert wrote == ["report.json", "sensor_metrics.csv", *plots, "resolved.cfg"]
+    assert sorted(wrote) == sorted(golden)
 
 
 def test_exit_3_failed_assertion(tmp_path, office_csv_path, capsys):
