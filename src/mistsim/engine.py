@@ -307,12 +307,11 @@ def run(
     device_messages = {d.id: 0 for d in topology.devices}
 
     cloud_id = topology.cloud().id
-    paths: dict[str, tuple[Link, str, Link]] = {}
+    # Every path from one index of the topology: linear in devices + links.
+    paths = topology.uplink_paths()
     latencies: list[float] = []
     for sensor_id in sensor_ids:
-        first, second = topology.uplink_path(sensor_id)
-        gw_id = first.dst if first.src == sensor_id else first.src
-        paths[sensor_id] = (first, gw_id, second)
+        first, gw_id, second = paths[sensor_id]
         times = [entry.timestamp for entry in logs[sensor_id].entries]
         count = len(times)
         for link in (first, second):

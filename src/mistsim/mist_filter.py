@@ -25,8 +25,9 @@ The window average is recomputed from the stored window at every step, in
 chronological order, so the result is bit-for-bit identical to what a
 from-scratch implementation produces on the same values.
 
-Every value, and every full window's average, must be finite; ``step``
-rejects a NaN, an infinity or an overflowing window sum with ``ValueError``.
+Every timestamp and value, and every full window's average, must be finite;
+``step`` rejects a NaN, an infinity or an overflowing window sum with
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ class TransmitDecision(NamedTuple):
 
 
 _isfinite = math.isfinite
+_INF = math.inf
 
 # Shared singletons: step() allocates nothing on the hot path.
 _WARMUP = TransmitDecision(True, Reason.WARMUP)
@@ -116,7 +118,8 @@ class EventFilter:
         self.t_hi: Optional[float] = None
         self.t_lo: Optional[float] = None
         self.seen: int = 0
-        self._last_timestamp: Optional[float] = None
+        # -inf: the first timestamp only has to be finite.
+        self._last_timestamp: float = -_INF
 
     def step(self, sample: Sample) -> TransmitDecision:
         """Classify one sample against the current band, then absorb it.
@@ -128,20 +131,26 @@ class EventFilter:
         Raises
         ------
         ValueError
-            If the sample's timestamp does not exceed the previous one, if
-            its value is NaN or infinite, or if the full window's average is
-            not finite (its sum overflowed).  After either of the last two
-            the window holds the offending value; discard the filter.
+            If the sample's timestamp is NaN or infinite or does not exceed
+            the previous one, if its value is NaN or infinite, or if the full
+            window's average is not finite (its sum overflowed).  A rejected
+            timestamp leaves the filter unchanged.  After either of the last
+            two the window holds the offending value; discard the filter.
         """
         timestamp, value = sample
         last = self._last_timestamp
-        if last is not None and timestamp <= last:
+        # Two comparisons on the hot path; a NaN timestamp fails both.
+        if not (last < timestamp and timestamp < _INF):
+            if not _isfinite(timestamp):
+                raise ValueError(f"non-finite timestamp {timestamp!r}")
             raise ValueError(
                 f"out-of-order sample: timestamp {timestamp!r} does not exceed {last!r}"
             )
         self._last_timestamp = timestamp
 
-        if self.seen < self.n:
+        n = self.n
+        seen = self.seen
+        if seen < n:
             if not _isfinite(value):
                 raise ValueError(f"non-finite value {value!r} at timestamp {timestamp!r}")
             decision = _WARMUP
@@ -152,11 +161,12 @@ class EventFilter:
 
         window = self.window
         window.append(value)
-        self.seen += 1
-        if len(window) == self.n:
+        seen += 1
+        self.seen = seen
+        if seen >= n:  # the window is full
             # Full recompute each step; cheap at telemetry window sizes and
             # immune to incremental-sum drift on adversarial value ranges.
-            avg = sum(window) / self.n
+            avg = sum(window) / n
             if not _isfinite(avg):
                 # After warm-up a non-finite value always lands here too.
                 if not _isfinite(value):

@@ -4,13 +4,19 @@ Only trees are supported.  Each sensor has exactly one link, to a gateway;
 each gateway has exactly one uplink, to the single cloud.  Uplink/downlink
 rates and RAM are carried as descriptive capacity figures and reported
 as-is; the simulator does not model bandwidth saturation or memory.
+
+Path lookup and validation index the devices by id and the links by the
+devices they touch, once per call, so both cost time linear in devices plus
+links.  The index is never cached on the mutable :class:`Topology`, so edits
+to ``devices`` or ``links`` always take effect.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Sequence
 
 KINDS = ("cloud", "gateway", "sensor")
 
@@ -64,10 +70,7 @@ class Topology:
         return self.by_kind("sensor")
 
     def cloud(self) -> Device:
-        clouds = self.by_kind("cloud")
-        if len(clouds) != 1:
-            raise ValueError(f"expected exactly one cloud device, found {len(clouds)}")
-        return clouds[0]
+        return _single_cloud(self.by_kind("cloud"))
 
     def links_of(self, device_id: str) -> list[Link]:
         return [l for l in self.links if device_id in (l.src, l.dst)]
@@ -75,38 +78,98 @@ class Topology:
     def uplink_path(self, sensor_id: str) -> list[Link]:
         """Links from a sensor up to the cloud: sensor->gateway, gateway->cloud.
 
-        Only valid on a topology that passes :func:`validate`.
+        Only valid on a topology that passes :func:`validate`.  Raises
+        ``KeyError`` for an unknown id and ``ValueError`` for a device that is
+        not a sensor.  Each call indexes the whole topology; use
+        :meth:`uplink_paths` to resolve every sensor at once.
         """
-        sensor = self.device(sensor_id)
-        if sensor.kind != "sensor":
-            raise ValueError(f"{sensor_id!r} is not a sensor")
-        first = self.links_of(sensor_id)
-        if len(first) != 1:
-            raise ValueError(f"sensor {sensor_id!r} must have exactly one link")
-        gw_id = first[0].dst if first[0].src == sensor_id else first[0].src
-        gateway = self.device(gw_id)
-        if gateway.kind != "gateway":
-            raise ValueError(f"sensor {sensor_id!r} is not linked to a gateway")
-        cloud_id = self.cloud().id
-        for link in self.links_of(gw_id):
-            if cloud_id in (link.src, link.dst):
-                return [first[0], link]
-        raise ValueError(f"gateway {gw_id!r} has no uplink to the cloud")
+        first, _, second = _resolve_path(sensor_id, *self._index())
+        return [first, second]
+
+    def uplink_paths(self) -> dict[str, tuple[Link, str, Link]]:
+        """Every sensor's path, in declaration order, from one index.
+
+        Maps each sensor id to ``(sensor->gateway link, gateway id,
+        gateway->cloud link)``.  Only valid on a topology that passes
+        :func:`validate`.
+        """
+        index = self._index()
+        return {
+            dev.id: _resolve_path(dev.id, *index)
+            for dev in self.devices
+            if dev.kind == "sensor"
+        }
+
+    def _index(self) -> tuple[dict[str, Device], dict[str, list[Link]], list[Device]]:
+        """Id -> device, id -> incident links, and the clouds, in one pass each.
+
+        The first declaration of an id wins, as in :meth:`device`.
+        """
+        by_id = {d.id: d for d in reversed(self.devices)}
+        return by_id, _incidence(self.links), self.by_kind("cloud")
+
+
+def _single_cloud(clouds: Sequence[Device]) -> Device:
+    if len(clouds) != 1:
+        raise ValueError(f"expected exactly one cloud device, found {len(clouds)}")
+    return clouds[0]
+
+
+def _incidence(links: Iterable[Link]) -> dict[str, list[Link]]:
+    """Id -> the links touching it, in declaration order; a self-loop counts once."""
+    incident: dict[str, list[Link]] = {}
+    for link in links:
+        incident.setdefault(link.src, []).append(link)
+        if link.dst != link.src:
+            incident.setdefault(link.dst, []).append(link)
+    return incident
+
+
+def _resolve_path(
+    sensor_id: str,
+    by_id: dict[str, Device],
+    incident: dict[str, list[Link]],
+    clouds: list[Device],
+) -> tuple[Link, str, Link]:
+    """``(sensor->gateway link, gateway id, gateway->cloud link)`` of one sensor."""
+    sensor = by_id.get(sensor_id)
+    if sensor is None:
+        raise KeyError(f"no device with id {sensor_id!r}")
+    if sensor.kind != "sensor":
+        raise ValueError(f"{sensor_id!r} is not a sensor")
+    own = incident.get(sensor_id, [])
+    if len(own) != 1:
+        raise ValueError(f"sensor {sensor_id!r} must have exactly one link")
+    first = own[0]
+    gw_id = first.dst if first.src == sensor_id else first.src
+    gateway = by_id.get(gw_id)
+    if gateway is None:
+        raise KeyError(f"no device with id {gw_id!r}")
+    if gateway.kind != "gateway":
+        raise ValueError(f"sensor {sensor_id!r} is not linked to a gateway")
+    cloud_id = _single_cloud(clouds).id
+    for link in incident[gw_id]:
+        if cloud_id in (link.src, link.dst):
+            return first, gw_id, link
+    raise ValueError(f"gateway {gw_id!r} has no uplink to the cloud")
 
 
 def validate(topology: Topology) -> list[str]:
     """Return every violation found, as readable strings; empty means valid.
 
-    Deterministic and order independent: shuffling declaration order yields
-    the same (sorted) violation list.
+    Deterministic, and order independent while ids are unique: shuffling
+    declaration order yields the same (sorted) violation list.  (With a
+    duplicate id, a link's kind check sees the last declaration of it.)
+    Time is linear in devices plus links, plus the level pairs visited when
+    some level ordering is broken.
     """
     violations: list[str] = []
     devices = topology.devices
-    ids = [d.id for d in devices]
     by_id = {d.id: d for d in devices}
 
-    for dup in sorted({i for i in ids if ids.count(i) > 1}):
-        violations.append(f"duplicate device id {dup!r}")
+    for dup, count in Counter(d.id for d in devices).items():
+        if count > 1:
+            violations.append(f"duplicate device id {dup!r}")
 
     clouds = topology.by_kind("cloud")
     if len(clouds) != 1:
@@ -114,20 +177,8 @@ def validate(topology: Topology) -> list[str]:
 
     gateways = topology.by_kind("gateway")
     sensors = topology.by_kind("sensor")
-    for cloud in clouds:
-        for gw in gateways:
-            if not cloud.level < gw.level:
-                violations.append(
-                    f"level ordering broken: cloud {cloud.id!r} level {cloud.level} "
-                    f"must be below gateway {gw.id!r} level {gw.level}"
-                )
-    for gw in gateways:
-        for sensor in sensors:
-            if not gw.level < sensor.level:
-                violations.append(
-                    f"level ordering broken: gateway {gw.id!r} level {gw.level} "
-                    f"must be below sensor {sensor.id!r} level {sensor.level}"
-                )
+    violations += _level_violations(clouds, gateways)
+    violations += _level_violations(gateways, sensors)
 
     for dev in devices:
         for name, value in (
@@ -156,23 +207,15 @@ def validate(topology: Topology) -> list[str]:
         if ok:
             usable_links.append(link)
 
-    def kind_of(device_id: str) -> str:
-        return by_id[device_id].kind
-
     for link in usable_links:
-        pair = tuple(sorted((kind_of(link.src), kind_of(link.dst))))
+        pair = tuple(sorted((by_id[link.src].kind, by_id[link.dst].kind)))
         if pair not in (("gateway", "sensor"), ("cloud", "gateway")):
             violations.append(
                 f"link {link.src!r}->{link.dst!r}: only sensor-gateway and "
                 f"gateway-cloud links are allowed, got {pair[0]}-{pair[1]}"
             )
 
-    incident: dict[str, list[Link]] = {d.id: [] for d in devices}
-    for link in usable_links:
-        if link.src in incident and link.dst in incident:
-            incident[link.src].append(link)
-            incident[link.dst].append(link)
-
+    incident = _incidence(usable_links)
     for sensor in sensors:
         n_links = len(incident.get(sensor.id, []))
         if n_links != 1:
@@ -192,24 +235,30 @@ def validate(topology: Topology) -> list[str]:
                 f"found {len(uplinks)}"
             )
 
-    # Tree check: connected from the cloud and edge count one below node count.
-    if len(clouds) == 1 and not violations:
-        seen = {clouds[0].id}
-        frontier = [clouds[0].id]
-        while frontier:
-            current = frontier.pop()
-            for link in incident[current]:
-                peer = link.dst if link.src == current else link.src
-                if peer not in seen:
-                    seen.add(peer)
-                    frontier.append(peer)
-        for dev in devices:
-            if dev.id not in seen:
-                violations.append(f"device {dev.id!r} is not reachable from the cloud")
-        if len(usable_links) != len(devices) - 1:
-            violations.append(
-                f"not a tree: {len(devices)} devices need {len(devices) - 1} links, "
-                f"found {len(usable_links)}"
-            )
-
+    # No separate tree check is needed.  With no violation so far, every link
+    # joins a sensor to a gateway or a gateway to the one cloud, each sensor
+    # has one link and each gateway one uplink: that is exactly a tree on
+    # 1 + gateways + sensors distinct devices, all reachable from the cloud.
     return sorted(violations)
+
+
+def _level_violations(lower: Sequence[Device], upper: Sequence[Device]) -> list[str]:
+    """One message per (lower, upper) pair whose levels are not strictly ordered.
+
+    The pairs are visited only when some pair may violate.  When every lower
+    level is below the lowest upper level and the highest lower level is
+    below every upper level, none does; a NaN level fails one of those tests.
+    """
+    if not lower or not upper:
+        return []
+    lowest = min(d.level for d in upper)
+    highest = max(d.level for d in lower)
+    if all(d.level < lowest for d in lower) and all(highest < d.level for d in upper):
+        return []
+    return [
+        f"level ordering broken: {a.kind} {a.id!r} level {a.level} "
+        f"must be below {b.kind} {b.id!r} level {b.level}"
+        for a in lower
+        for b in upper
+        if not a.level < b.level
+    ]

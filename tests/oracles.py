@@ -163,3 +163,142 @@ def heap_network(devices, links, emitted, size_bytes, duration_ms, energy_params
         "latency_mean_ms": sum(latencies) / len(latencies) if latencies else 0.0,
         "trace": trace,
     }
+
+
+def quadratic_validate(topology):
+    """Tree validation as first written: ``ids.count`` per id, every level pair.
+
+    ``topology`` is anything with ``devices`` and ``links`` lists of the
+    package's ``Device`` and ``Link`` records; only their fields are read.
+    Returns the sorted violation strings.
+    """
+    violations = []
+    devices = topology.devices
+    ids = [d.id for d in devices]
+    by_id = {d.id: d for d in devices}
+
+    def by_kind(kind):
+        return [d for d in devices if d.kind == kind]
+
+    for dup in sorted({i for i in ids if ids.count(i) > 1}):
+        violations.append(f"duplicate device id {dup!r}")
+
+    clouds = by_kind("cloud")
+    if len(clouds) != 1:
+        violations.append(f"expected exactly one cloud device, found {len(clouds)}")
+
+    gateways = by_kind("gateway")
+    sensors = by_kind("sensor")
+    for cloud in clouds:
+        for gw in gateways:
+            if not cloud.level < gw.level:
+                violations.append(
+                    f"level ordering broken: cloud {cloud.id!r} level {cloud.level} "
+                    f"must be below gateway {gw.id!r} level {gw.level}"
+                )
+    for gw in gateways:
+        for sensor in sensors:
+            if not gw.level < sensor.level:
+                violations.append(
+                    f"level ordering broken: gateway {gw.id!r} level {gw.level} "
+                    f"must be below sensor {sensor.id!r} level {sensor.level}"
+                )
+
+    for dev in devices:
+        for name, value in (
+            ("uplink_kbps", dev.uplink_kbps),
+            ("downlink_kbps", dev.downlink_kbps),
+            ("ram_mb", dev.ram_mb),
+        ):
+            if not math.isfinite(value) or value < 0:
+                violations.append(f"device {dev.id!r}: {name} must be finite and >= 0")
+
+    usable_links = []
+    for link in topology.links:
+        ok = True
+        for end in (link.src, link.dst):
+            if end not in by_id:
+                violations.append(f"link {link.src!r}->{link.dst!r}: unknown device {end!r}")
+                ok = False
+        if link.src == link.dst:
+            violations.append(f"link {link.src!r}->{link.dst!r}: endpoints must differ")
+            ok = False
+        if not math.isfinite(link.latency_ms) or link.latency_ms < 0:
+            violations.append(
+                f"link {link.src!r}->{link.dst!r}: latency must be finite and >= 0"
+            )
+            ok = False
+        if ok:
+            usable_links.append(link)
+
+    def kind_of(device_id):
+        return by_id[device_id].kind
+
+    for link in usable_links:
+        pair = tuple(sorted((kind_of(link.src), kind_of(link.dst))))
+        if pair not in (("gateway", "sensor"), ("cloud", "gateway")):
+            violations.append(
+                f"link {link.src!r}->{link.dst!r}: only sensor-gateway and "
+                f"gateway-cloud links are allowed, got {pair[0]}-{pair[1]}"
+            )
+
+    incident = {d.id: [] for d in devices}
+    for link in usable_links:
+        if link.src in incident and link.dst in incident:
+            incident[link.src].append(link)
+            incident[link.dst].append(link)
+
+    for sensor in sensors:
+        n_links = len(incident.get(sensor.id, []))
+        if n_links != 1:
+            violations.append(
+                f"sensor {sensor.id!r} must have exactly one link, found {n_links}"
+            )
+    cloud_ids = {c.id for c in clouds}
+    for gw in gateways:
+        uplinks = [
+            l
+            for l in incident.get(gw.id, [])
+            if (l.src in cloud_ids or l.dst in cloud_ids)
+        ]
+        if len(uplinks) != 1:
+            violations.append(
+                f"gateway {gw.id!r} must have exactly one uplink to the cloud, "
+                f"found {len(uplinks)}"
+            )
+
+    # Tree check: connected from the cloud and edge count one below node count.
+    if len(clouds) == 1 and not violations:
+        seen = {clouds[0].id}
+        frontier = [clouds[0].id]
+        while frontier:
+            current = frontier.pop()
+            for link in incident[current]:
+                peer = link.dst if link.src == current else link.src
+                if peer not in seen:
+                    seen.add(peer)
+                    frontier.append(peer)
+        for dev in devices:
+            if dev.id not in seen:
+                violations.append(f"device {dev.id!r} is not reachable from the cloud")
+        if len(usable_links) != len(devices) - 1:
+            violations.append(
+                f"not a tree: {len(devices)} devices need {len(devices) - 1} links, "
+                f"found {len(usable_links)}"
+            )
+
+    return sorted(violations)
+
+
+def scan_uplink_path(topology, sensor_id):
+    """``[sensor->gateway link, gateway->cloud link]`` by scanning every device and link."""
+    sensor = next(d for d in topology.devices if d.id == sensor_id)
+    assert sensor.kind == "sensor"
+    first = [l for l in topology.links if sensor_id in (l.src, l.dst)]
+    assert len(first) == 1
+    gw_id = first[0].dst if first[0].src == sensor_id else first[0].src
+    cloud_id = next(d.id for d in topology.devices if d.kind == "cloud")
+    for link in topology.links:
+        if gw_id in (link.src, link.dst) and cloud_id in (link.src, link.dst):
+            return [first[0], link]
+    raise AssertionError(f"gateway {gw_id!r} has no uplink to the cloud")

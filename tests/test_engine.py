@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from mistsim.engine import (
 )
 from mistsim.mist_filter import FilterConfig, Sample
 from mistsim.sources import SensorSpec, gen_normal
-from mistsim.topology import Device, Link, Topology
+from mistsim.topology import Device, Link, Topology, validate
 from oracles import dead_band_flags, heap_network
 
 FC = FilterConfig(n=10, p=0.05)
@@ -500,3 +502,64 @@ def test_property_closed_form_matches_heap_oracle(scenario, n, p, size):
                 assert closed_form == oracle
             else:
                 assert math.isclose(closed_form, oracle, rel_tol=1e-12)
+
+
+@given(
+    scenario=network_scenarios(),
+    n=st.integers(min_value=1, max_value=4),
+    p=st.floats(min_value=0.0, max_value=0.3),
+    shuffle_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_metrics_ignore_declaration_order(scenario, n, p, shuffle_seed):
+    topo, streams, duration = scenario
+    rng = random.Random(shuffle_seed)
+    shuffled = Topology(devices=list(topo.devices), links=list(topo.links))
+    rng.shuffle(shuffled.devices)
+    rng.shuffle(shuffled.links)
+    for mode in Mode:
+        runs, traces = [], []
+        for t in (topo, shuffled):
+            trace = []
+            runs.append(run(t, streams, mode, FilterConfig(n=n, p=p), ENERGY, duration, trace=trace))
+            traces.append(sorted(d[:3] for d in trace))
+        a, b = runs
+        assert a.sensor_reports == b.sensor_reports
+        assert a.logs == b.logs and a.flags == b.flags
+        assert {k: (u["messages"], u["bytes"]) for k, u in a.link_usage.items()} == {
+            k: (u["messages"], u["bytes"]) for k, u in b.link_usage.items()
+        }
+        assert a.device_messages == b.device_messages
+        assert a.device_busy_ms == b.device_busy_ms
+        for name in ("total_bytes", "messages_emitted", "messages_delivered",
+                     "latency_count", "latency_min_ms", "latency_max_ms"):
+            assert getattr(a, name) == getattr(b, name), name
+        # Sums taken in declaration order may round differently.
+        pairs = [(a.link_usage[k]["byte_ms"], b.link_usage[k]["byte_ms"]) for k in a.link_usage]
+        pairs += [(a.device_energy_j[d], b.device_energy_j[d]) for d in a.device_energy_j]
+        pairs += [(a.total_byte_ms, b.total_byte_ms), (a.latency_mean_ms, b.latency_mean_ms)]
+        for x, y in pairs:
+            assert math.isclose(x, y, rel_tol=1e-12)
+        # The trace's seq numbers follow declaration order; its deliveries do not.
+        assert traces[0] == traces[1]
+
+
+def test_large_sensor_bank_runs_in_linear_time():
+    # 10,000 sensors under 20 gateways, one sample each.  Under 1 s with
+    # indexed lookups; quadratic per-sensor scans took about 70 s.
+    gateways = [f"g{i}" for i in range(20)]
+    devices = [Device("cloud", "cloud", 0)] + [Device(g, "gateway", 1) for g in gateways]
+    links = [Link(g, "cloud", 50.0) for g in gateways]
+    streams = {}
+    for i in range(10_000):
+        devices.append(Device(f"s{i}", "sensor", 2))
+        links.append(Link(f"s{i}", gateways[i % 20], 4.0))
+        streams[f"s{i}"] = [Sample(0.0, 25.0)]
+    topo = Topology(devices=devices, links=links)
+    started = time.perf_counter()
+    assert validate(topo) == []
+    for mode in Mode:
+        metrics = run(topo, streams, mode, FC, ENERGY, 1000.0)
+        assert metrics.messages_delivered == 20_000
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"10,000-sensor validate + run took {elapsed:.2f}s"

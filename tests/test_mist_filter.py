@@ -7,6 +7,8 @@ oracle in ``oracles.py`` and the algebraic facts the band definition implies.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -182,6 +184,44 @@ def test_timestamps_must_strictly_increase():
         filt.step(Sample(5.0, 2.0))
     with pytest.raises(ValueError, match="out-of-order"):
         filt.step(Sample(4.0, 2.0))
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "timestamps",
+    [[0.0, NAN, 1.0], [NAN], [-INF, 1.0], [0.0, INF], [INF]],
+    ids=["nan-midway", "nan-first", "minus-inf-first", "inf-midway", "inf-first"],
+)
+def test_non_finite_timestamp_is_rejected(timestamps):
+    # A NaN timestamp used to pass and then disable the order check for good;
+    # a leading -inf passed, and +inf failed only later as "out-of-order".
+    filt = EventFilter(FilterConfig(n=2, p=0.1))
+    good = []
+    for ts in timestamps:
+        if math.isfinite(ts):
+            filt.step(Sample(ts, 1.0))
+            good.append(ts)
+            continue
+        seen, window = filt.seen, list(filt.window)
+        with pytest.raises(ValueError, match=rf"non-finite timestamp {ts!r}"):
+            filt.step(Sample(ts, 1.0))
+        # The rejected sample leaves the filter as it was.
+        assert (filt.seen, list(filt.window)) == (seen, window)
+        break
+    # The order check still holds afterwards.
+    if good:
+        with pytest.raises(ValueError, match="out-of-order"):
+            filt.step(Sample(good[-1], 1.0))
+    filt.step(Sample(good[-1] + 1.0 if good else 0.0, 1.0))
+
+
+def test_extreme_finite_timestamps_are_accepted():
+    filt = EventFilter(FilterConfig(n=1, p=0.1))
+    for ts in (-1.7976931348623157e308, -1.0, 0.0, 1.7976931348623157e308):
+        filt.step(Sample(ts, 1.0))
+    assert filt.seen == 4
 
 
 @pytest.mark.parametrize("at", [1, 3])

@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mistsim.topology import DEFAULT_LEVELS, Device, Link, Topology, validate
+from oracles import quadratic_validate, scan_uplink_path
 
 
 def reference_topology():
@@ -55,6 +58,33 @@ def test_uplink_path():
     assert (second.src, second.dst, second.latency_ms) == ("gw", "cloud", 50.0)
     with pytest.raises(ValueError, match="not a sensor"):
         topo.uplink_path("gw")
+    with pytest.raises(KeyError, match="nope"):
+        topo.uplink_path("nope")
+
+
+def test_uplink_paths_in_declaration_order():
+    topo = reference_topology()
+    paths = topo.uplink_paths()
+    assert list(paths) == ["S1", "S2", "S3", "S4", "S5", "S6"]
+    first, gw_id, second = paths["S4"]
+    assert (first.src, first.dst, first.latency_ms) == ("S4", "gw", 2.0)
+    assert gw_id == "gw"
+    assert (second.src, second.dst, second.latency_ms) == ("gw", "cloud", 50.0)
+
+
+def test_paths_follow_in_place_edits():
+    # Nothing is cached on the topology: editing its lists takes effect.
+    topo = reference_topology()
+    assert topo.uplink_paths()["S1"][0].latency_ms == 4.0
+    topo.links[1] = Link("gw", "S1", 9.0)
+    topo.devices.append(Device("gw2", "gateway", 1))
+    topo.links.append(Link("cloud", "gw2", 40.0))
+    topo.links[2] = Link("S2", "gw2", 6.0)
+    assert validate(topo) == []
+    paths = topo.uplink_paths()
+    assert paths["S1"][0] == Link("gw", "S1", 9.0)
+    assert paths["S2"][1:] == ("gw2", Link("cloud", "gw2", 40.0))
+    assert topo.uplink_path("S2") == [Link("S2", "gw2", 6.0), Link("cloud", "gw2", 40.0)]
 
 
 def test_cloud_accessor_requires_exactly_one():
@@ -198,3 +228,108 @@ def test_violations_are_sorted():
     topo.links.append(Link("S2", "gw", 1.0))
     out = validate(topo)
     assert out == sorted(out)
+
+
+# ------------------------------------------------- differential properties
+
+CAPACITIES = st.sampled_from([0.0, 1.0, 1e3, 1e3, 1e3, -1.0, float("nan"), float("inf")])
+LATENCIES = st.sampled_from([0.0, 2.0, 2.0, 50.0, 50.0, -1.0, float("nan"), -float("inf")])
+LEVELS = st.sampled_from([-1, 0, 1, 2, 3, float("nan")])
+
+
+@st.composite
+def valid_trees(draw):
+    """One cloud, 1-4 gateways, 0-8 sensors; random links, directions and order."""
+    gateways = [f"g{i}" for i in range(draw(st.integers(min_value=1, max_value=4)))]
+    owner = {
+        f"s{i}": draw(st.sampled_from(gateways))
+        for i in range(draw(st.integers(min_value=0, max_value=8)))
+    }
+    devices = (
+        [Device("c", "cloud", 0)]
+        + [Device(gw, "gateway", 1) for gw in gateways]
+        + [Device(sensor, "sensor", 2) for sensor in owner]
+    )
+    links = [Link(gw, "c", draw(st.sampled_from([0.0, 2.0, 50.0]))) for gw in gateways]
+    links += [Link(s, gw, draw(st.sampled_from([0.0, 3.0, 4.0]))) for s, gw in owner.items()]
+    links = [
+        link if draw(st.booleans()) else Link(link.dst, link.src, link.latency_ms)
+        for link in links
+    ]
+    return Topology(
+        devices=list(draw(st.permutations(devices))), links=list(draw(st.permutations(links)))
+    )
+
+
+@st.composite
+def random_topologies(draw):
+    """A valid tree, then random damage of every kind ``validate`` reports."""
+    topo = draw(valid_trees())
+    devices, links = topo.devices, topo.links
+    if draw(st.booleans()):
+        # Many level-inverted pairs at once.
+        devices[:] = [
+            Device(d.id, d.kind, draw(LEVELS), d.uplink_kbps, d.downlink_kbps, d.ram_mb)
+            for d in devices
+        ]
+    devices[:] = [
+        Device(d.id, d.kind, d.level, draw(CAPACITIES), draw(CAPACITIES), draw(CAPACITIES))
+        if draw(st.integers(0, 4)) == 0
+        else d
+        for d in devices
+    ]
+    links[:] = [
+        Link(l.src, l.dst, draw(LATENCIES)) if draw(st.integers(0, 4)) == 0 else l
+        for l in links
+    ]
+    ids = [d.id for d in devices] + ["ghost"]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        op = draw(st.sampled_from(["dup", "cloud", "uncloud", "drop", "link", "unlink"]))
+        if op == "dup":
+            # A duplicate id, of the same kind or another.
+            kind = draw(st.sampled_from(["cloud", "gateway", "sensor"]))
+            devices.append(Device(draw(st.sampled_from(ids[:-1])), kind, draw(LEVELS)))
+        elif op == "cloud":
+            devices.append(Device(f"c{len(devices)}", "cloud", draw(st.sampled_from([0, 1]))))
+        elif op == "uncloud":
+            devices[:] = [d for d in devices if d.kind != "cloud"]
+        elif op == "drop" and devices:
+            # Leaves its links dangling, or its sensors unreachable.
+            del devices[draw(st.integers(0, len(devices) - 1))]
+        elif op == "link":
+            # Extra links: unknown endpoints, self-loops, sensor-cloud, doubles.
+            src, dst = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+            links.append(Link(src, dst, draw(LATENCIES)))
+        elif op == "unlink" and links:
+            del links[draw(st.integers(0, len(links) - 1))]
+    return topo
+
+
+@given(topo=random_topologies(), shuffle_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_property_validate_matches_quadratic_oracle(topo, shuffle_seed):
+    expected = quadratic_validate(topo)
+    assert validate(topo) == expected
+    rng = random.Random(shuffle_seed)
+    shuffled = Topology(devices=list(topo.devices), links=list(topo.links))
+    rng.shuffle(shuffled.devices)
+    rng.shuffle(shuffled.links)
+    assert validate(shuffled) == quadratic_validate(shuffled)
+    ids = [d.id for d in topo.devices]
+    if len(set(ids)) == len(ids):
+        # With duplicate ids, which declaration's kind a link sees depends on order.
+        assert validate(shuffled) == expected
+
+
+@given(topo=valid_trees())
+@settings(max_examples=200, deadline=None)
+def test_property_uplink_paths_match_per_sensor_scan(topo):
+    assert validate(topo) == []
+    paths = topo.uplink_paths()
+    sensor_ids = [d.id for d in topo.devices if d.kind == "sensor"]
+    assert list(paths) == sensor_ids
+    for sensor_id in sensor_ids:
+        first, second = scan_uplink_path(topo, sensor_id)
+        gw_id = first.dst if first.src == sensor_id else first.src
+        assert paths[sensor_id] == (first, gw_id, second)
+        assert topo.uplink_path(sensor_id) == [first, second]
