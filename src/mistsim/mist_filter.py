@@ -139,8 +139,8 @@ class EventFilter:
         """
         timestamp, value = sample
         last = self._last_timestamp
-        # One chained test on the hot path; a NaN timestamp fails it too.
-        if not last < timestamp < _INF:
+        # Two comparisons on the hot path; a NaN timestamp fails both.
+        if not (last < timestamp and timestamp < _INF):
             if not _isfinite(timestamp):
                 raise ValueError(f"non-finite timestamp {timestamp!r}")
             raise ValueError(
@@ -149,26 +149,24 @@ class EventFilter:
         self._last_timestamp = timestamp
 
         n = self.n
-        seen = self.seen + 1
-        if seen > n:  # a full window judges this value
-            if value >= self.t_hi or value <= self.t_lo:
-                decision = _EVENT
-            else:
-                decision = _SUPPRESSED
-        elif _isfinite(value):
+        seen = self.seen
+        if seen < n:
+            if not _isfinite(value):
+                raise ValueError(f"non-finite value {value!r} at timestamp {timestamp!r}")
             decision = _WARMUP
+        elif value >= self.t_hi or value <= self.t_lo:
+            decision = _EVENT
         else:
-            raise ValueError(f"non-finite value {value!r} at timestamp {timestamp!r}")
+            decision = _SUPPRESSED
 
         window = self.window
         window.append(value)
+        seen += 1
         self.seen = seen
         if seen >= n:  # the window is full
             # Full recompute each step; cheap at telemetry window sizes and
             # immune to incremental-sum drift on adversarial value ranges.
-            # The float start skips sum()'s int fast path; the left-to-right
-            # fold, and so the result, is the same as sum(window).
-            avg = sum(window, 0.0) / n
+            avg = sum(window) / n
             if not _isfinite(avg):
                 # After warm-up a non-finite value always lands here too.
                 if not _isfinite(value):

@@ -86,36 +86,3 @@ class SplitMix64:
         theta = _TWO_PI * u2
         self._spare = r * math.sin(theta)
         return r * math.cos(theta)
-
-    def normals(self, count: int) -> list[float]:
-        """The next ``count`` normal draws; equal to ``count`` calls of
-        :meth:`next_normal`, including the generator state left behind."""
-        out: list[float] = []
-        append = out.append
-        spare = self._spare
-        if spare is not None and count > 0:
-            append(spare)
-            spare = None
-            count -= 1
-        state = self._state
-        log, sqrt, sin, cos = math.log, math.sqrt, math.sin, math.cos
-        # next_unit inlined twice per pair: the method calls cost more than
-        # the arithmetic.
-        for _ in range((count + 1) // 2):
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            u1 = (((z ^ (z >> 31)) >> 11) + 1) * _TWO_NEG53
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            u2 = (((z ^ (z >> 31)) >> 11) + 1) * _TWO_NEG53
-            r = sqrt(-2.0 * log(u1))
-            theta = _TWO_PI * u2
-            append(r * cos(theta))
-            append(r * sin(theta))
-        if count % 2:
-            spare = out.pop()
-        self._state = state
-        self._spare = spare
-        return out

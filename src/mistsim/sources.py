@@ -83,14 +83,12 @@ SourceSpec = Union[SensorSpec, ReplaySpec]
 
 def gen_normal(spec: SensorSpec) -> list[Sample]:
     """Generate ``spec.count`` samples; the seed alone fixes the stream."""
+    rng = SplitMix64(spec.seed)
     mean = spec.mean
     stddev = spec.stddev
     period = spec.period_ms
-    # tuple.__new__ skips the Python-level Sample.__new__; same tuples.
-    new = tuple.__new__
     return [
-        new(Sample, (k * period, mean + stddev * z))
-        for k, z in enumerate(SplitMix64(spec.seed).normals(spec.count))
+        Sample(k * period, mean + stddev * rng.next_normal()) for k in range(spec.count)
     ]
 
 

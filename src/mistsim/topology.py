@@ -5,10 +5,11 @@ each gateway has exactly one uplink, to the single cloud.  Uplink/downlink
 rates and RAM are carried as descriptive capacity figures and reported
 as-is; the simulator does not model bandwidth saturation or memory.
 
-Path lookup and validation index the devices by id and the links by the
-devices they touch, once per call, so both cost time linear in devices plus
-links.  The index is never cached on the mutable :class:`Topology`, so edits
-to ``devices`` or ``links`` always take effect.
+Path lookup and validation index the devices by id, the links by the
+devices they touch and each gateway's uplink by gateway, once per call, so
+both cost time linear in devices plus links, in any declaration order.  The
+index is never cached on the mutable :class:`Topology`, so edits to
+``devices`` or ``links`` always take effect.
 """
 
 from __future__ import annotations
@@ -100,13 +101,25 @@ class Topology:
             if dev.kind == "sensor"
         }
 
-    def _index(self) -> tuple[dict[str, Device], dict[str, list[Link]], list[Device]]:
-        """Id -> device, id -> incident links, and the clouds, in one pass each.
+    def _index(
+        self,
+    ) -> tuple[dict[str, Device], dict[str, list[Link]], list[Device], dict[str, Link]]:
+        """Id -> device, id -> incident links, the clouds, and id -> uplink.
 
-        The first declaration of an id wins, as in :meth:`device`.
+        Each is built in one pass.  The first declaration of an id wins, as in
+        :meth:`device`; an id's uplink is the first link joining it to the
+        cloud, and there is none while the cloud count is not one.
         """
         by_id = {d.id: d for d in reversed(self.devices)}
-        return by_id, _incidence(self.links), self.by_kind("cloud")
+        clouds = self.by_kind("cloud")
+        uplinks: dict[str, Link] = {}
+        if len(clouds) == 1:
+            cloud_id = clouds[0].id
+            for link in self.links:
+                if cloud_id in (link.src, link.dst):
+                    uplinks.setdefault(link.src, link)
+                    uplinks.setdefault(link.dst, link)
+        return by_id, _incidence(self.links), clouds, uplinks
 
 
 def _single_cloud(clouds: Sequence[Device]) -> Device:
@@ -130,6 +143,7 @@ def _resolve_path(
     by_id: dict[str, Device],
     incident: dict[str, list[Link]],
     clouds: list[Device],
+    uplinks: dict[str, Link],
 ) -> tuple[Link, str, Link]:
     """``(sensor->gateway link, gateway id, gateway->cloud link)`` of one sensor."""
     sensor = by_id.get(sensor_id)
@@ -147,11 +161,11 @@ def _resolve_path(
         raise KeyError(f"no device with id {gw_id!r}")
     if gateway.kind != "gateway":
         raise ValueError(f"sensor {sensor_id!r} is not linked to a gateway")
-    cloud_id = _single_cloud(clouds).id
-    for link in incident[gw_id]:
-        if cloud_id in (link.src, link.dst):
-            return first, gw_id, link
-    raise ValueError(f"gateway {gw_id!r} has no uplink to the cloud")
+    _single_cloud(clouds)
+    uplink = uplinks.get(gw_id)
+    if uplink is None:
+        raise ValueError(f"gateway {gw_id!r} has no uplink to the cloud")
+    return first, gw_id, uplink
 
 
 def validate(topology: Topology) -> list[str]:

@@ -544,17 +544,27 @@ def test_property_metrics_ignore_declaration_order(scenario, n, p, shuffle_seed)
         assert traces[0] == traces[1]
 
 
-def test_large_sensor_bank_runs_in_linear_time():
-    # 10,000 sensors under 20 gateways, one sample each.  Under 1 s with
-    # indexed lookups; quadratic per-sensor scans took about 70 s.
-    gateways = [f"g{i}" for i in range(20)]
+@pytest.mark.parametrize(
+    "n_gateways, uplinks_first",
+    [(20, True), (1, False)],
+    ids=["20-gateways-uplinks-first", "1-gateway-uplinks-last"],
+)
+def test_large_sensor_bank_runs_in_linear_time(n_gateways, uplinks_first):
+    # 10,000 sensors, one sample each.  Under 1 s with indexed lookups;
+    # quadratic per-sensor scans took about 70 s.  With the uplinks declared
+    # after the sensor links, a per-sensor walk of the gateway's links to find
+    # its uplink is quadratic too.
+    gateways = [f"g{i}" for i in range(n_gateways)]
     devices = [Device("cloud", "cloud", 0)] + [Device(g, "gateway", 1) for g in gateways]
-    links = [Link(g, "cloud", 50.0) for g in gateways]
+    uplinks = [Link(g, "cloud", 50.0) for g in gateways]
+    links = list(uplinks) if uplinks_first else []
     streams = {}
     for i in range(10_000):
         devices.append(Device(f"s{i}", "sensor", 2))
-        links.append(Link(f"s{i}", gateways[i % 20], 4.0))
+        links.append(Link(f"s{i}", gateways[i % n_gateways], 4.0))
         streams[f"s{i}"] = [Sample(0.0, 25.0)]
+    if not uplinks_first:
+        links += uplinks
     topo = Topology(devices=devices, links=links)
     started = time.perf_counter()
     assert validate(topo) == []

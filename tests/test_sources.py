@@ -125,16 +125,6 @@ def test_seed_is_masked_to_64_bits():
     assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
 
 
-@pytest.mark.parametrize("counts", [[0], [1], [2], [7, 4], [1, 1, 1], [3, 0, 6, 5]])
-def test_batched_normals_equal_single_draws(counts):
-    """normals(k) is k next_normal() calls, spare pair half included."""
-    batched, single = SplitMix64(20240101), SplitMix64(20240101)
-    for count in counts:
-        assert batched.normals(count) == [single.next_normal() for _ in range(count)]
-    assert batched.next_normal() == single.next_normal()
-    assert batched.next_u64() == single.next_u64()
-
-
 # ------------------------------------------------------------- synthetic
 
 
