@@ -38,7 +38,6 @@ from .sources import (
     SensorSpec,
     gen_normal,
     load_csv,
-    reference_sensor_specs,
 )
 from .topology import Device, Link, Topology, validate
 from .engine import (
@@ -76,7 +75,6 @@ __all__ = [
     "SensorSpec",
     "gen_normal",
     "load_csv",
-    "reference_sensor_specs",
     "Device",
     "Link",
     "Topology",

@@ -20,6 +20,7 @@ echo re-run bit-for-bit.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -184,8 +185,10 @@ def parse_config(
     if not 0 <= seed < 1 << 64:
         raise _section_error(origin, "run", f"seed must fit in 64 bits, got {seed!r}")
     duration_ms = _get_float(origin, "run", run_raw, "duration_ms")
-    if duration_ms is not None and duration_ms <= 0:
-        raise _section_error(origin, "run", f"duration_ms must be > 0, got {duration_ms!r}")
+    if duration_ms is not None and not (math.isfinite(duration_ms) and duration_ms > 0):
+        raise _section_error(
+            origin, "run", f"duration_ms must be finite and > 0, got {duration_ms!r}"
+        )
     message_size = _get_int(origin, "run", run_raw, "message_size_bytes", DEFAULT_MESSAGE_SIZE)
     if message_size < 1:
         raise _section_error(origin, "run", f"message_size_bytes must be >= 1, got {message_size!r}")

@@ -32,9 +32,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample
 from .reconstruction import ErrorReport, TransmissionLog, measure_stream
+from .topology import Link, Topology
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
-from .topology import Link, Topology, validate
+from .topology import validate  # noqa: F401
 
 
 class Mode(str, Enum):
@@ -273,17 +274,15 @@ def run(
     tuples in delivery order, mainly for causality tests.  It is derived
     only on request; the metrics never need it.
     """
-    violations = validate(topology)
-    if violations:
-        raise ValueError("invalid topology: " + "; ".join(violations))
+    # Validates the topology and resolves every path in one linear pass.
+    paths = topology.uplink_paths()
     mode = Mode(mode)
     if not math.isfinite(duration_ms) or duration_ms <= 0:
         raise ValueError(f"duration_ms must be finite and > 0, got {duration_ms!r}")
     if message_size_bytes < 1:
         raise ValueError(f"message_size_bytes must be >= 1, got {message_size_bytes!r}")
 
-    sensors = topology.sensors()
-    sensor_ids = [s.id for s in sensors]
+    sensor_ids = list(paths)
     missing = sorted(set(sensor_ids) - set(streams))
     if missing:
         raise ValueError(f"no stream for sensors: {missing}")
@@ -307,8 +306,6 @@ def run(
     device_messages = {d.id: 0 for d in topology.devices}
 
     cloud_id = topology.cloud().id
-    # Every path from one index of the topology: linear in devices + links.
-    paths = topology.uplink_paths()
     latencies: list[float] = []
     for sensor_id in sensor_ids:
         first, gw_id, second = paths[sensor_id]

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .mist_filter import Sample
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,12 @@ class ReplaySpec:
             raise ValueError("device_id must be non-empty")
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
-        if self.expected_period is not None and self.expected_period <= 0:
-            raise ValueError("expected_period must be > 0 when given")
+        if self.expected_period is not None and not (
+            math.isfinite(self.expected_period) and self.expected_period > 0
+        ):
+            raise ValueError(
+                f"expected_period must be finite and > 0 when given, got {self.expected_period!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -89,39 +93,6 @@ def gen_normal(spec: SensorSpec) -> list[Sample]:
     period = spec.period_ms
     return [
         Sample(k * period, mean + stddev * rng.next_normal()) for k in range(spec.count)
-    ]
-
-
-# The six-sensor reference scenario used by the shipped config and the
-# comparison experiment: (mean, stddev) per sensor, declaration order fixed.
-_REFERENCE_SENSORS = (
-    ("S1", 25.0, 4.0),
-    ("S2", 29.0, 8.0),
-    ("S3", 24.0, 2.0),
-    ("S4", 20.0, 6.0),
-    ("S5", 28.0, 1.0),
-    ("S6", 22.0, 6.0),
-)
-
-
-def reference_sensor_specs(
-    seed_base: int = 42, period_ms: float = 1000.0, count: int = 10_000
-) -> list[SensorSpec]:
-    """The canonical six-sensor bank.
-
-    Seeds are ``seed_base + i`` with ``i`` the 1-based sensor position, so
-    the streams are distinct but jointly reproducible from one base seed.
-    """
-    return [
-        SensorSpec(
-            device_id=name,
-            mean=mean,
-            stddev=stddev,
-            period_ms=period_ms,
-            count=count,
-            seed=derive_seed(seed_base, i),
-        )
-        for i, (name, mean, stddev) in enumerate(_REFERENCE_SENSORS, start=1)
     ]
 
 

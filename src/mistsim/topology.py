@@ -5,9 +5,10 @@ each gateway has exactly one uplink, to the single cloud.  Uplink/downlink
 rates and RAM are carried as descriptive capacity figures and reported
 as-is; the simulator does not model bandwidth saturation or memory.
 
-Path lookup and validation index the devices by id, the links by the
-devices they touch and each gateway's uplink by gateway, once per call, so
-both cost time linear in devices plus links, in any declaration order.  The
+Validation and path lookup are one pass: :func:`validate` and
+:meth:`Topology.uplink_paths` both come from the same check, which indexes
+the devices by id and the links by the devices they touch once per call, so
+it costs time linear in devices plus links, in any declaration order.  The
 index is never cached on the mutable :class:`Topology`, so edits to
 ``devices`` or ``links`` always take effect.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 KINDS = ("cloud", "gateway", "sensor")
 
@@ -58,12 +59,6 @@ class Topology:
     devices: list[Device] = field(default_factory=list)
     links: list[Link] = field(default_factory=list)
 
-    def device(self, device_id: str) -> Device:
-        for dev in self.devices:
-            if dev.id == device_id:
-                return dev
-        raise KeyError(f"no device with id {device_id!r}")
-
     def by_kind(self, kind: str) -> list[Device]:
         return [d for d in self.devices if d.kind == kind]
 
@@ -71,101 +66,39 @@ class Topology:
         return self.by_kind("sensor")
 
     def cloud(self) -> Device:
-        return _single_cloud(self.by_kind("cloud"))
-
-    def links_of(self, device_id: str) -> list[Link]:
-        return [l for l in self.links if device_id in (l.src, l.dst)]
+        clouds = self.by_kind("cloud")
+        if len(clouds) != 1:
+            raise ValueError(f"expected exactly one cloud device, found {len(clouds)}")
+        return clouds[0]
 
     def uplink_path(self, sensor_id: str) -> list[Link]:
         """Links from a sensor up to the cloud: sensor->gateway, gateway->cloud.
 
-        Only valid on a topology that passes :func:`validate`.  Raises
-        ``KeyError`` for an unknown id and ``ValueError`` for a device that is
-        not a sensor.  Each call indexes the whole topology; use
-        :meth:`uplink_paths` to resolve every sensor at once.
+        Looks the sensor up in :meth:`uplink_paths`, so it raises the same
+        ``ValueError`` on an invalid topology.  Raises ``KeyError`` for an
+        unknown id and ``ValueError`` for a device that is not a sensor.
+        Each call checks the whole topology; use :meth:`uplink_paths` to
+        resolve every sensor at once.
         """
-        first, _, second = _resolve_path(sensor_id, *self._index())
+        paths = self.uplink_paths()
+        if sensor_id not in paths:
+            if any(d.id == sensor_id for d in self.devices):
+                raise ValueError(f"{sensor_id!r} is not a sensor")
+            raise KeyError(f"no device with id {sensor_id!r}")
+        first, _, second = paths[sensor_id]
         return [first, second]
 
     def uplink_paths(self) -> dict[str, tuple[Link, str, Link]]:
-        """Every sensor's path, in declaration order, from one index.
+        """Every sensor's path, in declaration order, from the validation pass.
 
         Maps each sensor id to ``(sensor->gateway link, gateway id,
-        gateway->cloud link)``.  Only valid on a topology that passes
-        :func:`validate`.
+        gateway->cloud link)``.  Raises ``ValueError("invalid topology: ...")``
+        listing every violation :func:`validate` reports, if there is any.
         """
-        index = self._index()
-        return {
-            dev.id: _resolve_path(dev.id, *index)
-            for dev in self.devices
-            if dev.kind == "sensor"
-        }
-
-    def _index(
-        self,
-    ) -> tuple[dict[str, Device], dict[str, list[Link]], list[Device], dict[str, Link]]:
-        """Id -> device, id -> incident links, the clouds, and id -> uplink.
-
-        Each is built in one pass.  The first declaration of an id wins, as in
-        :meth:`device`; an id's uplink is the first link joining it to the
-        cloud, and there is none while the cloud count is not one.
-        """
-        by_id = {d.id: d for d in reversed(self.devices)}
-        clouds = self.by_kind("cloud")
-        uplinks: dict[str, Link] = {}
-        if len(clouds) == 1:
-            cloud_id = clouds[0].id
-            for link in self.links:
-                if cloud_id in (link.src, link.dst):
-                    uplinks.setdefault(link.src, link)
-                    uplinks.setdefault(link.dst, link)
-        return by_id, _incidence(self.links), clouds, uplinks
-
-
-def _single_cloud(clouds: Sequence[Device]) -> Device:
-    if len(clouds) != 1:
-        raise ValueError(f"expected exactly one cloud device, found {len(clouds)}")
-    return clouds[0]
-
-
-def _incidence(links: Iterable[Link]) -> dict[str, list[Link]]:
-    """Id -> the links touching it, in declaration order; a self-loop counts once."""
-    incident: dict[str, list[Link]] = {}
-    for link in links:
-        incident.setdefault(link.src, []).append(link)
-        if link.dst != link.src:
-            incident.setdefault(link.dst, []).append(link)
-    return incident
-
-
-def _resolve_path(
-    sensor_id: str,
-    by_id: dict[str, Device],
-    incident: dict[str, list[Link]],
-    clouds: list[Device],
-    uplinks: dict[str, Link],
-) -> tuple[Link, str, Link]:
-    """``(sensor->gateway link, gateway id, gateway->cloud link)`` of one sensor."""
-    sensor = by_id.get(sensor_id)
-    if sensor is None:
-        raise KeyError(f"no device with id {sensor_id!r}")
-    if sensor.kind != "sensor":
-        raise ValueError(f"{sensor_id!r} is not a sensor")
-    own = incident.get(sensor_id, [])
-    if len(own) != 1:
-        raise ValueError(f"sensor {sensor_id!r} must have exactly one link")
-    first = own[0]
-    gw_id = first.dst if first.src == sensor_id else first.src
-    gateway = by_id.get(gw_id)
-    if gateway is None:
-        raise KeyError(f"no device with id {gw_id!r}")
-    if gateway.kind != "gateway":
-        raise ValueError(f"sensor {sensor_id!r} is not linked to a gateway")
-    _single_cloud(clouds)
-    uplink = uplinks.get(gw_id)
-    if uplink is None:
-        raise ValueError(f"gateway {gw_id!r} has no uplink to the cloud")
-    return first, gw_id, uplink
+        violations, paths = _check(self)
+        if violations:
+            raise ValueError("invalid topology: " + "; ".join(violations))
+        return paths
 
 
 def validate(topology: Topology) -> list[str]:
@@ -176,6 +109,17 @@ def validate(topology: Topology) -> list[str]:
     duplicate id, a link's kind check sees the last declaration of it.)
     Time is linear in devices plus links, plus the level pairs visited when
     some level ordering is broken.
+    """
+    return _check(topology)[0]
+
+
+def _check(topology: Topology) -> tuple[list[str], dict[str, tuple[Link, str, Link]]]:
+    """The sorted violations and, when there are none, every sensor's path.
+
+    Paths map each sensor id, in declaration order, to ``(sensor->gateway
+    link, gateway id, gateway->cloud link)``; they are read from the link
+    incidence and gateway uplinks the checks build, and are empty while any
+    violation stands.
     """
     violations: list[str] = []
     devices = topology.devices
@@ -203,7 +147,8 @@ def validate(topology: Topology) -> list[str]:
             if not math.isfinite(value) or value < 0:
                 violations.append(f"device {dev.id!r}: {name} must be finite and >= 0")
 
-    usable_links: list[Link] = []
+    # Id -> the usable links touching it, in declaration order.
+    incident: dict[str, list[Link]] = {}
     for link in topology.links:
         ok = True
         for end in (link.src, link.dst):
@@ -218,18 +163,17 @@ def validate(topology: Topology) -> list[str]:
                 f"link {link.src!r}->{link.dst!r}: latency must be finite and >= 0"
             )
             ok = False
-        if ok:
-            usable_links.append(link)
-
-    for link in usable_links:
+        if not ok:
+            continue
         pair = tuple(sorted((by_id[link.src].kind, by_id[link.dst].kind)))
         if pair not in (("gateway", "sensor"), ("cloud", "gateway")):
             violations.append(
                 f"link {link.src!r}->{link.dst!r}: only sensor-gateway and "
                 f"gateway-cloud links are allowed, got {pair[0]}-{pair[1]}"
             )
+        incident.setdefault(link.src, []).append(link)
+        incident.setdefault(link.dst, []).append(link)
 
-    incident = _incidence(usable_links)
     for sensor in sensors:
         n_links = len(incident.get(sensor.id, []))
         if n_links != 1:
@@ -237,13 +181,16 @@ def validate(topology: Topology) -> list[str]:
                 f"sensor {sensor.id!r} must have exactly one link, found {n_links}"
             )
     cloud_ids = {c.id for c in clouds}
+    uplink_of: dict[str, Link] = {}
     for gw in gateways:
         uplinks = [
             l
             for l in incident.get(gw.id, [])
             if (l.src in cloud_ids or l.dst in cloud_ids)
         ]
-        if len(uplinks) != 1:
+        if len(uplinks) == 1:
+            uplink_of[gw.id] = uplinks[0]
+        else:
             violations.append(
                 f"gateway {gw.id!r} must have exactly one uplink to the cloud, "
                 f"found {len(uplinks)}"
@@ -253,7 +200,14 @@ def validate(topology: Topology) -> list[str]:
     # joins a sensor to a gateway or a gateway to the one cloud, each sensor
     # has one link and each gateway one uplink: that is exactly a tree on
     # 1 + gateways + sensors distinct devices, all reachable from the cloud.
-    return sorted(violations)
+    if violations:
+        return sorted(violations), {}
+    paths: dict[str, tuple[Link, str, Link]] = {}
+    for sensor in sensors:
+        (first,) = incident[sensor.id]
+        gw_id = first.dst if first.src == sensor.id else first.src
+        paths[sensor.id] = (first, gw_id, uplink_of[gw_id])
+    return [], paths
 
 
 def _level_violations(lower: Sequence[Device], upper: Sequence[Device]) -> list[str]:

@@ -144,6 +144,8 @@ def test_filter_grid_sweep_is_n_major():
         ("[run]\nseed = abc\n", "integer"),
         ("[run]\nduration_ms = 0\n", "> 0"),
         ("[run]\nduration_ms = -5\n", "> 0"),
+        ("[run]\nduration_ms = nan\n", "finite and > 0"),
+        ("[run]\nduration_ms = inf\n", "finite and > 0"),
         ("[run]\nmessage_size_bytes = 0\n", ">= 1"),
         ("[run]\nmode = sideways\n", "mode"),
         ("[run]\nplot_data = maybe\n", "boolean"),

@@ -13,7 +13,6 @@ from mistsim.sources import (
     SensorSpec,
     gen_normal,
     load_csv,
-    reference_sensor_specs,
 )
 from oracles import box_muller_normals, splitmix64_stream
 
@@ -181,21 +180,6 @@ def test_gen_normal_statistics():
     assert abs(math.sqrt(var) - 4.0) < 0.05
 
 
-def test_reference_sensor_bank():
-    specs = reference_sensor_specs()
-    assert [s.device_id for s in specs] == ["S1", "S2", "S3", "S4", "S5", "S6"]
-    assert [(s.mean, s.stddev) for s in specs] == [
-        (25.0, 4.0),
-        (29.0, 8.0),
-        (24.0, 2.0),
-        (20.0, 6.0),
-        (28.0, 1.0),
-        (22.0, 6.0),
-    ]
-    assert [s.seed for s in specs] == [43, 44, 45, 46, 47, 48]
-    assert all(s.period_ms == 1000.0 and s.count == 10_000 for s in specs)
-
-
 # ------------------------------------------------------------------ csv
 
 
@@ -296,6 +280,9 @@ def test_replay_spec_validation():
         ReplaySpec("d", "x.csv", delimiter=";;")
     with pytest.raises(ValueError):
         ReplaySpec("d", "x.csv", expected_period=0.0)
+    for period in (-60.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            ReplaySpec("d", "x.csv", expected_period=period)
 
 
 def test_office_fixture_ingests_cleanly(office_csv_path):

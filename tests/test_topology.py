@@ -43,12 +43,9 @@ def test_device_validation():
 
 def test_accessors():
     topo = reference_topology()
-    assert topo.device("S3").kind == "sensor"
-    with pytest.raises(KeyError):
-        topo.device("nope")
     assert [d.id for d in topo.sensors()] == ["S1", "S2", "S3", "S4", "S5", "S6"]
+    assert [d.id for d in topo.by_kind("gateway")] == ["gw"]
     assert topo.cloud().id == "cloud"
-    assert len(topo.links_of("gw")) == 7
 
 
 def test_uplink_path():
@@ -60,6 +57,10 @@ def test_uplink_path():
         topo.uplink_path("gw")
     with pytest.raises(KeyError, match="nope"):
         topo.uplink_path("nope")
+    # A damaged topology has no paths, not even for its intact sensors.
+    topo.links.append(Link("S1", "gw", 9.0))
+    with pytest.raises(ValueError, match="invalid topology: sensor 'S1' must have"):
+        topo.uplink_path("S4")
 
 
 def test_uplink_paths_in_declaration_order():
@@ -310,6 +311,11 @@ def random_topologies(draw):
 def test_property_validate_matches_quadratic_oracle(topo, shuffle_seed):
     expected = quadratic_validate(topo)
     assert validate(topo) == expected
+    if expected:
+        with pytest.raises(ValueError, match="invalid topology"):
+            topo.uplink_paths()
+    else:
+        assert list(topo.uplink_paths()) == [d.id for d in topo.devices if d.kind == "sensor"]
     rng = random.Random(shuffle_seed)
     shuffled = Topology(devices=list(topo.devices), links=list(topo.links))
     rng.shuffle(shuffled.devices)
