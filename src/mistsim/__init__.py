@@ -27,6 +27,7 @@ from .reconstruction import (
     build_log,
     empty_report,
     error_report,
+    measure_grid,
     measure_stream,
     reconstruct_zoh,
     reduction_stats,
@@ -65,6 +66,7 @@ __all__ = [
     "build_log",
     "empty_report",
     "error_report",
+    "measure_grid",
     "measure_stream",
     "reconstruct_zoh",
     "reduction_stats",

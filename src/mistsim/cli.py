@@ -23,7 +23,7 @@ from . import __version__
 from .config import ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
 from .engine import Mode, compare, run
 from .mist_filter import Sample
-from .reconstruction import measure_stream
+from .reconstruction import measure_grid
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
 from .report import check_assertion, emit_report
@@ -153,19 +153,32 @@ def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
         raise ConfigError("no sources configured; add [source <id>] sections or pass --dataset")
     streams, ingest = _build_streams(scenario)
 
+    # Each source's window averages are computed once per n and shared by
+    # every p.  Visiting n in grid order, then sources in declaration order,
+    # raises the error the grid-major loop below would meet first.
+    by_n: dict[int, list] = {}
+    for cfg in scenario.grid:
+        by_n.setdefault(cfg.n, []).append(cfg)
+    measured = {}
+    for configs in by_n.values():
+        for spec in scenario.sources:
+            results = measure_grid(streams[spec.device_id], configs)
+            for cfg, m in zip(configs, results):
+                flags = m.flags if scenario.plot_data else None
+                measured[cfg, spec.device_id] = (m.report.to_dict(), flags)
+
     runs = []
     sensor_rows = []
     plot_series: dict = {}
     for cfg in scenario.grid:
         sensors = {}
         for spec in scenario.sources:
-            samples = streams[spec.device_id]
-            measured = measure_stream(samples, cfg)
-            block = sensors[spec.device_id] = measured.report.to_dict()
+            block, flags = measured[cfg, spec.device_id]
+            sensors[spec.device_id] = block
             sensor_rows.append((cfg.n, cfg.p, spec.device_id, *(block[k] for k in _SENSOR_COLUMNS)))
             if scenario.plot_data:
                 stem = f"plot_{spec.device_id}_n{cfg.n}_p{cfg.p!r}"
-                plot_series[stem] = (samples, measured.flags)
+                plot_series[stem] = (streams[spec.device_id], flags)
         runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors})
 
     report = {

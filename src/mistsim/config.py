@@ -135,7 +135,8 @@ def parse_config(
     Resolution fills every default: filter grid, per-source seeds (derived as
     ``seed + i`` for the i-th declared source, 1-based, unless the source
     pins its own), and the run duration (largest ``count * period_ms`` when
-    every source is synthetic, otherwise left unset).
+    every source is synthetic, otherwise left unset; an infinite one is a
+    :class:`ConfigError`).
     """
     ov = overrides or Overrides()
     parser = configparser.ConfigParser(interpolation=None, strict=True)
@@ -208,6 +209,13 @@ def parse_config(
 
     if duration_ms is None and sources and all(isinstance(s, SensorSpec) for s in sources):
         duration_ms = max(s.count * s.period_ms for s in sources)
+        if not math.isfinite(duration_ms):
+            raise _section_error(
+                origin,
+                "run",
+                f"derived duration_ms = max(count * period_ms) must be finite, got "
+                f"{duration_ms!r}; set duration_ms explicitly",
+            )
         if duration_ms <= 0:
             duration_ms = None
 

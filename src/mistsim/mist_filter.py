@@ -28,6 +28,15 @@ from-scratch implementation produces on the same values.
 Every timestamp and value, and every full window's average, must be finite;
 ``step`` rejects a NaN, an infinity or an overflowing window sum with
 ``ValueError``.
+
+:class:`EventFilter` is the per-sample filter and the reference.  Whole
+streams are measured by a two-stage batch kernel that must agree with it
+bit for bit (``tests/test_reconstruction.py`` checks that on random grids).
+Stage 1, :func:`window_averages`, depends only on the stream and ``n``: it
+runs ``step``'s checks and computes every full window's average the same
+way, ``sum(window) / n`` left to right.  Stage 2,
+:func:`mistsim.reconstruction.measure_grid`, applies the band for each ``p``
+to those shared averages.
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, NamedTuple, Optional
+from itertools import islice
+from operator import itemgetter, lt
+from typing import Deque, NamedTuple, Optional, Sequence
 
 
 class Reason(str, Enum):
@@ -181,3 +192,33 @@ class EventFilter:
             self.t_lo = avg - band
         return decision
 
+
+_timestamp = itemgetter(0)  # Sample.timestamp
+_value = itemgetter(1)  # Sample.value
+
+
+def window_averages(samples: Sequence[Sample], n: int) -> tuple[list[float], list[float]]:
+    """Stage 1 of the batch kernel: a stream's values and full-window averages.
+
+    ``averages[k]`` is the average of ``values[k:k + n]``, computed as
+    ``step`` computes it, so it judges ``values[k + n]``; a stream of
+    ``total >= n`` samples has ``total - n + 1`` of them, the last judging
+    nothing.  Raises the ``ValueError`` that :meth:`EventFilter.step` would
+    raise at the stream's first failing sample.
+    """
+    values = list(map(_value, samples))
+    times = list(map(_timestamp, samples))
+    averages = [sum(values[i - n:i]) / n for i in range(n, len(values) + 1)]
+    # Strictly increasing timestamps between finite ends are all finite (a
+    # NaN fails every comparison).  A finite window sum means finite values,
+    # and with a full window every value lies in one.
+    ordered = not times or (
+        -_INF < times[0] and times[-1] < _INF and all(map(lt, times, islice(times, 1, None)))
+    )
+    if not (ordered and all(map(_isfinite, averages or values))):
+        # Replay the stream through the reference for its exact error.
+        filt = EventFilter(FilterConfig(n=n, p=0.0))
+        for sample in samples:
+            filt.step(sample)
+        raise AssertionError("window_averages rejected a stream EventFilter accepts")
+    return values, averages

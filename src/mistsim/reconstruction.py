@@ -5,19 +5,26 @@ holds each transmitted value flat until the next one arrives, then the
 reconstructed series is compared point-by-point against the raw series the
 sensor actually observed.
 
-:func:`measure_stream` does all of that in one pass and is what the engine
-and the command line use; :func:`build_log`, :func:`reconstruct_zoh` and
-:func:`error_report` are its steps one at a time, kept as its reference.
+:func:`measure_grid` measures one stream under many filter configs with a
+two-stage batch kernel.  Stage 1, :func:`mistsim.mist_filter.window_averages`,
+runs once per distinct window size ``n``: it checks the stream and computes
+every full window's average.  Stage 2 runs once per band fraction ``p`` on
+those shared averages: it makes each transmit decision and accounts the
+hold error in the same loop.  :func:`measure_stream` is the one-config case
+the engine uses; the ``filter`` command sweeps its grid through
+:func:`measure_grid`.  :meth:`EventFilter.step` per sample, then
+:func:`build_log`, :func:`reconstruct_zoh` and :func:`error_report` one at a
+time, are the reference the kernel is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .mist_filter import EventFilter, FilterConfig, Sample, TransmitDecision
+from .mist_filter import FilterConfig, Sample, TransmitDecision, window_averages
 
 
 @dataclass(frozen=True)
@@ -171,33 +178,61 @@ class Measurement(NamedTuple):
     flags: bytearray
 
 
+def measure_grid(
+    samples: Sequence[Sample], filter_configs: Sequence[Optional[FilterConfig]]
+) -> list[Measurement]:
+    """Measure one stream under each filter config, in the order given.
+
+    A ``None`` config means no filter: every sample is transmitted.  Each
+    result equals :func:`build_log`, :func:`reconstruct_zoh` and
+    :func:`error_report` applied in turn to the decisions of
+    :meth:`EventFilter.step` (:func:`empty_report` for an empty stream).
+    Stage 1, :func:`window_averages`, runs once per distinct ``n`` in order
+    of first occurrence and raises ``ValueError`` where ``step`` does; the
+    band of every ``p`` is then applied to the averages it shared.
+    """
+    total = len(samples)
+    mean_abs_raw = sum(map(abs, map(_value, samples))) / total if total else 0.0
+    results: list = [None] * len(filter_configs)
+    by_n: dict[int, list[int]] = {}
+    for slot, config in enumerate(filter_configs):
+        if config is None:
+            flags = bytearray(b"\x01" * total)
+            results[slot] = _measurement(samples, flags, [0.0] * total, mean_abs_raw)
+        else:
+            by_n.setdefault(config.n, []).append(slot)
+    for n, slots in by_n.items():
+        values, averages = window_averages(samples, n)
+        warm = min(n, total)
+        for slot in slots:
+            p = filter_configs[slot].p
+            # Stage 2: step's band test on the shared averages, with the
+            # hold error accounted in the same loop.
+            flags = bytearray(b"\x01" * warm) + bytes(total - warm)
+            abs_errors = [0.0] * total
+            held = values[warm - 1] if warm else 0.0
+            for i, value, avg in zip(range(n, total), islice(values, n, None), averages):
+                band = p * abs(avg)
+                if value >= avg + band or value <= avg - band:
+                    flags[i] = 1
+                    held = value
+                else:
+                    abs_errors[i] = abs(value - held)
+            results[slot] = _measurement(samples, flags, abs_errors, mean_abs_raw)
+    return results
+
+
 def measure_stream(
     samples: Sequence[Sample], filter_config: Optional[FilterConfig]
 ) -> Measurement:
-    """Filter a stream and account its zero-order-hold error in one pass.
+    """:func:`measure_grid` for a single filter config (``None``: no filter)."""
+    return measure_grid(samples, (filter_config,))[0]
 
-    ``filter_config=None`` means no filter: every sample is transmitted.
-    The result equals :func:`build_log`, :func:`reconstruct_zoh` and
-    :func:`error_report` applied in turn (:func:`empty_report` for an empty
-    stream).  Raises ``ValueError`` where :meth:`EventFilter.step` does.
-    """
+
+def _measurement(
+    samples: Sequence[Sample], flags: bytearray, abs_errors: list, mean_abs_raw: float
+) -> Measurement:
     total = len(samples)
-    if filter_config is None:
-        flags = bytearray(b"\x01" * total)
-        abs_errors = [0.0] * total
-    else:
-        step = EventFilter(filter_config).step
-        flags = bytearray(total)
-        abs_errors = []
-        append = abs_errors.append
-        held = 0.0
-        for i, sample in enumerate(samples):
-            if step(sample).transmit:
-                flags[i] = 1
-                held = sample.value
-                append(0.0)
-            else:
-                append(abs(sample.value - held))
     log = TransmissionLog(entries=tuple(compress(samples, flags)), total_count=total)
     if not total:
         return Measurement(log, empty_report(), flags)
@@ -205,7 +240,6 @@ def measure_stream(
     # rounds differently wherever sum() compensates (Python >= 3.12).
     avg_err = sum(abs_errors) / total
     transmitted = len(log.entries)
-    mean_abs_raw = sum(map(abs, map(_value, samples))) / total
     report = ErrorReport(
         total_count=total,
         transmitted_count=transmitted,

@@ -146,6 +146,8 @@ def test_filter_grid_sweep_is_n_major():
         ("[run]\nduration_ms = -5\n", "> 0"),
         ("[run]\nduration_ms = nan\n", "finite and > 0"),
         ("[run]\nduration_ms = inf\n", "finite and > 0"),
+        # Derived duration_ms = 10 * 1e308 overflows to inf.
+        ("[run]\n\n[source s]\nkind = normal\nperiod_ms = 1e308\ncount = 10\n", "must be finite"),
         ("[run]\nmessage_size_bytes = 0\n", ">= 1"),
         ("[run]\nmode = sideways\n", "mode"),
         ("[run]\nplot_data = maybe\n", "boolean"),

@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mistsim import reconstruction
 from mistsim.mist_filter import (
     EventFilter,
     FilterConfig,
     Reason,
     Sample,
     TransmitDecision,
+    window_averages,
 )
 from mistsim.reconstruction import (
     TransmissionLog,
     build_log,
     empty_report,
     error_report,
+    measure_grid,
     measure_stream,
     reconstruct_zoh,
     reduction_stats,
@@ -265,4 +268,107 @@ def test_measure_stream_hand_case():
     assert got.report.max_abs_error == 5.0
     assert got.report.avg_abs_error == 9.0 / 6
     assert got.report.to_dict()["reduction_percent"] == 100.0 * 2 / 6
+
+
+# ------------------------------------------------------- batch grid kernel
+
+# Small n repeat within a grid; large n often exceeds the stream.  Round p
+# and small integer values put samples exactly on a band edge.
+FILTER_CONFIGS = st.builds(
+    FilterConfig,
+    n=st.one_of(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=70)),
+    p=st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(min_value=0.0, max_value=0.5)),
+)
+
+
+def reference_grid(samples, configs):
+    """Each config through the step chain, in order; the first error is raised."""
+    return [reference_measurement(samples, config) for config in configs]
+
+
+def assert_same_measurements(got, expected):
+    assert len(got) == len(expected)
+    for measured, (log, report, flags) in zip(got, expected):
+        assert measured.flags == flags
+        assert measured.log == log
+        assert repr(measured.report) == repr(report)
+
+
+@given(
+    values=st.one_of(
+        st.lists(VALUES, max_size=60),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 3.0, 4.0, -6.0]), max_size=40),
+    ),
+    shift=st.sampled_from([0.0, -100.0, 100.0]),
+    configs=st.lists(st.one_of(st.none(), FILTER_CONFIGS), min_size=1, max_size=7),
+)
+# The upper band edge (3.0) at sample 2, the lower one (1.0) at sample 5.
+@example(
+    values=[2.0, 2.0, 3.0, 2.0, 2.0, 1.0], shift=0.0, configs=[FilterConfig(n=2, p=0.5)]
+)
+@settings(max_examples=300, deadline=None)
+def test_property_measure_grid_matches_step_reference(values, shift, configs):
+    # Repeated and unsorted n, n past the stream's end, empty streams, p=0,
+    # zero and negative means, and unfiltered entries mixed in.
+    samples = samples_of([v + shift for v in values])
+    assert_same_measurements(measure_grid(samples, configs), reference_grid(samples, configs))
+
+
+FAULTS = (
+    "nan value", "inf value", "-inf value",
+    "nan timestamp", "inf timestamp", "-inf timestamp", "repeated timestamp",
+    "earlier timestamp", "overflow", "-overflow",
+)
+
+
+@given(
+    values=st.lists(VALUES, min_size=1, max_size=30),
+    fault=st.sampled_from(FAULTS),
+    where=st.integers(min_value=0, max_value=29),
+    run=st.integers(min_value=1, max_value=4),
+    configs=st.lists(FILTER_CONFIGS, min_size=1, max_size=5),
+)
+@settings(max_examples=400, deadline=None)
+def test_property_measure_grid_fails_like_step(values, fault, where, run, configs):
+    # A fault at one sample (or, for overflow, a run of +-1e308 values):
+    # measure_grid raises the ValueError of the first config whose step
+    # chain fails, message for message, or matches the chain when none does.
+    # Unfiltered entries are left out: they check nothing (the engine checks
+    # its streams before measuring them).
+    times = [float(i) for i in range(len(values))]
+    at = where % len(values)
+    if fault.endswith("value"):
+        values[at] = float(fault.split()[0])
+    elif fault.endswith("overflow"):
+        big = -1e308 if fault.startswith("-") else 1e308
+        values[at:at + run] = [big] * run
+        times = [float(i) for i in range(len(values))]
+    elif fault == "repeated timestamp":
+        times[at] = times[at - 1] if at else times[at]
+    elif fault == "earlier timestamp":
+        times[at] = times[at - 1] - 0.5 if at else times[at]
+    else:
+        times[at] = float(fault.split()[0])
+    samples = [Sample(t, v) for t, v in zip(times, values)]
+    try:
+        expected = reference_grid(samples, configs)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            measure_grid(samples, configs)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_measurements(measure_grid(samples, configs), expected)
+
+
+def test_measure_grid_shares_one_window_pass_per_n(monkeypatch):
+    calls = []
+
+    def counted(samples, n):
+        calls.append(n)
+        return window_averages(samples, n)
+
+    monkeypatch.setattr(reconstruction, "window_averages", counted)
+    configs = [FilterConfig(n=5, p=0.1), None, FilterConfig(n=2, p=0.0), FilterConfig(n=5, p=0.0)]
+    measure_grid(samples_of([1.0, 2.0, 3.0] * 4), configs)
+    assert calls == [5, 2]
 

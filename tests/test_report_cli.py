@@ -453,6 +453,43 @@ def test_exit_2_overflowing_window_writes_nothing(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+# Source a's window sum overflows only at n=3 (three 0.6e308 values), source
+# b's only at n=2 (1e308 twice in a row, after a -1e308 that cancels the
+# first three-value window).  n=5 exceeds both streams and never fails.
+_OVERFLOW_LINE = (
+    "runtime error: window average overflowed to inf at timestamp {t}; "
+    "the sum of the last n values exceeds the float range\n"
+)
+
+
+@pytest.mark.parametrize(
+    "n_values,expected_t",
+    [("5,2,3", "12.0"), ("5,3,2", "2.0"), ("3,2", "2.0"), ("2,3,2", "12.0")],
+)
+def test_filter_grid_reports_the_first_error_in_grid_order(
+    tmp_path, capsys, n_values, expected_t
+):
+    # The stderr line is the one the n-major grid loop meets first: with n=2
+    # ahead of n=3 it is source b's, even though source a is declared first.
+    (tmp_path / "a.csv").write_text(
+        "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
+    )
+    (tmp_path / "b.csv").write_text(
+        "timestamp,value\n10,-1e308\n11,1e308\n12,1e308\n", encoding="utf-8"
+    )
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        f"[run]\n\n[source a]\nkind = replay\nfile = {tmp_path / 'a.csv'}\n\n"
+        f"[source b]\nkind = replay\nfile = {tmp_path / 'b.csv'}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    args = ["filter", "--config", str(cfg), "--n", n_values, "--p", "0.01,0.1"]
+    assert main([*args, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == _OVERFLOW_LINE.format(t=expected_t)
+    assert not (out / "report.json").exists()
+
+
 def test_filter_wrote_lines_follow_the_grid(tmp_path, table2_cfg_path, monkeypatch, capsys):
     args, golden = GOLDEN_RUNS["filter-grid"]
     monkeypatch.chdir(table2_cfg_path.parent)
