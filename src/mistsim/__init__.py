@@ -49,6 +49,7 @@ from .engine import (
     account_energy,
     compare,
     run,
+    simulate,
 )
 from .config import ConfigError, Scenario, load_config, parse_config, serialize_scenario
 
@@ -88,6 +89,7 @@ __all__ = [
     "account_energy",
     "compare",
     "run",
+    "simulate",
     "ConfigError",
     "Scenario",
     "load_config",

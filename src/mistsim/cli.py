@@ -20,11 +20,12 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .config import ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
-from .engine import Mode, compare, run
+from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
+from .engine import Mode, compare, simulate
 from .mist_filter import Sample
 from .reconstruction import measure_grid
 # Unused here; perfbench/tracing.py wraps these names on this module.
+from .engine import run  # noqa: F401
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
 from .report import check_assertion, emit_report
 from .sources import ReplaySpec, SensorSpec, gen_normal, load_csv
@@ -72,7 +73,7 @@ def _build_parser() -> _Parser:
     common(s)
     s.add_argument(
         "--mode",
-        choices=["cloud_only", "mist_fog_cloud", "both"],
+        choices=MODES,
         help="which pipeline(s) to simulate (default: both)",
     )
     return parser
@@ -229,23 +230,11 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
     fc = scenario.filter_config()
     streams, ingest = _build_streams(scenario)
 
-    if scenario.mode == "both":
-        modes = [Mode.CLOUD_ONLY, Mode.MIST_FOG_CLOUD]
-    else:
-        modes = [Mode(scenario.mode)]
-
-    results = {}
-    for mode in modes:
-        results[mode.value] = run(
-            scenario.topology,
-            streams,
-            mode,
-            fc,
-            scenario.energy,
-            scenario.duration_ms,
-            message_size_bytes=scenario.message_size_bytes,
-            seed=scenario.seed,
-        )
+    modes = list(Mode) if scenario.mode == "both" else [Mode(scenario.mode)]
+    results = simulate(
+        scenario.topology, streams, modes, fc, scenario.energy, scenario.duration_ms,
+        message_size_bytes=scenario.message_size_bytes, seed=scenario.seed,
+    )
 
     report = {
         "tool": {"name": "mistsim", "version": __version__},

@@ -22,16 +22,17 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import DEFAULT_ENERGY_PARAMS, EnergyModel, EnergyParams
+from .engine import DEFAULT_ENERGY_PARAMS, EnergyModel, EnergyParams, Mode
 from .mist_filter import FilterConfig
 from .rng import derive_seed
 from .sources import ReplaySpec, SensorSpec, SourceSpec
 from .topology import DEFAULT_LEVELS, KINDS, Device, Link, Topology
 
-MODES = ("both", "cloud_only", "mist_fog_cloud")
+MODES = ("both", *(m.value for m in Mode))
 
 DEFAULT_SEED = 42
 DEFAULT_MESSAGE_SIZE = 100
@@ -88,24 +89,19 @@ def _check_keys(origin: str, section: str, present: Sequence[str], allowed: Sequ
         )
 
 
-def _get_float(origin: str, section: str, raw: dict, key: str, default=None) -> Optional[float]:
+def _get_number(conv, origin: str, section: str, raw: dict, key: str, default=None):
+    """``conv(raw[key])`` for ``conv`` float or int; ``default`` when absent."""
     if key not in raw:
         return default
     try:
-        return float(raw[key])
+        return conv(raw[key])
     except ValueError:
-        raise _section_error(origin, section, f"{key} must be a number, got {raw[key]!r}") from None
+        what = "an integer" if conv is int else "a number"
+        raise _section_error(origin, section, f"{key} must be {what}, got {raw[key]!r}") from None
 
 
-def _get_int(origin: str, section: str, raw: dict, key: str, default=None) -> Optional[int]:
-    if key not in raw:
-        return default
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise _section_error(
-            origin, section, f"{key} must be an integer, got {raw[key]!r}"
-        ) from None
+_get_float = partial(_get_number, float)
+_get_int = partial(_get_number, int)
 
 
 def _get_bool(origin: str, section: str, raw: dict, key: str, default=None) -> Optional[bool]:

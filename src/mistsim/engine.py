@@ -4,6 +4,8 @@ Two modes share one pipeline.  ``cloud_only`` forwards every raw sample to
 the cloud; ``mist_fog_cloud`` runs the dead-band filter on each sensor first
 and forwards only what it transmits.  Messages hop sensor -> gateway -> cloud
 and each hop arrives exactly ``link.latency_ms`` after it was sent.
+:func:`simulate` runs several modes on one scenario in one pass, measuring
+each sensor once for all of them; :func:`run` is its one-mode form.
 
 The topology is a two-hop tree, latency is fixed per link, no bandwidth or
 contention is modelled, and the gateway forwards every message unchanged.
@@ -28,10 +30,11 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample
-from .reconstruction import ErrorReport, TransmissionLog, measure_stream
+from .reconstruction import ErrorReport, TransmissionLog, measure_grid
 from .topology import Link, Topology
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
@@ -172,12 +175,13 @@ class RunMetrics:
         }
 
 
+def _packed(samples: Sequence[Sample]) -> bytes:
+    """Samples as little-endian ``(timestamp, value)`` double pairs."""
+    return struct.pack(f"<{2 * len(samples)}d", *chain.from_iterable(samples))
+
+
 def _log_digest(log: TransmissionLog) -> str:
-    h = hashlib.sha256()
-    h.update(struct.pack("<q", log.total_count))
-    for entry in log.entries:
-        h.update(struct.pack("<dd", entry.timestamp, entry.value))
-    return h.hexdigest()
+    return hashlib.sha256(struct.pack("<q", log.total_count) + _packed(log.entries)).hexdigest()
 
 
 def _topology_fp(topology: Topology) -> str:
@@ -195,15 +199,12 @@ def _topology_fp(topology: Topology) -> str:
 def _sources_fp(streams: Mapping[str, Sequence[Sample]], order: Iterable[str]) -> str:
     h = hashlib.sha256()
     for sensor_id in order:
-        h.update(sensor_id.encode())
-        h.update(b"\x00")
-        for sample in streams[sensor_id]:
-            h.update(struct.pack("<dd", sample.timestamp, sample.value))
+        h.update(sensor_id.encode() + b"\x00" + _packed(streams[sensor_id]))
     return h.hexdigest()
 
 
 def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float) -> list[Sample]:
-    last: Optional[float] = None
+    last = -math.inf
     kept: list[Sample] = []
     for sample in samples:
         ts = sample.timestamp
@@ -211,7 +212,7 @@ def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float)
             raise ValueError(f"sensor {sensor_id!r}: timestamps must be finite and >= 0")
         if not math.isfinite(sample.value):
             raise ValueError(f"sensor {sensor_id!r}: non-finite value at timestamp {ts!r}")
-        if last is not None and ts <= last:
+        if ts <= last:
             raise ValueError(f"sensor {sensor_id!r}: timestamps must strictly increase")
         last = ts
         if ts < duration_ms:
@@ -251,32 +252,30 @@ def _delivery_trace(
     return deliveries
 
 
-def run(
+def simulate(
     topology: Topology,
     streams: Mapping[str, Sequence[Sample]],
-    mode: Mode,
+    modes: Sequence[Mode],
     filter_config: FilterConfig,
     energy: EnergyModel,
     duration_ms: float,
     *,
     message_size_bytes: int = 100,
     seed: int = 0,
-    trace: Optional[list] = None,
-) -> RunMetrics:
-    """Simulate one mode over the given per-sensor streams.
+) -> dict[str, RunMetrics]:
+    """One :class:`RunMetrics` per mode, keyed by mode value in the order given.
 
-    ``streams`` maps every sensor id in the topology to its samples.
-    Samples at or beyond ``duration_ms`` are dropped before the run;
-    messages still in flight when the horizon passes are delivered (nothing
-    is lost), while energy idles out the configured duration exactly.
-
-    ``trace``, when given, collects ``(time_ms, device_id, sensor_id, seq)``
-    tuples in delivery order, mainly for causality tests.  It is derived
-    only on request; the metrics never need it.
+    ``modes`` must be non-empty and free of repeats.  ``streams`` maps every
+    sensor id in the topology to its samples.  Samples at or beyond
+    ``duration_ms`` are dropped, and every stream is checked before any is
+    measured; messages still in flight when the horizon passes are delivered
+    (nothing is lost), while energy idles out the configured duration.
     """
     # Validates the topology and resolves every path in one linear pass.
     paths = topology.uplink_paths()
-    mode = Mode(mode)
+    modes = [Mode(mode) for mode in modes]
+    if not modes or len(set(modes)) != len(modes):
+        raise ValueError(f"modes must be non-empty and distinct, got {[m.value for m in modes]}")
     if not math.isfinite(duration_ms) or duration_ms <= 0:
         raise ValueError(f"duration_ms must be finite and > 0, got {duration_ms!r}")
     if message_size_bytes < 1:
@@ -290,75 +289,92 @@ def run(
     if extra:
         raise ValueError(f"streams for unknown sensors: {extra}")
 
-    kept = {
-        sensor_id: _check_stream(sensor_id, streams[sensor_id], duration_ms)
-        for sensor_id in sensor_ids
-    }
-
-    config = filter_config if mode is Mode.MIST_FOG_CLOUD else None
-    measured = {sensor_id: measure_stream(kept[sensor_id], config) for sensor_id in sensor_ids}
-    logs = {sensor_id: m.log for sensor_id, m in measured.items()}
-
-    link_usage = {
-        f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
-        for link in topology.links
-    }
-    device_messages = {d.id: 0 for d in topology.devices}
-
+    kept = {s: _check_stream(s, streams[s], duration_ms) for s in sensor_ids}
+    topology_fp = _topology_fp(topology)
+    sources_fp = _sources_fp(kept, sensor_ids)
+    # Filtered first: its stage 1 checks all that an unfiltered one would.
+    order = sorted(modes, key=lambda mode: mode is Mode.CLOUD_ONLY)
+    configs = [filter_config if mode is Mode.MIST_FOG_CLOUD else None for mode in order]
+    measured = {s: dict(zip(order, measure_grid(kept[s], configs))) for s in sensor_ids}
     cloud_id = topology.cloud().id
-    latencies: list[float] = []
-    for sensor_id in sensor_ids:
-        first, gw_id, second = paths[sensor_id]
-        times = [entry.timestamp for entry in logs[sensor_id].entries]
-        count = len(times)
-        for link in (first, second):
-            usage = link_usage[f"{link.src}->{link.dst}"]
-            usage["messages"] += count
-            usage["bytes"] += count * message_size_bytes
-            usage["byte_ms"] += count * (message_size_bytes * link.latency_ms)
-        for device_id in (sensor_id, gw_id, cloud_id):
-            device_messages[device_id] += count
-        l1, l2 = first.latency_ms, second.latency_ms
-        latencies.extend([((t + l1) + l2) - t for t in times])
-    messages_emitted = len(latencies)
+
+    results = {}
+    for mode in modes:
+        logs = {sensor_id: grid[mode].log for sensor_id, grid in measured.items()}
+        link_usage = {
+            f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
+            for link in topology.links
+        }
+        device_messages = {d.id: 0 for d in topology.devices}
+        latencies: list[float] = []
+        for sensor_id in sensor_ids:
+            first, gw_id, second = paths[sensor_id]
+            times = [entry.timestamp for entry in logs[sensor_id].entries]
+            count = len(times)
+            for link in (first, second):
+                usage = link_usage[f"{link.src}->{link.dst}"]
+                usage["messages"] += count
+                usage["bytes"] += count * message_size_bytes
+                usage["byte_ms"] += count * (message_size_bytes * link.latency_ms)
+            for device_id in (sensor_id, gw_id, cloud_id):
+                device_messages[device_id] += count
+            l1, l2 = first.latency_ms, second.latency_ms
+            latencies.extend([((t + l1) + l2) - t for t in times])
+
+        busy_energy = {
+            d.id: account_energy(device_messages[d.id], energy.for_kind(d.kind), duration_ms)
+            for d in topology.devices
+        }
+        results[mode.value] = RunMetrics(
+            mode=mode.value,
+            seed=seed,
+            duration_ms=duration_ms,
+            message_size_bytes=message_size_bytes,
+            topology_fp=topology_fp,
+            sources_fp=sources_fp,
+            sensor_reports={sensor_id: grid[mode].report for sensor_id, grid in measured.items()},
+            logs=logs,
+            flags={sensor_id: grid[mode].flags for sensor_id, grid in measured.items()},
+            link_usage=link_usage,
+            device_messages=device_messages,
+            device_busy_ms={d: busy for d, (busy, _) in busy_energy.items()},
+            device_energy_j={d: joules for d, (_, joules) in busy_energy.items()},
+            total_bytes=sum(u["bytes"] for u in link_usage.values()),
+            total_byte_ms=sum(u["byte_ms"] for u in link_usage.values()),
+            messages_emitted=len(latencies),
+            messages_delivered=2 * len(latencies),
+            latency_count=len(latencies),
+            latency_min_ms=min(latencies) if latencies else 0.0,
+            latency_max_ms=max(latencies) if latencies else 0.0,
+            latency_mean_ms=sum(latencies) / len(latencies) if latencies else 0.0,
+            cloud_id=cloud_id,
+        )
+    return results
+
+
+def run(
+    topology: Topology,
+    streams: Mapping[str, Sequence[Sample]],
+    mode: Mode,
+    filter_config: FilterConfig,
+    energy: EnergyModel,
+    duration_ms: float,
+    *,
+    message_size_bytes: int = 100,
+    seed: int = 0,
+    trace: Optional[list] = None,
+) -> RunMetrics:
+    """:func:`simulate` for one mode; ``trace``, when given, collects the
+    ``(time_ms, device_id, sensor_id, seq)`` deliveries in order, derived
+    from the returned logs (mainly for causality tests).
+    """
+    (metrics,) = simulate(
+        topology, streams, [mode], filter_config, energy, duration_ms,
+        message_size_bytes=message_size_bytes, seed=seed,
+    ).values()
     if trace is not None:
-        trace.extend(_delivery_trace(logs, paths, cloud_id))
-
-    device_busy_ms: dict[str, float] = {}
-    device_energy_j: dict[str, float] = {}
-    for dev in topology.devices:
-        params = energy.for_kind(dev.kind)
-        busy_ms, energy_j = account_energy(device_messages[dev.id], params, duration_ms)
-        device_busy_ms[dev.id] = busy_ms
-        device_energy_j[dev.id] = energy_j
-
-    total_bytes = sum(u["bytes"] for u in link_usage.values())
-    total_byte_ms = sum(u["byte_ms"] for u in link_usage.values())
-
-    return RunMetrics(
-        mode=mode.value,
-        seed=seed,
-        duration_ms=duration_ms,
-        message_size_bytes=message_size_bytes,
-        topology_fp=_topology_fp(topology),
-        sources_fp=_sources_fp(kept, sensor_ids),
-        sensor_reports={sensor_id: m.report for sensor_id, m in measured.items()},
-        logs=logs,
-        flags={sensor_id: m.flags for sensor_id, m in measured.items()},
-        link_usage=link_usage,
-        device_messages=device_messages,
-        device_busy_ms=device_busy_ms,
-        device_energy_j=device_energy_j,
-        total_bytes=total_bytes,
-        total_byte_ms=total_byte_ms,
-        messages_emitted=messages_emitted,
-        messages_delivered=2 * messages_emitted,
-        latency_count=len(latencies),
-        latency_min_ms=min(latencies) if latencies else 0.0,
-        latency_max_ms=max(latencies) if latencies else 0.0,
-        latency_mean_ms=sum(latencies) / len(latencies) if latencies else 0.0,
-        cloud_id=cloud_id,
-    )
+        trace.extend(_delivery_trace(metrics.logs, topology.uplink_paths(), metrics.cloud_id))
+    return metrics
 
 
 def _reduction_row(baseline: float, candidate: float) -> dict:

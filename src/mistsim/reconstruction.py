@@ -10,21 +10,23 @@ two-stage batch kernel.  Stage 1, :func:`mistsim.mist_filter.window_averages`,
 runs once per distinct window size ``n``: it checks the stream and computes
 every full window's average.  Stage 2 runs once per band fraction ``p`` on
 those shared averages: it makes each transmit decision and accounts the
-hold error in the same loop.  :func:`measure_stream` is the one-config case
-the engine uses; the ``filter`` command sweeps its grid through
-:func:`measure_grid`.  :meth:`EventFilter.step` per sample, then
-:func:`build_log`, :func:`reconstruct_zoh` and :func:`error_report` one at a
-time, are the reference the kernel is checked against.
+hold error in the same loop.  The engine measures all modes of a sensor in
+one :func:`measure_grid` call, the ``filter`` command one per ``n`` and source.
+:meth:`EventFilter.step` per sample, then :func:`build_log`,
+:func:`reconstruct_zoh` and :func:`error_report`, are the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import NamedTuple, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample, TransmitDecision, window_averages
+
+_timestamp = itemgetter(0)  # Sample.timestamp
+_value = itemgetter(1)  # Sample.value
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,9 @@ class TransmissionLog:
             raise ValueError("total_count must be >= 0")
         if len(self.entries) > self.total_count:
             raise ValueError("log cannot hold more entries than samples seen")
-        for prev, cur in zip(self.entries, self.entries[1:]):
-            if cur.timestamp <= prev.timestamp:
-                raise ValueError("log timestamps must strictly increase")
+        times = list(map(_timestamp, self.entries))
+        if not all(map(lt, times, islice(times, 1, None))):
+            raise ValueError("log timestamps must strictly increase")
 
 
 def build_log(samples: Sequence[Sample], decisions: Sequence[TransmitDecision]) -> TransmissionLog:
@@ -167,9 +169,6 @@ def error_report(
     )
 
 
-_value = itemgetter(1)  # Sample.value
-
-
 class Measurement(NamedTuple):
     """A measured stream; ``flags[i]`` is 1 when sample ``i`` was transmitted."""
 
@@ -183,23 +182,25 @@ def measure_grid(
 ) -> list[Measurement]:
     """Measure one stream under each filter config, in the order given.
 
-    A ``None`` config means no filter: every sample is transmitted.  Each
-    result equals :func:`build_log`, :func:`reconstruct_zoh` and
-    :func:`error_report` applied in turn to the decisions of
-    :meth:`EventFilter.step` (:func:`empty_report` for an empty stream).
-    Stage 1, :func:`window_averages`, runs once per distinct ``n`` in order
-    of first occurrence and raises ``ValueError`` where ``step`` does; the
+    A ``None`` config means no filter: every sample is transmitted, as by a
+    filter whose window never fills.  Each result equals :func:`build_log`,
+    :func:`reconstruct_zoh` and :func:`error_report` applied in turn to the
+    decisions of :meth:`EventFilter.step` (:func:`empty_report` for an empty
+    stream).  Stage 1, :func:`window_averages`, runs once per distinct ``n``
+    in order of first occurrence (and once up front when the first config
+    is ``None``) and raises ``ValueError`` where ``step`` first does; the
     band of every ``p`` is then applied to the averages it shared.
     """
     total = len(samples)
+    if filter_configs and filter_configs[0] is None:
+        # Check as a window that never fills; a filter config ahead of the
+        # None would check no less in stage 1 below.
+        window_averages(samples, total + 1)
     mean_abs_raw = sum(map(abs, map(_value, samples))) / total if total else 0.0
     results: list = [None] * len(filter_configs)
     by_n: dict[int, list[int]] = {}
     for slot, config in enumerate(filter_configs):
-        if config is None:
-            flags = bytearray(b"\x01" * total)
-            results[slot] = _measurement(samples, flags, [0.0] * total, mean_abs_raw)
-        else:
+        if config is not None:
             by_n.setdefault(config.n, []).append(slot)
     for n, slots in by_n.items():
         values, averages = window_averages(samples, n)
@@ -219,6 +220,11 @@ def measure_grid(
                 else:
                     abs_errors[i] = abs(value - held)
             results[slot] = _measurement(samples, flags, abs_errors, mean_abs_raw)
+    # Unfiltered slots last, once every check has passed: all transmit.
+    for slot, config in enumerate(filter_configs):
+        if config is None:
+            flags = bytearray(b"\x01" * total)
+            results[slot] = _measurement(samples, flags, [0.0] * total, mean_abs_raw)
     return results
 
 

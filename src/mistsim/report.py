@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+from operator import eq, ge, gt, le, lt, ne
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 # Unused here; perfbench/tracing.py wraps this name on this module.
 from .reconstruction import reconstruct_zoh  # noqa: F401
 
-_OPS = ("<=", ">=", "==", "!=", "<", ">")  # two-char ops first
+_OPS = {"<=": le, ">=": ge, "==": eq, "!=": ne, "<": lt, ">": gt}  # two-char ops first
 
 
 def round_floats(obj: Any) -> Any:
@@ -170,15 +171,4 @@ def check_assertion(report: dict, expression: str) -> bool:
             return False
     if node is None or isinstance(node, bool) or not isinstance(node, (int, float)):
         return False
-    value = float(node)
-    if op == "<":
-        return value < threshold
-    if op == "<=":
-        return value <= threshold
-    if op == ">":
-        return value > threshold
-    if op == ">=":
-        return value >= threshold
-    if op == "==":
-        return value == threshold
-    return value != threshold
+    return _OPS[op](float(node), threshold)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 KINDS = ("cloud", "gateway", "sensor")
+_LINK_KINDS = (("gateway", "sensor"), ("cloud", "gateway"))  # sorted kind pairs
 
 # Conventional level per kind; validation only requires the ordering
 # cloud < gateway < sensor, not these exact numbers.
@@ -74,11 +75,9 @@ class Topology:
     def uplink_path(self, sensor_id: str) -> list[Link]:
         """Links from a sensor up to the cloud: sensor->gateway, gateway->cloud.
 
-        Looks the sensor up in :meth:`uplink_paths`, so it raises the same
-        ``ValueError`` on an invalid topology.  Raises ``KeyError`` for an
-        unknown id and ``ValueError`` for a device that is not a sensor.
-        Each call checks the whole topology; use :meth:`uplink_paths` to
-        resolve every sensor at once.
+        Each call checks the whole topology (see :meth:`uplink_paths`).
+        Raises ``KeyError`` for an unknown id and ``ValueError`` for an
+        invalid topology or a device that is not a sensor.
         """
         paths = self.uplink_paths()
         if sensor_id not in paths:
@@ -104,11 +103,11 @@ class Topology:
 def validate(topology: Topology) -> list[str]:
     """Return every violation found, as readable strings; empty means valid.
 
-    Deterministic, and order independent while ids are unique: shuffling
-    declaration order yields the same (sorted) violation list.  (With a
-    duplicate id, a link's kind check sees the last declaration of it.)
-    Time is linear in devices plus links, plus the level pairs visited when
-    some level ordering is broken.
+    Deterministic and order independent: shuffling declaration order yields
+    the same (sorted) violation list.  A link touching a duplicate id gets
+    no kind check, since the id has no single kind.  Time is linear in
+    devices plus links, plus the level pairs visited when some level
+    ordering is broken.
     """
     return _check(topology)[0]
 
@@ -125,9 +124,8 @@ def _check(topology: Topology) -> tuple[list[str], dict[str, tuple[Link, str, Li
     devices = topology.devices
     by_id = {d.id: d for d in devices}
 
-    for dup, count in Counter(d.id for d in devices).items():
-        if count > 1:
-            violations.append(f"duplicate device id {dup!r}")
+    dups = {dev_id for dev_id, count in Counter(d.id for d in devices).items() if count > 1}
+    violations += [f"duplicate device id {dup!r}" for dup in dups]
 
     clouds = topology.by_kind("cloud")
     if len(clouds) != 1:
@@ -165,8 +163,9 @@ def _check(topology: Topology) -> tuple[list[str], dict[str, tuple[Link, str, Li
             ok = False
         if not ok:
             continue
+        # A duplicate id has no one kind to check; it is reported already.
         pair = tuple(sorted((by_id[link.src].kind, by_id[link.dst].kind)))
-        if pair not in (("gateway", "sensor"), ("cloud", "gateway")):
+        if pair not in _LINK_KINDS and dups.isdisjoint((link.src, link.dst)):
             violations.append(
                 f"link {link.src!r}->{link.dst!r}: only sensor-gateway and "
                 f"gateway-cloud links are allowed, got {pair[0]}-{pair[1]}"

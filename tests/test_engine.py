@@ -20,6 +20,7 @@ from mistsim.engine import (
     account_energy,
     compare,
     run,
+    simulate,
 )
 from mistsim.mist_filter import FilterConfig, Sample
 from mistsim.sources import SensorSpec, gen_normal
@@ -542,6 +543,51 @@ def test_property_metrics_ignore_declaration_order(scenario, n, p, shuffle_seed)
             assert math.isclose(x, y, rel_tol=1e-12)
         # The trace's seq numbers follow declaration order; its deliveries do not.
         assert traces[0] == traces[1]
+
+
+@given(
+    scenario=network_scenarios(),
+    modes=st.permutations(list(Mode)),
+    n=st.integers(min_value=1, max_value=4),
+    p=st.floats(min_value=0.0, max_value=0.3),
+    size=st.integers(min_value=1, max_value=500),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_simulate_equals_one_run_per_mode(scenario, modes, n, p, size):
+    topo, streams, duration = scenario
+    fc = FilterConfig(n=n, p=p)
+    got = simulate(topo, streams, modes, fc, ENERGY, duration, message_size_bytes=size, seed=3)
+    assert list(got) == [mode.value for mode in modes]
+    for mode in modes:
+        single = run(topo, streams, mode, fc, ENERGY, duration, message_size_bytes=size, seed=3)
+        both = got[mode.value]
+        assert json.dumps(both.to_dict()) == json.dumps(single.to_dict())
+        assert both.logs == single.logs and both.flags == single.flags
+
+
+def test_simulate_rejects_empty_or_repeated_modes():
+    topo = small_topology(sensor_count=1)
+    streams = {"s1": constant_stream(3)}
+    for modes in ([], [Mode.CLOUD_ONLY, "cloud_only"]):
+        with pytest.raises(ValueError, match="modes must be non-empty and distinct"):
+            simulate(topo, streams, modes, FC, ENERGY, 10_000.0)
+    with pytest.raises(ValueError):
+        simulate(topo, streams, ["cloud_only", "fog_only"], FC, ENERGY, 10_000.0)
+
+
+def test_simulate_checks_every_stream_before_measuring_any():
+    # s1's window sum overflows in the filter; s2 is out of order.  The
+    # stream check comes first, so s2's error wins whatever the mode.
+    topo = small_topology(sensor_count=2)
+    streams = {
+        "s1": [Sample(float(t), 1e308) for t in range(4)],
+        "s2": [Sample(1.0, 1.0), Sample(0.0, 1.0)],
+    }
+    with pytest.raises(ValueError, match="sensor 's2': timestamps must strictly increase"):
+        simulate(topo, streams, list(Mode), FilterConfig(n=2, p=0.1), ENERGY, 1000.0)
+    streams["s2"] = constant_stream(2)
+    with pytest.raises(ValueError, match="overflowed"):
+        simulate(topo, streams, list(Mode), FilterConfig(n=2, p=0.1), ENERGY, 1000.0)
 
 
 @pytest.mark.parametrize(

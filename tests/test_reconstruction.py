@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -221,11 +223,10 @@ def test_property_reduction_stats_consistent(total, transmitted):
 
 def reference_measurement(samples, filter_config):
     """The step-by-step chain that measure_stream folds into one pass."""
-    if filter_config is None:
-        decisions = [TransmitDecision(True, Reason.EVENT)] * len(samples)
-    else:
-        filt = EventFilter(filter_config)
-        decisions = [filt.step(s) for s in samples]
+    # No filter transmits everything: a window that never fills, which
+    # still checks every sample.
+    filt = EventFilter(filter_config or FilterConfig(n=len(samples) + 1))
+    decisions = [filt.step(s) for s in samples]
     log = build_log(samples, decisions)
     if not samples:
         return log, empty_report(), bytearray()
@@ -326,15 +327,14 @@ FAULTS = (
     fault=st.sampled_from(FAULTS),
     where=st.integers(min_value=0, max_value=29),
     run=st.integers(min_value=1, max_value=4),
-    configs=st.lists(FILTER_CONFIGS, min_size=1, max_size=5),
+    configs=st.lists(st.one_of(st.none(), FILTER_CONFIGS), min_size=1, max_size=5),
 )
 @settings(max_examples=400, deadline=None)
 def test_property_measure_grid_fails_like_step(values, fault, where, run, configs):
     # A fault at one sample (or, for overflow, a run of +-1e308 values):
     # measure_grid raises the ValueError of the first config whose step
     # chain fails, message for message, or matches the chain when none does.
-    # Unfiltered entries are left out: they check nothing (the engine checks
-    # its streams before measuring them).
+    # An unfiltered entry fails as a window that never fills does.
     times = [float(i) for i in range(len(values))]
     at = where % len(values)
     if fault.endswith("value"):
@@ -358,6 +358,13 @@ def test_property_measure_grid_fails_like_step(values, fault, where, run, config
         assert str(got.value) == str(exc)
     else:
         assert_same_measurements(measure_grid(samples, configs), expected)
+
+
+def test_unfiltered_measurement_checks_the_stream():
+    # With no filter config nothing used to be checked: this measured as
+    # zero error.
+    with pytest.raises(ValueError, match="non-finite value nan at timestamp 0.0"):
+        measure_stream([Sample(0.0, math.nan), Sample(1.0, 1.0)], None)
 
 
 def test_measure_grid_shares_one_window_pass_per_n(monkeypatch):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from mistsim import engine
 from mistsim.cli import main
 from mistsim.mist_filter import Sample
 from mistsim.reconstruction import TransmissionLog, reconstruct_zoh
@@ -17,6 +18,7 @@ from mistsim.report import (
     round_floats,
     write_csv,
 )
+from mistsim.topology import Topology
 
 SIM_CFG = """\
 [run]
@@ -275,6 +277,33 @@ def test_cli_simulate_both_modes(tmp_path, sim_cfg, capsys):
     assert len(link_lines) == 1 + 2 * 3  # two modes, three links
     summary = capsys.readouterr().out
     assert "cloud_only" in summary and "reduction" in summary
+
+
+def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
+    tmp_path, table2_cfg_path, monkeypatch
+):
+    # table2.cfg has six sensors; both modes share one pass over them.
+    calls = {}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("_check_stream", "_sources_fp", "_topology_fp", "measure_grid"):
+        counted(engine, name)
+    counted(Topology, "uplink_paths")
+    monkeypatch.chdir(table2_cfg_path.parent)
+    args = ["simulate", "--config", "table2.cfg", "--out", str(tmp_path), "--quiet"]
+    assert main(args) == 0
+    assert calls == {
+        "uplink_paths": 1, "_check_stream": 6, "_topology_fp": 1, "_sources_fp": 1,
+        "measure_grid": 6,
+    }
 
 
 def test_cli_simulate_single_mode_has_no_comparison(tmp_path, sim_cfg):

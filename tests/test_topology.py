@@ -223,6 +223,18 @@ def test_validation_is_order_independent():
         assert validate(shuffled) == expected
 
 
+def test_duplicate_id_of_two_kinds_is_order_independent():
+    # Found by hypothesis: the link's kind check used to see whichever
+    # declaration of g0 came last, so one order reported a cloud-cloud link.
+    devices = [Device("c", "cloud", 0), Device("g0", "gateway", 1), Device("g0", "cloud", 0)]
+    links = [Link("c", "g0", 1.0)]
+    forward = validate(Topology(devices=devices, links=links))
+    assert forward == validate(Topology(devices=devices[::-1], links=links))
+    assert "duplicate device id 'g0'" in forward
+    assert not any("links are allowed" in v for v in forward)
+    assert forward == quadratic_validate(Topology(devices=devices, links=links))
+
+
 def test_violations_are_sorted():
     topo = reference_topology()
     topo.links.append(Link("S1", "gw", 1.0))
@@ -320,11 +332,7 @@ def test_property_validate_matches_quadratic_oracle(topo, shuffle_seed):
     shuffled = Topology(devices=list(topo.devices), links=list(topo.links))
     rng.shuffle(shuffled.devices)
     rng.shuffle(shuffled.links)
-    assert validate(shuffled) == quadratic_validate(shuffled)
-    ids = [d.id for d in topo.devices]
-    if len(set(ids)) == len(ids):
-        # With duplicate ids, which declaration's kind a link sees depends on order.
-        assert validate(shuffled) == expected
+    assert validate(shuffled) == quadratic_validate(shuffled) == expected
 
 
 @given(topo=valid_trees())
