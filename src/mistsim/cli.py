@@ -215,8 +215,8 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
         raise ConfigError("invalid topology: " + "; ".join(violations))
     if scenario.duration_ms is None:
         raise ConfigError(
-            "duration_ms is required in [run] (it can only be derived when every "
-            "source is synthetic)"
+            "duration_ms is required in [run] (it is derived only when every source "
+            "is synthetic and the largest count * period_ms is > 0)"
         )
     sensor_ids = [d.id for d in scenario.topology.sensors()]
     source_ids = [s.device_id for s in scenario.sources]
@@ -229,6 +229,15 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
 
     fc = scenario.filter_config()
     streams, ingest = _build_streams(scenario)
+    for source_id, samples in streams.items():
+        # The engine would drop every sample and report an empty run.
+        if samples and samples[0].timestamp >= scenario.duration_ms:
+            raise ValueError(
+                f"source {source_id!r} starts at timestamp {samples[0].timestamp!r}, at or "
+                f"past duration_ms = {scenario.duration_ms!r}, so every sample would be "
+                "dropped; replay timestamps are epoch seconds, while the run counts "
+                "milliseconds from 0"
+            )
 
     modes = list(Mode) if scenario.mode == "both" else [Mode(scenario.mode)]
     results = simulate(

@@ -17,6 +17,12 @@ event queue with FIFO tie-breaking by insertion, where sensors emit in
 topology declaration order within a timestamp.  A run is fully determined by
 its inputs.
 
+Every stream is checked whole, in declaration order, before any is measured:
+:func:`mistsim.mist_filter.check_stream` enforces the filter's contract, the
+engine adds only that the first timestamp is ``>= 0``, and any error names
+the sensor.  Samples at or past the horizon are then cut off by bisection; a
+stream the horizon does not cut is used as it is.
+
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
 the run duration) at ``busy_w``, the rest of the duration at ``idle_w``,
@@ -28,12 +34,13 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .mist_filter import FilterConfig, Sample
+from .mist_filter import FilterConfig, Sample, check_stream
 from .reconstruction import ErrorReport, TransmissionLog, measure_grid
 from .topology import Link, Topology
 # Unused here; perfbench/tracing.py wraps these names on this module.
@@ -203,21 +210,16 @@ def _sources_fp(streams: Mapping[str, Sequence[Sample]], order: Iterable[str]) -
     return h.hexdigest()
 
 
-def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float) -> list[Sample]:
-    last = -math.inf
-    kept: list[Sample] = []
-    for sample in samples:
-        ts = sample.timestamp
-        if not math.isfinite(ts) or ts < 0:
-            raise ValueError(f"sensor {sensor_id!r}: timestamps must be finite and >= 0")
-        if not math.isfinite(sample.value):
-            raise ValueError(f"sensor {sensor_id!r}: non-finite value at timestamp {ts!r}")
-        if ts <= last:
-            raise ValueError(f"sensor {sensor_id!r}: timestamps must strictly increase")
-        last = ts
-        if ts < duration_ms:
-            kept.append(sample)
-    return kept
+def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float) -> Sequence:
+    """The samples before ``duration_ms``, once the whole stream is checked."""
+    try:
+        check_stream(samples)
+        if samples and samples[0].timestamp < 0:  # ordered: the first is the least
+            raise ValueError(f"negative timestamp {samples[0].timestamp!r}")
+    except ValueError as exc:
+        raise ValueError(f"sensor {sensor_id!r}: {exc}") from None
+    cut = bisect_left(samples, duration_ms, key=lambda sample: sample.timestamp)
+    return samples if cut == len(samples) else samples[:cut]
 
 
 def _delivery_trace(

@@ -37,6 +37,10 @@ runs ``step``'s checks and computes every full window's average the same
 way, ``sum(window) / n`` left to right.  Stage 2,
 :func:`mistsim.reconstruction.measure_grid`, applies the band for each ``p``
 to those shared averages.
+
+:func:`check_stream` is stage 1 with a window that never fills: the one
+check of the stream contract (timestamps finite and strictly increasing,
+values finite) outside ``step``, used by unfiltered measurement and the engine.
 """
 
 from __future__ import annotations
@@ -222,3 +226,8 @@ def window_averages(samples: Sequence[Sample], n: int) -> tuple[list[float], lis
             filt.step(sample)
         raise AssertionError("window_averages rejected a stream EventFilter accepts")
     return values, averages
+
+
+def check_stream(samples: Sequence[Sample]) -> None:
+    """Raise what :meth:`EventFilter.step` raises at the first failing sample."""
+    window_averages(samples, len(samples) + 1)  # a window that never fills

@@ -23,7 +23,7 @@ from itertools import compress, islice
 from operator import itemgetter, lt
 from typing import NamedTuple, Optional, Sequence
 
-from .mist_filter import FilterConfig, Sample, TransmitDecision, window_averages
+from .mist_filter import FilterConfig, Sample, TransmitDecision, check_stream, window_averages
 
 _timestamp = itemgetter(0)  # Sample.timestamp
 _value = itemgetter(1)  # Sample.value
@@ -187,15 +187,13 @@ def measure_grid(
     :func:`reconstruct_zoh` and :func:`error_report` applied in turn to the
     decisions of :meth:`EventFilter.step` (:func:`empty_report` for an empty
     stream).  Stage 1, :func:`window_averages`, runs once per distinct ``n``
-    in order of first occurrence (and once up front when the first config
-    is ``None``) and raises ``ValueError`` where ``step`` first does; the
-    band of every ``p`` is then applied to the averages it shared.
+    in order of first occurrence, after :func:`check_stream` for a leading
+    ``None``, and raises ``ValueError`` where ``step`` first does; the band
+    of every ``p`` is then applied to the averages it shared.
     """
     total = len(samples)
     if filter_configs and filter_configs[0] is None:
-        # Check as a window that never fills; a filter config ahead of the
-        # None would check no less in stage 1 below.
-        window_averages(samples, total + 1)
+        check_stream(samples)  # a filter config ahead would check no less
     mean_abs_raw = sum(map(abs, map(_value, samples))) / total if total else 0.0
     results: list = [None] * len(filter_configs)
     by_n: dict[int, list[int]] = {}

@@ -20,22 +20,46 @@ from .reconstruction import reconstruct_zoh  # noqa: F401
 _OPS = {"<=": le, ">=": ge, "==": eq, "!=": ne, "<": lt, ">": gt}  # two-char ops first
 
 
+class _NonFiniteFloat(ValueError):
+    """A non-finite float in a report, with the keys that lead to it."""
+
+    def __init__(self, value: float) -> None:
+        super().__init__(value)
+        self.value = value
+        self.path: list = []
+
+    def __str__(self) -> str:
+        where = f" at {'.'.join(map(str, self.path))}" if self.path else ""
+        return f"reports must not contain non-finite floats, got {self.value!r}{where}"
+
+
 def round_floats(obj: Any) -> Any:
     """Copy ``obj`` with every float rounded to nine significant digits.
 
     Rounding happens in decimal ('%.9g') and the result is re-parsed, so the
     JSON encoder later prints the shortest representation of the rounded
     value.  Non-finite floats are rejected; reports must never contain them.
+    The ``ValueError`` names the first one's dotted path, dict keys and list
+    indices alike (``runs.cloud_only.latency_ms.max``, say).
     """
     if isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"reports must not contain non-finite floats, got {obj!r}")
+            raise _NonFiniteFloat(obj)
         return float(format(obj, ".9g"))
     if isinstance(obj, dict):
-        return {k: round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_floats(v) for v in obj]
-    return obj
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return obj
+    rounded = {}
+    try:
+        for key, value in items:
+            rounded[key] = round_floats(value)
+    except _NonFiniteFloat as exc:
+        exc.path.insert(0, key)
+        raise
+    return rounded if isinstance(obj, dict) else list(rounded.values())
 
 
 def dumps_stable(report: dict) -> str:

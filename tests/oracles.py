@@ -306,3 +306,26 @@ def scan_uplink_path(topology, sensor_id):
         if gw_id in (link.src, link.dst) and cloud_id in (link.src, link.dst):
             return [first[0], link]
     raise AssertionError(f"gateway {gw_id!r} has no uplink to the cloud")
+
+
+def loop_check_stream(sensor_id, samples, duration_ms):
+    """The engine's stream check as first written: one loop, sample by sample.
+
+    Raises ``ValueError`` for a NaN, infinite or negative timestamp, a
+    non-finite value, or a timestamp that does not increase; otherwise
+    returns the samples before ``duration_ms`` as a new list.
+    """
+    last = -math.inf
+    kept = []
+    for sample in samples:
+        ts = sample.timestamp
+        if not math.isfinite(ts) or ts < 0:
+            raise ValueError(f"sensor {sensor_id!r}: timestamps must be finite and >= 0")
+        if not math.isfinite(sample.value):
+            raise ValueError(f"sensor {sensor_id!r}: non-finite value at timestamp {ts!r}")
+        if ts <= last:
+            raise ValueError(f"sensor {sensor_id!r}: timestamps must strictly increase")
+        last = ts
+        if ts < duration_ms:
+            kept.append(sample)
+    return kept

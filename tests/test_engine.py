@@ -17,6 +17,7 @@ from mistsim.engine import (
     EnergyModel,
     EnergyParams,
     Mode,
+    _check_stream,
     account_energy,
     compare,
     run,
@@ -25,7 +26,7 @@ from mistsim.engine import (
 from mistsim.mist_filter import FilterConfig, Sample
 from mistsim.sources import SensorSpec, gen_normal
 from mistsim.topology import Device, Link, Topology, validate
-from oracles import dead_band_flags, heap_network
+from oracles import dead_band_flags, heap_network, loop_check_stream
 
 FC = FilterConfig(n=10, p=0.05)
 ENERGY = EnergyModel()
@@ -183,7 +184,9 @@ def test_run_rejects_stream_mismatches():
 
 def test_run_rejects_bad_timestamps():
     topo = small_topology(sensor_count=1)
-    with pytest.raises(ValueError, match="strictly increase"):
+    with pytest.raises(
+        ValueError, match=r"sensor 's1': out-of-order sample: timestamp 5\.0 does not exceed 5\.0"
+    ):
         run(
             topo,
             {"s1": [Sample(5.0, 1.0), Sample(5.0, 2.0)]},
@@ -192,7 +195,7 @@ def test_run_rejects_bad_timestamps():
             ENERGY,
             1000.0,
         )
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"sensor 's1': negative timestamp -1\.0"):
         run(topo, {"s1": [Sample(-1.0, 1.0)]}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
 
 
@@ -200,7 +203,7 @@ def test_run_rejects_bad_timestamps():
 def test_run_rejects_non_finite_values(mode):
     # Cloud-only never steps a filter, so the engine checks values itself.
     stream = [Sample(0.0, 1.0), Sample(1.0, float("nan"))]
-    with pytest.raises(ValueError, match="non-finite value at timestamp 1.0"):
+    with pytest.raises(ValueError, match=r"sensor 's1': non-finite value nan at timestamp 1\.0"):
         run(small_topology(sensor_count=1), {"s1": stream}, mode, FC, ENERGY, 1000.0)
 
 
@@ -565,6 +568,55 @@ def test_property_simulate_equals_one_run_per_mode(scenario, modes, n, p, size):
         assert both.logs == single.logs and both.flags == single.flags
 
 
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def checked_streams(draw):
+    """A stream with at most one fault drawn in, and a horizon that may cut it.
+
+    A fault is a NaN, infinite or negative timestamp, a timestamp repeated
+    from or stepping back to another sample's, or a NaN or infinite value.
+    The start may be negative too.
+    """
+    start = draw(st.one_of(st.just(0.0), st.floats(min_value=-5.0, max_value=100.0)))
+    times = list(itertools.accumulate([start] + draw(st.lists(TIME_STEPS, max_size=12))))
+    values = draw(st.lists(VALUES, min_size=len(times), max_size=len(times)))
+    samples = [Sample(t, v) for t, v in zip(times, values)]
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(samples) - 1))
+        t, v = samples[i]
+        if draw(st.booleans()):
+            t = draw(
+                st.one_of(
+                    NON_FINITE,
+                    st.floats(max_value=-1e-9, allow_infinity=False),
+                    st.sampled_from(times),
+                )
+            )
+        else:
+            v = draw(NON_FINITE)
+        samples[i] = Sample(t, v)
+    duration = draw(st.floats(min_value=1.0, max_value=2000.0))
+    return samples, duration
+
+
+@given(scenario=checked_streams())
+@settings(max_examples=400, deadline=None)
+def test_property_stream_check_matches_the_loop_it_replaced(scenario):
+    samples, duration = scenario
+    try:
+        want = loop_check_stream("s1", samples, duration)
+    except ValueError:
+        with pytest.raises(ValueError, match="^sensor 's1': "):
+            _check_stream("s1", samples, duration)
+        return
+    got = _check_stream("s1", samples, duration)
+    assert list(got) == want
+    if len(want) == len(samples):
+        assert got is samples  # a stream the horizon does not cut is not copied
+
+
 def test_simulate_rejects_empty_or_repeated_modes():
     topo = small_topology(sensor_count=1)
     streams = {"s1": constant_stream(3)}
@@ -583,7 +635,9 @@ def test_simulate_checks_every_stream_before_measuring_any():
         "s1": [Sample(float(t), 1e308) for t in range(4)],
         "s2": [Sample(1.0, 1.0), Sample(0.0, 1.0)],
     }
-    with pytest.raises(ValueError, match="sensor 's2': timestamps must strictly increase"):
+    with pytest.raises(
+        ValueError, match=r"sensor 's2': out-of-order sample: timestamp 0\.0 does not exceed 1\.0"
+    ):
         simulate(topo, streams, list(Mode), FilterConfig(n=2, p=0.1), ENERGY, 1000.0)
     streams["s2"] = constant_stream(2)
     with pytest.raises(ValueError, match="overflowed"):

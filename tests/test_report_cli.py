@@ -88,10 +88,10 @@ def test_round_floats_nine_significant_digits():
 
 
 def test_round_floats_rejects_non_finite():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite floats, got nan$"):
         round_floats(float("nan"))
-    with pytest.raises(ValueError):
-        round_floats({"deep": [float("inf")]})
+    with pytest.raises(ValueError, match=r"got inf at deep\.1$"):
+        round_floats({"ok": 1.0, "deep": [2.0, float("inf")]})
 
 
 def test_dumps_stable_is_order_insensitive():
@@ -480,6 +480,74 @@ def test_exit_2_overflowing_window_writes_nothing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "runtime error" in err and "overflowed" in err and "timestamp 2.0" in err
     assert not (out / "report.json").exists()
+
+
+def test_exit_2_replay_past_the_horizon_writes_nothing(tmp_path, office_csv_path, capsys):
+    # Replay timestamps are epoch seconds (1.7e9 for 2024); a one-day horizon
+    # in milliseconds would drop every sample and report an empty run.
+    cfg = tmp_path / "office.cfg"
+    cfg.write_text(
+        "[run]\nduration_ms = 86400000\n\n"
+        "[device cloud]\nkind = cloud\n\n[device gw]\nkind = gateway\n\n"
+        "[device office]\nkind = sensor\n\n"
+        "[link office gw]\nlatency_ms = 4\n\n[link gw cloud]\nlatency_ms = 50\n\n"
+        f"[source office]\nkind = replay\nfile = {office_csv_path}\nvalue_column = temp_c\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (
+        "runtime error: source 'office' starts at timestamp 1704067200.0, at or past "
+        "duration_ms = 86400000.0" in err
+    )
+    assert "replay timestamps are epoch seconds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (
+            {"latency_ms = 4": "latency_ms = 1e308", "latency_ms = 6": "latency_ms = 1e308",
+             "latency_ms = 50": "latency_ms = 1e308"},
+            "runs.cloud_only.links.a->gw.byte_ms",
+        ),
+        (
+            {"duration_ms = 200000": "duration_ms = 1e6",
+             "[device cloud]": "[energy]\ncloud_busy_w = 1e308\ncloud_idle_w = 1e308\n\n"
+             "[device cloud]"},
+            "runs.cloud_only.devices.cloud.energy_j",
+        ),
+    ],
+    ids=["latency", "cloud-power"],
+)
+def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, edit, path):
+    # Finite inputs whose metrics overflow only at report time.
+    text = SIM_CFG
+    for old, new in edit.items():
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"runtime error: reports must not contain non-finite floats, got inf at {path}\n"
+    )
+    assert not (out / "report.json").exists()
+
+
+def test_exit_1_underived_duration_names_both_conditions(tmp_path, capsys):
+    # Every source is synthetic, but count = 0 derives duration_ms = 0.
+    text = SIM_CFG.replace("duration_ms = 200000\n", "").replace("count = 2000", "count = 0")
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: duration_ms is required in [run] (it is derived only when every source "
+        "is synthetic and the largest count * period_ms is > 0)\n"
+    )
 
 
 # Source a's window sum overflows only at n=3 (three 0.6e308 values), source
