@@ -19,6 +19,7 @@ from .mist_filter import (
     Reason,
     Sample,
     TransmitDecision,
+    check_stream,
 )
 from .reconstruction import (
     ErrorReport,
@@ -28,7 +29,6 @@ from .reconstruction import (
     empty_report,
     error_report,
     measure_grid,
-    measure_stream,
     reconstruct_zoh,
     reduction_stats,
 )
@@ -61,6 +61,7 @@ __all__ = [
     "Reason",
     "Sample",
     "TransmitDecision",
+    "check_stream",
     "ErrorReport",
     "Measurement",
     "TransmissionLog",
@@ -68,7 +69,6 @@ __all__ = [
     "empty_report",
     "error_report",
     "measure_grid",
-    "measure_stream",
     "reconstruct_zoh",
     "reduction_stats",
     "SplitMix64",

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
 from .engine import Mode, compare, simulate
-from .mist_filter import Sample
+from .mist_filter import Sample, check_stream
 from .reconstruction import measure_grid
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .engine import run  # noqa: F401
@@ -154,19 +154,22 @@ def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
         raise ConfigError("no sources configured; add [source <id>] sections or pass --dataset")
     streams, ingest = _build_streams(scenario)
 
-    # Each source's window averages are computed once per n and shared by
-    # every p.  Visiting n in grid order, then sources in declaration order,
-    # raises the error the grid-major loop below would meet first.
+    # Each source is checked in the first n's pass, and its window averages
+    # are computed once per n and shared by every p.  Visiting n in grid order,
+    # then sources in declaration order, raises the error the grid-major loop
+    # below would meet first.
     by_n: dict[int, list] = {}
     for cfg in scenario.grid:
         by_n.setdefault(cfg.n, []).append(cfg)
+    values: dict[str, list[float]] = {}
     measured = {}
-    for configs in by_n.values():
-        for spec in scenario.sources:
-            results = measure_grid(streams[spec.device_id], configs)
-            for cfg, m in zip(configs, results):
+    for n, configs in by_n.items():
+        for source_id, samples in streams.items():
+            if source_id not in values:
+                values[source_id] = check_stream(samples, n)
+            for cfg, m in zip(configs, measure_grid(samples, values[source_id], configs)):
                 flags = m.flags if scenario.plot_data else None
-                measured[cfg, spec.device_id] = (m.report.to_dict(), flags)
+                measured[cfg, source_id] = (m.report.to_dict(), flags)
 
     runs = []
     sensor_rows = []
@@ -263,6 +266,8 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
     sensor_rows = []
     link_rows = []
     plot_series: dict = {}
+    # Plot the filtered mode when it ran; cloud-only transmits every sample.
+    plotted = Mode.MIST_FOG_CLOUD if Mode.MIST_FOG_CLOUD in modes else Mode.CLOUD_ONLY
     for mode_name, metrics in results.items():
         for sensor_id in sorted(metrics.sensor_reports):
             block = metrics.sensor_reports[sensor_id].to_dict()
@@ -272,7 +277,7 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
             link_rows.append(
                 (mode_name, link_name, usage["messages"], usage["bytes"], usage["byte_ms"])
             )
-        if scenario.plot_data and mode_name == Mode.MIST_FOG_CLOUD.value:
+        if scenario.plot_data and mode_name == plotted.value:
             for sensor_id, flags in metrics.flags.items():
                 plot_series[f"plot_{sensor_id}"] = (streams[sensor_id], flags)
 

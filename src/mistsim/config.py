@@ -274,9 +274,18 @@ def _parse_filter_grid(origin: str, filter_raw: dict, ov: Overrides) -> tuple[Fi
     n_values = ov.n_values if ov.n_values is not None else parse_list("n", int, (10,))
     p_values = ov.p_values if ov.p_values is not None else parse_list("p", float, (0.05,))
     try:
-        return tuple(FilterConfig(n=n, p=p) for n in n_values for p in p_values)
+        grid = tuple(FilterConfig(n=n, p=p) for n in n_values for p in p_values)
     except ValueError as exc:
         raise _section_error(origin, "filter", str(exc)) from None
+    for key, values in (("n", n_values), ("p", p_values)):
+        seen: set = set()
+        for value in values:
+            if value in seen:  # 0.0 and -0.0 count as one value
+                raise _section_error(
+                    origin, "filter", f"{key} values must be distinct; {value!r} repeats an earlier one"
+                )
+            seen.add(value)
+    return grid
 
 
 def _parse_energy(origin: str, energy_raw: dict) -> EnergyModel:

@@ -20,8 +20,9 @@ its inputs.
 Every stream is checked whole, in declaration order, before any is measured:
 :func:`mistsim.mist_filter.check_stream` enforces the filter's contract, the
 engine adds only that the first timestamp is ``>= 0``, and any error names
-the sensor.  Samples at or past the horizon are then cut off by bisection; a
-stream the horizon does not cut is used as it is.
+the sensor.  Samples at or past the horizon, and the values the check
+returned for them, are then cut off by bisection; the values are measured
+unchecked, and a stream the horizon does not cut is used as it is.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -37,7 +38,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample, check_stream
@@ -210,16 +211,16 @@ def _sources_fp(streams: Mapping[str, Sequence[Sample]], order: Iterable[str]) -
     return h.hexdigest()
 
 
-def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float) -> Sequence:
-    """The samples before ``duration_ms``, once the whole stream is checked."""
+def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float) -> tuple:
+    """The samples before ``duration_ms`` and their values, once all are checked."""
     try:
-        check_stream(samples)
+        values = check_stream(samples)
         if samples and samples[0].timestamp < 0:  # ordered: the first is the least
             raise ValueError(f"negative timestamp {samples[0].timestamp!r}")
     except ValueError as exc:
         raise ValueError(f"sensor {sensor_id!r}: {exc}") from None
     cut = bisect_left(samples, duration_ms, key=lambda sample: sample.timestamp)
-    return samples if cut == len(samples) else samples[:cut]
+    return (samples, values) if cut == len(samples) else (samples[:cut], values[:cut])
 
 
 def _delivery_trace(
@@ -291,18 +292,21 @@ def simulate(
     if extra:
         raise ValueError(f"streams for unknown sensors: {extra}")
 
-    kept = {s: _check_stream(s, streams[s], duration_ms) for s in sensor_ids}
+    kept, values = {}, {}
+    for s in sensor_ids:
+        kept[s], values[s] = _check_stream(s, streams[s], duration_ms)
     topology_fp = _topology_fp(topology)
     sources_fp = _sources_fp(kept, sensor_ids)
-    # Filtered first: its stage 1 checks all that an unfiltered one would.
-    order = sorted(modes, key=lambda mode: mode is Mode.CLOUD_ONLY)
-    configs = [filter_config if mode is Mode.MIST_FOG_CLOUD else None for mode in order]
-    measured = {s: dict(zip(order, measure_grid(kept[s], configs))) for s in sensor_ids}
+    configs = [filter_config if mode is Mode.MIST_FOG_CLOUD else None for mode in modes]
+    measured = {s: dict(zip(modes, measure_grid(kept[s], values[s], configs))) for s in sensor_ids}
     cloud_id = topology.cloud().id
 
     results = {}
     for mode in modes:
-        logs = {sensor_id: grid[mode].log for sensor_id, grid in measured.items()}
+        logs = {
+            s: TransmissionLog(tuple(compress(kept[s], grid[mode].flags)), len(kept[s]))
+            for s, grid in measured.items()
+        }
         link_usage = {
             f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
             for link in topology.links

@@ -32,15 +32,14 @@ Every timestamp and value, and every full window's average, must be finite;
 :class:`EventFilter` is the per-sample filter and the reference.  Whole
 streams are measured by a two-stage batch kernel that must agree with it
 bit for bit (``tests/test_reconstruction.py`` checks that on random grids).
-Stage 1, :func:`window_averages`, depends only on the stream and ``n``: it
-runs ``step``'s checks and computes every full window's average the same
-way, ``sum(window) / n`` left to right.  Stage 2,
+:func:`check_stream` is the one check of the stream contract (timestamps
+finite and strictly increasing, values finite) outside ``step``; a caller
+runs it once per stream and keeps the values it returns.  Stage 1,
+:func:`window_averages`, depends only on those values and ``n``: it computes
+every full window's average as ``step`` does, ``sum(window) / n`` left to
+right, and only has to catch a window sum that overflows.  Stage 2,
 :func:`mistsim.reconstruction.measure_grid`, applies the band for each ``p``
 to those shared averages.
-
-:func:`check_stream` is stage 1 with a window that never fills: the one
-check of the stream contract (timestamps finite and strictly increasing,
-values finite) outside ``step``, used by unfiltered measurement and the engine.
 """
 
 from __future__ import annotations
@@ -201,33 +200,42 @@ _timestamp = itemgetter(0)  # Sample.timestamp
 _value = itemgetter(1)  # Sample.value
 
 
-def window_averages(samples: Sequence[Sample], n: int) -> tuple[list[float], list[float]]:
-    """Stage 1 of the batch kernel: a stream's values and full-window averages.
+def check_stream(samples: Sequence[Sample], n: Optional[int] = None) -> list[float]:
+    """The stream's values, once its timestamps and values pass ``step``'s checks.
+
+    Otherwise raises what :meth:`EventFilter.step` with a window of ``n``
+    raises at the first failing sample; by default that window never fills.
+    """
+    values = list(map(_value, samples))
+    times = list(map(_timestamp, samples))
+    # Strictly increasing timestamps between finite ends are all finite (a
+    # NaN fails every comparison).
+    ordered = not times or (
+        -_INF < times[0] and times[-1] < _INF and all(map(lt, times, islice(times, 1, None)))
+    )
+    if not (ordered and all(map(_isfinite, values))):
+        _replay(samples, len(samples) + 1 if n is None else n)
+    return values
+
+
+def window_averages(samples: Sequence[Sample], values: Sequence[float], n: int) -> list[float]:
+    """Stage 1 of the batch kernel: the full-window averages of checked ``values``.
 
     ``averages[k]`` is the average of ``values[k:k + n]``, computed as
     ``step`` computes it, so it judges ``values[k + n]``; a stream of
     ``total >= n`` samples has ``total - n + 1`` of them, the last judging
-    nothing.  Raises the ``ValueError`` that :meth:`EventFilter.step` would
-    raise at the stream's first failing sample.
+    nothing.  Raises what :meth:`EventFilter.step` raises where a window
+    sum first overflows.
     """
-    values = list(map(_value, samples))
-    times = list(map(_timestamp, samples))
     averages = [sum(values[i - n:i]) / n for i in range(n, len(values) + 1)]
-    # Strictly increasing timestamps between finite ends are all finite (a
-    # NaN fails every comparison).  A finite window sum means finite values,
-    # and with a full window every value lies in one.
-    ordered = not times or (
-        -_INF < times[0] and times[-1] < _INF and all(map(lt, times, islice(times, 1, None)))
-    )
-    if not (ordered and all(map(_isfinite, averages or values))):
-        # Replay the stream through the reference for its exact error.
-        filt = EventFilter(FilterConfig(n=n, p=0.0))
-        for sample in samples:
-            filt.step(sample)
-        raise AssertionError("window_averages rejected a stream EventFilter accepts")
-    return values, averages
+    if not all(map(_isfinite, averages)):
+        _replay(samples, n)
+    return averages
 
 
-def check_stream(samples: Sequence[Sample]) -> None:
-    """Raise what :meth:`EventFilter.step` raises at the first failing sample."""
-    window_averages(samples, len(samples) + 1)  # a window that never fills
+def _replay(samples: Sequence[Sample], n: int) -> None:
+    """Raise the exact error of ``samples`` stepped through a window of ``n``."""
+    filt = EventFilter(FilterConfig(n=n, p=0.0))
+    for sample in samples:
+        filt.step(sample)
+    raise AssertionError("the bulk check rejected a stream EventFilter accepts")

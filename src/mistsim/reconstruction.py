@@ -5,13 +5,12 @@ holds each transmitted value flat until the next one arrives, then the
 reconstructed series is compared point-by-point against the raw series the
 sensor actually observed.
 
-:func:`measure_grid` measures one stream under many filter configs with a
+:func:`measure_grid` measures one stream, checked once by
+:func:`mistsim.mist_filter.check_stream`, under many filter configs with a
 two-stage batch kernel.  Stage 1, :func:`mistsim.mist_filter.window_averages`,
-runs once per distinct window size ``n``: it checks the stream and computes
-every full window's average.  Stage 2 runs once per band fraction ``p`` on
-those shared averages: it makes each transmit decision and accounts the
-hold error in the same loop.  The engine measures all modes of a sensor in
-one :func:`measure_grid` call, the ``filter`` command one per ``n`` and source.
+runs once per distinct window size ``n`` on the checked values.  Stage 2
+runs once per band fraction ``p`` on those shared averages: it makes each
+transmit decision and accounts the hold error in the same loop.
 :meth:`EventFilter.step` per sample, then :func:`build_log`,
 :func:`reconstruct_zoh` and :func:`error_report`, are the reference.
 """
@@ -19,14 +18,13 @@ one :func:`measure_grid` call, the ``filter`` command one per ``n`` and source.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 from operator import itemgetter, lt
 from typing import NamedTuple, Optional, Sequence
 
-from .mist_filter import FilterConfig, Sample, TransmitDecision, check_stream, window_averages
+from .mist_filter import FilterConfig, Sample, TransmitDecision, window_averages
 
 _timestamp = itemgetter(0)  # Sample.timestamp
-_value = itemgetter(1)  # Sample.value
 
 
 @dataclass(frozen=True)
@@ -172,78 +170,61 @@ def error_report(
 class Measurement(NamedTuple):
     """A measured stream; ``flags[i]`` is 1 when sample ``i`` was transmitted."""
 
-    log: TransmissionLog
     report: ErrorReport
     flags: bytearray
 
 
 def measure_grid(
-    samples: Sequence[Sample], filter_configs: Sequence[Optional[FilterConfig]]
+    samples: Sequence[Sample], values: Sequence[float], filter_configs: Sequence[Optional[FilterConfig]]
 ) -> list[Measurement]:
-    """Measure one stream under each filter config, in the order given.
+    """Measure one checked stream under each filter config, in the order given.
 
-    A ``None`` config means no filter: every sample is transmitted, as by a
-    filter whose window never fills.  Each result equals :func:`build_log`,
-    :func:`reconstruct_zoh` and :func:`error_report` applied in turn to the
+    ``values`` is what :func:`~mistsim.mist_filter.check_stream` returned
+    for ``samples``.  A ``None`` config means no filter: every sample is
+    transmitted.  Each result equals what :func:`build_log`,
+    :func:`reconstruct_zoh` and :func:`error_report` give in turn for the
     decisions of :meth:`EventFilter.step` (:func:`empty_report` for an empty
     stream).  Stage 1, :func:`window_averages`, runs once per distinct ``n``
-    in order of first occurrence, after :func:`check_stream` for a leading
-    ``None``, and raises ``ValueError`` where ``step`` first does; the band
-    of every ``p`` is then applied to the averages it shared.
+    in order of first occurrence and raises ``ValueError`` where ``step``
+    first meets an overflowing window; every ``p`` shares its averages.
     """
     total = len(samples)
-    if filter_configs and filter_configs[0] is None:
-        check_stream(samples)  # a filter config ahead would check no less
-    mean_abs_raw = sum(map(abs, map(_value, samples))) / total if total else 0.0
-    results: list = [None] * len(filter_configs)
-    by_n: dict[int, list[int]] = {}
-    for slot, config in enumerate(filter_configs):
-        if config is not None:
-            by_n.setdefault(config.n, []).append(slot)
-    for n, slots in by_n.items():
-        values, averages = window_averages(samples, n)
-        warm = min(n, total)
-        for slot in slots:
-            p = filter_configs[slot].p
-            # Stage 2: step's band test on the shared averages, with the
-            # hold error accounted in the same loop.
-            flags = bytearray(b"\x01" * warm) + bytes(total - warm)
-            abs_errors = [0.0] * total
-            held = values[warm - 1] if warm else 0.0
-            for i, value, avg in zip(range(n, total), islice(values, n, None), averages):
-                band = p * abs(avg)
-                if value >= avg + band or value <= avg - band:
-                    flags[i] = 1
-                    held = value
-                else:
-                    abs_errors[i] = abs(value - held)
-            results[slot] = _measurement(samples, flags, abs_errors, mean_abs_raw)
-    # Unfiltered slots last, once every check has passed: all transmit.
-    for slot, config in enumerate(filter_configs):
+    mean_abs_raw = sum(map(abs, values)) / total if total else 0.0
+    results = []
+    averages_by_n: dict[int, list[float]] = {}
+    for config in filter_configs:
         if config is None:
-            flags = bytearray(b"\x01" * total)
-            results[slot] = _measurement(samples, flags, [0.0] * total, mean_abs_raw)
+            results.append(_measurement(bytearray(b"\x01" * total), [0.0] * total, mean_abs_raw))
+            continue
+        n, p = config.n, config.p
+        averages = averages_by_n.get(n)
+        if averages is None:
+            averages = averages_by_n[n] = window_averages(samples, values, n)
+        # Stage 2: step's band test on the shared averages, with the hold
+        # error accounted in the same loop.
+        warm = min(n, total)
+        flags = bytearray(b"\x01" * warm) + bytes(total - warm)
+        abs_errors = [0.0] * total
+        held = values[warm - 1] if warm else 0.0
+        for i, value, avg in zip(range(n, total), islice(values, n, None), averages):
+            band = p * abs(avg)
+            if value >= avg + band or value <= avg - band:
+                flags[i] = 1
+                held = value
+            else:
+                abs_errors[i] = abs(value - held)
+        results.append(_measurement(flags, abs_errors, mean_abs_raw))
     return results
 
 
-def measure_stream(
-    samples: Sequence[Sample], filter_config: Optional[FilterConfig]
-) -> Measurement:
-    """:func:`measure_grid` for a single filter config (``None``: no filter)."""
-    return measure_grid(samples, (filter_config,))[0]
-
-
-def _measurement(
-    samples: Sequence[Sample], flags: bytearray, abs_errors: list, mean_abs_raw: float
-) -> Measurement:
-    total = len(samples)
-    log = TransmissionLog(entries=tuple(compress(samples, flags)), total_count=total)
+def _measurement(flags: bytearray, abs_errors: list, mean_abs_raw: float) -> Measurement:
+    total = len(flags)
     if not total:
-        return Measurement(log, empty_report(), flags)
+        return Measurement(empty_report(), flags)
     # sum() over the ordered list, as error_report does: a running total
     # rounds differently wherever sum() compensates (Python >= 3.12).
     avg_err = sum(abs_errors) / total
-    transmitted = len(log.entries)
+    transmitted = flags.count(1)
     report = ErrorReport(
         total_count=total,
         transmitted_count=transmitted,
@@ -253,7 +234,7 @@ def _measurement(
         max_abs_error=max(abs_errors),
         avg_error_pct_of_mean=100.0 * avg_err / mean_abs_raw if mean_abs_raw > 0 else None,
     )
-    return Measurement(log, report, flags)
+    return Measurement(report, flags)
 
 
 def reduction_stats(total_count: int, transmitted_count: int) -> tuple[int, float]:

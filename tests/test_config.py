@@ -156,6 +156,9 @@ def test_filter_grid_sweep_is_n_major():
         ("[run]\n\n[filter]\nn = x\n", "comma-separated"),
         ("[run]\n\n[filter]\nn = 0\n", ">= 1"),
         ("[run]\n\n[filter]\np = -0.5\n", ">= 0"),
+        ("[run]\n\n[filter]\nn = 10,50,10\n", "n values must be distinct; 10 repeats"),
+        ("[run]\n\n[filter]\np = 0.1,0.1\n", "p values must be distinct; 0.1 repeats"),
+        ("[run]\n\n[filter]\np = 0.0,-0.0\n", "p values must be distinct; -0.0 repeats"),
         ("[run]\n\n[energy]\nwarp_w = 1\n", "unknown keys"),
         ("[run]\n\n[energy]\ncloud_busy_w = 1\n", "cloud"),  # busy < default idle
         ("[run]\n\n[device d]\nkind = blimp\n", "kind"),

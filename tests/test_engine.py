@@ -611,8 +611,9 @@ def test_property_stream_check_matches_the_loop_it_replaced(scenario):
         with pytest.raises(ValueError, match="^sensor 's1': "):
             _check_stream("s1", samples, duration)
         return
-    got = _check_stream("s1", samples, duration)
+    got, values = _check_stream("s1", samples, duration)
     assert list(got) == want
+    assert values == [sample.value for sample in want]
     if len(want) == len(samples):
         assert got is samples  # a stream the horizon does not cut is not copied
 

@@ -18,6 +18,8 @@ from mistsim.mist_filter import (
     FilterConfig,
     Reason,
     Sample,
+    check_stream,
+    window_averages,
 )
 from oracles import dead_band_flags, dead_band_reasons
 
@@ -392,3 +394,27 @@ def test_oracle_agrees_on_pathological_magnitudes():
         for p in (0.0, 0.01, 0.3):
             got = [d.transmit for d in run_values(values, n, p)]
             assert got == dead_band_flags(values, n, p)
+
+
+# ------------------------------------------------------- stream check split
+
+
+def test_check_stream_returns_values_or_steps_error_for_its_window():
+    samples = [Sample(0.0, 1e308), Sample(1.0, 1e308), Sample(2.0, math.nan)]
+    assert check_stream(samples[:2]) == [1e308, 1e308]
+    # The same broken stream, judged with a window that never fills and one
+    # of 2, which overflows before it reaches the NaN.
+    with pytest.raises(ValueError, match="^non-finite value nan at timestamp 2.0$"):
+        check_stream(samples)
+    with pytest.raises(ValueError, match="overflowed to inf at timestamp 1.0"):
+        check_stream(samples, 2)
+
+
+def test_window_averages_reads_only_the_checked_values():
+    # Stage 1 trusts check_stream: timestamps are not looked at again, and
+    # the samples are replayed only for an overflowing window's message.
+    unchecked = [Sample(math.nan, 0.0), Sample(math.nan, 0.0), Sample(math.nan, 0.0)]
+    assert window_averages(unchecked, [1.0, 2.0, 4.0], 2) == [1.5, 3.0]
+    samples = [Sample(0.0, 1e308), Sample(1.0, 1e308)]
+    with pytest.raises(ValueError, match="overflowed to inf at timestamp 1.0"):
+        window_averages(samples, check_stream(samples), 2)

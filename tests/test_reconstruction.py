@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from mistsim.mist_filter import (
     Reason,
     Sample,
     TransmitDecision,
+    check_stream,
     window_averages,
 )
 from mistsim.reconstruction import (
@@ -23,7 +25,6 @@ from mistsim.reconstruction import (
     empty_report,
     error_report,
     measure_grid,
-    measure_stream,
     reconstruct_zoh,
     reduction_stats,
 )
@@ -34,6 +35,22 @@ VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinit
 
 def samples_of(values):
     return [Sample(float(i), v) for i, v in enumerate(values)]
+
+
+def measure_stream(samples, cfg):
+    """One stream, checked with cfg's window, under one config (None: no filter)."""
+    return measure_grid(samples, check_stream(samples, cfg and cfg.n), [cfg])[0]
+
+
+def measure_checked(samples, configs):
+    """measure_grid after the check a caller runs, with the first config's window."""
+    first = configs[0] if configs else None
+    return measure_grid(samples, check_stream(samples, first and first.n), configs)
+
+
+def log_of(samples, flags):
+    """The transmission log that a measurement's flags select."""
+    return TransmissionLog(tuple(compress(samples, flags)), len(samples))
 
 
 # ------------------------------------------------------------------- log
@@ -222,7 +239,7 @@ def test_property_reduction_stats_consistent(total, transmitted):
 
 
 def reference_measurement(samples, filter_config):
-    """The step-by-step chain that measure_stream folds into one pass."""
+    """The step-by-step chain that check_stream and measure_grid fold into one pass."""
     # No filter transmits everything: a window that never fills, which
     # still checks every sample.
     filt = EventFilter(filter_config or FilterConfig(n=len(samples) + 1))
@@ -253,7 +270,7 @@ def test_property_measure_stream_matches_reference_chain(values, shift, n, p, fi
     config = FilterConfig(n=n, p=p) if filtered else None
     log, report, flags = reference_measurement(samples, config)
     got = measure_stream(samples, config)
-    assert got.log == log
+    assert log_of(samples, got.flags) == log
     assert repr(got.report) == repr(report)
     assert got.flags == flags
     assert len(got.flags) == len(samples) and set(got.flags) <= {0, 1}
@@ -265,7 +282,7 @@ def test_measure_stream_hand_case():
     # Band (22.5, 27.5) lets 30 through; then the bands (24.0, 29.33) and
     # (24.3, 29.7) suppress 26 and 25, which are held at 30.
     assert list(got.flags) == [1, 1, 1, 1, 0, 0]
-    assert got.log.entries == tuple(samples[:4])
+    assert log_of(samples, got.flags).entries == tuple(samples[:4])
     assert got.report.max_abs_error == 5.0
     assert got.report.avg_abs_error == 9.0 / 6
     assert got.report.to_dict()["reduction_percent"] == 100.0 * 2 / 6
@@ -287,11 +304,11 @@ def reference_grid(samples, configs):
     return [reference_measurement(samples, config) for config in configs]
 
 
-def assert_same_measurements(got, expected):
+def assert_same_measurements(samples, got, expected):
     assert len(got) == len(expected)
     for measured, (log, report, flags) in zip(got, expected):
         assert measured.flags == flags
-        assert measured.log == log
+        assert log_of(samples, measured.flags) == log
         assert repr(measured.report) == repr(report)
 
 
@@ -312,7 +329,9 @@ def test_property_measure_grid_matches_step_reference(values, shift, configs):
     # Repeated and unsorted n, n past the stream's end, empty streams, p=0,
     # zero and negative means, and unfiltered entries mixed in.
     samples = samples_of([v + shift for v in values])
-    assert_same_measurements(measure_grid(samples, configs), reference_grid(samples, configs))
+    assert_same_measurements(
+        samples, measure_checked(samples, configs), reference_grid(samples, configs)
+    )
 
 
 FAULTS = (
@@ -354,10 +373,10 @@ def test_property_measure_grid_fails_like_step(values, fault, where, run, config
         expected = reference_grid(samples, configs)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            measure_grid(samples, configs)
+            measure_checked(samples, configs)
         assert str(got.value) == str(exc)
     else:
-        assert_same_measurements(measure_grid(samples, configs), expected)
+        assert_same_measurements(samples, measure_checked(samples, configs), expected)
 
 
 def test_unfiltered_measurement_checks_the_stream():
@@ -370,12 +389,12 @@ def test_unfiltered_measurement_checks_the_stream():
 def test_measure_grid_shares_one_window_pass_per_n(monkeypatch):
     calls = []
 
-    def counted(samples, n):
+    def counted(samples, values, n):
         calls.append(n)
-        return window_averages(samples, n)
+        return window_averages(samples, values, n)
 
     monkeypatch.setattr(reconstruction, "window_averages", counted)
     configs = [FilterConfig(n=5, p=0.1), None, FilterConfig(n=2, p=0.0), FilterConfig(n=5, p=0.0)]
-    measure_grid(samples_of([1.0, 2.0, 3.0] * 4), configs)
+    measure_checked(samples_of([1.0, 2.0, 3.0] * 4), configs)
     assert calls == [5, 2]
 

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from mistsim import engine
+from mistsim import cli, engine, reconstruction
 from mistsim.cli import main
 from mistsim.mist_filter import Sample
 from mistsim.reconstruction import TransmissionLog, reconstruct_zoh
@@ -279,13 +279,12 @@ def test_cli_simulate_both_modes(tmp_path, sim_cfg, capsys):
     assert "cloud_only" in summary and "reduction" in summary
 
 
-def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
-    tmp_path, table2_cfg_path, monkeypatch
-):
-    # table2.cfg has six sensors; both modes share one pass over them.
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count(owner, name)`` counts calls of ``owner.name`` into the dict."""
     calls = {}
 
-    def counted(owner, name):
+    def count(owner, name):
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
@@ -294,16 +293,59 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("_check_stream", "_sources_fp", "_topology_fp", "measure_grid"):
+    return calls, count
+
+
+def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
+    tmp_path, table2_cfg_path, monkeypatch, count_calls
+):
+    # table2.cfg has six sensors; both modes share one pass over them, and
+    # the values each stream's check returns are measured unchecked.
+    calls, counted = count_calls
+    for name in ("_check_stream", "check_stream", "_sources_fp", "_topology_fp", "measure_grid"):
         counted(engine, name)
+    counted(reconstruction, "window_averages")
     counted(Topology, "uplink_paths")
     monkeypatch.chdir(table2_cfg_path.parent)
     args = ["simulate", "--config", "table2.cfg", "--out", str(tmp_path), "--quiet"]
     assert main(args) == 0
     assert calls == {
-        "uplink_paths": 1, "_check_stream": 6, "_topology_fp": 1, "_sources_fp": 1,
-        "measure_grid": 6,
+        "uplink_paths": 1, "_check_stream": 6, "check_stream": 6, "_topology_fp": 1,
+        "_sources_fp": 1, "measure_grid": 6, "window_averages": 6,
     }
+
+
+def test_cli_filter_checks_each_source_once(tmp_path, table2_cfg_path, monkeypatch, count_calls):
+    # A 3x3 grid over three sources: one check per source, one stage 1 per
+    # (source, n), and no transmission log, since filter reports none.
+    calls, counted = count_calls
+    counted(cli, "check_stream")
+    counted(reconstruction, "window_averages")
+    counted(TransmissionLog, "__post_init__")
+    monkeypatch.chdir(table2_cfg_path.parent)
+    args = ["filter", "--config", "tests/data/filter_grid.cfg", "--n", "5,10,50"]
+    args += ["--p", "0.01,0.05,0.1", "--out", str(tmp_path), "--quiet"]
+    assert main(args) == 0
+    assert calls == {"check_stream": 3, "window_averages": 9}
+
+
+@pytest.mark.parametrize(
+    "mode, plotted",
+    [("both", "mist_fog_cloud"), ("mist_fog_cloud", "mist_fog_cloud"), ("cloud_only", "cloud_only")],
+)
+def test_cli_simulate_plots_the_filtered_mode_when_it_ran(tmp_path, sim_cfg, mode, plotted):
+    # Cloud-only alone is plotted too: every flag 1, each value its own hold.
+    sim_cfg.write_text(SIM_CFG.replace("mode = both", f"mode = {mode}\nplot_data = true"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim_cfg), "--out", str(out), "--quiet"]) == 0
+    sensors = json.loads((out / "report.json").read_text())["runs"][plotted]["sensors"]
+    for sensor_id, stats in sensors.items():
+        lines = (out / f"plot_{sensor_id}.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == stats["total"] == 2000
+        assert sum(int(row[3]) for row in rows) == stats["transmitted"]
+        if plotted == "cloud_only":
+            assert all(row[3] == "1" and row[2] == row[1] for row in rows)
 
 
 def test_cli_simulate_single_mode_has_no_comparison(tmp_path, sim_cfg):
@@ -561,7 +603,7 @@ _OVERFLOW_LINE = (
 
 @pytest.mark.parametrize(
     "n_values,expected_t",
-    [("5,2,3", "12.0"), ("5,3,2", "2.0"), ("3,2", "2.0"), ("2,3,2", "12.0")],
+    [("5,2,3", "12.0"), ("5,3,2", "2.0"), ("3,2", "2.0"), ("2,3", "12.0")],
 )
 def test_filter_grid_reports_the_first_error_in_grid_order(
     tmp_path, capsys, n_values, expected_t
@@ -585,6 +627,57 @@ def test_filter_grid_reports_the_first_error_in_grid_order(
     assert main([*args, "--out", str(out), "--quiet"]) == 2
     assert capsys.readouterr().err == _OVERFLOW_LINE.format(t=expected_t)
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "b_mean, n_values, expected",
+    [
+        ("1", "3,2", _OVERFLOW_LINE.format(t="2.0")),
+        ("1", "2,3", "runtime error: non-finite timestamp inf\n"),
+        ("1e308", "2,3", _OVERFLOW_LINE.format(t="1e+308")),
+    ],
+)
+def test_filter_checks_each_source_within_the_sweep(tmp_path, capsys, b_mean, n_values, expected):
+    # Source a's window overflows at n=3 only.  Source b breaks the contract
+    # (its third timestamp is 2 * 1e308 = inf), and with a mean of 1e308 its
+    # window overflows first at n=2; the replay source beside it means no
+    # duration is derived.  Each source is checked with the first n, inside
+    # the n-major sweep: checking every source before it would report b's
+    # contract error for each grid.
+    (tmp_path / "a.csv").write_text(
+        "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
+    )
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(
+        f"[run]\n\n[source a]\nkind = replay\nfile = {tmp_path / 'a.csv'}\n\n"
+        f"[source b]\nkind = normal\nmean = {b_mean}\nstddev = 0\nperiod_ms = 1e308\ncount = 3\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["filter", "--config", str(cfg), "--n", n_values, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, values, repeated",
+    [
+        ("--n", "10,10", "n values must be distinct; 10"),
+        ("--p", "0.1,0.1", "p values must be distinct; 0.1"),
+        ("--p", "0.0,-0.0", "p values must be distinct; -0.0"),
+    ],
+)
+def test_exit_1_repeated_grid_value_writes_nothing(
+    tmp_path, office_csv_path, capsys, flag, values, repeated
+):
+    # Found at parse time, not after every source was measured.
+    out = tmp_path / "out"
+    args = ["filter", "--dataset", str(office_csv_path), "--column", "temp_c", flag, values]
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: <builtin>: [filter]: {repeated} repeats an earlier one\n"
+    )
+    assert not out.exists()
 
 
 def test_filter_wrote_lines_follow_the_grid(tmp_path, table2_cfg_path, monkeypatch, capsys):
