@@ -165,9 +165,13 @@ def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
     measured = {}
     for n, configs in by_n.items():
         for source_id, samples in streams.items():
-            if source_id not in values:
-                values[source_id] = check_stream(samples, n)
-            for cfg, m in zip(configs, measure_grid(samples, values[source_id], configs)):
+            try:
+                if source_id not in values:
+                    values[source_id] = check_stream(samples, n)
+                grid = measure_grid(samples, values[source_id], configs)
+            except ValueError as exc:
+                raise ValueError(f"source {source_id!r}: {exc}") from None
+            for cfg, m in zip(configs, grid):
                 flags = m.flags if scenario.plot_data else None
                 measured[cfg, source_id] = (m.report.to_dict(), flags)
 
@@ -202,8 +206,7 @@ def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
         sensor_header=_SENSOR_HEADER_FILTER,
         plot_series=plot_series,
     )
-    echo_path = _write_echo(scenario, args.out)
-    return report, written + [echo_path], None
+    return report, written + [_write_echo(report, args.out)], None
 
 
 _SENSOR_HEADER_SIM = ("mode", "sensor", *_SENSOR_COLUMNS)
@@ -269,8 +272,7 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
     # Plot the filtered mode when it ran; cloud-only transmits every sample.
     plotted = Mode.MIST_FOG_CLOUD if Mode.MIST_FOG_CLOUD in modes else Mode.CLOUD_ONLY
     for mode_name, metrics in results.items():
-        for sensor_id in sorted(metrics.sensor_reports):
-            block = metrics.sensor_reports[sensor_id].to_dict()
+        for sensor_id, block in sorted(report["runs"][mode_name]["sensors"].items()):
             sensor_rows.append((mode_name, sensor_id, *(block[k] for k in _SENSOR_COLUMNS)))
         for link_name in sorted(metrics.link_usage):
             usage = metrics.link_usage[link_name]
@@ -289,13 +291,13 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
         link_rows=link_rows,
         plot_series=plot_series,
     )
-    echo_path = _write_echo(scenario, args.out)
-    return report, written + [echo_path], comparison
+    return report, written + [_write_echo(report, args.out)], comparison
 
 
-def _write_echo(scenario: Scenario, out_dir) -> Path:
+def _write_echo(report: dict, out_dir) -> Path:
+    """``resolved.cfg``: the scenario text the report already echoes."""
     path = Path(out_dir) / "resolved.cfg"
-    path.write_text(serialize_scenario(scenario), encoding="utf-8")
+    path.write_text(report["config_echo"], encoding="utf-8")
     return path
 
 

@@ -273,19 +273,20 @@ def _parse_filter_grid(origin: str, filter_raw: dict, ov: Overrides) -> tuple[Fi
 
     n_values = ov.n_values if ov.n_values is not None else parse_list("n", int, (10,))
     p_values = ov.p_values if ov.p_values is not None else parse_list("p", float, (0.05,))
-    try:
-        grid = tuple(FilterConfig(n=n, p=p) for n in n_values for p in p_values)
-    except ValueError as exc:
-        raise _section_error(origin, "filter", str(exc)) from None
-    for key, values in (("n", n_values), ("p", p_values)):
+    for key, values, override in (("n", n_values, ov.n_values), ("p", p_values, ov.p_values)):
+        where = f"{origin}: [filter]" if override is None else f"--{key}"
         seen: set = set()
         for value in values:
+            try:
+                FilterConfig(**{key: value})
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
             if value in seen:  # 0.0 and -0.0 count as one value
-                raise _section_error(
-                    origin, "filter", f"{key} values must be distinct; {value!r} repeats an earlier one"
+                raise ConfigError(
+                    f"{where}: {key} values must be distinct; {value!r} repeats an earlier one"
                 )
             seen.add(value)
-    return grid
+    return tuple(FilterConfig(n=n, p=p) for n in n_values for p in p_values)
 
 
 def _parse_energy(origin: str, energy_raw: dict) -> EnergyModel:

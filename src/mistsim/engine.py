@@ -11,7 +11,9 @@ The topology is a two-hop tree, latency is fixed per link, no bandwidth or
 contention is modelled, and the gateway forwards every message unchanged.
 Every metric therefore follows from each sensor's transmitted count and its
 two link latencies, and is computed in closed form per sensor; no message is
-ever queued.  The delivery trace is derived only on request, in the
+ever queued.  Each sensor's transmit flags are the one record of what it
+sent: its log digest hashes the sent samples in the same pass, and the
+delivery trace is derived from the flags only on request, in the
 ``(time_ms, device_id, sensor_id, seq)`` form and order of a time-ordered
 event queue with FIFO tie-breaking by insertion, where sensors emit in
 topology declaration order within a timestamp.  A run is fully determined by
@@ -42,7 +44,7 @@ from itertools import chain, compress
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample, check_stream
-from .reconstruction import ErrorReport, TransmissionLog, measure_grid
+from .reconstruction import ErrorReport, measure_grid
 from .topology import Link, Topology
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
@@ -129,8 +131,8 @@ class RunMetrics:
     topology_fp: str
     sources_fp: str
     sensor_reports: dict[str, ErrorReport]
-    logs: dict[str, TransmissionLog]
     flags: dict[str, bytearray]
+    log_digests: dict[str, str]
     link_usage: dict[str, dict]
     device_messages: dict[str, int]
     device_busy_ms: dict[str, float]
@@ -146,9 +148,9 @@ class RunMetrics:
     cloud_id: str
 
     def to_dict(self) -> dict:
-        """Plain nested dict; transmission logs appear as digests only."""
+        """Plain nested dict; each sensor's sent samples appear as a digest only."""
         sensors = {
-            sensor_id: {**report.to_dict(), "log_digest": _log_digest(self.logs[sensor_id])}
+            sensor_id: {**report.to_dict(), "log_digest": self.log_digests[sensor_id]}
             for sensor_id, report in self.sensor_reports.items()
         }
         return {
@@ -188,10 +190,6 @@ def _packed(samples: Sequence[Sample]) -> bytes:
     return struct.pack(f"<{2 * len(samples)}d", *chain.from_iterable(samples))
 
 
-def _log_digest(log: TransmissionLog) -> str:
-    return hashlib.sha256(struct.pack("<q", log.total_count) + _packed(log.entries)).hexdigest()
-
-
 def _topology_fp(topology: Topology) -> str:
     h = hashlib.sha256()
     for dev in topology.devices:
@@ -224,7 +222,7 @@ def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float)
 
 
 def _delivery_trace(
-    logs: Mapping[str, TransmissionLog],
+    sent: Mapping[str, Iterable[Sample]],
     paths: Mapping[str, tuple[Link, str, Link]],
     cloud_id: str,
 ) -> list[tuple[float, str, str, int]]:
@@ -233,13 +231,13 @@ def _delivery_trace(
     Reproduces a time-ordered event queue exactly.  Emissions take seq
     ``0..E-1`` in ``(emit_ms, declaration index)`` order; gateway arrivals
     forward in ``(due_ms, seq)`` order, the r-th taking seq ``E + r``; all
-    deliveries then sort by ``(due_ms, seq)``.  ``logs`` is in declaration
-    order.
+    deliveries then sort by ``(due_ms, seq)``.  ``sent`` maps each sensor,
+    in declaration order, to the samples it transmitted.
     """
     emissions = sorted(
-        (entry.timestamp, decl_idx, sensor_id)
-        for decl_idx, sensor_id in enumerate(logs)
-        for entry in logs[sensor_id].entries
+        (sample.timestamp, decl_idx, sensor_id)
+        for decl_idx, (sensor_id, samples) in enumerate(sent.items())
+        for sample in samples
     )
     arrivals = sorted(
         (emit_ms + paths[sensor_id][0].latency_ms, seq, sensor_id)
@@ -303,10 +301,7 @@ def simulate(
 
     results = {}
     for mode in modes:
-        logs = {
-            s: TransmissionLog(tuple(compress(kept[s], grid[mode].flags)), len(kept[s]))
-            for s, grid in measured.items()
-        }
+        log_digests = {}
         link_usage = {
             f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
             for link in topology.links
@@ -315,8 +310,10 @@ def simulate(
         latencies: list[float] = []
         for sensor_id in sensor_ids:
             first, gw_id, second = paths[sensor_id]
-            times = [entry.timestamp for entry in logs[sensor_id].entries]
-            count = len(times)
+            sent = list(compress(kept[sensor_id], measured[sensor_id][mode].flags))
+            total = struct.pack("<q", len(kept[sensor_id]))
+            log_digests[sensor_id] = hashlib.sha256(total + _packed(sent)).hexdigest()
+            count = len(sent)
             for link in (first, second):
                 usage = link_usage[f"{link.src}->{link.dst}"]
                 usage["messages"] += count
@@ -325,7 +322,7 @@ def simulate(
             for device_id in (sensor_id, gw_id, cloud_id):
                 device_messages[device_id] += count
             l1, l2 = first.latency_ms, second.latency_ms
-            latencies.extend([((t + l1) + l2) - t for t in times])
+            latencies.extend([((t + l1) + l2) - t for t, _ in sent])
 
         busy_energy = {
             d.id: account_energy(device_messages[d.id], energy.for_kind(d.kind), duration_ms)
@@ -339,8 +336,8 @@ def simulate(
             topology_fp=topology_fp,
             sources_fp=sources_fp,
             sensor_reports={sensor_id: grid[mode].report for sensor_id, grid in measured.items()},
-            logs=logs,
             flags={sensor_id: grid[mode].flags for sensor_id, grid in measured.items()},
+            log_digests=log_digests,
             link_usage=link_usage,
             device_messages=device_messages,
             device_busy_ms={d: busy for d, (busy, _) in busy_energy.items()},
@@ -372,14 +369,16 @@ def run(
 ) -> RunMetrics:
     """:func:`simulate` for one mode; ``trace``, when given, collects the
     ``(time_ms, device_id, sensor_id, seq)`` deliveries in order, derived
-    from the returned logs (mainly for causality tests).
+    from the returned flags, which cover each stream's kept prefix (mainly
+    for causality tests).
     """
     (metrics,) = simulate(
         topology, streams, [mode], filter_config, energy, duration_ms,
         message_size_bytes=message_size_bytes, seed=seed,
     ).values()
     if trace is not None:
-        trace.extend(_delivery_trace(metrics.logs, topology.uplink_paths(), metrics.cloud_id))
+        sent = {s: compress(streams[s], flags) for s, flags in metrics.flags.items()}
+        trace.extend(_delivery_trace(sent, topology.uplink_paths(), metrics.cloud_id))
     return metrics
 
 

@@ -268,7 +268,7 @@ def test_09_conservation(table2_results, tmp_path):
     counts add up, and CSV ingest accounts for every row it read."""
     for metrics in (table2_results["cloud_only"], table2_results["mist"]):
         emitted_per_sensor = {
-            sensor_id: len(log.entries) for sensor_id, log in metrics.logs.items()
+            sensor_id: flags.count(1) for sensor_id, flags in metrics.flags.items()
         }
         for sensor_id, emitted in emitted_per_sensor.items():
             assert metrics.link_usage[f"{sensor_id}->gw"]["messages"] == emitted

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
 import random
+import struct
 import time
 
 import pytest
@@ -303,7 +305,7 @@ def test_per_link_message_conservation():
     for mode in (Mode.CLOUD_ONLY, Mode.MIST_FOG_CLOUD):
         metrics = run(topo, streams, mode, FC, ENERGY, 60_000.0)
         for sensor_id in ("s1", "s2"):
-            emitted = len(metrics.logs[sensor_id].entries)
+            emitted = metrics.flags[sensor_id].count(1)
             assert metrics.link_usage[f"{sensor_id}->gw"]["messages"] == emitted
         uplink = metrics.link_usage["gw->cloud"]["messages"]
         assert uplink == metrics.messages_emitted
@@ -431,11 +433,18 @@ def network_scenarios(draw):
     return topology, streams, duration
 
 
-def transmitted_times(samples, mode, n, p):
+def transmitted(samples, mode, n, p):
     if mode is Mode.CLOUD_ONLY:
-        return [s.timestamp for s in samples]
+        return list(samples)
     flags = dead_band_flags([s.value for s in samples], n, p)
-    return [s.timestamp for s, flag in zip(samples, flags) if flag]
+    return [s for s, flag in zip(samples, flags) if flag]
+
+
+def packed_log_digest(total, sent):
+    """SHA-256 of the little-endian kept count, then each sent (timestamp, value)."""
+    pairs = [x for sample in sent for x in sample]
+    packed = struct.pack("<q", total) + struct.pack(f"<{len(pairs)}d", *pairs)
+    return hashlib.sha256(packed).hexdigest()
 
 
 @given(
@@ -460,7 +469,8 @@ def test_property_closed_form_matches_heap_oracle(scenario, n, p, size):
         + [s.timestamp for samples in kept.values() for s in samples]
     )
     for mode in Mode:
-        emitted = {s: transmitted_times(kept[s], mode, n, p) for s in sensor_ids}
+        sent = {s: transmitted(kept[s], mode, n, p) for s in sensor_ids}
+        emitted = {s: [x.timestamp for x in sent[s]] for s in sensor_ids}
         want = heap_network(
             [(d.id, d.kind) for d in topo.devices],
             [(l.src, l.dst, l.latency_ms) for l in topo.links],
@@ -491,6 +501,7 @@ def test_property_closed_form_matches_heap_oracle(scenario, n, p, size):
         assert got.latency_min_ms == want["latency_min_ms"]
         assert got.latency_max_ms == want["latency_max_ms"]
         assert trace == want["trace"]
+        assert got.log_digests == {s: packed_log_digest(len(kept[s]), sent[s]) for s in sensor_ids}
 
         pairs = [
             (got.link_usage[k]["byte_ms"], want["link_usage"][k]["byte_ms"])
@@ -529,7 +540,7 @@ def test_property_metrics_ignore_declaration_order(scenario, n, p, shuffle_seed)
             traces.append(sorted(d[:3] for d in trace))
         a, b = runs
         assert a.sensor_reports == b.sensor_reports
-        assert a.logs == b.logs and a.flags == b.flags
+        assert a.log_digests == b.log_digests and a.flags == b.flags
         assert {k: (u["messages"], u["bytes"]) for k, u in a.link_usage.items()} == {
             k: (u["messages"], u["bytes"]) for k, u in b.link_usage.items()
         }
@@ -565,7 +576,7 @@ def test_property_simulate_equals_one_run_per_mode(scenario, modes, n, p, size):
         single = run(topo, streams, mode, fc, ENERGY, duration, message_size_bytes=size, seed=3)
         both = got[mode.value]
         assert json.dumps(both.to_dict()) == json.dumps(single.to_dict())
-        assert both.logs == single.logs and both.flags == single.flags
+        assert both.log_digests == single.log_digests and both.flags == single.flags
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])

@@ -300,18 +300,22 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     tmp_path, table2_cfg_path, monkeypatch, count_calls
 ):
     # table2.cfg has six sensors; both modes share one pass over them, and
-    # the values each stream's check returns are measured unchecked.
+    # the values each stream's check returns are measured unchecked.  The
+    # flags are the only record of what was sent, so no transmission log is
+    # built, and the scenario is serialized once for both of its echoes.
     calls, counted = count_calls
     for name in ("_check_stream", "check_stream", "_sources_fp", "_topology_fp", "measure_grid"):
         counted(engine, name)
     counted(reconstruction, "window_averages")
     counted(Topology, "uplink_paths")
+    counted(TransmissionLog, "__post_init__")
+    counted(cli, "serialize_scenario")
     monkeypatch.chdir(table2_cfg_path.parent)
     args = ["simulate", "--config", "table2.cfg", "--out", str(tmp_path), "--quiet"]
     assert main(args) == 0
     assert calls == {
         "uplink_paths": 1, "_check_stream": 6, "check_stream": 6, "_topology_fp": 1,
-        "_sources_fp": 1, "measure_grid": 6, "window_averages": 6,
+        "_sources_fp": 1, "measure_grid": 6, "window_averages": 6, "serialize_scenario": 1,
     }
 
 
@@ -596,7 +600,7 @@ def test_exit_1_underived_duration_names_both_conditions(tmp_path, capsys):
 # b's only at n=2 (1e308 twice in a row, after a -1e308 that cancels the
 # first three-value window).  n=5 exceeds both streams and never fails.
 _OVERFLOW_LINE = (
-    "runtime error: window average overflowed to inf at timestamp {t}; "
+    "runtime error: source {source!r}: window average overflowed to inf at timestamp {t}; "
     "the sum of the last n values exceeds the float range\n"
 )
 
@@ -625,16 +629,17 @@ def test_filter_grid_reports_the_first_error_in_grid_order(
     out = tmp_path / "out"
     args = ["filter", "--config", str(cfg), "--n", n_values, "--p", "0.01,0.1"]
     assert main([*args, "--out", str(out), "--quiet"]) == 2
-    assert capsys.readouterr().err == _OVERFLOW_LINE.format(t=expected_t)
+    source = "a" if expected_t == "2.0" else "b"  # a's timestamps are 0-2, b's 10-12
+    assert capsys.readouterr().err == _OVERFLOW_LINE.format(source=source, t=expected_t)
     assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize(
     "b_mean, n_values, expected",
     [
-        ("1", "3,2", _OVERFLOW_LINE.format(t="2.0")),
-        ("1", "2,3", "runtime error: non-finite timestamp inf\n"),
-        ("1e308", "2,3", _OVERFLOW_LINE.format(t="1e+308")),
+        ("1", "3,2", _OVERFLOW_LINE.format(source="a", t="2.0")),
+        ("1", "2,3", "runtime error: source 'b': non-finite timestamp inf\n"),
+        ("1e308", "2,3", _OVERFLOW_LINE.format(source="b", t="1e+308")),
     ],
 )
 def test_filter_checks_each_source_within_the_sweep(tmp_path, capsys, b_mean, n_values, expected):
@@ -674,9 +679,29 @@ def test_exit_1_repeated_grid_value_writes_nothing(
     out = tmp_path / "out"
     args = ["filter", "--dataset", str(office_csv_path), "--column", "temp_c", flag, values]
     assert main([*args, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        f"error: <builtin>: [filter]: {repeated} repeats an earlier one\n"
-    )
+    assert capsys.readouterr().err == f"error: {flag}: {repeated} repeats an earlier one\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n", "0", "window size n must be an integer >= 1, got 0"),
+        ("--p", "-1", "band fraction p must be finite and >= 0, got -1.0"),
+    ],
+)
+def test_exit_1_bad_grid_override_names_the_flag(
+    tmp_path, office_csv_path, capsys, flag, value, message
+):
+    # Neither the built-in config nor a file's [filter] section is blamed.
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("[run]\n", encoding="utf-8")
+    out = tmp_path / "out"
+    for config in ([], ["--config", str(cfg)]):
+        args = ["filter", *config, "--dataset", str(office_csv_path), "--column", "temp_c"]
+        args += [flag, value, "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {message}\n"
     assert not out.exists()
 
 
