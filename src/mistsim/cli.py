@@ -148,7 +148,7 @@ _SENSOR_COLUMNS = (
 _SENSOR_HEADER_FILTER = ("n", "p", "sensor", *_SENSOR_COLUMNS)
 
 
-def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
+def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     scenario = _load_scenario(args, "filter")
     if not scenario.sources:
         raise ConfigError("no sources configured; add [source <id>] sections or pass --dataset")
@@ -206,13 +206,13 @@ def _cmd_filter(args) -> tuple[dict, list, Optional[Path]]:
         sensor_header=_SENSOR_HEADER_FILTER,
         plot_series=plot_series,
     )
-    return report, written + [_write_echo(report, args.out)], None
+    return report, written + [_write_echo(report, args.out)], _summarise_filter(report)
 
 
 _SENSOR_HEADER_SIM = ("mode", "sensor", *_SENSOR_COLUMNS)
 
 
-def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
+def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     scenario = _load_scenario(args, "simulate")
     from .topology import validate
 
@@ -233,7 +233,6 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
     if extra:
         raise ConfigError(f"sources for devices that are not sensors: {extra}")
 
-    fc = scenario.filter_config()
     streams, ingest = _build_streams(scenario)
     for source_id, samples in streams.items():
         # The engine would drop every sample and report an empty run.
@@ -245,43 +244,62 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
                 "milliseconds from 0"
             )
 
-    modes = list(Mode) if scenario.mode == "both" else [Mode(scenario.mode)]
+    # The cloud-only baseline first, then one filtered run per grid point.
+    configs: list = [] if scenario.mode == Mode.MIST_FOG_CLOUD else [None]
+    if scenario.mode != Mode.CLOUD_ONLY:
+        configs += scenario.grid
     results = simulate(
-        scenario.topology, streams, modes, fc, scenario.energy, scenario.duration_ms,
+        scenario.topology, streams, configs, scenario.energy, scenario.duration_ms,
         message_size_bytes=scenario.message_size_bytes, seed=scenario.seed,
     )
 
+    # In a sweep, each filtered run carries its grid point: as leading keys
+    # of its run block and comparison row, and as the label suffix of its
+    # CSV rows and plot files.
+    sweep = len(scenario.grid) > 1
+    points = [{"n": cfg.n, "p": cfg.p} if cfg is not None and sweep else {} for cfg in configs]
+    suffixes = [f"_n{pt['n']}_p{pt['p']!r}" if pt else "" for pt in points]
+    blocks = [metrics.to_dict() for metrics in results]
+    runs: dict = {}
+    for metrics, point, block in zip(results, points, blocks):
+        if point:
+            runs.setdefault(metrics.mode, []).append({**point, **block})
+        else:
+            runs[metrics.mode] = block
     report = {
         "tool": {"name": "mistsim", "version": __version__},
         "command": "simulate",
         "seed": scenario.seed,
         "config_echo": serialize_scenario(scenario),
-        "modes_run": [m.value for m in modes],
-        "runs": {mode_name: metrics.to_dict() for mode_name, metrics in results.items()},
+        "modes_run": list(runs),
+        "runs": runs,
     }
-    comparison = None
-    if len(modes) == 2:
-        comparison = compare(results[Mode.CLOUD_ONLY.value], results[Mode.MIST_FOG_CLOUD.value])
-        report["comparison"] = comparison
+    # Every filtered run against the cloud-only baseline, when that ran.
+    comparisons = [
+        {**point, **compare(results[0], metrics)}
+        for point, metrics in zip(points[1:], results[1:])
+        if configs[0] is None
+    ]
+    if comparisons:
+        report["comparison"] = comparisons if sweep else comparisons[0]
     if ingest:
         report["ingest"] = ingest
 
     sensor_rows = []
     link_rows = []
     plot_series: dict = {}
-    # Plot the filtered mode when it ran; cloud-only transmits every sample.
-    plotted = Mode.MIST_FOG_CLOUD if Mode.MIST_FOG_CLOUD in modes else Mode.CLOUD_ONLY
-    for mode_name, metrics in results.items():
-        for sensor_id, block in sorted(report["runs"][mode_name]["sensors"].items()):
-            sensor_rows.append((mode_name, sensor_id, *(block[k] for k in _SENSOR_COLUMNS)))
+    # Plot the filtered runs when they ran; cloud-only transmits every sample.
+    plotted = results[-1].mode
+    for metrics, suffix, block in zip(results, suffixes, blocks):
+        label = metrics.mode + suffix
+        for sensor_id, stats in sorted(block["sensors"].items()):
+            sensor_rows.append((label, sensor_id, *(stats[k] for k in _SENSOR_COLUMNS)))
         for link_name in sorted(metrics.link_usage):
             usage = metrics.link_usage[link_name]
-            link_rows.append(
-                (mode_name, link_name, usage["messages"], usage["bytes"], usage["byte_ms"])
-            )
-        if scenario.plot_data and mode_name == plotted.value:
+            link_rows.append((label, link_name, usage["messages"], usage["bytes"], usage["byte_ms"]))
+        if scenario.plot_data and metrics.mode == plotted:
             for sensor_id, flags in metrics.flags.items():
-                plot_series[f"plot_{sensor_id}"] = (streams[sensor_id], flags)
+                plot_series[f"plot_{sensor_id}{suffix}"] = (streams[sensor_id], flags)
 
     written = emit_report(
         report,
@@ -291,7 +309,8 @@ def _cmd_simulate(args) -> tuple[dict, list, Optional[dict]]:
         link_rows=link_rows,
         plot_series=plot_series,
     )
-    return report, written + [_write_echo(report, args.out)], comparison
+    summary = _summarise_simulate(results, suffixes, comparisons, sweep)
+    return report, written + [_write_echo(report, args.out)], summary
 
 
 def _write_echo(report: dict, out_dir) -> Path:
@@ -314,21 +333,31 @@ def _summarise_filter(report: dict) -> list[str]:
     return lines
 
 
-def _summarise_simulate(report: dict, comparison: Optional[dict]) -> list[str]:
-    lines = []
-    for mode_name, metrics in sorted(report["runs"].items()):
-        net = metrics["network"]
-        lines.append(
-            f"{mode_name}: {net['messages_emitted']} messages, {net['total_bytes']} bytes on the wire"
-        )
-    if comparison is not None:
-        for key in ("network_total_bytes", "cloud_energy_j"):
-            row = comparison[key]
-            pct = row["reduction_percent"]
-            pct_text = "n/a" if pct is None else f"{pct:.3f}%"
-            lines.append(
-                f"{key}: baseline {row['baseline']} candidate {row['candidate']} reduction {pct_text}"
-            )
+def _summarise_simulate(
+    results: list, suffixes: list[str], comparisons: list[dict], sweep: bool
+) -> list[str]:
+    """One line per run, then the comparison; a sweep appends each grid
+    point's reductions to its run's line instead."""
+    keys = ("network_total_bytes", "cloud_energy_j")
+
+    def pct(row: dict) -> str:
+        value = row["reduction_percent"]
+        return "n/a" if value is None else f"{value:.3f}%"
+
+    lines = [
+        f"{metrics.mode}{suffix}: {metrics.messages_emitted} messages, "
+        f"{metrics.total_bytes} bytes on the wire"
+        for metrics, suffix in zip(results, suffixes)
+    ]
+    for i, row in enumerate(comparisons, start=1):  # row i compares results[i]
+        if sweep:
+            lines[i] += "".join(f", {key} reduction {pct(row[key])}" for key in keys)
+        else:
+            lines += [
+                f"{key}: baseline {row[key]['baseline']} candidate {row[key]['candidate']} "
+                f"reduction {pct(row[key])}"
+                for key in keys
+            ]
     return lines
 
 
@@ -341,12 +370,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
     try:
-        if args.command == "filter":
-            report, written, _ = _cmd_filter(args)
-            summary = _summarise_filter(report)
-        else:
-            report, written, comparison = _cmd_simulate(args)
-            summary = _summarise_simulate(report, comparison)
+        command = _cmd_filter if args.command == "filter" else _cmd_simulate
+        report, written, summary = command(args)
     except (UsageError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -68,14 +68,6 @@ class Scenario:
     mode: str
     plot_data: Optional[bool]
 
-    def filter_config(self) -> FilterConfig:
-        """The single grid point, for commands that do not sweep."""
-        if len(self.grid) != 1:
-            raise ConfigError(
-                f"this command needs exactly one (n, p) pair, got {len(self.grid)}"
-            )
-        return self.grid[0]
-
 
 def _section_error(origin: str, section: str, message: str) -> ConfigError:
     return ConfigError(f"{origin}: [{section}]: {message}")

@@ -1,23 +1,20 @@
 """Deterministic simulation of the sensor-to-cloud path, in closed form.
 
-Two modes share one pipeline.  ``cloud_only`` forwards every raw sample to
-the cloud; ``mist_fog_cloud`` runs the dead-band filter on each sensor first
+Two pipelines share one pass.  ``cloud_only`` forwards every raw sample to
+the cloud; ``mist_fog_cloud`` runs a dead-band filter on each sensor first
 and forwards only what it transmits.  Messages hop sensor -> gateway -> cloud
 and each hop arrives exactly ``link.latency_ms`` after it was sent.
-:func:`simulate` runs several modes on one scenario in one pass, measuring
-each sensor once for all of them; :func:`run` is its one-mode form.
+:func:`simulate` runs a list of filter configs on one scenario, ``None``
+standing for cloud-only, and measures each sensor once for all of them;
+:func:`run` is its one-config form.  :class:`Mode` only labels the runs.
 
 The topology is a two-hop tree, latency is fixed per link, no bandwidth or
 contention is modelled, and the gateway forwards every message unchanged.
 Every metric therefore follows from each sensor's transmitted count and its
 two link latencies, and is computed in closed form per sensor; no message is
 ever queued.  Each sensor's transmit flags are the one record of what it
-sent: its log digest hashes the sent samples in the same pass, and the
-delivery trace is derived from the flags only on request, in the
-``(time_ms, device_id, sensor_id, seq)`` form and order of a time-ordered
-event queue with FIFO tie-breaking by insertion, where sensors emit in
-topology declaration order within a timestamp.  A run is fully determined by
-its inputs.
+sent: its log digest hashes the sent samples in the same pass.  A run is
+fully determined by its inputs.
 
 Every stream is checked whole, in declaration order, before any is measured:
 :func:`mistsim.mist_filter.check_stream` enforces the filter's contract, the
@@ -45,7 +42,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample, check_stream
 from .reconstruction import ErrorReport, measure_grid
-from .topology import Link, Topology
+from .topology import Topology
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
 from .topology import validate  # noqa: F401
@@ -221,62 +218,32 @@ def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float)
     return (samples, values) if cut == len(samples) else (samples[:cut], values[:cut])
 
 
-def _delivery_trace(
-    sent: Mapping[str, Iterable[Sample]],
-    paths: Mapping[str, tuple[Link, str, Link]],
-    cloud_id: str,
-) -> list[tuple[float, str, str, int]]:
-    """Every delivery as ``(time_ms, device_id, sensor_id, seq)``, in order.
-
-    Reproduces a time-ordered event queue exactly.  Emissions take seq
-    ``0..E-1`` in ``(emit_ms, declaration index)`` order; gateway arrivals
-    forward in ``(due_ms, seq)`` order, the r-th taking seq ``E + r``; all
-    deliveries then sort by ``(due_ms, seq)``.  ``sent`` maps each sensor,
-    in declaration order, to the samples it transmitted.
-    """
-    emissions = sorted(
-        (sample.timestamp, decl_idx, sensor_id)
-        for decl_idx, (sensor_id, samples) in enumerate(sent.items())
-        for sample in samples
-    )
-    arrivals = sorted(
-        (emit_ms + paths[sensor_id][0].latency_ms, seq, sensor_id)
-        for seq, (emit_ms, _, sensor_id) in enumerate(emissions)
-    )
-    forwarded_from = len(arrivals)
-    deliveries = [(due_ms, paths[s][1], s, seq) for due_ms, seq, s in arrivals]
-    deliveries += [
-        (due_ms + paths[s][2].latency_ms, cloud_id, s, forwarded_from + rank)
-        for rank, (due_ms, _, s) in enumerate(arrivals)
-    ]
-    deliveries.sort(key=lambda d: (d[0], d[3]))
-    return deliveries
-
-
 def simulate(
     topology: Topology,
     streams: Mapping[str, Sequence[Sample]],
-    modes: Sequence[Mode],
-    filter_config: FilterConfig,
+    configs: Sequence[Optional[FilterConfig]],
     energy: EnergyModel,
     duration_ms: float,
     *,
     message_size_bytes: int = 100,
     seed: int = 0,
-) -> dict[str, RunMetrics]:
-    """One :class:`RunMetrics` per mode, keyed by mode value in the order given.
+) -> list[RunMetrics]:
+    """One :class:`RunMetrics` per filter config, in the order given.
 
-    ``modes`` must be non-empty and free of repeats.  ``streams`` maps every
-    sensor id in the topology to its samples.  Samples at or beyond
-    ``duration_ms`` are dropped, and every stream is checked before any is
-    measured; messages still in flight when the horizon passes are delivered
-    (nothing is lost), while energy idles out the configured duration.
+    ``configs`` must be non-empty and free of repeats.  ``None`` runs the
+    ``cloud_only`` pipeline, with no filter; a config runs ``mist_fog_cloud``
+    with that filter.  ``streams`` maps every sensor id in the topology to
+    its samples.  Samples at or beyond ``duration_ms`` are dropped, and every
+    stream is checked before any is measured; messages still in flight when
+    the horizon passes are delivered (nothing is lost), while energy idles
+    out the configured duration.  A metric that would overflow when every
+    kept sample is sent is rejected before any stream is measured.
     """
     # Validates the topology and resolves every path in one linear pass.
     paths = topology.uplink_paths()
-    modes = [Mode(mode) for mode in modes]
-    if not modes or len(set(modes)) != len(modes):
-        raise ValueError(f"modes must be non-empty and distinct, got {[m.value for m in modes]}")
+    configs = list(configs)
+    if not configs or len(set(configs)) != len(configs):
+        raise ValueError(f"configs must be non-empty and distinct, got {configs!r}")
     if not math.isfinite(duration_ms) or duration_ms <= 0:
         raise ValueError(f"duration_ms must be finite and > 0, got {duration_ms!r}")
     if message_size_bytes < 1:
@@ -295,12 +262,10 @@ def simulate(
         kept[s], values[s] = _check_stream(s, streams[s], duration_ms)
     topology_fp = _topology_fp(topology)
     sources_fp = _sources_fp(kept, sensor_ids)
-    configs = [filter_config if mode is Mode.MIST_FOG_CLOUD else None for mode in modes]
-    measured = {s: dict(zip(modes, measure_grid(kept[s], values[s], configs))) for s in sensor_ids}
     cloud_id = topology.cloud().id
 
-    results = {}
-    for mode in modes:
+    def traffic(sent: Mapping[str, Sequence[Sample]]) -> dict:
+        """The :class:`RunMetrics` fields that follow from what each sensor sent."""
         log_digests = {}
         link_usage = {
             f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
@@ -308,12 +273,11 @@ def simulate(
         }
         device_messages = {d.id: 0 for d in topology.devices}
         latencies: list[float] = []
-        for sensor_id in sensor_ids:
+        for sensor_id, samples in sent.items():
             first, gw_id, second = paths[sensor_id]
-            sent = list(compress(kept[sensor_id], measured[sensor_id][mode].flags))
             total = struct.pack("<q", len(kept[sensor_id]))
-            log_digests[sensor_id] = hashlib.sha256(total + _packed(sent)).hexdigest()
-            count = len(sent)
+            log_digests[sensor_id] = hashlib.sha256(total + _packed(samples)).hexdigest()
+            count = len(samples)
             for link in (first, second):
                 usage = link_usage[f"{link.src}->{link.dst}"]
                 usage["messages"] += count
@@ -322,35 +286,65 @@ def simulate(
             for device_id in (sensor_id, gw_id, cloud_id):
                 device_messages[device_id] += count
             l1, l2 = first.latency_ms, second.latency_ms
-            latencies.extend([((t + l1) + l2) - t for t, _ in sent])
+            latencies.extend([((t + l1) + l2) - t for t, _ in samples])
 
         busy_energy = {
             d.id: account_energy(device_messages[d.id], energy.for_kind(d.kind), duration_ms)
             for d in topology.devices
         }
-        results[mode.value] = RunMetrics(
-            mode=mode.value,
-            seed=seed,
-            duration_ms=duration_ms,
-            message_size_bytes=message_size_bytes,
-            topology_fp=topology_fp,
-            sources_fp=sources_fp,
-            sensor_reports={sensor_id: grid[mode].report for sensor_id, grid in measured.items()},
-            flags={sensor_id: grid[mode].flags for sensor_id, grid in measured.items()},
-            log_digests=log_digests,
-            link_usage=link_usage,
-            device_messages=device_messages,
-            device_busy_ms={d: busy for d, (busy, _) in busy_energy.items()},
-            device_energy_j={d: joules for d, (_, joules) in busy_energy.items()},
-            total_bytes=sum(u["bytes"] for u in link_usage.values()),
-            total_byte_ms=sum(u["byte_ms"] for u in link_usage.values()),
-            messages_emitted=len(latencies),
-            messages_delivered=2 * len(latencies),
-            latency_count=len(latencies),
-            latency_min_ms=min(latencies) if latencies else 0.0,
-            latency_max_ms=max(latencies) if latencies else 0.0,
-            latency_mean_ms=sum(latencies) / len(latencies) if latencies else 0.0,
-            cloud_id=cloud_id,
+        return {
+            "log_digests": log_digests,
+            "link_usage": link_usage,
+            "device_messages": device_messages,
+            "device_busy_ms": {d: busy for d, (busy, _) in busy_energy.items()},
+            "device_energy_j": {d: joules for d, (_, joules) in busy_energy.items()},
+            "total_bytes": sum(u["bytes"] for u in link_usage.values()),
+            "total_byte_ms": sum(u["byte_ms"] for u in link_usage.values()),
+            "messages_emitted": len(latencies),
+            "messages_delivered": 2 * len(latencies),
+            "latency_count": len(latencies),
+            "latency_min_ms": min(latencies) if latencies else 0.0,
+            "latency_max_ms": max(latencies) if latencies else 0.0,
+            "latency_mean_ms": sum(latencies) / len(latencies) if latencies else 0.0,
+        }
+
+    # Every run sends some of the kept samples, and each float metric grows
+    # with what is sent, so the run that sends them all, cloud-only, bounds
+    # every run: an overflow is rejected here, before any stream is measured.
+    everything = traffic(kept)
+    bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in everything["link_usage"].items()]
+    bounds += [(f"devices.{d}.energy_j", j) for d, j in everything["device_energy_j"].items()]
+    bounds += [
+        ("network.total_byte_ms", everything["total_byte_ms"]),
+        ("latency_ms.max", everything["latency_max_ms"]),
+        ("latency_ms.mean", everything["latency_mean_ms"]),
+    ]
+    for name, value in bounds:
+        if not math.isfinite(value):
+            raise ValueError(f"a run's {name} would overflow to inf when every kept sample is sent")
+
+    measured = {s: measure_grid(kept[s], values[s], configs) for s in sensor_ids}
+    results = []
+    for i, config in enumerate(configs):
+        flags = {s: grid[i].flags for s, grid in measured.items()}
+        if config is None:
+            fields = everything
+        else:
+            fields = traffic({s: list(compress(kept[s], flags[s])) for s in sensor_ids})
+        mode = Mode.CLOUD_ONLY if config is None else Mode.MIST_FOG_CLOUD
+        results.append(
+            RunMetrics(
+                mode=mode.value,
+                seed=seed,
+                duration_ms=duration_ms,
+                message_size_bytes=message_size_bytes,
+                topology_fp=topology_fp,
+                sources_fp=sources_fp,
+                sensor_reports={s: grid[i].report for s, grid in measured.items()},
+                flags=flags,
+                cloud_id=cloud_id,
+                **fields,
+            )
         )
     return results
 
@@ -365,20 +359,13 @@ def run(
     *,
     message_size_bytes: int = 100,
     seed: int = 0,
-    trace: Optional[list] = None,
 ) -> RunMetrics:
-    """:func:`simulate` for one mode; ``trace``, when given, collects the
-    ``(time_ms, device_id, sensor_id, seq)`` deliveries in order, derived
-    from the returned flags, which cover each stream's kept prefix (mainly
-    for causality tests).
-    """
+    """:func:`simulate` for one mode; ``filter_config`` is used only by ``mist_fog_cloud``."""
+    config = None if Mode(mode) is Mode.CLOUD_ONLY else filter_config
     (metrics,) = simulate(
-        topology, streams, [mode], filter_config, energy, duration_ms,
+        topology, streams, [config], energy, duration_ms,
         message_size_bytes=message_size_bytes, seed=seed,
-    ).values()
-    if trace is not None:
-        sent = {s: compress(streams[s], flags) for s, flags in metrics.flags.items()}
-        trace.extend(_delivery_trace(sent, topology.uplink_paths(), metrics.cloud_id))
+    )
     return metrics
 
 

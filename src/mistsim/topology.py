@@ -7,10 +7,12 @@ as-is; the simulator does not model bandwidth saturation or memory.
 
 Validation and path lookup are one pass: :func:`validate` and
 :meth:`Topology.uplink_paths` both come from the same check, which indexes
-the devices by id and the links by the devices they touch once per call, so
-it costs time linear in devices plus links, in any declaration order.  The
-index is never cached on the mutable :class:`Topology`, so edits to
-``devices`` or ``links`` always take effect.
+the devices by id and the links by the devices they touch, so it costs time
+linear in devices plus links, in any declaration order.  A topology keeps
+its last check's result together with the device and link lists it checked,
+and reuses it only while both lists still compare equal, so validating and
+then resolving paths checks once, and edits to ``devices`` or ``links``
+always take effect.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 KINDS = ("cloud", "gateway", "sensor")
 _LINK_KINDS = (("gateway", "sensor"), ("cloud", "gateway"))  # sorted kind pairs
@@ -59,6 +61,8 @@ class Topology:
 
     devices: list[Device] = field(default_factory=list)
     links: list[Link] = field(default_factory=list)
+    # (devices, links) as last checked, and the check's result.
+    _last_check: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def by_kind(self, kind: str) -> list[Device]:
         return [d for d in self.devices if d.kind == kind]
@@ -75,7 +79,7 @@ class Topology:
     def uplink_path(self, sensor_id: str) -> list[Link]:
         """Links from a sensor up to the cloud: sensor->gateway, gateway->cloud.
 
-        Each call checks the whole topology (see :meth:`uplink_paths`).
+        Each call resolves every sensor's path (see :meth:`uplink_paths`).
         Raises ``KeyError`` for an unknown id and ``ValueError`` for an
         invalid topology or a device that is not a sensor.
         """
@@ -94,10 +98,10 @@ class Topology:
         gateway->cloud link)``.  Raises ``ValueError("invalid topology: ...")``
         listing every violation :func:`validate` reports, if there is any.
         """
-        violations, paths = _check(self)
+        violations, paths = _checked(self)
         if violations:
             raise ValueError("invalid topology: " + "; ".join(violations))
-        return paths
+        return dict(paths)
 
 
 def validate(topology: Topology) -> list[str]:
@@ -109,7 +113,20 @@ def validate(topology: Topology) -> list[str]:
     devices plus links, plus the level pairs visited when some level
     ordering is broken.
     """
-    return _check(topology)[0]
+    return list(_checked(topology)[0])
+
+
+def _checked(topology: Topology) -> tuple[list[str], dict[str, tuple[Link, str, Link]]]:
+    """:func:`_check`'s result, reused while ``devices`` and ``links`` compare equal.
+
+    Devices and links are frozen, so equal lists get the same result; the
+    comparison costs one identity test per element while neither list is
+    edited.
+    """
+    snapshot = (tuple(topology.devices), tuple(topology.links))
+    if topology._last_check is None or topology._last_check[0] != snapshot:
+        topology._last_check = (snapshot, _check(topology))
+    return topology._last_check[1]
 
 
 def _check(topology: Topology) -> tuple[list[str], dict[str, tuple[Link, str, Link]]]:

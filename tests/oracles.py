@@ -165,6 +165,40 @@ def heap_network(devices, links, emitted, size_bytes, duration_ms, energy_params
     }
 
 
+def delivery_trace(topology, sent):
+    """Every delivery as ``(time_ms, device_id, sensor_id, seq)``, in closed form.
+
+    Gives :func:`heap_network`'s trace without a queue.  ``topology`` is
+    anything with ``devices`` and ``links`` lists of the package's records,
+    and ``sent`` maps each sensor, in declaration order, to the samples it
+    transmitted.  Emissions take seq ``0..E-1`` in ``(emit_ms, declaration
+    index)`` order; gateway arrivals forward in ``(due_ms, seq)`` order, the
+    r-th taking seq ``E + r``; all deliveries then sort by ``(due_ms, seq)``.
+    """
+    cloud_id = next(d.id for d in topology.devices if d.kind == "cloud")
+    paths = {}
+    for sensor_id in sent:
+        first, second = scan_uplink_path(topology, sensor_id)
+        paths[sensor_id] = (first, first.dst if first.src == sensor_id else first.src, second)
+    emissions = sorted(
+        (sample.timestamp, decl_idx, sensor_id)
+        for decl_idx, (sensor_id, samples) in enumerate(sent.items())
+        for sample in samples
+    )
+    arrivals = sorted(
+        (emit_ms + paths[sensor_id][0].latency_ms, seq, sensor_id)
+        for seq, (emit_ms, _, sensor_id) in enumerate(emissions)
+    )
+    forwarded_from = len(arrivals)
+    deliveries = [(due_ms, paths[s][1], s, seq) for due_ms, seq, s in arrivals]
+    deliveries += [
+        (due_ms + paths[s][2].latency_ms, cloud_id, s, forwarded_from + rank)
+        for rank, (due_ms, _, s) in enumerate(arrivals)
+    ]
+    deliveries.sort(key=lambda d: (d[0], d[3]))
+    return deliveries
+
+
 def quadratic_validate(topology):
     """Tree validation as first written: ``ids.count`` per id, every level pair.
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mistsim.mist_filter import EventFilter, FilterConfig, Sample
 from mistsim.reconstruction import build_log, error_report, reconstruct_zoh, reduction_stats
 from mistsim.rng import SplitMix64
 from mistsim.sources import ReplaySpec, SensorSpec, gen_normal, load_csv
+from oracles import delivery_trace
 
 pytestmark = pytest.mark.acceptance
 
@@ -28,7 +30,7 @@ def table2_results(table2_cfg_path):
     """Both simulation modes over the shipped scenario, plus the wall time."""
     scenario = load_config(table2_cfg_path)
     streams = {spec.device_id: gen_normal(spec) for spec in scenario.sources}
-    fc = scenario.filter_config()
+    (fc,) = scenario.grid
     started = time.perf_counter()
     cloud_only = run(
         scenario.topology,
@@ -209,7 +211,6 @@ def test_07_latency_exactness(table2_cfg_path):
     streams = {d.id: [] for d in topology.sensors()}
     for emit_ms in (0.0, 100.5, 9_999.0):
         streams["S1"] = [Sample(emit_ms, 25.0)]
-        trace = []
         metrics = run(
             topology,
             streams,
@@ -217,8 +218,9 @@ def test_07_latency_exactness(table2_cfg_path):
             FilterConfig(),
             EnergyModel(),
             1_000_000.0,
-            trace=trace,
         )
+        sent = {s: compress(streams[s], flags) for s, flags in metrics.flags.items()}
+        trace = delivery_trace(topology, sent)
         assert metrics.latency_count == 1
         assert metrics.latency_min_ms == 54.0
         assert metrics.latency_max_ms == 54.0

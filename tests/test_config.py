@@ -123,10 +123,7 @@ def test_filter_grid_sweep_is_n_major():
         FilterConfig(50, 0.05),
         FilterConfig(50, 0.1),
     )
-    with pytest.raises(ConfigError, match="exactly one"):
-        sc.filter_config()
-    single = parse_config("[run]\n")
-    assert single.filter_config() == FilterConfig(10, 0.05)
+    assert parse_config("[run]\n").grid == (FilterConfig(10, 0.05),)
 
 
 # ------------------------------------------------------------ rejections

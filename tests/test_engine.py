@@ -28,7 +28,7 @@ from mistsim.engine import (
 from mistsim.mist_filter import FilterConfig, Sample
 from mistsim.sources import SensorSpec, gen_normal
 from mistsim.topology import Device, Link, Topology, validate
-from oracles import dead_band_flags, heap_network, loop_check_stream
+from oracles import dead_band_flags, delivery_trace, heap_network, loop_check_stream
 
 FC = FilterConfig(n=10, p=0.05)
 ENERGY = EnergyModel()
@@ -45,6 +45,13 @@ def small_topology(sensor_count=2, sensor_latency=4.0, uplink_latency=50.0):
 
 def constant_stream(count, value=25.0, period=1000.0):
     return [Sample(k * period, value) for k in range(count)]
+
+
+def traced_run(topo, streams, *args, **kwargs):
+    """``run`` and its delivery trace, derived from the flags it returns."""
+    metrics = run(topo, streams, *args, **kwargs)
+    sent = {s: itertools.compress(streams[s], flags) for s, flags in metrics.flags.items()}
+    return metrics, delivery_trace(topo, sent)
 
 
 # ---------------------------------------------------------------- energy
@@ -100,10 +107,7 @@ def test_account_energy_validation():
 def test_single_message_latency_is_sum_of_hops():
     topo = small_topology(sensor_count=1, sensor_latency=4.0, uplink_latency=50.0)
     streams = {"s1": [Sample(0.0, 25.0)]}
-    trace = []
-    metrics = run(
-        topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0, trace=trace
-    )
+    metrics, trace = traced_run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     assert metrics.latency_count == 1
     assert metrics.latency_min_ms == 54.0
     assert metrics.latency_max_ms == 54.0
@@ -113,8 +117,7 @@ def test_single_message_latency_is_sum_of_hops():
 def test_latency_offsets_track_emission_time():
     topo = small_topology(sensor_count=1, sensor_latency=4.0, uplink_latency=50.0)
     streams = {"s1": [Sample(100.5, 25.0)]}
-    trace = []
-    run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0, trace=trace)
+    _, trace = traced_run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     assert [t for t, _, _, _ in trace] == [104.5, 154.5]
 
 
@@ -140,8 +143,7 @@ def test_trace_times_are_non_decreasing_and_fifo_per_sensor():
         "s1": constant_stream(50, period=7.0),
         "s2": constant_stream(40, period=11.0),
     }
-    trace = []
-    run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 10_000.0, trace=trace)
+    _, trace = traced_run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 10_000.0)
     times = [t for t, _, _, _ in trace]
     assert times == sorted(times)
     for sensor in ("s1", "s2"):
@@ -479,16 +481,8 @@ def test_property_closed_form_matches_heap_oracle(scenario, n, p, size):
             duration,
             energy_params,
         )
-        trace = []
-        got = run(
-            topo,
-            streams,
-            mode,
-            FilterConfig(n=n, p=p),
-            ENERGY,
-            duration,
-            message_size_bytes=size,
-            trace=trace,
+        got, trace = traced_run(
+            topo, streams, mode, FilterConfig(n=n, p=p), ENERGY, duration, message_size_bytes=size
         )
 
         assert {k: (u["messages"], u["bytes"]) for k, u in got.link_usage.items()} == {
@@ -535,8 +529,8 @@ def test_property_metrics_ignore_declaration_order(scenario, n, p, shuffle_seed)
     for mode in Mode:
         runs, traces = [], []
         for t in (topo, shuffled):
-            trace = []
-            runs.append(run(t, streams, mode, FilterConfig(n=n, p=p), ENERGY, duration, trace=trace))
+            metrics, trace = traced_run(t, streams, mode, FilterConfig(n=n, p=p), ENERGY, duration)
+            runs.append(metrics)
             traces.append(sorted(d[:3] for d in trace))
         a, b = runs
         assert a.sensor_reports == b.sensor_reports
@@ -559,24 +553,45 @@ def test_property_metrics_ignore_declaration_order(scenario, n, p, shuffle_seed)
         assert traces[0] == traces[1]
 
 
+@st.composite
+def config_lists(draw):
+    """Distinct grid points, with cloud-only's ``None`` drawn in anywhere or left out."""
+    configs = draw(
+        st.lists(
+            st.builds(
+                FilterConfig,
+                n=st.integers(min_value=1, max_value=4),
+                p=st.one_of(st.sampled_from([0.0, 0.05, 0.1]), st.floats(0.0, 0.3)),
+            ),
+            max_size=5,
+            unique=True,
+        )
+    )
+    if not configs or draw(st.booleans()):
+        configs.insert(draw(st.integers(min_value=0, max_value=len(configs))), None)
+    return configs
+
+
 @given(
     scenario=network_scenarios(),
-    modes=st.permutations(list(Mode)),
-    n=st.integers(min_value=1, max_value=4),
-    p=st.floats(min_value=0.0, max_value=0.3),
+    configs=config_lists(),
     size=st.integers(min_value=1, max_value=500),
 )
 @settings(max_examples=150, deadline=None)
-def test_property_simulate_equals_one_run_per_mode(scenario, modes, n, p, size):
+def test_property_simulate_equals_one_run_per_mode(scenario, configs, size):
+    # Each config's run equals a one-config run: cloud-only for None, else
+    # mist_fog_cloud under that config.
     topo, streams, duration = scenario
-    fc = FilterConfig(n=n, p=p)
-    got = simulate(topo, streams, modes, fc, ENERGY, duration, message_size_bytes=size, seed=3)
-    assert list(got) == [mode.value for mode in modes]
-    for mode in modes:
-        single = run(topo, streams, mode, fc, ENERGY, duration, message_size_bytes=size, seed=3)
-        both = got[mode.value]
-        assert json.dumps(both.to_dict()) == json.dumps(single.to_dict())
-        assert both.log_digests == single.log_digests and both.flags == single.flags
+    got = simulate(topo, streams, configs, ENERGY, duration, message_size_bytes=size, seed=3)
+    assert len(got) == len(configs)
+    for config, metrics in zip(configs, got):
+        mode = Mode.CLOUD_ONLY if config is None else Mode.MIST_FOG_CLOUD
+        single = run(
+            topo, streams, mode, config or FC, ENERGY, duration, message_size_bytes=size, seed=3
+        )
+        assert metrics.mode == mode.value
+        assert json.dumps(metrics.to_dict()) == json.dumps(single.to_dict())
+        assert metrics.log_digests == single.log_digests and metrics.flags == single.flags
 
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -629,14 +644,12 @@ def test_property_stream_check_matches_the_loop_it_replaced(scenario):
         assert got is samples  # a stream the horizon does not cut is not copied
 
 
-def test_simulate_rejects_empty_or_repeated_modes():
+def test_simulate_rejects_empty_or_repeated_configs():
     topo = small_topology(sensor_count=1)
     streams = {"s1": constant_stream(3)}
-    for modes in ([], [Mode.CLOUD_ONLY, "cloud_only"]):
-        with pytest.raises(ValueError, match="modes must be non-empty and distinct"):
-            simulate(topo, streams, modes, FC, ENERGY, 10_000.0)
-    with pytest.raises(ValueError):
-        simulate(topo, streams, ["cloud_only", "fog_only"], FC, ENERGY, 10_000.0)
+    for configs in ([], [None, None], [FC, None, FilterConfig(n=10, p=0.05)]):
+        with pytest.raises(ValueError, match="configs must be non-empty and distinct"):
+            simulate(topo, streams, configs, ENERGY, 10_000.0)
 
 
 def test_simulate_checks_every_stream_before_measuring_any():
@@ -650,10 +663,10 @@ def test_simulate_checks_every_stream_before_measuring_any():
     with pytest.raises(
         ValueError, match=r"sensor 's2': out-of-order sample: timestamp 0\.0 does not exceed 1\.0"
     ):
-        simulate(topo, streams, list(Mode), FilterConfig(n=2, p=0.1), ENERGY, 1000.0)
+        simulate(topo, streams, [None, FilterConfig(n=2, p=0.1)], ENERGY, 1000.0)
     streams["s2"] = constant_stream(2)
     with pytest.raises(ValueError, match="overflowed"):
-        simulate(topo, streams, list(Mode), FilterConfig(n=2, p=0.1), ENERGY, 1000.0)
+        simulate(topo, streams, [None, FilterConfig(n=2, p=0.1)], ENERGY, 1000.0)
 
 
 @pytest.mark.parametrize(

@@ -334,6 +334,31 @@ def test_property_measure_grid_matches_step_reference(values, shift, configs):
     )
 
 
+@given(
+    noise=st.lists(
+        st.one_of(st.floats(min_value=-1.0, max_value=1.0), st.sampled_from([0.0, 1.0, -1.0])),
+        max_size=60,
+    ),
+    mean=st.sampled_from([0.0, 1e-9, -1e-9, 1.0, -25.0, 1e6]),
+    spread=st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 1e3]),
+    n=st.integers(min_value=1, max_value=8),
+    ps=st.lists(
+        st.one_of(st.sampled_from([0.0, 0.05, 0.1, 1.0]), st.floats(min_value=0.0, max_value=2.0)),
+        min_size=2,
+        max_size=6,
+        unique=True,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_decisions_nest_in_p(noise, mean, spread, n, ps):
+    # For a fixed n, every sample sent under a wider band is sent under a
+    # narrower one: the window averages do not depend on p.
+    samples = samples_of([mean + spread * x for x in noise])
+    grid = measure_checked(samples, [FilterConfig(n=n, p=p) for p in sorted(ps)])
+    for narrow, wide in zip(grid, grid[1:]):
+        assert all(w <= m for w, m in zip(wide.flags, narrow.flags))
+
+
 FAULTS = (
     "nan value", "inf value", "-inf value",
     "nan timestamp", "inf timestamp", "-inf timestamp", "repeated timestamp",

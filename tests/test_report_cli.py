@@ -8,6 +8,7 @@ import json
 import pytest
 
 from mistsim import cli, engine, reconstruction
+from mistsim import topology as topology_module
 from mistsim.cli import main
 from mistsim.mist_filter import Sample
 from mistsim.reconstruction import TransmissionLog, reconstruct_zoh
@@ -303,20 +304,87 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     # the values each stream's check returns are measured unchecked.  The
     # flags are the only record of what was sent, so no transmission log is
     # built, and the scenario is serialized once for both of its echoes.
+    # The topology is checked once, by the CLI's validation, before any
+    # source is generated; the engine's path lookup reuses that check.
     calls, counted = count_calls
     for name in ("_check_stream", "check_stream", "_sources_fp", "_topology_fp", "measure_grid"):
         counted(engine, name)
     counted(reconstruction, "window_averages")
     counted(Topology, "uplink_paths")
+    counted(topology_module, "_check")
     counted(TransmissionLog, "__post_init__")
     counted(cli, "serialize_scenario")
     monkeypatch.chdir(table2_cfg_path.parent)
     args = ["simulate", "--config", "table2.cfg", "--out", str(tmp_path), "--quiet"]
     assert main(args) == 0
     assert calls == {
-        "uplink_paths": 1, "_check_stream": 6, "check_stream": 6, "_topology_fp": 1,
+        "uplink_paths": 1, "_check": 1, "_check_stream": 6, "check_stream": 6, "_topology_fp": 1,
         "_sources_fp": 1, "measure_grid": 6, "window_averages": 6, "serialize_scenario": 1,
     }
+
+
+SWEEP = ["--n", "5,10,50", "--p", "0.01,0.05,0.1"]
+SWEEP_POINTS = [(n, p) for n in (5, 10, 50) for p in (0.01, 0.05, 0.1)]
+
+
+def test_cli_simulate_sweeps_the_grid_in_one_pass(
+    tmp_path, table2_cfg_path, monkeypatch, count_calls
+):
+    # A 3x3 grid over table2.cfg's six sensors: each stream is checked and
+    # measured once, stage 1 runs once per (sensor, n), and the topology is
+    # checked once.  Each grid point is compared with the one baseline, in
+    # grid order, and equals the single-point run at that point.
+    calls, counted = count_calls
+    for name in ("_check_stream", "_sources_fp", "measure_grid"):
+        counted(engine, name)
+    counted(reconstruction, "window_averages")
+    counted(topology_module, "_check")
+    monkeypatch.chdir(table2_cfg_path.parent)
+    gate = "comparison.8.network_total_bytes.reduction_percent > 0"
+    args = ["simulate", "--config", "table2.cfg", *SWEEP, "--assert", gate, "--quiet"]
+    assert main([*args, "--out", str(tmp_path / "sweep")]) == 0
+    assert calls == {
+        "_check_stream": 6, "measure_grid": 6, "window_averages": 18, "_sources_fp": 1,
+        "_check": 1,
+    }
+    report = json.loads((tmp_path / "sweep" / "report.json").read_text())
+    assert report["modes_run"] == ["cloud_only", "mist_fog_cloud"]
+    runs, comparison = report["runs"]["mist_fog_cloud"], report["comparison"]
+    assert [(run["n"], run["p"]) for run in runs] == SWEEP_POINTS
+    assert [(row["n"], row["p"]) for row in comparison] == SWEEP_POINTS
+    for run, row in zip(runs, comparison):
+        assert row["network_total_bytes"]["candidate"] == run["network"]["total_bytes"]
+
+    args = ["simulate", "--config", "table2.cfg", "--quiet", "--out", str(tmp_path / "one")]
+    assert main(args) == 0
+    single = json.loads((tmp_path / "one" / "report.json").read_text())
+    at = SWEEP_POINTS.index((10, 0.05))
+    assert {"n": 10, "p": 0.05, **single["comparison"]} == comparison[at]
+    assert {"n": 10, "p": 0.05, **single["runs"]["mist_fog_cloud"]} == runs[at]
+    assert single["runs"]["cloud_only"] == report["runs"]["cloud_only"]
+
+
+def test_cli_simulate_sweep_labels_rows_plots_and_lines(tmp_path, sim_cfg, capsys):
+    # Sweep runs are labelled like filter's plots: mode, then _n<n>_p<p>.
+    sim_cfg.write_text(SIM_CFG.replace("mode = both", "mode = both\nplot_data = true"))
+    out = tmp_path / "out"
+    args = ["simulate", "--config", str(sim_cfg), "--n", "5", "--p", "0.05,0.1"]
+    assert main([*args, "--out", str(out)]) == 0
+    suffixes = ["_n5_p0.05", "_n5_p0.1"]
+    labels = ["cloud_only"] + [f"mist_fog_cloud{suffix}" for suffix in suffixes]
+    rows = (out / "sensor_metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [[m, s] for m in labels for s in "ab"]
+    links = (out / "link_usage.csv").read_text().splitlines()[1:]
+    assert list(dict.fromkeys(row.split(",")[0] for row in links)) == labels
+    plots = sorted(path.name for path in out.glob("plot_*.csv"))
+    assert plots == sorted(f"plot_{s}{suffix}.csv" for suffix in suffixes for s in "ab")
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:3]] == labels
+    assert all("network_total_bytes reduction" in line for line in lines[1:3])
+    runs = json.loads((out / "report.json").read_text())["runs"]["mist_fog_cloud"]
+    for run, suffix in zip(runs, suffixes):
+        plot = (out / f"plot_a{suffix}.csv").read_text().splitlines()[1:]
+        assert sum(int(line.split(",")[3]) for line in plot) == run["sensors"]["a"]["transmitted"]
 
 
 def test_cli_filter_checks_each_source_once(tmp_path, table2_cfg_path, monkeypatch, count_calls):
@@ -568,8 +636,11 @@ def test_exit_2_replay_past_the_horizon_writes_nothing(tmp_path, office_csv_path
     ],
     ids=["latency", "cloud-power"],
 )
-def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, edit, path):
-    # Finite inputs whose metrics overflow only at report time.
+def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, count_calls, edit, path):
+    # Finite inputs whose metrics would overflow: rejected once the streams
+    # are checked, before any is measured, naming the report field.
+    calls, counted = count_calls
+    counted(engine, "measure_grid")
     text = SIM_CFG
     for old, new in edit.items():
         assert old in text
@@ -578,9 +649,11 @@ def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, edit, path):
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    field = path.removeprefix("runs.cloud_only.")
     assert capsys.readouterr().err == (
-        f"runtime error: reports must not contain non-finite floats, got inf at {path}\n"
+        f"runtime error: a run's {field} would overflow to inf when every kept sample is sent\n"
     )
+    assert calls == {}
     assert not (out / "report.json").exists()
 
 

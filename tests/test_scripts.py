@@ -1,24 +1,11 @@
-"""Smoke tests for the helper scripts, so an API change cannot break them silently."""
+"""Smoke test for the helper script, so an API change cannot break it silently."""
 
 from __future__ import annotations
 
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def test_table2_comparison_runs():
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "run_table2_comparison.py")],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "cloud-only baseline" in proc.stdout
 
 
 def test_office_fixture_regenerates_byte_identical(tmp_path, office_csv_path):
