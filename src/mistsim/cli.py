@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
 from .engine import Mode, compare, simulate
-from .mist_filter import Sample, check_stream
+from .mist_filter import FilterConfig, Sample, check_stream
 from .reconstruction import measure_grid
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .engine import run  # noqa: F401
@@ -79,18 +79,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_values(flag: str, text: Optional[str], conv):
-    if text is None:
-        return None
-    cells = [c.strip() for c in text.split(",") if c.strip()]
-    if not cells:
-        raise UsageError(f"{flag} needs at least one value")
-    try:
-        return tuple(conv(c) for c in cells)
-    except ValueError:
-        raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}") from None
-
-
 def _load_scenario(args, command: str) -> Scenario:
     replace_sources = None
     if command == "filter" and args.dataset:
@@ -107,8 +95,8 @@ def _load_scenario(args, command: str) -> Scenario:
 
     overrides = Overrides(
         seed=args.seed,
-        n_values=_parse_values("--n", args.n, int),
-        p_values=_parse_values("--p", args.p, float),
+        n_text=args.n,
+        p_text=args.p,
         mode=getattr(args, "mode", None),
         plot_data_default=(command == "filter"),
         replace_sources=replace_sources,
@@ -158,12 +146,10 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     # are computed once per n and shared by every p.  Visiting n in grid order,
     # then sources in declaration order, raises the error the grid-major loop
     # below would meet first.
-    by_n: dict[int, list] = {}
-    for cfg in scenario.grid:
-        by_n.setdefault(cfg.n, []).append(cfg)
     values: dict[str, list[float]] = {}
     measured = {}
-    for n, configs in by_n.items():
+    for n in scenario.n_values:
+        configs = [FilterConfig(n=n, p=p) for p in scenario.p_values]
         for source_id, samples in streams.items():
             try:
                 if source_id not in values:
@@ -289,7 +275,9 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     link_rows = []
     plot_series: dict = {}
     # Plot the filtered runs when they ran; cloud-only transmits every sample.
+    # A plot covers only the samples the runs kept, those before the horizon.
     plotted = results[-1].mode
+    kept = {s: streams[s][: len(f)] for s, f in results[-1].flags.items() if scenario.plot_data}
     for metrics, suffix, block in zip(results, suffixes, blocks):
         label = metrics.mode + suffix
         for sensor_id, stats in sorted(block["sensors"].items()):
@@ -299,7 +287,7 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
             link_rows.append((label, link_name, usage["messages"], usage["bytes"], usage["byte_ms"]))
         if scenario.plot_data and metrics.mode == plotted:
             for sensor_id, flags in metrics.flags.items():
-                plot_series[f"plot_{sensor_id}{suffix}"] = (streams[sensor_id], flags)
+                plot_series[f"plot_{sensor_id}{suffix}"] = (kept[sensor_id], flags)
 
     written = emit_report(
         report,
@@ -375,10 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,8 @@
 Section grammar (full key reference in ``docs/config_format.md``)::
 
     [run]                    seed, duration_ms, message_size_bytes, mode, plot_data
-    [filter]                 n, p (comma-separated lists sweep the filter grid)
+    [filter]                 n, p (comma-separated lists sweep the filter grid;
+                             --n/--p replace them and are parsed alike)
     [energy]                 <kind>_busy_w, <kind>_idle_w, <kind>_busy_ms_per_message
     [device <id>]            kind, level, uplink_kbps, downlink_kbps, ram_mb
     [link <src> <dst>]       latency_ms
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
@@ -47,8 +48,8 @@ class Overrides:
     """Command-line knobs folded in during parsing, before seed resolution."""
 
     seed: Optional[int] = None
-    n_values: Optional[tuple[int, ...]] = None
-    p_values: Optional[tuple[float, ...]] = None
+    n_text: Optional[str] = None  # the --n text, parsed like [filter] n
+    p_text: Optional[str] = None  # the --p text, parsed like [filter] p
     mode: Optional[str] = None
     plot_data_default: Optional[bool] = None
     replace_sources: Optional[tuple[SourceSpec, ...]] = None
@@ -60,13 +61,19 @@ class Scenario:
 
     topology: Topology
     sources: tuple[SourceSpec, ...]
-    grid: tuple[FilterConfig, ...]
+    n_values: tuple[int, ...]
+    p_values: tuple[float, ...]
     energy: EnergyModel
     seed: int
     duration_ms: Optional[float]
     message_size_bytes: int
     mode: str
     plot_data: Optional[bool]
+
+    @property
+    def grid(self) -> tuple[FilterConfig, ...]:
+        """The filter grid, n-major: every ``p`` for the first ``n``, then the next ``n``."""
+        return tuple(FilterConfig(n=n, p=p) for n in self.n_values for p in self.p_values)
 
 
 def _section_error(origin: str, section: str, message: str) -> ConfigError:
@@ -186,7 +193,7 @@ def parse_config(
         raise _section_error(origin, "run", f"mode must be one of {MODES}, got {mode!r}")
     plot_data = _get_bool(origin, "run", run_raw, "plot_data", ov.plot_data_default)
 
-    grid = _parse_filter_grid(origin, filter_raw, ov)
+    n_values, p_values = _parse_filter_grid(origin, filter_raw, ov)
     energy = _parse_energy(origin, energy_raw)
 
     sources: list[SourceSpec]
@@ -210,7 +217,8 @@ def parse_config(
     return Scenario(
         topology=Topology(devices=devices, links=links),
         sources=tuple(sources),
-        grid=grid,
+        n_values=n_values,
+        p_values=p_values,
         energy=energy,
         seed=seed,
         duration_ms=duration_ms,
@@ -247,38 +255,38 @@ def _parse_link(origin: str, section: str, src: str, dst: str, raw: dict) -> Lin
     return Link(src=src, dst=dst, latency_ms=latency)
 
 
-def _parse_filter_grid(origin: str, filter_raw: dict, ov: Overrides) -> tuple[FilterConfig, ...]:
+def _parse_filter_grid(
+    origin: str, filter_raw: dict, ov: Overrides
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The ``n`` and ``p`` lists, each parsed from its flag (``--n``), else its
+    ``[filter]`` key, else :class:`FilterConfig`'s default; errors name the source."""
     _check_keys(origin, "filter", filter_raw, ("n", "p"))
-
-    def parse_list(key: str, conv, fallback):
-        if key in filter_raw:
-            cells = [c.strip() for c in filter_raw[key].split(",") if c.strip()]
-            if not cells:
-                raise _section_error(origin, "filter", f"{key} must list at least one value")
-            try:
-                return tuple(conv(c) for c in cells)
-            except ValueError:
-                raise _section_error(
-                    origin, "filter", f"{key} must be comma-separated numbers, got {filter_raw[key]!r}"
-                ) from None
-        return fallback
-
-    n_values = ov.n_values if ov.n_values is not None else parse_list("n", int, (10,))
-    p_values = ov.p_values if ov.p_values is not None else parse_list("p", float, (0.05,))
-    for key, values, override in (("n", n_values, ov.n_values), ("p", p_values, ov.p_values)):
-        where = f"{origin}: [filter]" if override is None else f"--{key}"
-        seen: set = set()
-        for value in values:
+    lists = []
+    for key, conv, flag_text in (("n", int, ov.n_text), ("p", float, ov.p_text)):
+        if flag_text is not None:
+            where, text = f"--{key}", flag_text
+        else:
+            where, text = f"{origin}: [filter]", filter_raw.get(key)
+        if text is None:
+            lists.append((getattr(FilterConfig(), key),))
+            continue
+        try:
+            values = tuple(conv(cell) for cell in text.split(",") if cell.strip())
+        except ValueError:
+            raise ConfigError(f"{where}: {key} must be comma-separated numbers, got {text!r}") from None
+        if not values:
+            raise ConfigError(f"{where}: {key} must list at least one value")
+        for i, value in enumerate(values):
             try:
                 FilterConfig(**{key: value})
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
-            if value in seen:  # 0.0 and -0.0 count as one value
+            if value in values[:i]:  # 0.0 and -0.0 count as one value
                 raise ConfigError(
                     f"{where}: {key} values must be distinct; {value!r} repeats an earlier one"
                 )
-            seen.add(value)
-    return tuple(FilterConfig(n=n, p=p) for n in n_values for p in p_values)
+        lists.append(values)
+    return tuple(lists)
 
 
 def _parse_energy(origin: str, energy_raw: dict) -> EnergyModel:
@@ -361,16 +369,6 @@ def load_config(path: str | Path, overrides: Optional[Overrides] = None) -> Scen
     return parse_config(text, origin=str(path), overrides=overrides)
 
 
-def _grid_lists(grid: tuple[FilterConfig, ...]) -> tuple[list[int], list[float]]:
-    """Recover the n and p lists (declaration order) behind a product grid."""
-    n_values = list(dict.fromkeys(cfg.n for cfg in grid))
-    p_values = list(dict.fromkeys(cfg.p for cfg in grid))
-    product = tuple(FilterConfig(n=n, p=p) for n in n_values for p in p_values)
-    if product != tuple(grid):
-        raise ValueError("filter grid is not an n-major product of its n and p values")
-    return n_values, p_values
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -397,10 +395,9 @@ def serialize_scenario(scenario: Scenario) -> str:
         lines.append(f"plot_data = {_fmt(scenario.plot_data)}")
     lines.append("")
 
-    n_values, p_values = _grid_lists(scenario.grid)
     lines.append("[filter]")
-    lines.append("n = " + ",".join(str(n) for n in n_values))
-    lines.append("p = " + ",".join(repr(p) for p in p_values))
+    lines.append("n = " + ",".join(map(str, scenario.n_values)))
+    lines.append("p = " + ",".join(map(repr, scenario.p_values)))
     lines.append("")
 
     lines.append("[energy]")

@@ -18,10 +18,11 @@ fully determined by its inputs.
 
 Every stream is checked whole, in declaration order, before any is measured:
 :func:`mistsim.mist_filter.check_stream` enforces the filter's contract, the
-engine adds only that the first timestamp is ``>= 0``, and any error names
-the sensor.  Samples at or past the horizon, and the values the check
-returned for them, are then cut off by bisection; the values are measured
-unchecked, and a stream the horizon does not cut is used as it is.
+engine adds only that the first timestamp is ``>= 0``.  Any error, from the
+check or from measuring, names the sensor.  Samples at or past the horizon,
+and the values the check returned for them, are then cut off by bisection;
+the values are measured unchecked, and a stream the horizon does not cut is
+used as it is.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -323,7 +324,12 @@ def simulate(
         if not math.isfinite(value):
             raise ValueError(f"a run's {name} would overflow to inf when every kept sample is sent")
 
-    measured = {s: measure_grid(kept[s], values[s], configs) for s in sensor_ids}
+    measured = {}
+    for s in sensor_ids:
+        try:
+            measured[s] = measure_grid(kept[s], values[s], configs)
+        except ValueError as exc:
+            raise ValueError(f"sensor {s!r}: {exc}") from None
     results = []
     for i, config in enumerate(configs):
         flags = {s: grid[i].flags for s, grid in measured.items()}
@@ -370,10 +376,8 @@ def run(
 
 
 def _reduction_row(baseline: float, candidate: float) -> dict:
-    if baseline == 0:
-        pct = None
-    else:
-        pct = 100.0 * (baseline - candidate) / baseline
+    # The ratio first: 100 * a byte_ms total near the float limit overflows.
+    pct = 100.0 * ((baseline - candidate) / baseline) if baseline else None
     return {"baseline": baseline, "candidate": candidate, "reduction_percent": pct}
 
 
@@ -382,7 +386,7 @@ def compare(baseline: RunMetrics, candidate: RunMetrics) -> dict:
 
     Both runs must describe the same scenario: identical topology, streams,
     seed, duration, and message size.  Reduction percent is
-    ``100 * (baseline - candidate) / baseline`` per metric, ``None`` when the
+    ``100 * ((baseline - candidate) / baseline)`` per metric, ``None`` when the
     baseline value is zero.
     """
     for name in ("topology_fp", "sources_fp", "seed", "duration_ms", "message_size_bytes"):

@@ -17,8 +17,9 @@ transmit decision and accounts the hold error in the same loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 from operator import itemgetter, lt
 from typing import NamedTuple, Optional, Sequence
 
@@ -187,6 +188,7 @@ def measure_grid(
     stream).  Stage 1, :func:`window_averages`, runs once per distinct ``n``
     in order of first occurrence and raises ``ValueError`` where ``step``
     first meets an overflowing window; every ``p`` shares its averages.
+    Stage 2 raises ``ValueError`` where the running total of hold errors overflows.
     """
     total = len(samples)
     mean_abs_raw = sum(map(abs, values)) / total if total else 0.0
@@ -194,7 +196,8 @@ def measure_grid(
     averages_by_n: dict[int, list[float]] = {}
     for config in filter_configs:
         if config is None:
-            results.append(_measurement(bytearray(b"\x01" * total), [0.0] * total, mean_abs_raw))
+            flags = bytearray(b"\x01" * total)
+            results.append(_measurement(samples, flags, [0.0] * total, mean_abs_raw))
             continue
         n, p = config.n, config.p
         averages = averages_by_n.get(n)
@@ -213,17 +216,26 @@ def measure_grid(
                 held = value
             else:
                 abs_errors[i] = abs(value - held)
-        results.append(_measurement(flags, abs_errors, mean_abs_raw))
+        results.append(_measurement(samples, flags, abs_errors, mean_abs_raw))
     return results
 
 
-def _measurement(flags: bytearray, abs_errors: list, mean_abs_raw: float) -> Measurement:
+def _measurement(
+    samples: Sequence[Sample], flags: bytearray, abs_errors: list, mean_abs_raw: float
+) -> Measurement:
     total = len(flags)
     if not total:
         return Measurement(empty_report(), flags)
     # sum() over the ordered list, as error_report does: a running total
     # rounds differently wherever sum() compensates (Python >= 3.12).
-    avg_err = sum(abs_errors) / total
+    error_sum = sum(abs_errors)
+    if not math.isfinite(error_sum):  # errors are >= 0: one inf makes the sum inf
+        at = next((i for i, t in enumerate(accumulate(abs_errors)) if t == math.inf), total - 1)
+        raise ValueError(
+            f"hold error overflowed to inf at timestamp {samples[at].timestamp!r}; a suppressed "
+            "value's distance from its held value, or the sum of those, exceeds the float range"
+        )
+    avg_err = error_sum / total
     transmitted = flags.count(1)
     report = ErrorReport(
         total_count=total,

@@ -94,18 +94,20 @@ def emit_report(
 ) -> list[Path]:
     """Write the report document plus its CSV side tables.
 
-    ``plot_series`` maps a file stem to ``(samples, flags)``, ``flags[i]``
-    being 1 when ``samples[i]`` was transmitted (0 past its end); each
+    ``plot_series`` maps a file stem to ``(samples, flags)``, one flag per
+    sample, ``flags[i]`` being 1 when ``samples[i]`` was transmitted; each
     becomes a ``<stem>.csv`` with the raw value, its zero-order-hold
     reconstruction and the flag.  Series sharing one ``samples`` list are
-    written together, formatting its cells once.  Returns the written paths.
+    written together, formatting its cells once.  A report that cannot be
+    encoded raises before ``out_dir`` is made.  Returns the written paths.
     """
+    text = dumps_stable(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     report_path = out / "report.json"
-    report_path.write_text(dumps_stable(report), encoding="utf-8")
+    report_path.write_text(text, encoding="utf-8")
     written.append(report_path)
 
     if sensor_rows is not None:
@@ -140,7 +142,6 @@ def _write_plot_csv(
     path: Path, cells: Sequence[str], raws: Sequence[str], flags: bytearray
 ) -> Path:
     """One plot file from a source's ``timestamp,raw,`` cells and raw texts."""
-    flags = flags + bytes(len(cells) - len(flags))
     lines = ["timestamp,raw,reconstructed,transmitted_flag"]
     if 1 not in flags:
         # Nothing was transmitted: there is no held value, the raw one stands in.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mistsim.config import (
     ConfigError,
@@ -126,6 +128,26 @@ def test_filter_grid_sweep_is_n_major():
     assert parse_config("[run]\n").grid == (FilterConfig(10, 0.05),)
 
 
+@given(
+    n_values=st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=5, unique=True),
+    p_values=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=5, unique=True),
+    sep=st.sampled_from([",", ", ", " , "]),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_flags_and_filter_section_parse_alike(n_values, p_values, sep):
+    # The same list text, given as --n/--p or as [filter] keys, resolves to
+    # one scenario whose grid is the n-major product; its echo parses back
+    # to the same scenario.
+    n_text = sep.join(map(str, n_values))
+    p_text = sep.join(map(repr, p_values))
+    from_flags = parse_config(SMALL, overrides=Overrides(n_text=n_text, p_text=p_text))
+    from_file = parse_config(SMALL.replace("n = 4\np = 0.1\n", f"n = {n_text}\np = {p_text}\n"))
+    assert from_flags == from_file
+    assert (from_file.n_values, from_file.p_values) == (tuple(n_values), tuple(p_values))
+    assert from_file.grid == tuple(FilterConfig(n, p) for n in n_values for p in p_values)
+    assert parse_config(serialize_scenario(from_file)) == from_file
+
+
 # ------------------------------------------------------------ rejections
 
 
@@ -190,7 +212,7 @@ def test_load_config_missing_file(tmp_path):
 
 
 def test_overrides_take_precedence():
-    ov = Overrides(seed=100, n_values=(3,), p_values=(0.2,), mode="cloud_only")
+    ov = Overrides(seed=100, n_text="3", p_text="0.2", mode="cloud_only")
     sc = parse_config(SMALL, overrides=ov)
     assert sc.seed == 100
     assert sc.grid == (FilterConfig(3, 0.2),)
@@ -252,13 +274,6 @@ def test_table2_scenario_contents(table2_cfg_path):
         (28.0, 1.0),
         (22.0, 6.0),
     ]
-
-
-def test_serialize_rejects_non_product_grid():
-    sc = parse_config(MINIMAL)
-    sc.grid = (FilterConfig(10, 0.05), FilterConfig(50, 0.1))
-    with pytest.raises(ValueError, match="not an n-major product"):
-        serialize_scenario(sc)
 
 
 def test_serialized_floats_survive_reparse():

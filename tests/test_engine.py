@@ -665,7 +665,7 @@ def test_simulate_checks_every_stream_before_measuring_any():
     ):
         simulate(topo, streams, [None, FilterConfig(n=2, p=0.1)], ENERGY, 1000.0)
     streams["s2"] = constant_stream(2)
-    with pytest.raises(ValueError, match="overflowed"):
+    with pytest.raises(ValueError, match="^sensor 's1': window average overflowed"):
         simulate(topo, streams, [None, FilterConfig(n=2, p=0.1)], ENERGY, 1000.0)
 
 

@@ -411,6 +411,25 @@ def test_unfiltered_measurement_checks_the_stream():
         measure_stream([Sample(0.0, math.nan), Sample(1.0, 1.0)], None)
 
 
+@pytest.mark.parametrize(
+    "values, timestamp",
+    [
+        # One hold error, |-1e308 - 1e308|, is inf by itself.
+        ([1e308, -1e308, 1e308], "1.0"),
+        # Each error is 1.7e308; their running total overflows at the second.
+        ([1e308, -0.7e308, -0.7e308, -0.7e308], "2.0"),
+    ],
+)
+def test_measure_grid_rejects_an_overflowing_hold_error(values, timestamp):
+    # p = 1e300 makes every band infinite, so all but the first sample is
+    # suppressed and held at 1e308.
+    samples = samples_of(values)
+    config = FilterConfig(n=1, p=1e300)
+    assert measure_stream(samples[:1], config).report.avg_abs_error == 0.0
+    with pytest.raises(ValueError, match=f"^hold error overflowed to inf at timestamp {timestamp};"):
+        measure_grid(samples, check_stream(samples, 1), [None, config])
+
+
 def test_measure_grid_shares_one_window_pass_per_n(monkeypatch):
     calls = []
 

@@ -131,30 +131,28 @@ def test_emit_report_writes_expected_files(tmp_path):
 
 def test_plot_rows_match_reference_reconstruction(tmp_path):
     # Two series share one source and a third has its own; paths come back
-    # in the given order whatever order the files are written in.  Flags
-    # shorter than the stream mark the rest as not transmitted (samples past
-    # the simulation horizon), and with nothing transmitted at all the raw
-    # value stands in for the reconstruction.
+    # in the given order whatever order the files are written in.  With
+    # nothing transmitted at all the raw value stands in for the
+    # reconstruction.
     a = [Sample(float(i), v) for i, v in enumerate([1.5, -0.0, 2.25, 1e-300, 7.0])]
     b = [Sample(10.0, 3.0), Sample(11.0, 4.0)]
     series = {
         "first": (a, bytearray([1, 0, 0, 1, 0])),
-        "other": (b, bytearray()),
-        "second": (a, bytearray([1, 1, 0])),
+        "other": (b, bytearray([0, 0])),
+        "second": (a, bytearray([1, 1, 0, 0, 0])),
     }
     written = emit_report({}, tmp_path, plot_series=series)
     assert [p.name for p in written] == ["report.json", "first.csv", "other.csv", "second.csv"]
     for stem, (samples, flags) in series.items():
-        padded = list(flags) + [0] * (len(samples) - len(flags))
         log = TransmissionLog(
-            tuple(s for s, f in zip(samples, padded) if f), total_count=len(samples)
+            tuple(s for s, f in zip(samples, flags) if f), total_count=len(samples)
         )
         if log.entries:
             recon = reconstruct_zoh(log, [s.timestamp for s in samples])
         else:
             recon = [s.value for s in samples]
         want = ["timestamp,raw,reconstructed,transmitted_flag"] + [
-            f"{s.timestamp!r},{s.value!r},{r!r},{f}" for s, r, f in zip(samples, recon, padded)
+            f"{s.timestamp!r},{s.value!r},{r!r},{f}" for s, r, f in zip(samples, recon, flags)
         ]
         assert (tmp_path / f"{stem}.csv").read_text().splitlines() == want
 
@@ -420,6 +418,23 @@ def test_cli_simulate_plots_the_filtered_mode_when_it_ran(tmp_path, sim_cfg, mod
             assert all(row[3] == "1" and row[2] == row[1] for row in rows)
 
 
+@pytest.mark.parametrize("mode", ["both", "cloud_only"])
+def test_cli_simulate_plots_only_the_samples_before_the_horizon(tmp_path, sim_cfg, mode):
+    # Half of each stream lies at or past duration_ms: those samples are
+    # dropped, so they are neither counted nor plotted.
+    text = SIM_CFG.replace("duration_ms = 200000", "duration_ms = 100000")
+    sim_cfg.write_text(text.replace("mode = both", f"mode = {mode}\nplot_data = true"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim_cfg), "--out", str(out), "--quiet"]) == 0
+    runs = json.loads((out / "report.json").read_text())["runs"]
+    for sensor_id, stats in runs[list(runs)[-1]]["sensors"].items():
+        lines = (out / f"plot_{sensor_id}.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == stats["total"] == 1000
+        assert max(float(row[0]) for row in rows) < 100000
+        assert sum(int(row[3]) for row in rows) == stats["transmitted"]
+
+
 def test_cli_simulate_single_mode_has_no_comparison(tmp_path, sim_cfg):
     out = tmp_path / "out"
     code = main(
@@ -596,6 +611,44 @@ def test_exit_2_overflowing_window_writes_nothing(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "big, message",
+    [
+        # Each value is finite, but the suppressed -1e308 lies 2e308 from the
+        # held 1e308: the hold error overflows while it is measured.
+        ("1e308", "source 'big': hold error overflowed to inf at timestamp 1.0; "),
+        # avg_error_pct_of_mean = 100 * 1e307 / 1e307 overflows only while the
+        # report is encoded, which comes before the output directory is made.
+        ("1e307", "reports must not contain non-finite floats, got inf at "
+         "runs.0.sensors.big.avg_error_pct_of_mean\n"),
+    ],
+)
+def test_exit_2_overflowing_error_leaves_no_out_dir(tmp_path, capsys, big, message):
+    csv = tmp_path / "big.csv"
+    csv.write_text(f"timestamp,value\n0,{big}\n1,-{big}\n2,{big}\n3,-{big}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["filter", "--dataset", str(csv), "--n", "1", "--p", "3", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"runtime error: {message}") and err.endswith("\n")
+    assert not out.exists()
+
+
+def test_simulate_reduction_of_a_huge_total_stays_finite(tmp_path, capsys):
+    # network_total_byte_ms is 8e307: 100 times it overflows, 100 times the
+    # reduction ratio does not.
+    cfg = tmp_path / "huge.cfg"
+    text = SIM_CFG
+    for latency in ("4", "6", "50"):
+        text = text.replace(f"latency_ms = {latency}\n", "latency_ms = 1e302\n")
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    row = json.loads((out / "report.json").read_text())["comparison"]["network_total_byte_ms"]
+    assert row["baseline"] == 8e307
+    assert 0 < row["reduction_percent"] < 100
+
+
 def test_exit_2_replay_past_the_horizon_writes_nothing(tmp_path, office_csv_path, capsys):
     # Replay timestamps are epoch seconds (1.7e9 for 2024); a one-day horizon
     # in milliseconds would drop every sample and report an empty run.
@@ -761,6 +814,8 @@ def test_exit_1_repeated_grid_value_writes_nothing(
     [
         ("--n", "0", "window size n must be an integer >= 1, got 0"),
         ("--p", "-1", "band fraction p must be finite and >= 0, got -1.0"),
+        ("--n", "ten", "n must be comma-separated numbers, got 'ten'"),
+        ("--p", " , ", "p must list at least one value"),
     ],
 )
 def test_exit_1_bad_grid_override_names_the_flag(
