@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -110,23 +111,70 @@ def _load_scenario(args, command: str) -> Scenario:
     raise UsageError("simulate needs --config")
 
 
+def _load_source(spec) -> tuple[list[Sample], Optional[dict]]:
+    """Generate or replay one source; a replay also returns its ingest block."""
+    if isinstance(spec, SensorSpec):
+        return gen_normal(spec), None
+    samples, rep = load_csv(spec)
+    return samples, {
+        "rows_read": rep.rows_read,
+        "rows_skipped": rep.rows_skipped,
+        "samples": rep.samples,
+        "gaps_detected": rep.gaps_detected,
+    }
+
+
 def _build_streams(scenario: Scenario):
     """Materialise every source once; returns (streams, ingest_blocks)."""
     streams: dict[str, list[Sample]] = {}
     ingest: dict[str, dict] = {}
     for spec in scenario.sources:
-        if isinstance(spec, SensorSpec):
-            streams[spec.device_id] = gen_normal(spec)
-        else:
-            samples, rep = load_csv(spec)
-            streams[spec.device_id] = samples
-            ingest[spec.device_id] = {
-                "rows_read": rep.rows_read,
-                "rows_skipped": rep.rows_skipped,
-                "samples": rep.samples,
-                "gaps_detected": rep.gaps_detected,
-            }
+        streams[spec.device_id], block = _load_source(spec)
+        if block is not None:
+            ingest[spec.device_id] = block
     return streams, ingest
+
+
+class _LazyStreams(Mapping):
+    """Each source's samples, generated or replayed only when looked up.
+
+    Keys, ``len`` and iteration load nothing.  A lookup records a replay
+    source's ingest block and rejects a source that starts at or past the
+    horizon.  The samples are kept, in ``kept``, only when ``plot_data`` is
+    on; otherwise the caller holds the only reference.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self._specs = {spec.device_id: spec for spec in scenario.sources}
+        self._duration_ms = scenario.duration_ms
+        self._keep = scenario.plot_data
+        self.ingest: dict[str, dict] = {}
+        self.kept: dict[str, list[Sample]] = {}
+
+    def __getitem__(self, source_id: str) -> list[Sample]:
+        samples, block = _load_source(self._specs[source_id])
+        if block is not None:
+            self.ingest[source_id] = block
+        # The engine would drop every sample and report an empty run.
+        if samples and samples[0].timestamp >= self._duration_ms:
+            raise ValueError(
+                f"source {source_id!r} starts at timestamp {samples[0].timestamp!r}, at or "
+                f"past duration_ms = {self._duration_ms!r}, so every sample would be "
+                "dropped; replay timestamps are epoch seconds, while the run counts "
+                "milliseconds from 0"
+            )
+        if self._keep:
+            self.kept[source_id] = samples
+        return samples
+
+    def __contains__(self, source_id) -> bool:
+        return source_id in self._specs
+
+    def __iter__(self):
+        return iter(self._specs)
+
+    def __len__(self) -> int:
+        return len(self._specs)
 
 
 # sensor_metrics.csv columns taken from each sensor's report block.
@@ -219,16 +267,7 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     if extra:
         raise ConfigError(f"sources for devices that are not sensors: {extra}")
 
-    streams, ingest = _build_streams(scenario)
-    for source_id, samples in streams.items():
-        # The engine would drop every sample and report an empty run.
-        if samples and samples[0].timestamp >= scenario.duration_ms:
-            raise ValueError(
-                f"source {source_id!r} starts at timestamp {samples[0].timestamp!r}, at or "
-                f"past duration_ms = {scenario.duration_ms!r}, so every sample would be "
-                "dropped; replay timestamps are epoch seconds, while the run counts "
-                "milliseconds from 0"
-            )
+    streams = _LazyStreams(scenario)
 
     # The cloud-only baseline first, then one filtered run per grid point.
     configs: list = [] if scenario.mode == Mode.MIST_FOG_CLOUD else [None]
@@ -268,8 +307,8 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     ]
     if comparisons:
         report["comparison"] = comparisons if sweep else comparisons[0]
-    if ingest:
-        report["ingest"] = ingest
+    if streams.ingest:
+        report["ingest"] = streams.ingest
 
     sensor_rows = []
     link_rows = []
@@ -277,7 +316,9 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     # Plot the filtered runs when they ran; cloud-only transmits every sample.
     # A plot covers only the samples the runs kept, those before the horizon.
     plotted = results[-1].mode
-    kept = {s: streams[s][: len(f)] for s, f in results[-1].flags.items() if scenario.plot_data}
+    kept = {}
+    if scenario.plot_data:
+        kept = {s: streams.kept[s][: len(f)] for s, f in results[-1].flags.items()}
     for metrics, suffix, block in zip(results, suffixes, blocks):
         label = metrics.mode + suffix
         for sensor_id, stats in sorted(block["sensors"].items()):

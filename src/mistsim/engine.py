@@ -16,13 +16,20 @@ ever queued.  Each sensor's transmit flags are the one record of what it
 sent: its log digest hashes the sent samples in the same pass.  A run is
 fully determined by its inputs.
 
-Every stream is checked whole, in declaration order, before any is measured:
-:func:`mistsim.mist_filter.check_stream` enforces the filter's contract, the
-engine adds only that the first timestamp is ``>= 0``.  Any error, from the
-check or from measuring, names the sensor.  Samples at or past the horizon,
-and the values the check returned for them, are then cut off by bisection;
-the values are measured unchecked, and a stream the horizon does not cut is
-used as it is.
+:func:`simulate` makes one pass over the sensors: each stream is fetched
+once, in topology order, and dropped once measured, so
+memory follows one sensor's samples, not all of them.  Per sensor it checks
+the stream whole (:func:`mistsim.mist_filter.check_stream` enforces the
+filter's contract, the engine adds only that the first timestamp is
+``>= 0``), cuts off the samples at or past the horizon, and the values the
+check returned for them, by bisection, feeds the kept samples into the
+sources hash and the cloud-only accounting, measures them for every config,
+and accounts what each run sent.  A stream the horizon does not cut is used
+as it is.  Any error, from the check or from measuring, names the sensor.
+A check error raises at once.  A measuring error stops all further
+measuring but not the checks; once every stream is checked, a metric that
+would overflow when every kept sample is sent raises first, and only then
+the measuring error.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -35,11 +42,12 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample, check_stream
 from .reconstruction import ErrorReport, measure_grid
@@ -200,11 +208,9 @@ def _topology_fp(topology: Topology) -> str:
     return h.hexdigest()
 
 
-def _sources_fp(streams: Mapping[str, Sequence[Sample]], order: Iterable[str]) -> str:
-    h = hashlib.sha256()
-    for sensor_id in order:
-        h.update(sensor_id.encode() + b"\x00" + _packed(streams[sensor_id]))
-    return h.hexdigest()
+def _hash_source(h, sensor_id: str, samples: Sequence[Sample]) -> None:
+    """Feed one sensor's id and kept samples into ``sources_fp``'s running hash."""
+    h.update(sensor_id.encode() + b"\x00" + _packed(samples))
 
 
 def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float) -> tuple:
@@ -217,6 +223,70 @@ def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float)
         raise ValueError(f"sensor {sensor_id!r}: {exc}") from None
     cut = bisect_left(samples, duration_ms, key=lambda sample: sample.timestamp)
     return (samples, values) if cut == len(samples) else (samples[:cut], values[:cut])
+
+
+class _Traffic:
+    """The :class:`RunMetrics` fields that follow from what each sensor sent.
+
+    Sensors are added one at a time, in topology order, and only what the
+    fields need is kept: counts, digests and one latency per sent sample.
+    The latencies stay in one array, in sending order, so ``min``, ``max``
+    and ``sum`` see the sequence a list of every sample would give; ``sum``
+    compensates on Python >= 3.12, so a running total could round differently.
+    """
+
+    def __init__(self, topology: Topology, paths: Mapping, message_size_bytes: int) -> None:
+        self.topology = topology
+        self.paths = paths
+        self.message_size_bytes = message_size_bytes
+        self.cloud_id = topology.cloud().id
+        self.log_digests: dict[str, str] = {}
+        self.link_usage = {
+            f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
+            for link in topology.links
+        }
+        self.device_messages = {d.id: 0 for d in topology.devices}
+        self.latencies = array("d")
+
+    def add(self, sensor_id: str, sent: Sequence[Sample], total: int) -> None:
+        """Account ``sent``, the samples a sensor with ``total`` kept samples sent."""
+        first, gw_id, second = self.paths[sensor_id]
+        size = self.message_size_bytes
+        self.log_digests[sensor_id] = hashlib.sha256(
+            struct.pack("<q", total) + _packed(sent)
+        ).hexdigest()
+        count = len(sent)
+        for link in (first, second):
+            usage = self.link_usage[f"{link.src}->{link.dst}"]
+            usage["messages"] += count
+            usage["bytes"] += count * size
+            usage["byte_ms"] += count * (size * link.latency_ms)
+        for device_id in (sensor_id, gw_id, self.cloud_id):
+            self.device_messages[device_id] += count
+        l1, l2 = first.latency_ms, second.latency_ms
+        self.latencies.extend([((t + l1) + l2) - t for t, _ in sent])
+
+    def fields(self, energy: EnergyModel, duration_ms: float) -> dict:
+        latencies, link_usage = self.latencies, self.link_usage
+        busy_energy = {
+            d.id: account_energy(self.device_messages[d.id], energy.for_kind(d.kind), duration_ms)
+            for d in self.topology.devices
+        }
+        return {
+            "log_digests": self.log_digests,
+            "link_usage": link_usage,
+            "device_messages": self.device_messages,
+            "device_busy_ms": {d: busy for d, (busy, _) in busy_energy.items()},
+            "device_energy_j": {d: joules for d, (_, joules) in busy_energy.items()},
+            "total_bytes": sum(u["bytes"] for u in link_usage.values()),
+            "total_byte_ms": sum(u["byte_ms"] for u in link_usage.values()),
+            "messages_emitted": len(latencies),
+            "messages_delivered": 2 * len(latencies),
+            "latency_count": len(latencies),
+            "latency_min_ms": min(latencies) if latencies else 0.0,
+            "latency_max_ms": max(latencies) if latencies else 0.0,
+            "latency_mean_ms": sum(latencies) / len(latencies) if latencies else 0.0,
+        }
 
 
 def simulate(
@@ -234,11 +304,17 @@ def simulate(
     ``configs`` must be non-empty and free of repeats.  ``None`` runs the
     ``cloud_only`` pipeline, with no filter; a config runs ``mist_fog_cloud``
     with that filter.  ``streams`` maps every sensor id in the topology to
-    its samples.  Samples at or beyond ``duration_ms`` are dropped, and every
-    stream is checked before any is measured; messages still in flight when
-    the horizon passes are delivered (nothing is lost), while energy idles
-    out the configured duration.  A metric that would overflow when every
-    kept sample is sent is rejected before any stream is measured.
+    its samples; its keys are read first, and each stream is fetched once,
+    in topology order, and dropped once measured, so a lazy mapping bounds
+    memory by one sensor's samples.  Samples at or beyond ``duration_ms``
+    are dropped; messages still in flight when the horizon passes are
+    delivered (nothing is lost), while energy idles out the configured
+    duration.
+
+    Errors: a stream that fails its check raises at once.  A sensor that
+    fails to measure stops all further measuring, but every stream is still
+    checked, and then a metric that would overflow when every kept sample is
+    sent is rejected; only after both does the measuring error raise.
     """
     # Validates the topology and resolves every path in one linear pass.
     paths = topology.uplink_paths()
@@ -258,85 +334,59 @@ def simulate(
     if extra:
         raise ValueError(f"streams for unknown sensors: {extra}")
 
-    kept, values = {}, {}
-    for s in sensor_ids:
-        kept[s], values[s] = _check_stream(s, streams[s], duration_ms)
-    topology_fp = _topology_fp(topology)
-    sources_fp = _sources_fp(kept, sensor_ids)
-    cloud_id = topology.cloud().id
-
-    def traffic(sent: Mapping[str, Sequence[Sample]]) -> dict:
-        """The :class:`RunMetrics` fields that follow from what each sensor sent."""
-        log_digests = {}
-        link_usage = {
-            f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
-            for link in topology.links
-        }
-        device_messages = {d.id: 0 for d in topology.devices}
-        latencies: list[float] = []
-        for sensor_id, samples in sent.items():
-            first, gw_id, second = paths[sensor_id]
-            total = struct.pack("<q", len(kept[sensor_id]))
-            log_digests[sensor_id] = hashlib.sha256(total + _packed(samples)).hexdigest()
-            count = len(samples)
-            for link in (first, second):
-                usage = link_usage[f"{link.src}->{link.dst}"]
-                usage["messages"] += count
-                usage["bytes"] += count * message_size_bytes
-                usage["byte_ms"] += count * (message_size_bytes * link.latency_ms)
-            for device_id in (sensor_id, gw_id, cloud_id):
-                device_messages[device_id] += count
-            l1, l2 = first.latency_ms, second.latency_ms
-            latencies.extend([((t + l1) + l2) - t for t, _ in samples])
-
-        busy_energy = {
-            d.id: account_energy(device_messages[d.id], energy.for_kind(d.kind), duration_ms)
-            for d in topology.devices
-        }
-        return {
-            "log_digests": log_digests,
-            "link_usage": link_usage,
-            "device_messages": device_messages,
-            "device_busy_ms": {d: busy for d, (busy, _) in busy_energy.items()},
-            "device_energy_j": {d: joules for d, (_, joules) in busy_energy.items()},
-            "total_bytes": sum(u["bytes"] for u in link_usage.values()),
-            "total_byte_ms": sum(u["byte_ms"] for u in link_usage.values()),
-            "messages_emitted": len(latencies),
-            "messages_delivered": 2 * len(latencies),
-            "latency_count": len(latencies),
-            "latency_min_ms": min(latencies) if latencies else 0.0,
-            "latency_max_ms": max(latencies) if latencies else 0.0,
-            "latency_mean_ms": sum(latencies) / len(latencies) if latencies else 0.0,
-        }
-
     # Every run sends some of the kept samples, and each float metric grows
     # with what is sent, so the run that sends them all, cloud-only, bounds
-    # every run: an overflow is rejected here, before any stream is measured.
-    everything = traffic(kept)
-    bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in everything["link_usage"].items()]
-    bounds += [(f"devices.{d}.energy_j", j) for d, j in everything["device_energy_j"].items()]
+    # every run; it is accounted for every sensor, measured or not.
+    everything = _Traffic(topology, paths, message_size_bytes)
+    filtered = {
+        i: _Traffic(topology, paths, message_size_bytes)
+        for i, config in enumerate(configs)
+        if config is not None
+    }
+    reports: list[dict] = [{} for _ in configs]
+    flags: list[dict] = [{} for _ in configs]
+    sources_hash = hashlib.sha256()
+    failure = None
+    for s in sensor_ids:
+        kept, values = _check_stream(s, streams[s], duration_ms)
+        _hash_source(sources_hash, s, kept)
+        total = len(kept)
+        everything.add(s, kept, total)
+        if failure is None:
+            try:
+                grid = measure_grid(kept, values, configs)
+            except ValueError as exc:
+                failure = ValueError(f"sensor {s!r}: {exc}")
+            else:
+                for i, m in enumerate(grid):
+                    reports[i][s], flags[i][s] = m.report, m.flags
+                    if i in filtered:
+                        filtered[i].add(s, list(compress(kept, m.flags)), total)
+        # Drop this sensor's samples before the next stream is fetched.
+        del kept, values
+
+    cloud_only = everything.fields(energy, duration_ms)
+    bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in cloud_only["link_usage"].items()]
+    bounds += [(f"devices.{d}.energy_j", j) for d, j in cloud_only["device_energy_j"].items()]
     bounds += [
-        ("network.total_byte_ms", everything["total_byte_ms"]),
-        ("latency_ms.max", everything["latency_max_ms"]),
-        ("latency_ms.mean", everything["latency_mean_ms"]),
+        ("network.total_byte_ms", cloud_only["total_byte_ms"]),
+        ("latency_ms.max", cloud_only["latency_max_ms"]),
+        ("latency_ms.mean", cloud_only["latency_mean_ms"]),
     ]
     for name, value in bounds:
         if not math.isfinite(value):
             raise ValueError(f"a run's {name} would overflow to inf when every kept sample is sent")
+    if failure is not None:
+        raise failure
 
-    measured = {}
-    for s in sensor_ids:
-        try:
-            measured[s] = measure_grid(kept[s], values[s], configs)
-        except ValueError as exc:
-            raise ValueError(f"sensor {s!r}: {exc}") from None
+    topology_fp = _topology_fp(topology)
+    sources_fp = sources_hash.hexdigest()
     results = []
     for i, config in enumerate(configs):
-        flags = {s: grid[i].flags for s, grid in measured.items()}
         if config is None:
-            fields = everything
+            fields = cloud_only
         else:
-            fields = traffic({s: list(compress(kept[s], flags[s])) for s in sensor_ids})
+            fields = filtered[i].fields(energy, duration_ms)
         mode = Mode.CLOUD_ONLY if config is None else Mode.MIST_FOG_CLOUD
         results.append(
             RunMetrics(
@@ -346,9 +396,9 @@ def simulate(
                 message_size_bytes=message_size_bytes,
                 topology_fp=topology_fp,
                 sources_fp=sources_fp,
-                sensor_reports={s: grid[i].report for s, grid in measured.items()},
-                flags=flags,
-                cloud_id=cloud_id,
+                sensor_reports=reports[i],
+                flags=flags[i],
+                cloud_id=everything.cloud_id,
                 **fields,
             )
         )

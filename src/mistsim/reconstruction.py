@@ -156,7 +156,8 @@ def error_report(
     max_err = max(abs_errors)
     suppressed, _ = reduction_stats(total, transmitted_count)
     mean_abs_raw = sum(abs(r) for r in raw) / total
-    pct = 100.0 * avg_err / mean_abs_raw if mean_abs_raw > 0 else None
+    # The ratio first: 100 * an error near the float limit overflows.
+    pct = 100.0 * (avg_err / mean_abs_raw) if mean_abs_raw > 0 else None
     return ErrorReport(
         total_count=total,
         transmitted_count=transmitted_count,
@@ -237,6 +238,8 @@ def _measurement(
         )
     avg_err = error_sum / total
     transmitted = flags.count(1)
+    # The ratio first, as error_report does: 100 * an error near the float limit overflows.
+    pct = 100.0 * (avg_err / mean_abs_raw) if mean_abs_raw > 0 else None
     report = ErrorReport(
         total_count=total,
         transmitted_count=transmitted,
@@ -244,7 +247,7 @@ def _measurement(
         reduction_fraction=(total - transmitted) / total,
         avg_abs_error=avg_err,
         max_abs_error=max(abs_errors),
-        avg_error_pct_of_mean=100.0 * avg_err / mean_abs_raw if mean_abs_raw > 0 else None,
+        avg_error_pct_of_mean=pct,
     )
     return Measurement(report, flags)
 

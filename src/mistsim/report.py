@@ -62,9 +62,13 @@ def round_floats(obj: Any) -> Any:
     return rounded if isinstance(obj, dict) else list(rounded.values())
 
 
+# The one definition of the report format; ``emit_report`` streams it to disk.
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
 def dumps_stable(report: dict) -> str:
     """Deterministic JSON text for a report dict."""
-    return json.dumps(round_floats(report), sort_keys=True, indent=2) + "\n"
+    return _ENCODER.encode(round_floats(report)) + "\n"
 
 
 def _fmt_cell(value: Any) -> str:
@@ -98,16 +102,20 @@ def emit_report(
     sample, ``flags[i]`` being 1 when ``samples[i]`` was transmitted; each
     becomes a ``<stem>.csv`` with the raw value, its zero-order-hold
     reconstruction and the flag.  Series sharing one ``samples`` list are
-    written together, formatting its cells once.  A report that cannot be
-    encoded raises before ``out_dir`` is made.  Returns the written paths.
+    written together, formatting its cells once.  ``report.json`` holds the
+    bytes of :func:`dumps_stable`, written chunk by chunk rather than built
+    as one string; a report that cannot be encoded raises before ``out_dir``
+    is made.  Returns the written paths.
     """
-    text = dumps_stable(report)
+    rounded = round_floats(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     report_path = out / "report.json"
-    report_path.write_text(text, encoding="utf-8")
+    with report_path.open("w", encoding="utf-8") as fh:
+        fh.writelines(_ENCODER.iterencode(rounded))
+        fh.write("\n")
     written.append(report_path)
 
     if sensor_rows is not None:

@@ -9,11 +9,14 @@ import math
 import random
 import struct
 import time
+import weakref
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mistsim import engine
 from mistsim.engine import (
     DEFAULT_ENERGY_PARAMS,
     EnergyModel,
@@ -667,6 +670,71 @@ def test_simulate_checks_every_stream_before_measuring_any():
     streams["s2"] = constant_stream(2)
     with pytest.raises(ValueError, match="^sensor 's1': window average overflowed"):
         simulate(topo, streams, [None, FilterConfig(n=2, p=0.1)], ENERGY, 1000.0)
+
+
+def test_simulate_measures_no_sensor_after_one_fails(monkeypatch):
+    # s1's window sum overflows: s2 is still checked, but not measured.
+    measured = []
+
+    def measure_grid(samples, *args):
+        measured.append(samples[0].value)
+        return real(samples, *args)
+
+    real = engine.measure_grid
+    monkeypatch.setattr(engine, "measure_grid", measure_grid)
+    streams = {"s1": [Sample(float(t), 1e308) for t in range(4)], "s2": constant_stream(2)}
+    with pytest.raises(ValueError, match="^sensor 's1': window average overflowed"):
+        simulate(small_topology(sensor_count=2), streams, [FilterConfig(n=2, p=0.1)], ENERGY, 1e3)
+    assert measured == [1e308]
+
+
+class WatchedStream(list):
+    """A list a weakref can watch."""
+
+
+class FetchOnce(Mapping):
+    """Streams generated on lookup, recording the order of lookups.
+
+    Each lookup asserts that no stream it handed out before is still alive.
+    """
+
+    def __init__(self, specs):
+        self.specs = specs
+        self.fetched = []
+        self.refs = []
+
+    def __getitem__(self, sensor_id):
+        assert [ref() for ref in self.refs] == [None] * len(self.refs)
+        self.fetched.append(sensor_id)
+        stream = WatchedStream(gen_normal(self.specs[sensor_id]))
+        self.refs.append(weakref.ref(stream))
+        return stream
+
+    def __iter__(self):
+        return iter(sorted(self.specs, reverse=True))  # not the topology's order
+
+    def __len__(self):
+        return len(self.specs)
+
+
+def test_simulate_fetches_each_stream_once_in_topology_order_and_drops_it():
+    topo = small_topology(sensor_count=4)
+    # The horizon cuts the 300-sample streams and leaves the others whole:
+    # neither the cut-off original nor a whole stream outlives its sensor.
+    specs = {
+        f"s{i}": SensorSpec(f"s{i}", 25.0, 4.0, 100.0, 200 + 100 * (i % 2), seed=i)
+        for i in range(1, 5)
+    }
+    configs = [None, FC, FilterConfig(n=5, p=0.1)]
+    lazy = FetchOnce(specs)
+    got = simulate(topo, lazy, configs, ENERGY, 25_000.0, seed=3)
+    assert lazy.fetched == ["s1", "s2", "s3", "s4"]
+    assert [ref() for ref in lazy.refs] == [None] * 4
+    eager = {s: gen_normal(spec) for s, spec in specs.items()}
+    want = simulate(topo, eager, configs, ENERGY, 25_000.0, seed=3)
+    for a, b in zip(got, want, strict=True):
+        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert a.flags == b.flags and a.log_digests == b.log_digests
 
 
 @pytest.mark.parametrize(

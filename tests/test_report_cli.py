@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -100,6 +101,32 @@ def test_dumps_stable_is_order_insensitive():
     b = {"y": {"a": 3.0, "b": 2.0}, "x": 1}
     assert dumps_stable(a) == dumps_stable(b)
     assert dumps_stable(a).endswith("\n")
+
+
+def test_emit_report_rejects_a_non_finite_float_before_making_the_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"got inf at runs\.0\.sensors\.s1\.avg_abs_error$"):
+        emit_report({"runs": [{"sensors": {"s1": {"avg_abs_error": math.inf}}}]}, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "grid", [[], ["--n", "5,10,50", "--p", "0.01,0.05,0.1"]], ids=["table2", "sweep"]
+)
+def test_emit_report_writes_the_dumps_stable_bytes(tmp_path, table2_cfg_path, monkeypatch, grid):
+    # report.json is streamed to disk chunk by chunk; the bytes are the text.
+    reports = []
+
+    def emit(report, *args, **kwargs):
+        reports.append(report)
+        return emit_report(report, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "emit_report", emit)
+    monkeypatch.chdir(table2_cfg_path.parent)
+    args = ["simulate", "--config", "table2.cfg", *grid, "--out", str(tmp_path), "--quiet"]
+    assert main(args) == 0
+    (report,) = reports
+    assert (tmp_path / "report.json").read_bytes() == dumps_stable(report).encode()
 
 
 def test_write_csv_formatting(tmp_path):
@@ -298,14 +325,15 @@ def count_calls(monkeypatch):
 def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     tmp_path, table2_cfg_path, monkeypatch, count_calls
 ):
-    # table2.cfg has six sensors; both modes share one pass over them, and
-    # the values each stream's check returns are measured unchecked.  The
-    # flags are the only record of what was sent, so no transmission log is
-    # built, and the scenario is serialized once for both of its echoes.
+    # table2.cfg has six sensors; both modes share one pass over them, each
+    # stream hashed as it passes, and the values each stream's check returns
+    # are measured unchecked.  The flags are the only record of what was
+    # sent, so no transmission log is built, and the scenario is serialized
+    # once for both of its echoes.
     # The topology is checked once, by the CLI's validation, before any
     # source is generated; the engine's path lookup reuses that check.
     calls, counted = count_calls
-    for name in ("_check_stream", "check_stream", "_sources_fp", "_topology_fp", "measure_grid"):
+    for name in ("_check_stream", "check_stream", "_hash_source", "_topology_fp", "measure_grid"):
         counted(engine, name)
     counted(reconstruction, "window_averages")
     counted(Topology, "uplink_paths")
@@ -317,7 +345,7 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     assert main(args) == 0
     assert calls == {
         "uplink_paths": 1, "_check": 1, "_check_stream": 6, "check_stream": 6, "_topology_fp": 1,
-        "_sources_fp": 1, "measure_grid": 6, "window_averages": 6, "serialize_scenario": 1,
+        "_hash_source": 6, "measure_grid": 6, "window_averages": 6, "serialize_scenario": 1,
     }
 
 
@@ -333,7 +361,7 @@ def test_cli_simulate_sweeps_the_grid_in_one_pass(
     # checked once.  Each grid point is compared with the one baseline, in
     # grid order, and equals the single-point run at that point.
     calls, counted = count_calls
-    for name in ("_check_stream", "_sources_fp", "measure_grid"):
+    for name in ("_check_stream", "_hash_source", "measure_grid"):
         counted(engine, name)
     counted(reconstruction, "window_averages")
     counted(topology_module, "_check")
@@ -342,7 +370,7 @@ def test_cli_simulate_sweeps_the_grid_in_one_pass(
     args = ["simulate", "--config", "table2.cfg", *SWEEP, "--assert", gate, "--quiet"]
     assert main([*args, "--out", str(tmp_path / "sweep")]) == 0
     assert calls == {
-        "_check_stream": 6, "measure_grid": 6, "window_averages": 18, "_sources_fp": 1,
+        "_check_stream": 6, "measure_grid": 6, "window_averages": 18, "_hash_source": 6,
         "_check": 1,
     }
     report = json.loads((tmp_path / "sweep" / "report.json").read_text())
@@ -617,10 +645,6 @@ def test_exit_2_overflowing_window_writes_nothing(tmp_path, capsys):
         # Each value is finite, but the suppressed -1e308 lies 2e308 from the
         # held 1e308: the hold error overflows while it is measured.
         ("1e308", "source 'big': hold error overflowed to inf at timestamp 1.0; "),
-        # avg_error_pct_of_mean = 100 * 1e307 / 1e307 overflows only while the
-        # report is encoded, which comes before the output directory is made.
-        ("1e307", "reports must not contain non-finite floats, got inf at "
-         "runs.0.sensors.big.avg_error_pct_of_mean\n"),
     ],
 )
 def test_exit_2_overflowing_error_leaves_no_out_dir(tmp_path, capsys, big, message):
@@ -632,6 +656,20 @@ def test_exit_2_overflowing_error_leaves_no_out_dir(tmp_path, capsys, big, messa
     err = capsys.readouterr().err
     assert err.startswith(f"runtime error: {message}") and err.endswith("\n")
     assert not out.exists()
+
+
+def test_error_percentage_near_the_float_limit_stays_finite(tmp_path):
+    # Two suppressed -1e307 sit 2e307 from the held 1e307, so avg_abs_error
+    # is 1e307, as is the mean absolute value: 100 times the error overflows,
+    # 100 times their ratio does not.
+    csv = tmp_path / "big.csv"
+    csv.write_text("timestamp,value\n0,1e307\n1,-1e307\n2,1e307\n3,-1e307\n", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["filter", "--dataset", str(csv), "--n", "1", "--p", "3", "--out", str(out), "--quiet"]
+    assert main(args) == 0
+    stats = json.loads((out / "report.json").read_text())["runs"][0]["sensors"]["big"]
+    assert stats["avg_abs_error"] == 1e307
+    assert stats["avg_error_pct_of_mean"] == 100.0
 
 
 def test_simulate_reduction_of_a_huge_total_stays_finite(tmp_path, capsys):
@@ -689,12 +727,17 @@ def test_exit_2_replay_past_the_horizon_writes_nothing(tmp_path, office_csv_path
     ],
     ids=["latency", "cloud-power"],
 )
-def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, count_calls, edit, path):
-    # Finite inputs whose metrics would overflow: rejected once the streams
-    # are checked, before any is measured, naming the report field.
-    calls, counted = count_calls
-    counted(engine, "measure_grid")
-    text = SIM_CFG
+def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, edit, path):
+    # Finite inputs whose metrics would overflow: rejected once every stream
+    # is checked, naming the report field.  Sensor a's windows overflow too
+    # (mean 1e308), which alone exits 2 naming it; the bound's message wins.
+    window = SIM_CFG.replace("mean = 25\n", "mean = 1e308\n")
+    cfg = tmp_path / "window.cfg"
+    cfg.write_text(window, encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: sensor 'a': window average overflowed")
+    text = window
     for old, new in edit.items():
         assert old in text
         text = text.replace(old, new)
@@ -706,8 +749,7 @@ def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, count_calls, e
     assert capsys.readouterr().err == (
         f"runtime error: a run's {field} would overflow to inf when every kept sample is sent\n"
     )
-    assert calls == {}
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_exit_1_underived_duration_names_both_conditions(tmp_path, capsys):
