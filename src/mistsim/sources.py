@@ -12,18 +12,21 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
+from operator import add, mul
 from pathlib import Path
 from typing import Optional, Union
 
 from .mist_filter import Sample
-from .rng import SplitMix64
+from .rng import normal_blocks
 
 
 @dataclass(frozen=True)
 class SensorSpec:
     """A synthetic sensor drawing i.i.d. normal values on a fixed cadence.
 
-    Timestamps are ``k * period_ms`` for ``k = 0 .. count - 1``.
+    Timestamps are ``k * period_ms`` for ``k = 0 .. count - 1``; the last,
+    which is the largest, must be finite.
     """
 
     device_id: str
@@ -44,6 +47,14 @@ class SensorSpec:
             raise ValueError(f"period_ms must be finite and > 0, got {self.period_ms!r}")
         if self.count < 0:
             raise ValueError(f"count must be >= 0, got {self.count!r}")
+        try:
+            last = (self.count - 1) * self.period_ms
+        except OverflowError:  # a count past the float range
+            last = math.inf
+        if not math.isfinite(last):
+            raise ValueError(
+                f"the last timestamp (count - 1) * period_ms must be finite, got {last!r}"
+            )
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
 
@@ -86,14 +97,25 @@ SourceSpec = Union[SensorSpec, ReplaySpec]
 
 
 def gen_normal(spec: SensorSpec) -> list[Sample]:
-    """Generate ``spec.count`` samples; the seed alone fixes the stream."""
-    rng = SplitMix64(spec.seed)
-    mean = spec.mean
-    stddev = spec.stddev
-    period = spec.period_ms
-    return [
-        Sample(k * period, mean + stddev * rng.next_normal()) for k in range(spec.count)
-    ]
+    """Generate ``spec.count`` samples; the seed alone fixes the stream.
+
+    Sample ``k`` is ``Sample(k * period_ms, mean + stddev * z_k)`` with
+    ``z_k`` the ``k``-th normal of ``SplitMix64(seed)``.  The samples are
+    built one kernel block at a time, so no other list the length of the
+    stream exists beside the result.
+    """
+    mean, stddev, period = spec.mean, spec.stddev, spec.period_ms
+    samples: list[Sample] = []
+    k = 0
+    for normals in normal_blocks(spec.seed, spec.count):
+        end = k + len(normals)
+        times = map(mul, range(k, end), repeat(period))
+        values = map(add, repeat(mean), map(mul, repeat(stddev), normals))
+        # tuple.__new__ makes the Sample that Sample(t, v) would, without
+        # the generated Python-level __new__.
+        samples.extend(map(tuple.__new__, repeat(Sample), zip(times, values)))
+        k = end
+    return samples
 
 
 def _parse_timestamp(cell: str) -> float:

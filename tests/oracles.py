@@ -86,6 +86,12 @@ def box_muller_normals(seed, count):
     return normals[:count]
 
 
+def normal_samples(spec):
+    """gen_normal one sample at a time: ``(k * period_ms, mean + stddev * z_k)``."""
+    normals = box_muller_normals(spec.seed, spec.count)
+    return [(k * spec.period_ms, spec.mean + spec.stddev * normals[k]) for k in range(spec.count)]
+
+
 def heap_network(devices, links, emitted, size_bytes, duration_ms, energy_params):
     """The event-queue engine: every delivery pushed through a heap, one hop at a time.
 

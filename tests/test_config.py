@@ -165,8 +165,14 @@ def test_property_flags_and_filter_section_parse_alike(n_values, p_values, sep):
         ("[run]\nduration_ms = -5\n", "> 0"),
         ("[run]\nduration_ms = nan\n", "finite and > 0"),
         ("[run]\nduration_ms = inf\n", "finite and > 0"),
-        # Derived duration_ms = 10 * 1e308 overflows to inf.
-        ("[run]\n\n[source s]\nkind = normal\nperiod_ms = 1e308\ncount = 10\n", "must be finite"),
+        # Derived duration_ms = 2 * 1e308 overflows to inf; the last timestamp,
+        # 1 * 1e308, is finite.
+        ("[run]\n\n[source s]\nkind = normal\nperiod_ms = 1e308\ncount = 2\n", "derived duration_ms"),
+        # The last timestamp 2 * 1e308 overflows, so the source itself is rejected.
+        (
+            "[run]\nduration_ms = 1000\n\n[source s]\nkind = normal\nperiod_ms = 1e308\ncount = 3\n",
+            "[source s]: the last timestamp (count - 1) * period_ms must be finite, got inf",
+        ),
         ("[run]\nmessage_size_bytes = 0\n", ">= 1"),
         ("[run]\nmode = sideways\n", "mode"),
         ("[run]\nplot_data = maybe\n", "boolean"),

@@ -618,6 +618,24 @@ def test_exit_1_missing_dataset_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["simulate", "filter"])
+def test_exit_1_source_timestamps_overflow(tmp_path, capsys, command):
+    # The third timestamp, 2 * 1e308, is inf: a config error, before any
+    # stream is generated.
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(
+        SIM_CFG.replace("period_ms = 100\ncount = 2000\n", "period_ms = 1e308\ncount = 3\n"), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {cfg}: [source a]: the last timestamp (count - 1) * period_ms "
+        "must be finite, got inf\n"
+    )
+    assert not out.exists()
+
+
 def test_exit_2_runtime_error(tmp_path, capsys):
     csv = tmp_path / "wrong.csv"
     csv.write_text("timestamp,other\n0,1\n", encoding="utf-8")
@@ -806,24 +824,21 @@ def test_filter_grid_reports_the_first_error_in_grid_order(
     "b_mean, n_values, expected",
     [
         ("1", "3,2", _OVERFLOW_LINE.format(source="a", t="2.0")),
-        ("1", "2,3", "runtime error: source 'b': non-finite timestamp inf\n"),
         ("1e308", "2,3", _OVERFLOW_LINE.format(source="b", t="1e+308")),
     ],
 )
 def test_filter_checks_each_source_within_the_sweep(tmp_path, capsys, b_mean, n_values, expected):
-    # Source a's window overflows at n=3 only.  Source b breaks the contract
-    # (its third timestamp is 2 * 1e308 = inf), and with a mean of 1e308 its
-    # window overflows first at n=2; the replay source beside it means no
+    # Source a's window overflows at n=3 only; with a mean of 1e308, source
+    # b's window overflows at n=2.  The replay source beside b means no
     # duration is derived.  Each source is checked with the first n, inside
-    # the n-major sweep: checking every source before it would report b's
-    # contract error for each grid.
+    # the n-major sweep, so the first n of the grid decides which is named.
     (tmp_path / "a.csv").write_text(
         "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
     )
     cfg = tmp_path / "two.cfg"
     cfg.write_text(
         f"[run]\n\n[source a]\nkind = replay\nfile = {tmp_path / 'a.csv'}\n\n"
-        f"[source b]\nkind = normal\nmean = {b_mean}\nstddev = 0\nperiod_ms = 1e308\ncount = 3\n",
+        f"[source b]\nkind = normal\nmean = {b_mean}\nstddev = 0\nperiod_ms = 1e308\ncount = 2\n",
         encoding="utf-8",
     )
     out = tmp_path / "out"

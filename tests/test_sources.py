@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import struct
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mistsim.rng import SplitMix64, derive_seed
+from mistsim.mist_filter import Sample
+from mistsim.rng import _BLOCK, SplitMix64, derive_seed, normal_blocks
 from mistsim.sources import (
     IngestReport,
     ReplaySpec,
@@ -14,7 +19,7 @@ from mistsim.sources import (
     gen_normal,
     load_csv,
 )
-from oracles import box_muller_normals, splitmix64_stream
+from oracles import box_muller_normals, normal_samples, splitmix64_stream
 
 # Published splitmix64 reference outputs (the algorithm is public domain and
 # widely cross-checked; these are the standard vectors for seeds 0, 1234567).
@@ -124,6 +129,42 @@ def test_seed_is_masked_to_64_bits():
     assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
 
 
+# ---------------------------------------------------------- block kernel
+
+
+def per_draw_normals(seed, count):
+    rng = SplitMix64(seed)
+    return [rng.next_normal() for _ in range(count)]
+
+
+def kernel_normals(seed, count):
+    blocks = list(normal_blocks(seed, count))
+    # Every block but the last is full; none is empty.
+    assert all(len(b) == _BLOCK for b in blocks[:-1])
+    assert all(0 < len(b) <= _BLOCK for b in blocks)
+    return [z for block in blocks for z in block]
+
+
+KERNEL_COUNTS = [0, 1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]
+
+
+@pytest.mark.parametrize("count", KERNEL_COUNTS)
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 2**64 + 12345])
+def test_kernel_equals_the_per_draw_generator(seed, count):
+    # Exact equality: same draws, same floats, same order.  A seed past 64
+    # bits is masked as SplitMix64 masks it.
+    assert kernel_normals(seed, count) == per_draw_normals(seed, count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**66),
+    count=st.one_of(st.integers(min_value=0, max_value=64), st.sampled_from(KERNEL_COUNTS)),
+)
+def test_kernel_equals_the_per_draw_generator_for_any_seed(seed, count):
+    assert kernel_normals(seed, count) == per_draw_normals(seed, count)
+
+
 # ------------------------------------------------------------- synthetic
 
 
@@ -140,9 +181,57 @@ def test_sensor_spec_validation():
         ("count", -1),
         ("seed", -1),
         ("seed", 2**64),
+        ("period_ms", 1e308),  # the last timestamp, 9 * 1e308, is inf
+        ("count", 10**400),  # past the float range
     ]:
         with pytest.raises(ValueError):
             SensorSpec(**{**good, field: bad})
+
+
+def test_sensor_spec_rejects_a_last_timestamp_that_overflows():
+    base = dict(device_id="s", mean=0.0, stddev=1.0, period_ms=1e308, seed=1)
+    # 0 * 1e308 and 1 * 1e308 are finite; 2 * 1e308 is not.
+    assert [s.timestamp for s in gen_normal(SensorSpec(**base, count=2))] == [0.0, 1e308]
+    with pytest.raises(ValueError, match=r"last timestamp \(count - 1\) \* period_ms must be finite, got inf"):
+        SensorSpec(**base, count=3)
+
+
+@pytest.mark.parametrize(
+    "mean, stddev, period_ms",
+    [
+        (25.0, 4.0, 100.0),
+        (-3.5, 0.25, 0.1),
+        (25, 4, 100),  # int fields, as a library caller may pass them
+        (0, 0, 1),
+        (1e300, 1e300, 1e300),
+    ],
+)
+@pytest.mark.parametrize("count", [0, 1, 7, _BLOCK, 2 * _BLOCK + 1])
+def test_gen_normal_matches_the_per_sample_reference(mean, stddev, period_ms, count):
+    spec = SensorSpec("s", mean, stddev, period_ms, count, seed=2**64 - 3)
+    got = gen_normal(spec)
+    want = normal_samples(spec)
+    assert type(got) is list and len(got) == len(want) == count
+    for sample, (t, v) in zip(got, want):
+        assert type(sample) is Sample
+        assert (type(sample.timestamp), type(sample.value)) == (type(t), type(v))
+        assert sample == (t, v)
+        assert struct.pack("<dd", *sample) == struct.pack("<dd", t, v)
+
+
+def test_gen_normal_peaks_near_the_size_of_its_result():
+    # Samples are built block by block: no list of every normal (about
+    # 6.4 MB here) exists beside the 200,000-sample result.
+    spec = SensorSpec("s", 25.0, 4.0, 100.0, 200_000, seed=5)
+    gen_normal(SensorSpec("s", 25.0, 4.0, 100.0, 1, seed=5))  # build the lanes
+    tracemalloc.start()
+    try:
+        samples = gen_normal(spec)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 200_000
+    assert peak - current < 1_000_000
 
 
 def test_gen_normal_timestamps_and_count():
