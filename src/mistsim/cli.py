@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from array import array
+from bisect import bisect_left
 from collections.abc import Mapping
+from itertools import islice
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -124,15 +128,14 @@ def _load_source(spec) -> tuple[list[Sample], Optional[dict]]:
     }
 
 
-def _build_streams(scenario: Scenario):
-    """Materialise every source once; returns (streams, ingest_blocks)."""
-    streams: dict[str, list[Sample]] = {}
-    ingest: dict[str, dict] = {}
-    for spec in scenario.sources:
-        streams[spec.device_id], block = _load_source(spec)
-        if block is not None:
-            ingest[spec.device_id] = block
-    return streams, ingest
+def _plot_columns(samples: Sequence[Sample], count: int) -> tuple[array, array]:
+    """The first ``count`` samples' timestamps and values, packed into two
+    ``array('d')`` columns: 16 B a sample, against about 112 B a ``Sample``."""
+    # array() fills from a list faster than from an iterator.
+    return (
+        array("d", list(map(itemgetter(0), islice(samples, count)))),
+        array("d", list(map(itemgetter(1), islice(samples, count)))),
+    )
 
 
 class _LazyStreams(Mapping):
@@ -140,8 +143,9 @@ class _LazyStreams(Mapping):
 
     Keys, ``len`` and iteration load nothing.  A lookup records a replay
     source's ingest block and rejects a source that starts at or past the
-    horizon.  The samples are kept, in ``kept``, only when ``plot_data`` is
-    on; otherwise the caller holds the only reference.
+    horizon.  When ``plot_data`` is on, ``kept`` holds the packed columns
+    of the samples before the horizon, the ones the engine keeps; the
+    caller holds the only reference to the samples themselves.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -149,7 +153,7 @@ class _LazyStreams(Mapping):
         self._duration_ms = scenario.duration_ms
         self._keep = scenario.plot_data
         self.ingest: dict[str, dict] = {}
-        self.kept: dict[str, list[Sample]] = {}
+        self.kept: dict[str, tuple[array, array]] = {}
 
     def __getitem__(self, source_id: str) -> list[Sample]:
         samples, block = _load_source(self._specs[source_id])
@@ -164,7 +168,8 @@ class _LazyStreams(Mapping):
                 "milliseconds from 0"
             )
         if self._keep:
-            self.kept[source_id] = samples
+            cut = bisect_left(samples, self._duration_ms, key=attrgetter("timestamp"))
+            self.kept[source_id] = _plot_columns(samples, cut)
         return samples
 
     def __contains__(self, source_id) -> bool:
@@ -185,43 +190,65 @@ _SENSOR_HEADER_FILTER = ("n", "p", "sensor", *_SENSOR_COLUMNS)
 
 
 def _cmd_filter(args) -> tuple[dict, list, list[str]]:
+    """Filter and measure each source over the whole grid, one source at a time.
+
+    Sources go in declaration order: each is loaded, checked with the grid's
+    first n, measured at every grid point and dropped.  Only its report
+    blocks and, with plots on, its flags and its packed timestamp and value
+    columns are kept, so memory follows one source's samples.
+
+    Errors are those of an n-major sweep over every loaded source: a load
+    error raises at once, and otherwise the error raised is the one met
+    first at the lowest n index, then in declaration order.  A measuring
+    error is held as ``(n index, error)`` while later sources are still
+    loaded, and those are measured only at lower n indices.  Nothing is
+    written before every source has been measured.
+    """
     scenario = _load_scenario(args, "filter")
     if not scenario.sources:
         raise ConfigError("no sources configured; add [source <id>] sections or pass --dataset")
-    streams, ingest = _build_streams(scenario)
-
-    # Each source is checked in the first n's pass, and its window averages
-    # are computed once per n and shared by every p.  Visiting n in grid order,
-    # then sources in declaration order, raises the error the grid-major loop
-    # below would meet first.
-    values: dict[str, list[float]] = {}
-    measured = {}
-    for n in scenario.n_values:
-        configs = [FilterConfig(n=n, p=p) for p in scenario.p_values]
-        for source_id, samples in streams.items():
+    by_n = [[FilterConfig(n=n, p=p) for p in scenario.p_values] for n in scenario.n_values]
+    sensors: dict = {cfg: {} for cfg in scenario.grid}
+    flags: dict = {cfg: {} for cfg in scenario.grid}
+    columns: dict[str, tuple[array, array]] = {}
+    ingest: dict[str, dict] = {}
+    failure = None
+    for spec in scenario.sources:
+        source_id = spec.device_id
+        samples, block = _load_source(spec)
+        if block is not None:
+            ingest[source_id] = block
+        values: list[float] = []
+        # Each n's window averages are computed once and shared by every p.
+        for index, configs in enumerate(by_n[: len(by_n) if failure is None else failure[0]]):
             try:
-                if source_id not in values:
-                    values[source_id] = check_stream(samples, n)
-                grid = measure_grid(samples, values[source_id], configs)
+                if index == 0:
+                    values = check_stream(samples, configs[0].n)
+                grid = measure_grid(samples, values, configs)
             except ValueError as exc:
-                raise ValueError(f"source {source_id!r}: {exc}") from None
+                failure = (index, ValueError(f"source {source_id!r}: {exc}"))
+                break
             for cfg, m in zip(configs, grid):
-                flags = m.flags if scenario.plot_data else None
-                measured[cfg, source_id] = (m.report.to_dict(), flags)
+                sensors[cfg][source_id] = m.report.to_dict()
+                if scenario.plot_data:
+                    flags[cfg][source_id] = m.flags
+        if scenario.plot_data and failure is None:
+            columns[source_id] = _plot_columns(samples, len(samples))
+        # Drop this source's samples before the next one is loaded.
+        del samples, values
+    if failure is not None:
+        raise failure[1]
 
     runs = []
     sensor_rows = []
     plot_series: dict = {}
     for cfg in scenario.grid:
-        sensors = {}
-        for spec in scenario.sources:
-            block, flags = measured[cfg, spec.device_id]
-            sensors[spec.device_id] = block
-            sensor_rows.append((cfg.n, cfg.p, spec.device_id, *(block[k] for k in _SENSOR_COLUMNS)))
-            if scenario.plot_data:
-                stem = f"plot_{spec.device_id}_n{cfg.n}_p{cfg.p!r}"
-                plot_series[stem] = (streams[spec.device_id], flags)
-        runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors})
+        for source_id, block in sensors[cfg].items():
+            sensor_rows.append((cfg.n, cfg.p, source_id, *(block[k] for k in _SENSOR_COLUMNS)))
+        for source_id, source_flags in flags[cfg].items():
+            stem = f"plot_{source_id}_n{cfg.n}_p{cfg.p!r}"
+            plot_series[stem] = (*columns[source_id], source_flags)
+        runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors[cfg]})
 
     report = {
         "tool": {"name": "mistsim", "version": __version__},
@@ -316,9 +343,6 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     # Plot the filtered runs when they ran; cloud-only transmits every sample.
     # A plot covers only the samples the runs kept, those before the horizon.
     plotted = results[-1].mode
-    kept = {}
-    if scenario.plot_data:
-        kept = {s: streams.kept[s][: len(f)] for s, f in results[-1].flags.items()}
     for metrics, suffix, block in zip(results, suffixes, blocks):
         label = metrics.mode + suffix
         for sensor_id, stats in sorted(block["sensors"].items()):
@@ -328,7 +352,7 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
             link_rows.append((label, link_name, usage["messages"], usage["bytes"], usage["byte_ms"]))
         if scenario.plot_data and metrics.mode == plotted:
             for sensor_id, flags in metrics.flags.items():
-                plot_series[f"plot_{sensor_id}{suffix}"] = (kept[sensor_id], flags)
+                plot_series[f"plot_{sensor_id}{suffix}"] = (*streams.kept[sensor_id], flags)
 
     written = emit_report(
         report,

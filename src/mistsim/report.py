@@ -98,14 +98,15 @@ def emit_report(
 ) -> list[Path]:
     """Write the report document plus its CSV side tables.
 
-    ``plot_series`` maps a file stem to ``(samples, flags)``, one flag per
-    sample, ``flags[i]`` being 1 when ``samples[i]`` was transmitted; each
-    becomes a ``<stem>.csv`` with the raw value, its zero-order-hold
-    reconstruction and the flag.  Series sharing one ``samples`` list are
-    written together, formatting its cells once.  ``report.json`` holds the
-    bytes of :func:`dumps_stable`, written chunk by chunk rather than built
-    as one string; a report that cannot be encoded raises before ``out_dir``
-    is made.  Returns the written paths.
+    ``plot_series`` maps a file stem to ``(timestamps, values, flags)``,
+    one sample per index, ``flags[i]`` being 1 when sample ``i`` was
+    transmitted; each becomes a ``<stem>.csv`` with the timestamp, the raw
+    value, its zero-order-hold reconstruction and the flag.  Series sharing
+    one pair of ``timestamps`` and ``values`` columns (``array('d')`` in
+    the commands) are written together, formatting their cells once.
+    ``report.json`` holds the bytes of :func:`dumps_stable`, written chunk
+    by chunk rather than built as one string; a report that cannot be
+    encoded raises before ``out_dir`` is made.  Returns the written paths.
     """
     rounded = round_floats(report)
     out = Path(out_dir)
@@ -129,15 +130,16 @@ def emit_report(
         written.append(path)
 
     plot_series = plot_series or {}
-    by_source: dict[int, tuple[Sequence, list]] = {}
-    for stem, (samples, flags) in plot_series.items():
-        by_source.setdefault(id(samples), (samples, []))[1].append((stem, flags))
+    by_columns: dict[tuple[int, int], tuple[Sequence, Sequence, list]] = {}
+    for stem, (timestamps, values, flags) in plot_series.items():
+        key = (id(timestamps), id(values))
+        by_columns.setdefault(key, (timestamps, values, []))[2].append((stem, flags))
     plot_paths: dict[str, Path] = {}
-    for samples, series in by_source.values():
+    for timestamps, values, series in by_columns.values():
         # Timestamps and raw values keep full precision; they are data, not
         # derived metrics.  The held value is the text of a raw value.
-        raws = [repr(s.value) for s in samples]
-        cells = [f"{s.timestamp!r},{raw}," for s, raw in zip(samples, raws)]
+        raws = list(map(repr, values))
+        cells = [f"{t!r},{raw}," for t, raw in zip(timestamps, raws)]
         for stem, flags in series:
             plot_paths[stem] = _write_plot_csv(out / f"{stem}.csv", cells, raws, flags)
         del raws, cells

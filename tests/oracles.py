@@ -1,7 +1,9 @@
 """From-scratch reference implementations used as test oracles.
 
 Nothing here shares code with the package under test.  Everything is written
-the slow, obvious way: the point is independent ground truth, not speed.
+the slow, obvious way: the point is independent ground truth, not speed.  The
+one exception, :func:`first_grid_error`, is handed the package's loader, check
+and measure functions: what it pins is the order they run in.
 """
 
 from __future__ import annotations
@@ -369,3 +371,32 @@ def loop_check_stream(sensor_id, samples, duration_ms):
         if ts < duration_ms:
             kept.append(sample)
     return kept
+
+
+def first_grid_error(sources, load, check, measure, n_values, p_values, filter_config):
+    """``mistsim filter``'s exit code and stderr line, from an n-major sweep
+    over materialised streams: ``(0, "")`` when nothing fails.
+
+    Every source is loaded first, in declaration order; ``load(spec)``
+    returns its samples.  Then, for each ``n`` in turn and each source in
+    turn, the source is checked with ``check(samples, n)`` the first time it
+    is met and measured with ``measure(samples, values, configs)`` over that
+    ``n``'s configs.  The first exception stops the sweep.
+    """
+    try:
+        streams = {spec.device_id: load(spec) for spec in sources}
+        values = {}
+        for n in n_values:
+            configs = [filter_config(n=n, p=p) for p in p_values]
+            for source_id, samples in streams.items():
+                try:
+                    if source_id not in values:
+                        values[source_id] = check(samples, n)
+                    measure(samples, values[source_id], configs)
+                except ValueError as exc:
+                    raise ValueError(f"source {source_id!r}: {exc}") from None
+    except FileNotFoundError as exc:
+        return 1, f"error: {exc}\n"
+    except ValueError as exc:
+        return 2, f"runtime error: {exc}\n"
+    return 0, ""

@@ -2,17 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
+import tracemalloc
+from array import array
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mistsim import cli, engine, reconstruction
 from mistsim import topology as topology_module
 from mistsim.cli import main
-from mistsim.mist_filter import Sample
-from mistsim.reconstruction import TransmissionLog, reconstruct_zoh
+from mistsim.config import load_config
+from mistsim.mist_filter import FilterConfig, Sample, check_stream
+from mistsim.reconstruction import TransmissionLog, measure_grid, reconstruct_zoh
 from mistsim.report import (
     check_assertion,
     dumps_stable,
@@ -20,7 +29,9 @@ from mistsim.report import (
     round_floats,
     write_csv,
 )
+from mistsim.sources import load_csv
 from mistsim.topology import Topology
+from oracles import first_grid_error
 
 SIM_CFG = """\
 [run]
@@ -135,15 +146,20 @@ def test_write_csv_formatting(tmp_path):
     assert path.read_text() == "a,b,c,d\n1,0.123456789,,true\n"
 
 
+def _columns(samples):
+    """``samples`` as the packed timestamp and value columns plot series take."""
+    return array("d", [s.timestamp for s in samples]), array("d", [s.value for s in samples])
+
+
 def test_emit_report_writes_expected_files(tmp_path):
-    samples = [Sample(0.0, 1.0), Sample(1.0, 2.0), Sample(2.0, 3.0)]
+    timestamps, values = array("d", [0.0, 1.0, 2.0]), array("d", [1.0, 2.0, 3.0])
     written = emit_report(
         {"k": 1.0},
         tmp_path,
         sensor_rows=[("x", 1)],
         sensor_header=("sensor", "total"),
         link_rows=[("m", "a->b", 1, 100, 400.0)],
-        plot_series={"plot_x": (samples, bytearray([1, 0, 1]))},
+        plot_series={"plot_x": (timestamps, values, bytearray([1, 0, 1]))},
     )
     names = [p.name for p in written]
     assert names == ["report.json", "sensor_metrics.csv", "link_usage.csv", "plot_x.csv"]
@@ -163,14 +179,17 @@ def test_plot_rows_match_reference_reconstruction(tmp_path):
     # reconstruction.
     a = [Sample(float(i), v) for i, v in enumerate([1.5, -0.0, 2.25, 1e-300, 7.0])]
     b = [Sample(10.0, 3.0), Sample(11.0, 4.0)]
+    columns_a, columns_b = _columns(a), _columns(b)
     series = {
-        "first": (a, bytearray([1, 0, 0, 1, 0])),
-        "other": (b, bytearray([0, 0])),
-        "second": (a, bytearray([1, 1, 0, 0, 0])),
+        "first": (*columns_a, bytearray([1, 0, 0, 1, 0])),
+        "other": (*columns_b, bytearray([0, 0])),
+        "second": (*columns_a, bytearray([1, 1, 0, 0, 0])),
     }
+    streams = {"first": a, "other": b, "second": a}
     written = emit_report({}, tmp_path, plot_series=series)
     assert [p.name for p in written] == ["report.json", "first.csv", "other.csv", "second.csv"]
-    for stem, (samples, flags) in series.items():
+    for stem, (_, _, flags) in series.items():
+        samples = streams[stem]
         log = TransmissionLog(
             tuple(s for s, f in zip(samples, flags) if f), total_count=len(samples)
         )
@@ -427,6 +446,34 @@ def test_cli_filter_checks_each_source_once(tmp_path, table2_cfg_path, monkeypat
     assert calls == {"check_stream": 3, "window_averages": 9}
 
 
+def _traced_filter_peak(tmp_path, sources: int) -> int:
+    """The tracemalloc peak of ``mistsim filter`` over ``sources`` streams of
+    20,000 normal samples, plots on."""
+    cfg = tmp_path / f"bank{sources}.cfg"
+    spec = "kind = normal\nmean = 20\nstddev = 3\nperiod_ms = 1000\ncount = 20000\n"
+    cfg.write_text(
+        "[run]\n" + "".join(f"\n[source s{i}]\n{spec}" for i in range(sources)), encoding="utf-8"
+    )
+    tracemalloc.start()
+    try:
+        args = ["filter", "--config", str(cfg), "--out", str(tmp_path / f"out{sources}"), "--quiet"]
+        assert main(args) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_filter_memory_follows_one_source_not_the_source_count(tmp_path):
+    # Each source's samples are dropped once it is measured; what stays per
+    # source is 16 B a sample of plot columns, not every Sample.  Eight
+    # sources ran first, so any cache filled on first use counts against
+    # them.  Building every stream before measuring any peaked at about 2.9
+    # times one source's peak; streaming them, at about 1.4.
+    eight = _traced_filter_peak(tmp_path, 8)
+    one = _traced_filter_peak(tmp_path, 1)
+    assert eight < 1.6 * one, (eight, one)
+
+
 @pytest.mark.parametrize(
     "mode, plotted",
     [("both", "mist_fog_cloud"), ("mist_fog_cloud", "mist_fog_cloud"), ("cloud_only", "cloud_only")],
@@ -571,6 +618,28 @@ GOLDEN_RUNS = {
             "report.json": "d3f6b72f69b417971038aa7f6516435ca71dcd305e8177e9c6fc8a4954c95b19",
             "resolved.cfg": "a226d13a6117f78856ba40ae513f489c33ae3cbea6f7bd080e4a90377fe6ff25",
             "sensor_metrics.csv": "27ad32fd09a422c3efb7c0f16184a0e824dcf71147347caba1344d21dca3c9c2",
+        },
+    ),
+    # Recorded while simulate's plots were still sliced from Sample lists.
+    "simulate-plots": (
+        ["simulate", "--config", "tests/data/simulate_plots.cfg", "--p", "0.05,0.1"],
+        {
+            "link_usage.csv": "1fa0b0fc0a28e3059e6aa5881be1a840dc39ce8db5b6f3ea43f6672cb32a0348",
+            "plot_a_n10_p0.05.csv": (
+                "a75f2709849e2053e7972f33427e2907c70d028afaa1eb45e28ea19582eff49a"
+            ),
+            "plot_a_n10_p0.1.csv": (
+                "2ee719955b09fa6acec36521702acd90608c6119d17308b334d61a7491a2d8cf"
+            ),
+            "plot_b_n10_p0.05.csv": (
+                "1cc715295a7a7d0a849309d3b8fe6f3863f743746117dba901edded6db454daa"
+            ),
+            "plot_b_n10_p0.1.csv": (
+                "9e908647bb859ea652cd5a6821fbacebb31622100b41df961c99acca6ea2a426"
+            ),
+            "report.json": "f8d9d1104e47771c6267f23230492300d66472dafa0f3f1e763675a24168c71b",
+            "resolved.cfg": "5e214862d5012c1f4b1b34cff8a843505652bbe3b920f8067d00085541e73cdb",
+            "sensor_metrics.csv": "3d23c749d5b518b489d1da391a1e1848fc42042ed42b69ec8c4a7a50c1111ef3",
         },
     ),
 }
@@ -845,6 +914,73 @@ def test_filter_checks_each_source_within_the_sweep(tmp_path, capsys, b_mean, n_
     assert main(["filter", "--config", str(cfg), "--n", n_values, "--out", str(out)]) == 2
     assert capsys.readouterr().err == expected
     assert not out.exists()
+
+
+def test_filter_load_error_wins_over_an_earlier_measuring_error(tmp_path, capsys):
+    # Source a fails to measure at n=3, and source b's CSV is missing: every
+    # source is loaded before the error is raised, so the load error wins.
+    (tmp_path / "a.csv").write_text(
+        "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
+    )
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(
+        f"[run]\n\n[source a]\nkind = replay\nfile = {tmp_path / 'a.csv'}\n\n"
+        f"[source b]\nkind = replay\nfile = {tmp_path / 'b.csv'}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["filter", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dataset file not found: {tmp_path / 'b.csv'}\n"
+    assert not out.exists()
+
+
+# Runs of one value, so that whether a window overflows depends on n: three
+# of 0.6e308 overflow at n >= 3, two of 1e308 at n >= 2.
+_GRID_STREAMS = st.lists(
+    st.tuples(st.sampled_from([1.0, -2.5, 0.6e308, -0.6e308, 1e308, -1e308]), st.integers(1, 3)),
+    max_size=4,
+).map(lambda runs: [value for value, repeat in runs for _ in range(repeat)])
+
+
+@given(
+    sources=st.lists(_GRID_STREAMS, min_size=1, max_size=4),
+    missing=st.none() | st.integers(0, 3),
+    n_values=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
+    p_values=st.lists(st.sampled_from([0.0, 0.05, 0.5]), min_size=1, max_size=2, unique=True),
+)
+# The later source fails at the lower n index, so it is the one named.
+@example(sources=[[1e308, 1e308], [0.6e308] * 3], missing=None, n_values=[3, 2], p_values=[0.0])
+@settings(max_examples=200, deadline=None)
+def test_property_filter_raises_the_first_error_of_the_n_major_sweep(
+    sources, missing, n_values, p_values
+):
+    # Each source is a replay CSV; the one at index ``missing``, if any, has
+    # no file.  Whatever fails, and wherever, the CLI exits as the n-major
+    # sweep over streams all loaded up front does, and writes nothing on a
+    # failure.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        text = f"[run]\n\n[filter]\nn = {','.join(map(str, n_values))}\n"
+        text += f"p = {','.join(map(repr, p_values))}\n"
+        for i, values in enumerate(sources):
+            path = tmp / f"s{i}.csv"
+            if i != missing:
+                rows = "".join(f"{t},{v!r}\n" for t, v in enumerate(values))
+                path.write_text("timestamp,value\n" + rows, encoding="utf-8")
+            text += f"\n[source s{i}]\nkind = replay\nfile = {path}\n"
+        cfg = tmp / "grid.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        scenario = load_config(cfg)
+        expected = first_grid_error(
+            scenario.sources, lambda spec: load_csv(spec)[0], check_stream, measure_grid,
+            scenario.n_values, scenario.p_values, FilterConfig,
+        )
+        out = tmp / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["filter", "--config", str(cfg), "--out", str(out), "--quiet"])
+        assert (code, stderr.getvalue()) == expected
+        assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize(
