@@ -19,6 +19,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
+from dataclasses import asdict
 from itertools import islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -26,9 +27,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
-from .engine import Mode, compare, simulate
-from .mist_filter import FilterConfig, Sample, check_stream
-from .reconstruction import measure_grid
+from .engine import Mode, compare, measure_streams, simulate
+from .mist_filter import Sample
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .engine import run  # noqa: F401
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
@@ -115,19 +115,6 @@ def _load_scenario(args, command: str) -> Scenario:
     raise UsageError("simulate needs --config")
 
 
-def _load_source(spec) -> tuple[list[Sample], Optional[dict]]:
-    """Generate or replay one source; a replay also returns its ingest block."""
-    if isinstance(spec, SensorSpec):
-        return gen_normal(spec), None
-    samples, rep = load_csv(spec)
-    return samples, {
-        "rows_read": rep.rows_read,
-        "rows_skipped": rep.rows_skipped,
-        "samples": rep.samples,
-        "gaps_detected": rep.gaps_detected,
-    }
-
-
 def _plot_columns(samples: Sequence[Sample], count: int) -> tuple[array, array]:
     """The first ``count`` samples' timestamps and values, packed into two
     ``array('d')`` columns: 16 B a sample, against about 112 B a ``Sample``."""
@@ -142,33 +129,40 @@ class _LazyStreams(Mapping):
     """Each source's samples, generated or replayed only when looked up.
 
     Keys, ``len`` and iteration load nothing.  A lookup records a replay
-    source's ingest block and rejects a source that starts at or past the
-    horizon.  When ``plot_data`` is on, ``kept`` holds the packed columns
-    of the samples before the horizon, the ones the engine keeps; the
-    caller holds the only reference to the samples themselves.
+    source's ingest block and, given a horizon ``duration_ms``, rejects a
+    source that starts at or past it.  When ``plot_data`` is on, ``kept``
+    holds the packed columns of the samples before the horizon (all of
+    them without one), the ones the pass keeps; the caller holds the only
+    reference to the samples themselves.
     """
 
-    def __init__(self, scenario: Scenario) -> None:
+    def __init__(self, scenario: Scenario, duration_ms: Optional[float]) -> None:
         self._specs = {spec.device_id: spec for spec in scenario.sources}
-        self._duration_ms = scenario.duration_ms
+        self._duration_ms = duration_ms
         self._keep = scenario.plot_data
         self.ingest: dict[str, dict] = {}
         self.kept: dict[str, tuple[array, array]] = {}
 
     def __getitem__(self, source_id: str) -> list[Sample]:
-        samples, block = _load_source(self._specs[source_id])
-        if block is not None:
-            self.ingest[source_id] = block
+        spec = self._specs[source_id]
+        if isinstance(spec, SensorSpec):
+            samples = gen_normal(spec)
+        else:
+            samples, rep = load_csv(spec)
+            self.ingest[source_id] = asdict(rep)
+        horizon = self._duration_ms
         # The engine would drop every sample and report an empty run.
-        if samples and samples[0].timestamp >= self._duration_ms:
+        if horizon is not None and samples and samples[0].timestamp >= horizon:
             raise ValueError(
                 f"source {source_id!r} starts at timestamp {samples[0].timestamp!r}, at or "
-                f"past duration_ms = {self._duration_ms!r}, so every sample would be "
+                f"past duration_ms = {horizon!r}, so every sample would be "
                 "dropped; replay timestamps are epoch seconds, while the run counts "
                 "milliseconds from 0"
             )
         if self._keep:
-            cut = bisect_left(samples, self._duration_ms, key=attrgetter("timestamp"))
+            cut = len(samples)
+            if horizon is not None:
+                cut = bisect_left(samples, horizon, key=attrgetter("timestamp"))
             self.kept[source_id] = _plot_columns(samples, cut)
         return samples
 
@@ -192,62 +186,41 @@ _SENSOR_HEADER_FILTER = ("n", "p", "sensor", *_SENSOR_COLUMNS)
 def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     """Filter and measure each source over the whole grid, one source at a time.
 
-    Sources go in declaration order: each is loaded, checked with the grid's
-    first n, measured at every grid point and dropped.  Only its report
-    blocks and, with plots on, its flags and its packed timestamp and value
-    columns are kept, so memory follows one source's samples.
-
-    Errors are those of an n-major sweep over every loaded source: a load
-    error raises at once, and otherwise the error raised is the one met
-    first at the lowest n index, then in declaration order.  A measuring
-    error is held as ``(n index, error)`` while later sources are still
-    loaded, and those are measured only at lower n indices.  Nothing is
-    written before every source has been measured.
+    Sources go through :func:`mistsim.engine.measure_streams` in
+    declaration order, with no horizon.  Only their report blocks and, with
+    plots on, flags and packed timestamp and value columns are kept, so
+    memory follows one source's samples.  Nothing is written on an error.
     """
     scenario = _load_scenario(args, "filter")
     if not scenario.sources:
         raise ConfigError("no sources configured; add [source <id>] sections or pass --dataset")
-    by_n = [[FilterConfig(n=n, p=p) for p in scenario.p_values] for n in scenario.n_values]
-    sensors: dict = {cfg: {} for cfg in scenario.grid}
-    flags: dict = {cfg: {} for cfg in scenario.grid}
-    columns: dict[str, tuple[array, array]] = {}
-    ingest: dict[str, dict] = {}
+    grid = scenario.grid
+    sensors: dict = {cfg: {} for cfg in grid}
+    flags: dict = {cfg: {} for cfg in grid}
+    streams = _LazyStreams(scenario, None)
     failure = None
-    for spec in scenario.sources:
-        source_id = spec.device_id
-        samples, block = _load_source(spec)
-        if block is not None:
-            ingest[source_id] = block
-        values: list[float] = []
-        # Each n's window averages are computed once and shared by every p.
-        for index, configs in enumerate(by_n[: len(by_n) if failure is None else failure[0]]):
-            try:
-                if index == 0:
-                    values = check_stream(samples, configs[0].n)
-                grid = measure_grid(samples, values, configs)
-            except ValueError as exc:
-                failure = (index, ValueError(f"source {source_id!r}: {exc}"))
-                break
-            for cfg, m in zip(configs, grid):
+    for source_id, samples, measured in measure_streams(streams, streams, grid, None, "source"):
+        # Drop this source's samples before the next one is loaded.
+        del samples
+        if isinstance(measured, ValueError):
+            failure = measured
+        elif measured is not None:
+            for cfg, m in zip(grid, measured):
                 sensors[cfg][source_id] = m.report.to_dict()
                 if scenario.plot_data:
                     flags[cfg][source_id] = m.flags
-        if scenario.plot_data and failure is None:
-            columns[source_id] = _plot_columns(samples, len(samples))
-        # Drop this source's samples before the next one is loaded.
-        del samples, values
     if failure is not None:
-        raise failure[1]
+        raise failure
 
     runs = []
     sensor_rows = []
     plot_series: dict = {}
-    for cfg in scenario.grid:
+    for cfg in grid:
         for source_id, block in sensors[cfg].items():
             sensor_rows.append((cfg.n, cfg.p, source_id, *(block[k] for k in _SENSOR_COLUMNS)))
         for source_id, source_flags in flags[cfg].items():
             stem = f"plot_{source_id}_n{cfg.n}_p{cfg.p!r}"
-            plot_series[stem] = (*columns[source_id], source_flags)
+            plot_series[stem] = (*streams.kept[source_id], source_flags)
         runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors[cfg]})
 
     report = {
@@ -257,8 +230,8 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
         "config_echo": serialize_scenario(scenario),
         "runs": runs,
     }
-    if ingest:
-        report["ingest"] = ingest
+    if streams.ingest:
+        report["ingest"] = streams.ingest
 
     written = emit_report(
         report,
@@ -294,7 +267,7 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     if extra:
         raise ConfigError(f"sources for devices that are not sensors: {extra}")
 
-    streams = _LazyStreams(scenario)
+    streams = _LazyStreams(scenario, scenario.duration_ms)
 
     # The cloud-only baseline first, then one filtered run per grid point.
     configs: list = [] if scenario.mode == Mode.MIST_FOG_CLOUD else [None]

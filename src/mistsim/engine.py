@@ -16,19 +16,19 @@ ever queued.  Each sensor's transmit flags are the one record of what it
 sent: its log digest hashes the sent samples in the same pass.  A run is
 fully determined by its inputs.
 
-:func:`simulate` makes one pass over the sensors: each stream is fetched
-once, in topology order, and dropped once measured, so
-memory follows one sensor's samples, not all of them.  Per sensor it checks
-the stream whole (:func:`mistsim.mist_filter.check_stream` enforces the
-filter's contract, the engine adds only that the first timestamp is
-``>= 0``), cuts off the samples at or past the horizon, and the values the
-check returned for them, by bisection, feeds the kept samples into the
-sources hash and the cloud-only accounting, measures them for every config,
-and accounts what each run sent.  A stream the horizon does not cut is used
-as it is.  Any error, from the check or from measuring, names the sensor.
-A check error raises at once.  A measuring error stops all further
-measuring but not the checks; once every stream is checked, a metric that
-would overflow when every kept sample is sent raises first, and only then
+Both :func:`simulate` and ``mistsim filter`` go through one pass over the
+streams, :func:`measure_streams`: each stream is fetched once, in the
+order given, checked whole (:func:`mistsim.mist_filter.check_stream`
+enforces the filter's contract), cut at the horizon by bisection, together
+with the values the check returned, measured for every config and dropped,
+so memory follows one stream's samples, not all of them.  A stream the
+horizon does not cut is used as it is.  Any error names the stream.  A
+load or check error raises at once.  A measuring error stops all further
+measuring but not the checks, and is handed back to the caller, which
+raises it once every stream is checked.  :func:`simulate` adds only that
+the first timestamp is ``>= 0``, feeds the kept samples into the sources
+hash and the cloud-only accounting, and accounts what each run sent; a
+metric that would overflow when every kept sample is sent raises before
 the measuring error.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
@@ -47,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample, check_stream
 from .reconstruction import ErrorReport, measure_grid
@@ -213,16 +213,41 @@ def _hash_source(h, sensor_id: str, samples: Sequence[Sample]) -> None:
     h.update(sensor_id.encode() + b"\x00" + _packed(samples))
 
 
-def _check_stream(sensor_id: str, samples: Sequence[Sample], duration_ms: float) -> tuple:
-    """The samples before ``duration_ms`` and their values, once all are checked."""
-    try:
-        values = check_stream(samples)
-        if samples and samples[0].timestamp < 0:  # ordered: the first is the least
-            raise ValueError(f"negative timestamp {samples[0].timestamp!r}")
-    except ValueError as exc:
-        raise ValueError(f"sensor {sensor_id!r}: {exc}") from None
-    cut = bisect_left(samples, duration_ms, key=lambda sample: sample.timestamp)
-    return (samples, values) if cut == len(samples) else (samples[:cut], values[:cut])
+def measure_streams(
+    ids: Iterable[str], streams: Mapping[str, Sequence[Sample]],
+    configs: Sequence[Optional[FilterConfig]], duration_ms: Optional[float], label: str,
+) -> Iterator[tuple]:
+    """``(id, kept samples, grid)`` for each id in turn, one stream at a time.
+
+    Each stream is fetched once, checked whole by :func:`check_stream` (an
+    error raises at once), cut at ``duration_ms`` (``None`` cuts nothing)
+    and measured: ``grid`` is :func:`measure_grid`'s list.  The first
+    stream that fails to measure gets that error as its ``grid``, and every
+    later one ``None``.  Errors are prefixed ``"<label> '<id>': "``.  The
+    caller must drop each stream's samples before it asks for the next.
+    """
+    measuring = True
+    for s in ids:
+        samples = streams[s]
+        try:
+            values = check_stream(samples)
+        except ValueError as exc:
+            raise ValueError(f"{label} {s!r}: {exc}") from None
+        if duration_ms is not None:
+            cut = bisect_left(samples, duration_ms, key=lambda sample: sample.timestamp)
+            if cut < len(samples):
+                samples, values = samples[:cut], values[:cut]
+        grid = None
+        if measuring:
+            try:
+                grid = measure_grid(samples, values, configs)
+            except ValueError as exc:
+                grid = ValueError(f"{label} {s!r}: {exc}")
+                measuring = False
+        del values
+        yield s, samples, grid
+        # Drop this stream before the next one is fetched.
+        del samples, grid
 
 
 class _Traffic:
@@ -347,23 +372,21 @@ def simulate(
     flags: list[dict] = [{} for _ in configs]
     sources_hash = hashlib.sha256()
     failure = None
-    for s in sensor_ids:
-        kept, values = _check_stream(s, streams[s], duration_ms)
+    for s, kept, grid in measure_streams(sensor_ids, streams, configs, duration_ms, "sensor"):
+        if kept and kept[0].timestamp < 0:  # ordered: the first is the least
+            raise ValueError(f"sensor {s!r}: negative timestamp {kept[0].timestamp!r}")
         _hash_source(sources_hash, s, kept)
         total = len(kept)
         everything.add(s, kept, total)
-        if failure is None:
-            try:
-                grid = measure_grid(kept, values, configs)
-            except ValueError as exc:
-                failure = ValueError(f"sensor {s!r}: {exc}")
-            else:
-                for i, m in enumerate(grid):
-                    reports[i][s], flags[i][s] = m.report, m.flags
-                    if i in filtered:
-                        filtered[i].add(s, list(compress(kept, m.flags)), total)
+        if isinstance(grid, ValueError):
+            failure = grid
+        elif grid is not None:
+            for i, m in enumerate(grid):
+                reports[i][s], flags[i][s] = m.report, m.flags
+                if i in filtered:
+                    filtered[i].add(s, list(compress(kept, m.flags)), total)
         # Drop this sensor's samples before the next stream is fetched.
-        del kept, values
+        del kept
 
     cloud_only = everything.fields(energy, duration_ms)
     bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in cloud_only["link_usage"].items()]

@@ -20,13 +20,17 @@ from typing import Optional, Union
 from .mist_filter import Sample
 from .rng import normal_blocks
 
+# The most samples one synthetic source may have.  Its stream is built whole:
+# about 112 B a sample, plus 16 B for the check's lists, so about 1.3 GB.
+MAX_COUNT = 10_000_000
+
 
 @dataclass(frozen=True)
 class SensorSpec:
     """A synthetic sensor drawing i.i.d. normal values on a fixed cadence.
 
-    Timestamps are ``k * period_ms`` for ``k = 0 .. count - 1``; the last,
-    which is the largest, must be finite.
+    Timestamps are ``k * period_ms`` for ``k = 0 .. count - 1``, with
+    ``count <= MAX_COUNT``; the last, which is the largest, must be finite.
     """
 
     device_id: str
@@ -45,12 +49,9 @@ class SensorSpec:
             raise ValueError(f"stddev must be finite and >= 0, got {self.stddev!r}")
         if not math.isfinite(self.period_ms) or self.period_ms <= 0:
             raise ValueError(f"period_ms must be finite and > 0, got {self.period_ms!r}")
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count!r}")
-        try:
-            last = (self.count - 1) * self.period_ms
-        except OverflowError:  # a count past the float range
-            last = math.inf
+        if not 0 <= self.count <= MAX_COUNT:
+            raise ValueError(f"count must be >= 0 and <= {MAX_COUNT}, got {self.count!r}")
+        last = (self.count - 1) * self.period_ms
         if not math.isfinite(last):
             raise ValueError(
                 f"the last timestamp (count - 1) * period_ms must be finite, got {last!r}"

@@ -2,7 +2,7 @@
 
 Nothing here shares code with the package under test.  Everything is written
 the slow, obvious way: the point is independent ground truth, not speed.  The
-one exception, :func:`first_grid_error`, is handed the package's loader, check
+one exception, :func:`two_phase_error`, is handed the package's loader, check
 and measure functions: what it pins is the order they run in.
 """
 
@@ -373,28 +373,29 @@ def loop_check_stream(sensor_id, samples, duration_ms):
     return kept
 
 
-def first_grid_error(sources, load, check, measure, n_values, p_values, filter_config):
-    """``mistsim filter``'s exit code and stderr line, from an n-major sweep
-    over materialised streams: ``(0, "")`` when nothing fails.
+def two_phase_error(sources, load, check, measure, configs, label):
+    """A command's exit code and stderr line, from two passes over
+    materialised streams: ``(0, "")`` when nothing fails.
 
-    Every source is loaded first, in declaration order; ``load(spec)``
-    returns its samples.  Then, for each ``n`` in turn and each source in
-    turn, the source is checked with ``check(samples, n)`` the first time it
-    is met and measured with ``measure(samples, values, configs)`` over that
-    ``n``'s configs.  The first exception stops the sweep.
+    Phase 1 loads every source with ``load(spec)`` and checks it with
+    ``check(samples)``, in declaration order.  Phase 2 measures each
+    checked source with ``measure(samples, values, configs)``, in the same
+    order.  The first exception wins; a check or measuring error is
+    prefixed with ``label`` and the source id.
     """
     try:
-        streams = {spec.device_id: load(spec) for spec in sources}
-        values = {}
-        for n in n_values:
-            configs = [filter_config(n=n, p=p) for p in p_values]
-            for source_id, samples in streams.items():
-                try:
-                    if source_id not in values:
-                        values[source_id] = check(samples, n)
-                    measure(samples, values[source_id], configs)
-                except ValueError as exc:
-                    raise ValueError(f"source {source_id!r}: {exc}") from None
+        checked = []
+        for spec in sources:
+            samples = load(spec)
+            try:
+                checked.append((spec.device_id, samples, check(samples)))
+            except ValueError as exc:
+                raise ValueError(f"{label} {spec.device_id!r}: {exc}") from None
+        for source_id, samples, values in checked:
+            try:
+                measure(samples, values, configs)
+            except ValueError as exc:
+                raise ValueError(f"{label} {source_id!r}: {exc}") from None
     except FileNotFoundError as exc:
         return 1, f"error: {exc}\n"
     except ValueError as exc:

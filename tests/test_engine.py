@@ -16,15 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mistsim import engine
+from mistsim import cli, engine
 from mistsim.engine import (
     DEFAULT_ENERGY_PARAMS,
     EnergyModel,
     EnergyParams,
     Mode,
-    _check_stream,
     account_energy,
     compare,
+    measure_streams,
     run,
     simulate,
 )
@@ -633,18 +633,24 @@ def checked_streams(draw):
 @given(scenario=checked_streams())
 @settings(max_examples=400, deadline=None)
 def test_property_stream_check_matches_the_loop_it_replaced(scenario):
+    # The shared pass checks and cuts the stream; simulate adds the rule
+    # that the first timestamp is not negative.
     samples, duration = scenario
+    topo = small_topology(sensor_count=1)
     try:
         want = loop_check_stream("s1", samples, duration)
     except ValueError:
         with pytest.raises(ValueError, match="^sensor 's1': "):
-            _check_stream("s1", samples, duration)
+            simulate(topo, {"s1": samples}, [None], ENERGY, duration)
         return
-    got, values = _check_stream("s1", samples, duration)
+    ((_, got, grid),) = measure_streams(["s1"], {"s1": samples}, [None], duration, "sensor")
     assert list(got) == want
-    assert values == [sample.value for sample in want]
+    assert grid[0].report.total_count == len(want)
     if len(want) == len(samples):
         assert got is samples  # a stream the horizon does not cut is not copied
+    (metrics,) = simulate(topo, {"s1": samples}, [None], ENERGY, duration)
+    (whole,) = simulate(topo, {"s1": want}, [None], ENERGY, duration)
+    assert metrics.to_dict() == whole.to_dict()
 
 
 def test_simulate_rejects_empty_or_repeated_configs():
@@ -735,6 +741,54 @@ def test_simulate_fetches_each_stream_once_in_topology_order_and_drops_it():
     for a, b in zip(got, want, strict=True):
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
         assert a.flags == b.flags and a.log_digests == b.log_digests
+
+
+def test_measure_streams_holds_no_stream_at_the_next_fetch():
+    # The shared pass itself, under a caller that drops each stream's kept
+    # samples, as both commands do.  s2's windows overflow: its grid is the
+    # error, and s3 and s4 are still fetched and checked, but not measured.
+    specs = {
+        f"s{i}": SensorSpec(f"s{i}", 1e308 if i == 2 else 25.0, 0.0, 100.0, 300, seed=i)
+        for i in range(1, 5)
+    }
+    lazy = FetchOnce(specs)
+    grids = {}
+    for s, kept, grid in measure_streams(["s1", "s2", "s3", "s4"], lazy, [FC], 25_000.0, "sensor"):
+        assert len(kept) == 250
+        grids[s] = grid
+        del kept
+    assert lazy.fetched == ["s1", "s2", "s3", "s4"]
+    assert [ref() for ref in lazy.refs] == [None] * 4
+    assert grids["s1"][0].report.total_count == 250
+    assert str(grids["s2"]).startswith("sensor 's2': window average overflowed to inf")
+    assert grids["s3"] is None and grids["s4"] is None
+
+
+@pytest.mark.parametrize("command", ["simulate", "filter"])
+def test_each_command_drops_each_source_before_the_next_is_generated(
+    tmp_path, monkeypatch, command
+):
+    # Through the CLI: neither the command, the pass nor the loader holds a
+    # source's samples when the next source is generated.
+    refs = []
+
+    def watched(spec):
+        assert [ref() for ref in refs] == [None] * len(refs)
+        stream = WatchedStream(gen_normal(spec))
+        refs.append(weakref.ref(stream))
+        return stream
+
+    monkeypatch.setattr(cli, "gen_normal", watched)
+    text = "[run]\nduration_ms = 25000\nplot_data = true\n\n[device cloud]\nkind = cloud\n"
+    text += "\n[device gw]\nkind = gateway\n\n[link gw cloud]\nlatency_ms = 50\n"
+    for i in range(4):
+        text += f"\n[device s{i}]\nkind = sensor\n\n[link s{i} gw]\nlatency_ms = 4\n"
+        text += f"\n[source s{i}]\nkind = normal\nmean = 25\nstddev = 4\nperiod_ms = 100\n"
+        text += f"count = {200 + 100 * (i % 2)}\n"
+    cfg = tmp_path / "four.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(refs) == 4
 
 
 @pytest.mark.parametrize(

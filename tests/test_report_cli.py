@@ -13,7 +13,7 @@ from array import array
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mistsim import cli, engine, reconstruction
@@ -29,9 +29,9 @@ from mistsim.report import (
     round_floats,
     write_csv,
 )
-from mistsim.sources import load_csv
+from mistsim.sources import MAX_COUNT, SensorSpec, gen_normal, load_csv
 from mistsim.topology import Topology
-from oracles import first_grid_error
+from oracles import two_phase_error
 
 SIM_CFG = """\
 [run]
@@ -352,7 +352,7 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     # The topology is checked once, by the CLI's validation, before any
     # source is generated; the engine's path lookup reuses that check.
     calls, counted = count_calls
-    for name in ("_check_stream", "check_stream", "_hash_source", "_topology_fp", "measure_grid"):
+    for name in ("check_stream", "_hash_source", "_topology_fp", "measure_grid"):
         counted(engine, name)
     counted(reconstruction, "window_averages")
     counted(Topology, "uplink_paths")
@@ -363,7 +363,7 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     args = ["simulate", "--config", "table2.cfg", "--out", str(tmp_path), "--quiet"]
     assert main(args) == 0
     assert calls == {
-        "uplink_paths": 1, "_check": 1, "_check_stream": 6, "check_stream": 6, "_topology_fp": 1,
+        "uplink_paths": 1, "_check": 1, "check_stream": 6, "_topology_fp": 1,
         "_hash_source": 6, "measure_grid": 6, "window_averages": 6, "serialize_scenario": 1,
     }
 
@@ -380,7 +380,7 @@ def test_cli_simulate_sweeps_the_grid_in_one_pass(
     # checked once.  Each grid point is compared with the one baseline, in
     # grid order, and equals the single-point run at that point.
     calls, counted = count_calls
-    for name in ("_check_stream", "_hash_source", "measure_grid"):
+    for name in ("check_stream", "_hash_source", "measure_grid"):
         counted(engine, name)
     counted(reconstruction, "window_averages")
     counted(topology_module, "_check")
@@ -389,7 +389,7 @@ def test_cli_simulate_sweeps_the_grid_in_one_pass(
     args = ["simulate", "--config", "table2.cfg", *SWEEP, "--assert", gate, "--quiet"]
     assert main([*args, "--out", str(tmp_path / "sweep")]) == 0
     assert calls == {
-        "_check_stream": 6, "measure_grid": 6, "window_averages": 18, "_hash_source": 6,
+        "check_stream": 6, "measure_grid": 6, "window_averages": 18, "_hash_source": 6,
         "_check": 1,
     }
     report = json.loads((tmp_path / "sweep" / "report.json").read_text())
@@ -433,10 +433,11 @@ def test_cli_simulate_sweep_labels_rows_plots_and_lines(tmp_path, sim_cfg, capsy
 
 
 def test_cli_filter_checks_each_source_once(tmp_path, table2_cfg_path, monkeypatch, count_calls):
-    # A 3x3 grid over three sources: one check per source, one stage 1 per
-    # (source, n), and no transmission log, since filter reports none.
+    # A 3x3 grid over three sources: one check per source, in the pass both
+    # commands share, one stage 1 per (source, n), and no transmission log,
+    # since filter reports none.
     calls, counted = count_calls
-    counted(cli, "check_stream")
+    counted(engine, "check_stream")
     counted(reconstruction, "window_averages")
     counted(TransmissionLog, "__post_init__")
     monkeypatch.chdir(table2_cfg_path.parent)
@@ -705,6 +706,56 @@ def test_exit_1_source_timestamps_overflow(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "filter"])
+def test_exit_1_count_past_the_bound_generates_nothing(tmp_path, capsys, monkeypatch, command):
+    # count = 10**12 at period_ms = 1 has a finite last timestamp, but its
+    # stream could never be held: a config error naming the section, before
+    # any stream is generated.  A count at the bound still parses.
+    generated = []
+    monkeypatch.setattr(cli, "gen_normal", generated.append)
+    cfg = tmp_path / "big.cfg"
+
+    def write(count):
+        text = SIM_CFG.replace("period_ms = 100\ncount = 2000", f"period_ms = 1\ncount = {count}", 1)
+        cfg.write_text(text, encoding="utf-8")
+
+    write(10**12)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: [source a]: count must be >= 0 and <= {MAX_COUNT}, got {10**12}\n"
+    )
+    assert not out.exists()
+    assert generated == []
+    write(MAX_COUNT)
+    assert [source.count for source in load_config(cfg).sources] == [MAX_COUNT, 2000]
+
+
+@pytest.mark.parametrize("command, word", [("simulate", "sensor"), ("filter", "source")])
+def test_exit_2_a_non_finite_value_wins_over_an_earlier_window_overflow(
+    tmp_path, capsys, command, word
+):
+    # With n = 2 the window sum overflows at timestamp 4.0, and the value at
+    # 20.0 is inf.  Both commands check the whole stream, with a window that
+    # never fills, before measuring it, so both name the value.
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(
+        "[run]\nduration_ms = 100\n\n[filter]\nn = 2\n\n"
+        "[device cloud]\nkind = cloud\n\n[device gw]\nkind = gateway\n\n"
+        "[device a]\nkind = sensor\n\n[link a gw]\nlatency_ms = 1\n\n"
+        "[link gw cloud]\nlatency_ms = 1\n\n"
+        "[source a]\nkind = normal\nmean = 0.9e308\nstddev = 0.5e308\nperiod_ms = 1\n"
+        "count = 40\nseed = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"runtime error: {word} 'a': non-finite value inf at timestamp 20.0\n"
+    )
+    assert not out.exists()
+
+
 def test_exit_2_runtime_error(tmp_path, capsys):
     csv = tmp_path / "wrong.csv"
     csv.write_text("timestamp,other\n0,1\n", encoding="utf-8")
@@ -862,13 +913,14 @@ _OVERFLOW_LINE = (
 
 @pytest.mark.parametrize(
     "n_values,expected_t",
-    [("5,2,3", "12.0"), ("5,3,2", "2.0"), ("3,2", "2.0"), ("2,3", "12.0")],
+    [("5,2,3", "2.0"), ("5,3,2", "2.0"), ("3,2", "2.0"), ("2,3", "2.0")],
 )
 def test_filter_grid_reports_the_first_error_in_grid_order(
     tmp_path, capsys, n_values, expected_t
 ):
-    # The stderr line is the one the n-major grid loop meets first: with n=2
-    # ahead of n=3 it is source b's, even though source a is declared first.
+    # Each source is measured over the whole grid before the next is
+    # loaded, so the first source to fail is named, at the first grid point
+    # it fails at: source a, whatever the order of n.
     (tmp_path / "a.csv").write_text(
         "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
     )
@@ -893,14 +945,15 @@ def test_filter_grid_reports_the_first_error_in_grid_order(
     "b_mean, n_values, expected",
     [
         ("1", "3,2", _OVERFLOW_LINE.format(source="a", t="2.0")),
-        ("1e308", "2,3", _OVERFLOW_LINE.format(source="b", t="1e+308")),
+        ("1e308", "2,3", _OVERFLOW_LINE.format(source="a", t="2.0")),
     ],
 )
 def test_filter_checks_each_source_within_the_sweep(tmp_path, capsys, b_mean, n_values, expected):
     # Source a's window overflows at n=3 only; with a mean of 1e308, source
     # b's window overflows at n=2.  The replay source beside b means no
-    # duration is derived.  Each source is checked with the first n, inside
-    # the n-major sweep, so the first n of the grid decides which is named.
+    # duration is derived.  Both streams pass their check, which no n
+    # reaches, so the first source to fail over the whole grid is named,
+    # whatever the first n.
     (tmp_path / "a.csv").write_text(
         "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
     )
@@ -941,29 +994,45 @@ _GRID_STREAMS = st.lists(
     max_size=4,
 ).map(lambda runs: [value for value, repeat in runs for _ in range(repeat)])
 
+# A synthetic source whose value at timestamp 20.0 is inf, so it fails its
+# check; a window of 2 would overflow before that, at 4.0.
+_BROKEN_SOURCE = "kind = normal\nmean = 0.9e308\nstddev = 0.5e308\nperiod_ms = 1\ncount = 40\nseed = 1\n"
+
+
+def _load_any(spec):
+    return gen_normal(spec) if isinstance(spec, SensorSpec) else load_csv(spec)[0]
+
 
 @given(
     sources=st.lists(_GRID_STREAMS, min_size=1, max_size=4),
     missing=st.none() | st.integers(0, 3),
+    broken=st.none() | st.integers(0, 3),
     n_values=st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True),
     p_values=st.lists(st.sampled_from([0.0, 0.05, 0.5]), min_size=1, max_size=2, unique=True),
 )
-# The later source fails at the lower n index, so it is the one named.
-@example(sources=[[1e308, 1e308], [0.6e308] * 3], missing=None, n_values=[3, 2], p_values=[0.0])
 @settings(max_examples=200, deadline=None)
-def test_property_filter_raises_the_first_error_of_the_n_major_sweep(
-    sources, missing, n_values, p_values
+def test_property_filter_and_simulate_raise_the_error_of_the_two_phase_oracle(
+    sources, missing, broken, n_values, p_values
 ):
-    # Each source is a replay CSV; the one at index ``missing``, if any, has
-    # no file.  Whatever fails, and wherever, the CLI exits as the n-major
-    # sweep over streams all loaded up front does, and writes nothing on a
-    # failure.
+    # Each source is a replay CSV, except that the one at index ``missing``
+    # has no file and the one at index ``broken`` is a synthetic stream that
+    # fails its check.  Whatever fails, and wherever, ``filter`` exits as
+    # loading and checking every source, then measuring each over the whole
+    # grid, does, and writes nothing on a failure.  ``simulate`` runs the
+    # same sources under one gateway, with a horizon past every timestamp,
+    # and exits the same way.
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        text = f"[run]\n\n[filter]\nn = {','.join(map(str, n_values))}\n"
-        text += f"p = {','.join(map(repr, p_values))}\n"
+        text = "[run]\nduration_ms = 100\nmode = mist_fog_cloud\n\n[filter]\n"
+        text += f"n = {','.join(map(str, n_values))}\np = {','.join(map(repr, p_values))}\n"
+        text += "\n[device cloud]\nkind = cloud\n\n[device gw]\nkind = gateway\n"
+        text += "\n[link gw cloud]\nlatency_ms = 50\n"
         for i, values in enumerate(sources):
+            text += f"\n[device s{i}]\nkind = sensor\n\n[link s{i} gw]\nlatency_ms = 4\n"
             path = tmp / f"s{i}.csv"
+            if i == broken and i != missing:
+                text += f"\n[source s{i}]\n{_BROKEN_SOURCE}"
+                continue
             if i != missing:
                 rows = "".join(f"{t},{v!r}\n" for t, v in enumerate(values))
                 path.write_text("timestamp,value\n" + rows, encoding="utf-8")
@@ -971,16 +1040,17 @@ def test_property_filter_raises_the_first_error_of_the_n_major_sweep(
         cfg = tmp / "grid.cfg"
         cfg.write_text(text, encoding="utf-8")
         scenario = load_config(cfg)
-        expected = first_grid_error(
-            scenario.sources, lambda spec: load_csv(spec)[0], check_stream, measure_grid,
-            scenario.n_values, scenario.p_values, FilterConfig,
+        code, err = two_phase_error(
+            scenario.sources, _load_any, check_stream, measure_grid, scenario.grid, "source"
         )
-        out = tmp / "out"
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = main(["filter", "--config", str(cfg), "--out", str(out), "--quiet"])
-        assert (code, stderr.getvalue()) == expected
-        assert out.exists() == (code == 0)
+        for command, word in (("filter", "source"), ("simulate", "sensor")):
+            out = tmp / command
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                got = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+            want = err.replace("runtime error: source ", f"runtime error: {word} ", 1)
+            assert (got, stderr.getvalue()) == (code, want)
+            assert out.exists() == (code == 0)
 
 
 @pytest.mark.parametrize(
