@@ -200,11 +200,13 @@ _timestamp = itemgetter(0)  # Sample.timestamp
 _value = itemgetter(1)  # Sample.value
 
 
-def check_stream(samples: Sequence[Sample], n: Optional[int] = None) -> list[float]:
+def check_stream(samples: Sequence[Sample]) -> list[float]:
     """The stream's values, once its timestamps and values pass ``step``'s checks.
 
-    Otherwise raises what :meth:`EventFilter.step` with a window of ``n``
-    raises at the first failing sample; by default that window never fills.
+    Otherwise raises what :meth:`EventFilter.step` raises at the first
+    failing sample, with a window that never fills: a window sum that
+    overflows is left to :func:`window_averages`, which finds it for each
+    ``n``.
     """
     values = list(map(_value, samples))
     times = list(map(_timestamp, samples))
@@ -214,7 +216,7 @@ def check_stream(samples: Sequence[Sample], n: Optional[int] = None) -> list[flo
         -_INF < times[0] and times[-1] < _INF and all(map(lt, times, islice(times, 1, None)))
     )
     if not (ordered and all(map(_isfinite, values))):
-        _replay(samples, len(samples) + 1 if n is None else n)
+        _replay(samples, len(samples) + 1)
     return values
 
 

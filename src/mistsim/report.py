@@ -1,9 +1,17 @@
 """Byte-stable report emission.
 
 Reports must be reproducible down to the byte: keys are sorted, floats are
-rounded to nine significant digits before encoding, and nothing volatile
-(wall-clock time, absolute paths picked by the tool, machine names) goes in.
-Golden files in the test suite rely on this.
+rounded to nine significant digits, and nothing volatile (wall-clock time,
+absolute paths picked by the tool, machine names) goes in.  Golden files in
+the test suite rely on this.
+
+``report.json`` is the text ``json.JSONEncoder(sort_keys=True, indent=2)``
+gives for the report with its floats rounded, but it is written by one
+walk that rounds, sorts and encodes together (the standard library's
+encoder runs in pure Python whenever it indents).  The walk folds its text
+into bounded blocks, so a report's text is held once, and it finishes
+before anything is written: a report that cannot be encoded leaves no
+output directory behind.
 """
 
 from __future__ import annotations
@@ -33,42 +41,149 @@ class _NonFiniteFloat(ValueError):
         return f"reports must not contain non-finite floats, got {self.value!r}{where}"
 
 
-def round_floats(obj: Any) -> Any:
-    """Copy ``obj`` with every float rounded to nine significant digits.
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_isfinite = math.isfinite
+_quote = json.encoder.encode_basestring_ascii
+_BLOCK = 1024  # chunks folded into one block string
 
-    Rounding happens in decimal ('%.9g') and the result is re-parsed, so the
-    JSON encoder later prints the shortest representation of the rounded
-    value.  Non-finite floats are rejected; reports must never contain them.
-    The ``ValueError`` names the first one's dotted path, dict keys and list
-    indices alike (``runs.cloud_only.latency_ms.max``, say).
+
+def _report_blocks(report: Any) -> list[str]:
+    """The report's JSON text, final newline included, as a list of blocks.
+
+    This is the one definition of the report format: the text
+    ``json.JSONEncoder(sort_keys=True, indent=2)`` gives for a copy of
+    ``report`` with every float rounded to nine significant digits, built
+    in one walk without the copy.  Chunks are folded into one block string
+    every ``_BLOCK`` of them, so the text is held once plus a bounded tail.
+    A non-finite float raises ``ValueError`` naming the first one's dotted
+    path, dict keys in insertion order and list indices alike
+    (``runs.cloud_only.latency_ms.max``, say); a key that is not a ``str``
+    raises ``TypeError``.
     """
+    blocks: list[str] = []
+    chunks: list[str] = []
+    append = chunks.append
+    keys: dict[str, str] = {}  # key -> '"key": '
+
+    def key_text(key: Any) -> str:
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be str, not {type(key).__name__}")
+        text = keys[key] = _quote(key) + ": "
+        return text
+
+    def scalar(obj: Any) -> Optional[str]:
+        """``obj``'s text, or ``None`` for a container."""
+        if isinstance(obj, str):
+            return _quote(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return _int_repr(obj)
+        if isinstance(obj, float):
+            if not _isfinite(obj):
+                raise _NonFiniteFloat(obj)
+            # Round in decimal, then print the rounded value's shortest repr.
+            return _float_repr(float(format(obj, ".9g")))
+        if isinstance(obj, (dict, list, tuple)):
+            return None
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    def container(obj: Any, indent: str) -> None:
+        """Append ``obj``'s text; ``indent`` is a newline plus ``obj``'s own indentation."""
+        inner = indent + "  "
+        sep = "," + inner
+        if isinstance(obj, dict):
+            if not obj:
+                append("{}")
+                return
+            head = "{" + inner
+            for key in sorted(obj):
+                value = obj[key]
+                cls = type(value)
+                # The common scalars inline; anything else through scalar().
+                if cls is float:
+                    if not _isfinite(value):
+                        raise _NonFiniteFloat(value)
+                    text = _float_repr(float(format(value, ".9g")))
+                elif cls is str:
+                    text = _quote(value)
+                elif cls is int:
+                    text = _int_repr(value)
+                else:
+                    text = scalar(value)
+                    if text is None:
+                        append(head + (keys.get(key) or key_text(key)))
+                        container(value, inner)
+                        head = sep
+                        continue
+                append(head + (keys.get(key) or key_text(key)) + text)
+                head = sep
+                if len(chunks) >= _BLOCK:
+                    blocks.append("".join(chunks))
+                    chunks.clear()
+            append(indent + "}")
+        else:
+            if not obj:
+                append("[]")
+                return
+            head = "[" + inner
+            for value in obj:
+                text = scalar(value)
+                if text is None:
+                    append(head)
+                    container(value, inner)
+                else:
+                    append(head + text)
+                head = sep
+                if len(chunks) >= _BLOCK:
+                    blocks.append("".join(chunks))
+                    chunks.clear()
+            append(indent + "]")
+
+    try:
+        text = scalar(report)
+        if text is None:
+            container(report, "\n")
+        else:
+            append(text)
+    except (_NonFiniteFloat, TypeError):
+        # A non-finite float anywhere is the error, the first one in
+        # insertion order, whatever the sorted walk met first.
+        _raise_first_non_finite(report)
+        raise
+    append("\n")
+    blocks.append("".join(chunks))
+    return blocks
+
+
+def _raise_first_non_finite(obj: Any) -> None:
+    """Raise for the first non-finite float in ``obj``, if there is one."""
     if isinstance(obj, float):
-        if not math.isfinite(obj):
+        if not _isfinite(obj):
             raise _NonFiniteFloat(obj)
-        return float(format(obj, ".9g"))
+        return
     if isinstance(obj, dict):
         items = obj.items()
     elif isinstance(obj, (list, tuple)):
         items = enumerate(obj)
     else:
-        return obj
-    rounded = {}
-    try:
-        for key, value in items:
-            rounded[key] = round_floats(value)
-    except _NonFiniteFloat as exc:
-        exc.path.insert(0, key)
-        raise
-    return rounded if isinstance(obj, dict) else list(rounded.values())
-
-
-# The one definition of the report format; ``emit_report`` streams it to disk.
-_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+        return
+    for key, value in items:
+        try:
+            _raise_first_non_finite(value)
+        except _NonFiniteFloat as exc:
+            exc.path.insert(0, key)
+            raise
 
 
 def dumps_stable(report: dict) -> str:
-    """Deterministic JSON text for a report dict."""
-    return _ENCODER.encode(round_floats(report)) + "\n"
+    """Deterministic JSON text for a report dict: the bytes ``emit_report`` writes."""
+    return "".join(_report_blocks(report))
 
 
 def _fmt_cell(value: Any) -> str:
@@ -104,19 +219,22 @@ def emit_report(
     value, its zero-order-hold reconstruction and the flag.  Series sharing
     one pair of ``timestamps`` and ``values`` columns (``array('d')`` in
     the commands) are written together, formatting their cells once.
-    ``report.json`` holds the bytes of :func:`dumps_stable`, written chunk
-    by chunk rather than built as one string; a report that cannot be
-    encoded raises before ``out_dir`` is made.  Returns the written paths.
+    ``report.json`` holds the bytes of :func:`dumps_stable`: the report is
+    encoded first, in one walk, into a list of bounded blocks, which are
+    written in turn and then dropped, so the text is never joined into one
+    string.  A report that cannot be encoded (a non-finite float, a
+    non-``str`` key) raises before ``out_dir`` is made.  Returns the
+    written paths.
     """
-    rounded = round_floats(report)
+    blocks = _report_blocks(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     report_path = out / "report.json"
     with report_path.open("w", encoding="utf-8") as fh:
-        fh.writelines(_ENCODER.iterencode(rounded))
-        fh.write("\n")
+        fh.writelines(blocks)
+    del blocks
     written.append(report_path)
 
     if sensor_rows is not None:

@@ -9,6 +9,7 @@ and measure functions: what it pins is the order they run in.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 
 
@@ -401,3 +402,52 @@ def two_phase_error(sources, load, check, measure, configs, label):
     except ValueError as exc:
         return 2, f"runtime error: {exc}\n"
     return 0, ""
+
+
+class NonFiniteFloat(ValueError):
+    """A non-finite float in a report, with the keys that lead to it."""
+
+    def __init__(self, value):
+        super().__init__(value)
+        self.value = value
+        self.path = []
+
+    def __str__(self):
+        where = f" at {'.'.join(map(str, self.path))}" if self.path else ""
+        return f"reports must not contain non-finite floats, got {self.value!r}{where}"
+
+
+def round_floats(obj):
+    """Copy ``obj`` with every float rounded to nine significant digits.
+
+    Rounding happens in decimal ('%.9g') and the result is re-parsed, so the
+    JSON encoder later prints the shortest representation of the rounded
+    value.  Non-finite floats are rejected; the ``ValueError`` names the
+    first one's dotted path, dict keys and list indices alike.
+    """
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise NonFiniteFloat(obj)
+        return float(format(obj, ".9g"))
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        return obj
+    rounded = {}
+    try:
+        for key, value in items:
+            rounded[key] = round_floats(value)
+    except NonFiniteFloat as exc:
+        exc.path.insert(0, key)
+        raise
+    return rounded if isinstance(obj, dict) else list(rounded.values())
+
+
+REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
+
+
+def report_text(report):
+    """``report.json``'s text as first defined: round a copy, then the stdlib encoder."""
+    return REPORT_ENCODER.encode(round_floats(report)) + "\n"

@@ -402,12 +402,13 @@ def test_oracle_agrees_on_pathological_magnitudes():
 def test_check_stream_returns_values_or_steps_error_for_its_window():
     samples = [Sample(0.0, 1e308), Sample(1.0, 1e308), Sample(2.0, math.nan)]
     assert check_stream(samples[:2]) == [1e308, 1e308]
-    # The same broken stream, judged with a window that never fills and one
-    # of 2, which overflows before it reaches the NaN.
+    # The same broken stream, judged by check_stream's window that never
+    # fills and by stage 1's window of 2, which overflows before it reaches
+    # the NaN.
     with pytest.raises(ValueError, match="^non-finite value nan at timestamp 2.0$"):
         check_stream(samples)
     with pytest.raises(ValueError, match="overflowed to inf at timestamp 1.0"):
-        check_stream(samples, 2)
+        window_averages(samples, [sample.value for sample in samples], 2)
 
 
 def test_window_averages_reads_only_the_checked_values():

@@ -38,14 +38,13 @@ def samples_of(values):
 
 
 def measure_stream(samples, cfg):
-    """One stream, checked with cfg's window, under one config (None: no filter)."""
-    return measure_grid(samples, check_stream(samples, cfg and cfg.n), [cfg])[0]
+    """One checked stream under one config (None: no filter)."""
+    return measure_grid(samples, check_stream(samples), [cfg])[0]
 
 
 def measure_checked(samples, configs):
-    """measure_grid after the check a caller runs, with the first config's window."""
-    first = configs[0] if configs else None
-    return measure_grid(samples, check_stream(samples, first and first.n), configs)
+    """measure_grid after the check a caller runs."""
+    return measure_grid(samples, check_stream(samples), configs)
 
 
 def log_of(samples, flags):
@@ -427,7 +426,7 @@ def test_measure_grid_rejects_an_overflowing_hold_error(values, timestamp):
     config = FilterConfig(n=1, p=1e300)
     assert measure_stream(samples[:1], config).report.avg_abs_error == 0.0
     with pytest.raises(ValueError, match=f"^hold error overflowed to inf at timestamp {timestamp};"):
-        measure_grid(samples, check_stream(samples, 1), [None, config])
+        measure_grid(samples, check_stream(samples), [None, config])
 
 
 def test_measure_grid_shares_one_window_pass_per_n(monkeypatch):

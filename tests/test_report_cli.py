@@ -20,18 +20,13 @@ from mistsim import cli, engine, reconstruction
 from mistsim import topology as topology_module
 from mistsim.cli import main
 from mistsim.config import load_config
+from mistsim.engine import Mode
 from mistsim.mist_filter import FilterConfig, Sample, check_stream
 from mistsim.reconstruction import TransmissionLog, measure_grid, reconstruct_zoh
-from mistsim.report import (
-    check_assertion,
-    dumps_stable,
-    emit_report,
-    round_floats,
-    write_csv,
-)
+from mistsim.report import check_assertion, dumps_stable, emit_report, write_csv
 from mistsim.sources import MAX_COUNT, SensorSpec, gen_normal, load_csv
 from mistsim.topology import Topology
-from oracles import two_phase_error
+from oracles import report_text, round_floats, two_phase_error
 
 SIM_CFG = """\
 [run]
@@ -91,6 +86,7 @@ def sim_cfg(tmp_path):
 
 
 def test_round_floats_nine_significant_digits():
+    # round_floats is the reference rounding in tests/oracles.py.
     assert round_floats(0.123456789123) == 0.123456789
     assert round_floats(1234567891234.0) == 1234567890000.0
     assert round_floats({"a": [1.00000000049, 2]}) == {"a": [1.0, 2]}
@@ -107,11 +103,129 @@ def test_round_floats_rejects_non_finite():
         round_floats({"ok": 1.0, "deep": [2.0, float("inf")]})
 
 
+def test_dumps_stable_rounds_to_nine_significant_digits():
+    assert dumps_stable(0.123456789123) == "0.123456789\n"
+    assert dumps_stable(1234567891234.0) == "1234567890000.0\n"
+    assert dumps_stable({"a": [1.00000000049, 2]}) == '{\n  "a": [\n    1.0,\n    2\n  ]\n}\n'
+    assert dumps_stable(7) == "7\n"
+    assert dumps_stable(True) == "true\n"
+    assert dumps_stable("x") == '"x"\n'
+    assert dumps_stable(None) == "null\n"
+
+
+def test_dumps_stable_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite floats, got nan$"):
+        dumps_stable(float("nan"))
+    with pytest.raises(ValueError, match=r"got inf at deep\.1$"):
+        dumps_stable({"ok": 1.0, "deep": [2.0, float("inf")]})
+    # The first non-finite float in insertion order is named, although the
+    # sorted walk meets "a" first.
+    with pytest.raises(ValueError, match=r"got nan at z$"):
+        dumps_stable({"z": math.nan, "a": [math.inf]})
+
+
+def test_dumps_stable_rejects_a_key_that_is_not_a_str():
+    # Reports only ever use str keys; the stdlib encoder would print 1 as "1".
+    with pytest.raises(TypeError, match="report keys must be str, not int"):
+        dumps_stable({"runs": {1: 2.0}})
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dumps_stable({"runs": {1.5}})
+
+
 def test_dumps_stable_is_order_insensitive():
     a = {"x": 1, "y": {"b": 2.0, "a": 3.0}}
     b = {"y": {"a": 3.0, "b": 2.0}, "x": 1}
     assert dumps_stable(a) == dumps_stable(b)
     assert dumps_stable(a).endswith("\n")
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+# Keys and strings: any text, plus the characters JSON escapes or a
+# surrogate the ASCII escaper writes as \ud800.
+TEXTS = st.one_of(
+    st.text(max_size=6),
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\ud800 a'), max_size=6),
+)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # Decimal ties at the ninth significant digit, either sign, from about
+    # 1e-320 to 1e307.
+    st.builds(
+        lambda m, e, sign: sign * float(f"{m}5e{e}"),
+        st.integers(min_value=10**8, max_value=10**9 - 1),
+        st.integers(min_value=-330, max_value=297),
+        st.sampled_from([1.0, -1.0]),
+    ),
+    st.sampled_from([0.0, -0.0, 0.1, 1e-7, 1e16, 1e308, 2.2250738585072014e-308]),
+    st.sampled_from([5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.integers().map(_Int),
+    FLOATS,
+    TEXTS,
+    st.sampled_from(list(Mode)),
+)
+REPORTS = st.recursive(
+    SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(TEXTS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@given(report=REPORTS)
+@settings(max_examples=400, deadline=None)
+def test_property_dumps_stable_matches_the_stdlib_encoder(report):
+    # The one-walk writer against the reference: round a copy, then encode
+    # it with json.JSONEncoder(sort_keys=True, indent=2).
+    assert dumps_stable(report) == report_text(report)
+
+
+@given(
+    report=st.dictionaries(TEXTS, REPORTS, max_size=5),
+    bad=st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_property_non_finite_float_fails_like_the_oracle(report, bad, data):
+    # Put each non-finite float into a random dict or list of the report;
+    # the error names the same one, at the same dotted path.
+    for value in bad:
+        targets = []
+        stack = [report]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (dict, list)):
+                targets.append(node)
+            if isinstance(node, dict):
+                stack.extend(node.values())
+            elif isinstance(node, (list, tuple)):
+                stack.extend(node)
+        target = data.draw(st.sampled_from(targets))
+        if isinstance(target, dict):
+            target[data.draw(TEXTS)] = value
+        else:
+            target.insert(data.draw(st.integers(0, len(target))), value)
+    with pytest.raises(ValueError) as want:
+        report_text(report)
+    with pytest.raises(ValueError) as got:
+        dumps_stable(report)
+    assert str(got.value) == str(want.value)
 
 
 def test_emit_report_rejects_a_non_finite_float_before_making_the_directory(tmp_path):
@@ -125,7 +239,8 @@ def test_emit_report_rejects_a_non_finite_float_before_making_the_directory(tmp_
     "grid", [[], ["--n", "5,10,50", "--p", "0.01,0.05,0.1"]], ids=["table2", "sweep"]
 )
 def test_emit_report_writes_the_dumps_stable_bytes(tmp_path, table2_cfg_path, monkeypatch, grid):
-    # report.json is streamed to disk chunk by chunk; the bytes are the text.
+    # report.json is written block by block from one walk; the bytes are
+    # dumps_stable's text.
     reports = []
 
     def emit(report, *args, **kwargs):
@@ -138,6 +253,43 @@ def test_emit_report_writes_the_dumps_stable_bytes(tmp_path, table2_cfg_path, mo
     assert main(args) == 0
     (report,) = reports
     assert (tmp_path / "report.json").read_bytes() == dumps_stable(report).encode()
+
+
+def _sensor_bank_report(sensors):
+    """A report shaped like simulate's, with ``sensors`` sensor blocks."""
+    blocks = {
+        f"s{i:04d}": {
+            "avg_abs_error": i * 0.0123456789123,
+            "avg_error_pct_of_mean": i / 7.0,
+            "log_digest": f"{i:064x}",
+            "max_abs_error": i * 1.000000001,
+            "reduction_percent": 100.0 * i / (sensors + 1),
+            "suppressed": i,
+            "total": 50,
+            "transmitted": 50 - i % 50,
+        }
+        for i in range(sensors)
+    }
+    run = {"mode": Mode.CLOUD_ONLY, "sensors": blocks}
+    return {"command": "simulate", "runs": {"cloud_only": run}}
+
+
+def test_emit_report_holds_the_text_once_plus_a_bounded_tail(tmp_path):
+    # The report is encoded before anything is written, so its text is held
+    # once; the chunks of the walk are folded into blocks as it goes.  The
+    # writer measured about 1.4x the text above its inputs; one list of
+    # every chunk, joined at the end, measured about 4.8x.
+    report = _sensor_bank_report(2000)
+    size = len(dumps_stable(report))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        emit_report(report, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "report.json").stat().st_size == size
+    assert peak < 2.0 * size, f"emit_report peaked {peak} B above its inputs for {size} B of text"
 
 
 def test_write_csv_formatting(tmp_path):
