@@ -1,16 +1,12 @@
 """Flat INI-style configuration: one file describes a whole scenario.
 
-Section grammar (full key reference in ``docs/config_format.md``)::
-
-    [run]                    seed, duration_ms, message_size_bytes, mode, plot_data
-    [filter]                 n, p (comma-separated lists sweep the filter grid;
-                             --n/--p replace them and are parsed alike)
-    [energy]                 <kind>_busy_w, <kind>_idle_w, <kind>_busy_ms_per_message
-    [device <id>]            kind, level, uplink_kbps, downlink_kbps, ram_mb
-    [link <src> <dst>]       latency_ms
-    [source <device_id>]     kind=normal: mean, stddev, period_ms, count, seed
-                             kind=replay: file, value_column, timestamp_column,
-                                          delimiter, expected_period
+Sections are ``[run]``, ``[filter]``, ``[energy]``, ``[device <id>]``,
+``[link <src> <dst>]`` and ``[source <device_id>]``, whose ``kind`` (normal
+or replay) picks its keys.  ``_KEYS`` lists each section's keys with their
+parsers and defaults, in the order ``resolved.cfg`` writes them; the full
+reference is ``docs/config_format.md``.  The flags ``--seed``, ``--mode``,
+``--n`` and ``--p`` replace the key of the same name, unread, and an error
+in a flag's value names the flag.
 
 Unknown sections or keys are hard errors, never silently ignored.  Loading
 a file, serializing the result, and loading it again reproduces the same
@@ -23,9 +19,8 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 from .engine import DEFAULT_ENERGY_PARAMS, EnergyModel, EnergyParams, Mode
 from .mist_filter import FilterConfig
@@ -37,6 +32,7 @@ MODES = ("both", *(m.value for m in Mode))
 
 DEFAULT_SEED = 42
 DEFAULT_MESSAGE_SIZE = 100
+_ENERGY_FIELDS = ("busy_w", "idle_w", "busy_ms_per_message")
 
 
 class ConfigError(ValueError):
@@ -80,38 +76,13 @@ def _section_error(origin: str, section: str, message: str) -> ConfigError:
     return ConfigError(f"{origin}: [{section}]: {message}")
 
 
-def _check_keys(origin: str, section: str, present: Sequence[str], allowed: Sequence[str]) -> None:
-    unknown = sorted(set(present) - set(allowed))
-    if unknown:
-        raise _section_error(
-            origin, section, f"unknown keys {unknown}; allowed keys are {sorted(allowed)}"
-        )
-
-
-def _get_number(conv, origin: str, section: str, raw: dict, key: str, default=None):
-    """``conv(raw[key])`` for ``conv`` float or int; ``default`` when absent."""
-    if key not in raw:
-        return default
-    try:
-        return conv(raw[key])
-    except ValueError:
-        what = "an integer" if conv is int else "a number"
-        raise _section_error(origin, section, f"{key} must be {what}, got {raw[key]!r}") from None
-
-
-_get_float = partial(_get_number, float)
-_get_int = partial(_get_number, int)
-
-
-def _get_bool(origin: str, section: str, raw: dict, key: str, default=None) -> Optional[bool]:
-    if key not in raw:
-        return default
-    text = raw[key].strip().lower()
+def _bool(text: str) -> bool:
+    text = text.strip().lower()
     if text in ("true", "yes", "on", "1"):
         return True
     if text in ("false", "no", "off", "0"):
         return False
-    raise _section_error(origin, section, f"{key} must be a boolean, got {raw[key]!r}")
+    raise ValueError(text)
 
 
 def _decode_delimiter(value: str) -> str:
@@ -120,6 +91,115 @@ def _decode_delimiter(value: str) -> str:
 
 def _encode_delimiter(value: str) -> str:
     return "\\t" if value == "\t" else value
+
+
+def _grid(key: str, conv):
+    """The parser of a ``[filter]`` list: distinct ``conv`` values, each valid
+    as ``FilterConfig``'s ``key``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(conv(cell) for cell in text.split(",") if cell.strip())
+        except ValueError:
+            raise ConfigError(f"{key} must be comma-separated numbers, got {text!r}") from None
+        if not values:
+            raise ConfigError(f"{key} must list at least one value")
+        for i, value in enumerate(values):
+            try:
+                FilterConfig(**{key: value})
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+            if value in values[:i]:  # 0.0 and -0.0 count as one value
+                raise ConfigError(
+                    f"{key} values must be distinct; {value!r} repeats an earlier one"
+                )
+        return values
+
+    return parse
+
+
+# Each section kind's keys, in resolved.cfg order, as key -> (parser, default,
+# check).  A parser raises ValueError on text it cannot read, or ConfigError
+# with its own message.  A check, (predicate, phrase) or None, tests every
+# resolved value, default and flag included, and fails as "<key> <phrase>,
+# got <value>".  A None default is filled in by code (level, source seed,
+# plot_data), means required (device kind, link latency_ms, replay file), or
+# means unset.
+_KEYS = {
+    "run": {
+        "seed": (int, DEFAULT_SEED, (lambda v: 0 <= v < 1 << 64, "must fit in 64 bits")),
+        "duration_ms": (
+            float,
+            None,
+            (lambda v: v is None or (math.isfinite(v) and v > 0), "must be finite and > 0"),
+        ),
+        "message_size_bytes": (int, DEFAULT_MESSAGE_SIZE, (lambda v: v >= 1, "must be >= 1")),
+        "mode": (str, "both", (lambda v: v in MODES, f"must be one of {MODES}")),
+        "plot_data": (_bool, None, None),
+    },
+    "filter": {
+        key: (_grid(key, conv), (getattr(FilterConfig(), key),), None)
+        for key, conv in (("n", int), ("p", float))
+    },
+    "energy": {
+        f"{kind}_{field}": (float, getattr(DEFAULT_ENERGY_PARAMS[kind], field), None)
+        for kind in KINDS
+        for field in _ENERGY_FIELDS
+    },
+    "device": {
+        "kind": (str, None, (lambda v: v in KINDS, f"must be one of {KINDS}")),
+        "level": (int, None, None),
+        "uplink_kbps": (float, 0.0, None),
+        "downlink_kbps": (float, 0.0, None),
+        "ram_mb": (float, 0.0, None),
+    },
+    "link": {"latency_ms": (float, None, None)},
+    "normal": {
+        "kind": (str, None, None),
+        "mean": (float, 0.0, None),
+        "stddev": (float, 1.0, None),
+        "period_ms": (float, 1000.0, None),
+        "count": (int, 10_000, None),
+        "seed": (int, None, None),
+    },
+    "replay": {
+        "kind": (str, None, None),
+        "file": (str, None, None),
+        "value_column": (str, "value", None),
+        "timestamp_column": (str, "timestamp", None),
+        "delimiter": (_decode_delimiter, ",", None),
+        "expected_period": (float, None, None),
+    },
+}
+_NOUNS = {int: "an integer", float: "a number", _bool: "a boolean"}
+
+
+def _read(origin: str, section: str, kind: str, raw: dict, flags: Optional[dict] = None) -> dict:
+    """Every key of ``_KEYS[kind]``, in order: its flag's value when given
+    (not None), else its parsed text in ``raw``, else its default.  An unknown
+    key in ``raw`` is an error; errors name the flag or the section."""
+    keys = _KEYS[kind]
+    unknown = raw.keys() - keys.keys()
+    if unknown:
+        raise _section_error(
+            origin, section, f"unknown keys {sorted(unknown)}; allowed keys are {sorted(keys)}"
+        )
+    flags = flags or {}
+    values = {}
+    for key, (parse, default, check) in keys.items():
+        flag = flags.get(key)
+        text = raw.get(key) if flag is None else flag
+        try:
+            value = default if text is None else parse(text)
+            if check and not check[0](value):
+                raise ConfigError(f"{key} {check[1]}, got {value!r}")
+        except ValueError as exc:
+            if not isinstance(exc, ConfigError):
+                exc = f"{key} must be {_NOUNS[parse]}, got {text!r}"
+            where = f"{origin}: [{section}]" if flag is None else f"--{key}"
+            raise ConfigError(f"{where}: {exc}") from None
+        values[key] = value
+    return values
 
 
 def parse_config(
@@ -131,7 +211,8 @@ def parse_config(
     ``seed + i`` for the i-th declared source, 1-based, unless the source
     pins its own), and the run duration (largest ``count * period_ms`` when
     every source is synthetic, otherwise left unset; an infinite one is a
-    :class:`ConfigError`).
+    :class:`ConfigError`).  ``[source]`` sections are checked even when
+    ``overrides.replace_sources`` replaces them.
     """
     ov = overrides or Overrides()
     parser = configparser.ConfigParser(interpolation=None, strict=True)
@@ -174,35 +255,18 @@ def parse_config(
                 f"[energy], [device <id>], [link <src> <dst>] or [source <id>]"
             )
 
-    _check_keys(
-        origin, "run", run_raw, ("seed", "duration_ms", "message_size_bytes", "mode", "plot_data")
-    )
-    seed = ov.seed if ov.seed is not None else _get_int(origin, "run", run_raw, "seed", DEFAULT_SEED)
-    if not 0 <= seed < 1 << 64:
-        raise _section_error(origin, "run", f"seed must fit in 64 bits, got {seed!r}")
-    duration_ms = _get_float(origin, "run", run_raw, "duration_ms")
-    if duration_ms is not None and not (math.isfinite(duration_ms) and duration_ms > 0):
-        raise _section_error(
-            origin, "run", f"duration_ms must be finite and > 0, got {duration_ms!r}"
-        )
-    message_size = _get_int(origin, "run", run_raw, "message_size_bytes", DEFAULT_MESSAGE_SIZE)
-    if message_size < 1:
-        raise _section_error(origin, "run", f"message_size_bytes must be >= 1, got {message_size!r}")
-    mode = ov.mode if ov.mode is not None else run_raw.get("mode", "both")
-    if mode not in MODES:
-        raise _section_error(origin, "run", f"mode must be one of {MODES}, got {mode!r}")
-    plot_data = _get_bool(origin, "run", run_raw, "plot_data", ov.plot_data_default)
-
-    n_values, p_values = _parse_filter_grid(origin, filter_raw, ov)
+    run = _read(origin, "run", "run", run_raw, {"seed": ov.seed, "mode": ov.mode})
+    if run["plot_data"] is None:
+        run["plot_data"] = ov.plot_data_default
+    n_values, p_values = _read(
+        origin, "filter", "filter", filter_raw, {"n": ov.n_text, "p": ov.p_text}
+    ).values()
     energy = _parse_energy(origin, energy_raw)
-
-    sources: list[SourceSpec]
+    sources = _build_sources(origin, raw_sources, run["seed"])
     if ov.replace_sources is not None:
         sources = list(ov.replace_sources)
-    else:
-        sources = _build_sources(origin, raw_sources, seed)
 
-    if duration_ms is None and sources and all(isinstance(s, SensorSpec) for s in sources):
+    if run["duration_ms"] is None and sources and all(isinstance(s, SensorSpec) for s in sources):
         duration_ms = max(s.count * s.period_ms for s in sources)
         if not math.isfinite(duration_ms):
             raise _section_error(
@@ -211,8 +275,7 @@ def parse_config(
                 f"derived duration_ms = max(count * period_ms) must be finite, got "
                 f"{duration_ms!r}; set duration_ms explicitly",
             )
-        if duration_ms <= 0:
-            duration_ms = None
+        run["duration_ms"] = duration_ms if duration_ms > 0 else None
 
     return Scenario(
         topology=Topology(devices=devices, links=links),
@@ -220,88 +283,35 @@ def parse_config(
         n_values=n_values,
         p_values=p_values,
         energy=energy,
-        seed=seed,
-        duration_ms=duration_ms,
-        message_size_bytes=message_size,
-        mode=mode,
-        plot_data=plot_data,
+        **run,
     )
 
 
 def _parse_device(origin: str, section: str, device_id: str, raw: dict) -> Device:
-    _check_keys(origin, section, raw, ("kind", "level", "uplink_kbps", "downlink_kbps", "ram_mb"))
-    kind = raw.get("kind")
-    if kind not in KINDS:
-        raise _section_error(origin, section, f"kind must be one of {KINDS}, got {kind!r}")
-    level = _get_int(origin, section, raw, "level", DEFAULT_LEVELS[kind])
+    values = _read(origin, section, "device", raw)
+    if values["level"] is None:
+        values["level"] = DEFAULT_LEVELS[values["kind"]]
     try:
-        return Device(
-            id=device_id,
-            kind=kind,
-            level=level,
-            uplink_kbps=_get_float(origin, section, raw, "uplink_kbps", 0.0),
-            downlink_kbps=_get_float(origin, section, raw, "downlink_kbps", 0.0),
-            ram_mb=_get_float(origin, section, raw, "ram_mb", 0.0),
-        )
+        return Device(device_id, **values)
     except ValueError as exc:
         raise _section_error(origin, section, str(exc)) from None
 
 
 def _parse_link(origin: str, section: str, src: str, dst: str, raw: dict) -> Link:
-    _check_keys(origin, section, raw, ("latency_ms",))
-    latency = _get_float(origin, section, raw, "latency_ms")
-    if latency is None:
+    values = _read(origin, section, "link", raw)
+    if values["latency_ms"] is None:
         raise _section_error(origin, section, "latency_ms is required")
-    return Link(src=src, dst=dst, latency_ms=latency)
-
-
-def _parse_filter_grid(
-    origin: str, filter_raw: dict, ov: Overrides
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """The ``n`` and ``p`` lists, each parsed from its flag (``--n``), else its
-    ``[filter]`` key, else :class:`FilterConfig`'s default; errors name the source."""
-    _check_keys(origin, "filter", filter_raw, ("n", "p"))
-    lists = []
-    for key, conv, flag_text in (("n", int, ov.n_text), ("p", float, ov.p_text)):
-        if flag_text is not None:
-            where, text = f"--{key}", flag_text
-        else:
-            where, text = f"{origin}: [filter]", filter_raw.get(key)
-        if text is None:
-            lists.append((getattr(FilterConfig(), key),))
-            continue
-        try:
-            values = tuple(conv(cell) for cell in text.split(",") if cell.strip())
-        except ValueError:
-            raise ConfigError(f"{where}: {key} must be comma-separated numbers, got {text!r}") from None
-        if not values:
-            raise ConfigError(f"{where}: {key} must list at least one value")
-        for i, value in enumerate(values):
-            try:
-                FilterConfig(**{key: value})
-            except ValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            if value in values[:i]:  # 0.0 and -0.0 count as one value
-                raise ConfigError(
-                    f"{where}: {key} values must be distinct; {value!r} repeats an earlier one"
-                )
-        lists.append(values)
-    return tuple(lists)
+    return Link(src, dst, **values)
 
 
 def _parse_energy(origin: str, energy_raw: dict) -> EnergyModel:
-    fields = ("busy_w", "idle_w", "busy_ms_per_message")
-    allowed = [f"{kind}_{field}" for kind in KINDS for field in fields]
-    _check_keys(origin, "energy", energy_raw, allowed)
+    values = _read(origin, "energy", "energy", energy_raw)
     params = {}
     for kind in KINDS:
-        defaults = DEFAULT_ENERGY_PARAMS[kind]
-        values = {
-            field: _get_float(origin, "energy", energy_raw, f"{kind}_{field}", getattr(defaults, field))
-            for field in fields
-        }
         try:
-            params[kind] = EnergyParams(**values)
+            params[kind] = EnergyParams(
+                **{field: values[f"{kind}_{field}"] for field in _ENERGY_FIELDS}
+            )
         except ValueError as exc:
             raise _section_error(origin, "energy", f"{kind}: {exc}") from None
     return EnergyModel(params=params)
@@ -318,44 +328,24 @@ def _build_sources(
             raise _section_error(origin, section, "duplicate source for this device")
         seen.add(device_id)
         kind = raw.get("kind")
-        if kind == "normal":
-            _check_keys(origin, section, raw, ("kind", "mean", "stddev", "period_ms", "count", "seed"))
-            try:
-                spec = SensorSpec(
-                    device_id=device_id,
-                    mean=_get_float(origin, section, raw, "mean", 0.0),
-                    stddev=_get_float(origin, section, raw, "stddev", 1.0),
-                    period_ms=_get_float(origin, section, raw, "period_ms", 1000.0),
-                    count=_get_int(origin, section, raw, "count", 10_000),
-                    seed=_get_int(origin, section, raw, "seed", derive_seed(seed_base, ordinal)),
-                )
-            except ValueError as exc:
-                raise _section_error(origin, section, str(exc)) from None
-        elif kind == "replay":
-            _check_keys(
-                origin,
-                section,
-                raw,
-                ("kind", "file", "value_column", "timestamp_column", "delimiter", "expected_period"),
-            )
-            if "file" not in raw:
-                raise _section_error(origin, section, "file is required for replay sources")
-            try:
-                spec = ReplaySpec(
-                    device_id=device_id,
-                    path=raw["file"],
-                    value_column=raw.get("value_column", "value"),
-                    timestamp_column=raw.get("timestamp_column", "timestamp"),
-                    delimiter=_decode_delimiter(raw.get("delimiter", ",")),
-                    expected_period=_get_float(origin, section, raw, "expected_period"),
-                )
-            except ValueError as exc:
-                raise _section_error(origin, section, str(exc)) from None
-        else:
+        if kind not in ("normal", "replay"):
             raise _section_error(
                 origin, section, f"kind must be 'normal' or 'replay', got {kind!r}"
             )
-        sources.append(spec)
+        values = _read(origin, section, kind, raw)
+        del values["kind"]
+        try:
+            if kind == "normal":
+                if values["seed"] is None:
+                    values["seed"] = derive_seed(seed_base, ordinal)
+                sources.append(SensorSpec(device_id, **values))
+            else:
+                values["path"] = values.pop("file")
+                if values["path"] is None:
+                    raise ValueError("file is required for replay sources")
+                sources.append(ReplaySpec(device_id, **values))
+        except ValueError as exc:
+            raise _section_error(origin, section, str(exc)) from None
     return sources
 
 
@@ -369,12 +359,17 @@ def load_config(path: str | Path, overrides: Optional[Overrides] = None) -> Scen
     return parse_config(text, origin=str(path), overrides=overrides)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write(lines: list[str], header: str, kind: str, values) -> None:
+    """Append ``[header]``, then ``key = value`` for each key of ``_KEYS[kind]``
+    whose value is not None."""
+    lines.append(f"[{header}]")
+    for key in _KEYS[kind]:
+        value = values[key]
+        if value is not None:
+            if value is True or value is False:
+                value = "true" if value else "false"
+            lines.append(f"{key} = {value}")  # a float formats as its repr
+    lines.append("")
 
 
 def serialize_scenario(scenario: Scenario) -> str:
@@ -384,61 +379,25 @@ def serialize_scenario(scenario: Scenario) -> str:
     the output is a complete standalone description of the run.
     """
     lines: list[str] = []
-
-    lines.append("[run]")
-    lines.append(f"seed = {scenario.seed}")
-    if scenario.duration_ms is not None:
-        lines.append(f"duration_ms = {_fmt(scenario.duration_ms)}")
-    lines.append(f"message_size_bytes = {scenario.message_size_bytes}")
-    lines.append(f"mode = {scenario.mode}")
-    if scenario.plot_data is not None:
-        lines.append(f"plot_data = {_fmt(scenario.plot_data)}")
-    lines.append("")
-
-    lines.append("[filter]")
-    lines.append("n = " + ",".join(map(str, scenario.n_values)))
-    lines.append("p = " + ",".join(map(repr, scenario.p_values)))
-    lines.append("")
-
-    lines.append("[energy]")
-    for kind in KINDS:
-        params = scenario.energy.for_kind(kind)
-        lines.append(f"{kind}_busy_w = {_fmt(params.busy_w)}")
-        lines.append(f"{kind}_idle_w = {_fmt(params.idle_w)}")
-        lines.append(f"{kind}_busy_ms_per_message = {_fmt(params.busy_ms_per_message)}")
-    lines.append("")
-
+    _write(lines, "run", "run", vars(scenario))
+    grid = zip(_KEYS["filter"], (scenario.n_values, scenario.p_values))  # n, then p
+    _write(lines, "filter", "filter", {key: ",".join(map(str, values)) for key, values in grid})
+    energy = {
+        f"{kind}_{field}": getattr(scenario.energy.for_kind(kind), field)
+        for kind in KINDS
+        for field in _ENERGY_FIELDS
+    }
+    _write(lines, "energy", "energy", energy)
     for dev in scenario.topology.devices:
-        lines.append(f"[device {dev.id}]")
-        lines.append(f"kind = {dev.kind}")
-        lines.append(f"level = {dev.level}")
-        lines.append(f"uplink_kbps = {_fmt(dev.uplink_kbps)}")
-        lines.append(f"downlink_kbps = {_fmt(dev.downlink_kbps)}")
-        lines.append(f"ram_mb = {_fmt(dev.ram_mb)}")
-        lines.append("")
-
+        _write(lines, f"device {dev.id}", "device", vars(dev))
     for link in scenario.topology.links:
-        lines.append(f"[link {link.src} {link.dst}]")
-        lines.append(f"latency_ms = {_fmt(link.latency_ms)}")
-        lines.append("")
-
+        _write(lines, f"link {link.src} {link.dst}", "link", vars(link))
     for source in scenario.sources:
-        lines.append(f"[source {source.device_id}]")
+        header = f"source {source.device_id}"
         if isinstance(source, SensorSpec):
-            lines.append("kind = normal")
-            lines.append(f"mean = {_fmt(source.mean)}")
-            lines.append(f"stddev = {_fmt(source.stddev)}")
-            lines.append(f"period_ms = {_fmt(source.period_ms)}")
-            lines.append(f"count = {source.count}")
-            lines.append(f"seed = {source.seed}")
+            _write(lines, header, "normal", {**vars(source), "kind": "normal"})
         else:
-            lines.append("kind = replay")
-            lines.append(f"file = {source.path}")
-            lines.append(f"value_column = {source.value_column}")
-            lines.append(f"timestamp_column = {source.timestamp_column}")
-            lines.append(f"delimiter = {_encode_delimiter(source.delimiter)}")
-            if source.expected_period is not None:
-                lines.append(f"expected_period = {_fmt(source.expected_period)}")
-        lines.append("")
-
+            delimiter = _encode_delimiter(source.delimiter)
+            replay = {**vars(source), "kind": "replay", "file": source.path, "delimiter": delimiter}
+            _write(lines, header, "replay", replay)
     return "\n".join(lines)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mistsim.config import (
+    _KEYS,
+    MODES,
     ConfigError,
     Overrides,
     Scenario,
@@ -16,7 +20,9 @@ from mistsim.config import (
 )
 from mistsim.mist_filter import FilterConfig
 from mistsim.sources import ReplaySpec, SensorSpec
-from mistsim.topology import validate
+from mistsim.topology import KINDS, validate
+
+CONFIG_FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "config_format.md"
 
 MINIMAL = "[run]\n"
 
@@ -204,6 +210,28 @@ def test_bad_configs_raise(text, fragment):
     assert fragment in str(exc.value)
 
 
+def test_value_errors_name_their_section_once():
+    # A key that does not parse is named after one "<origin>: [<section>]: ".
+    cases = {
+        "[device d]\nkind = sensor\nram_mb = x\n": "[device d]: ram_mb must be a number, got 'x'",
+        "[source s]\nkind = normal\ncount = 1.5\n": "[source s]: count must be an integer, got '1.5'",
+        "[source s]\nkind = replay\nfile = f.csv\nexpected_period = x\n": (
+            "[source s]: expected_period must be a number, got 'x'"
+        ),
+    }
+    for section, message in cases.items():
+        with pytest.raises(ConfigError) as exc:
+            parse_config("[run]\n\n" + section, origin="my.cfg")
+        assert str(exc.value) == f"my.cfg: {message}"
+
+
+def test_mode_flag_error_names_the_flag():
+    # As for --seed, --n and --p: the file's [run] section is not blamed.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(SMALL, origin="my.cfg", overrides=Overrides(mode="sideways"))
+    assert str(exc.value) == f"--mode: mode must be one of {MODES}, got 'sideways'"
+
+
 def test_errors_name_the_origin():
     with pytest.raises(ConfigError, match="myfile.cfg"):
         parse_config("[run]\nspeed = 9\n", origin="myfile.cfg")
@@ -304,3 +332,115 @@ def test_scenario_equality_is_field_wise():
     assert parse_config(SMALL) == parse_config(SMALL)
     assert parse_config(SMALL) != parse_config(SMALL.replace("seed = 7", "seed = 8"))
     assert isinstance(parse_config(SMALL), Scenario)
+
+
+# ------------------------------------------------- every key, both directions
+
+_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyzAZ0123456789_.-/", min_size=1, max_size=6)
+_IDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=6)
+_NON_NEGATIVE = st.floats(min_value=0.0, max_value=1e300)
+_POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+_U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+def _comma_list(elements):
+    return st.lists(elements, min_size=1, max_size=4, unique=True).map(
+        lambda values: ",".join(map(repr, values))
+    )
+
+
+def _optional_keys(draw, strategies: dict) -> list[str]:
+    """``key = value`` lines for a drawn subset of ``strategies``; floats as repr."""
+    lines = []
+    for key, strategy in strategies.items():
+        value = draw(st.none() | strategy)
+        if value is not None:
+            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
+    return lines
+
+
+@st.composite
+def _config_texts(draw) -> str:
+    """Config text that sets a drawn subset of every key of every section kind."""
+    sections = [["[run]"] + _optional_keys(draw, {
+        "seed": _U64,
+        "duration_ms": _POSITIVE,
+        "message_size_bytes": st.integers(min_value=1, max_value=10**6),
+        "mode": st.sampled_from(MODES),
+        "plot_data": st.sampled_from(["true", "false", "yes", "off", "1", "0", "TRUE"]),
+    })]
+    sections.append(["[filter]"] + _optional_keys(draw, {
+        "n": _comma_list(st.integers(1, 10**6)),
+        "p": _comma_list(st.floats(0.0, 1e6)),
+    }))
+    energy = ["[energy]"]
+    for kind in draw(st.lists(st.sampled_from(KINDS), unique=True)):
+        idle, busy = sorted(draw(st.lists(_NON_NEGATIVE, min_size=2, max_size=2)))
+        energy += [
+            f"{kind}_busy_w = {busy!r}",
+            f"{kind}_idle_w = {idle!r}",
+            f"{kind}_busy_ms_per_message = {draw(_NON_NEGATIVE)!r}",
+        ]
+    sections.append(energy)
+    for device_id in draw(st.lists(_IDS, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(KINDS))
+        sections.append([f"[device {device_id}]", f"kind = {kind}"] + _optional_keys(draw, {
+            "level": st.integers(-5, 5),
+            "uplink_kbps": _NON_NEGATIVE,
+            "downlink_kbps": _NON_NEGATIVE,
+            "ram_mb": _NON_NEGATIVE,
+        }))
+    for src, dst in draw(st.lists(st.tuples(_IDS, _IDS), max_size=3, unique=True)):
+        sections.append([f"[link {src} {dst}]", f"latency_ms = {draw(_NON_NEGATIVE)!r}"])
+    for device_id in draw(st.lists(_IDS, max_size=4, unique=True)):
+        if draw(st.booleans()):
+            lines = ["kind = normal"] + _optional_keys(draw, {
+                "mean": st.floats(allow_nan=False, allow_infinity=False),
+                "stddev": st.floats(min_value=0.0, max_value=1e6),
+                "period_ms": st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+                "count": st.integers(0, 1000),
+                "seed": _U64,
+            })
+        else:
+            lines = ["kind = replay", f"file = {draw(_WORDS)}"] + _optional_keys(draw, {
+                "value_column": _WORDS,
+                "timestamp_column": _WORDS,
+                "delimiter": st.sampled_from([",", ";", "|", "\\t"]),
+                "expected_period": _POSITIVE,
+            })
+        sections.append([f"[source {device_id}]"] + lines)
+    return "\n\n".join("\n".join(lines) for lines in sections) + "\n"
+
+
+@given(text=_config_texts(), plot_data_default=st.sampled_from([None, True, False]))
+@settings(max_examples=300, deadline=None)
+def test_property_every_key_round_trips(text, plot_data_default):
+    # resolved.cfg is a fixed point: whatever a file sets or leaves to its
+    # default, its echo parses back to the same scenario and echoes the same text.
+    sc = parse_config(text, overrides=Overrides(plot_data_default=plot_data_default))
+    echo = serialize_scenario(sc)
+    again = parse_config(echo)
+    assert again == sc
+    assert serialize_scenario(again) == echo
+
+
+def _documented_key_tables() -> dict[str, list[str]]:
+    """The first column of each key table in docs/config_format.md, by the
+    section kind its heading (or, under [source], its ``kind = ...`` line) names."""
+    tables: dict[str, list[str]] = {}
+    name = None
+    for line in CONFIG_FORMAT_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            name = line[4:].split()[0].rstrip("]") if line.startswith("## [") else None
+        elif name and line.startswith("`kind = "):
+            name = line.split("`")[1].removeprefix("kind = ")
+        elif name and line.startswith("| `"):
+            tables.setdefault(name, []).append(line.split("`")[1])
+    return tables
+
+
+def test_docs_key_tables_match_the_key_table():
+    expected = {kind: list(keys) for kind, keys in _KEYS.items()}
+    # [energy] documents its <kind>_<field> keys by field.
+    expected["energy"] = list(dict.fromkeys(key.split("_", 1)[1] for key in _KEYS["energy"]))
+    assert _documented_key_tables() == expected

@@ -1248,6 +1248,67 @@ def test_exit_1_bad_grid_override_names_the_flag(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("kind = magic\ncolour = red\n", "kind must be 'normal' or 'replay', got 'magic'"),
+        (
+            "kind = normal\ncolour = red\n",
+            "unknown keys ['colour']; allowed keys are "
+            "['count', 'kind', 'mean', 'period_ms', 'seed', 'stddev']",
+        ),
+    ],
+)
+def test_exit_1_filter_dataset_still_checks_the_config_sources(
+    tmp_path, office_csv_path, capsys, body, message
+):
+    # --dataset replaces the [source] sections only after they are checked.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[run]\n\n[source s]\n{body}", encoding="utf-8")
+    out = tmp_path / "out"
+    args = ["filter", "--config", str(cfg), "--dataset", str(office_csv_path), "--column", "temp_c"]
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: [source s]: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--config", "table2.cfg"],
+        ["filter", "--dataset", "tests/data/office_temperature.csv", "--column", "temp_c"],
+    ],
+)
+def test_exit_1_out_of_range_seed_names_the_flag(
+    tmp_path, table2_cfg_path, monkeypatch, capsys, args, seed
+):
+    # Neither the config file nor the built-in one is blamed.
+    monkeypatch.chdir(table2_cfg_path.parent)
+    out = tmp_path / "out"
+    assert main([*args, "--seed", seed, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --seed: seed must fit in 64 bits, got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, malformed, flag, echoed",
+    [
+        ("seed = 11\n", "seed = abc\n", ["--seed", "5"], "seed = 5"),
+        ("mode = both\n", "mode = sideways\n", ["--mode", "cloud_only"], "mode = cloud_only"),
+        ("n = 10\n", "n = x\n", ["--n", "3"], "n = 3"),
+    ],
+)
+def test_flag_replaces_a_malformed_key_unread(tmp_path, capsys, key, malformed, flag, echoed):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(SIM_CFG.replace(key, malformed, 1), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert malformed.split(" = ")[1].strip() in capsys.readouterr().err
+    assert main(["simulate", "--config", str(cfg), *flag, "--out", str(out), "--quiet"]) == 0
+    assert echoed in (out / "resolved.cfg").read_text(encoding="utf-8").splitlines()
+
+
 def test_filter_wrote_lines_follow_the_grid(tmp_path, table2_cfg_path, monkeypatch, capsys):
     args, golden = GOLDEN_RUNS["filter-grid"]
     monkeypatch.chdir(table2_cfg_path.parent)
