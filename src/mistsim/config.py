@@ -16,7 +16,6 @@ echo re-run bit-for-bit.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,6 +117,12 @@ def _grid(key: str, conv):
     return parse
 
 
+# None passes: an unset link latency_ms is reported as required by _parse_link.
+_FINITE_NON_NEGATIVE = (
+    lambda v: v is None or (math.isfinite(v) and v >= 0),
+    "must be finite and >= 0",
+)
+
 # Each section kind's keys, in resolved.cfg order, as key -> (parser, default,
 # check).  A parser raises ValueError on text it cannot read, or ConfigError
 # with its own message.  A check, (predicate, phrase) or None, tests every
@@ -149,11 +154,11 @@ _KEYS = {
     "device": {
         "kind": (str, None, (lambda v: v in KINDS, f"must be one of {KINDS}")),
         "level": (int, None, None),
-        "uplink_kbps": (float, 0.0, None),
-        "downlink_kbps": (float, 0.0, None),
-        "ram_mb": (float, 0.0, None),
+        "uplink_kbps": (float, 0.0, _FINITE_NON_NEGATIVE),
+        "downlink_kbps": (float, 0.0, _FINITE_NON_NEGATIVE),
+        "ram_mb": (float, 0.0, _FINITE_NON_NEGATIVE),
     },
-    "link": {"latency_ms": (float, None, None)},
+    "link": {"latency_ms": (float, None, _FINITE_NON_NEGATIVE)},
     "normal": {
         "kind": (str, None, None),
         "mean": (float, 0.0, None),
@@ -202,6 +207,61 @@ def _read(origin: str, section: str, kind: str, raw: dict, flags: Optional[dict]
     return values
 
 
+def _line_error(origin: str, number: int, message: str) -> ConfigError:
+    return ConfigError(f"{origin}: line {number}: {message}")
+
+
+def _sections(text: str, origin: str) -> dict[str, dict]:
+    """Each section's ``{key: value}``, by name, in file order; the grammar is
+    in ``docs/config_format.md``.  A line is a full-line ``#``/``;`` comment,
+    a ``[header]``, a ``key = value`` (or ``key: value``) line, or a
+    continuation: a line indented deeper than its key line, joined to the
+    value with a newline, blank lines between them kept.  The first bad line
+    raises :class:`ConfigError` naming it."""
+    sections: dict[str, dict] = {}
+    name = raw = key = None  # the current section, its keys, the key a continuation extends
+    indent = blanks = 0  # that key line's indent; blank lines since its value's last line
+    for number, line in enumerate(text.split("\n"), start=1):  # not splitlines(): \x0c is a space
+        stripped = line.strip()
+        if not stripped:
+            blanks += 1
+            continue
+        if stripped[0] in "#;":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            raw[key] += "\n" * (blanks + 1) + stripped
+            blanks = 0
+        elif stripped[0] == "[" and (end := stripped.rfind("]")) > 1:  # name up to the last "]"
+            name = stripped[1:end]
+            if name == "DEFAULT":
+                raise _line_error(origin, number, "a [DEFAULT] section is not supported")
+            if name in sections:
+                raise _line_error(origin, number, f"duplicate section [{name}]")
+            raw = sections[name] = {}
+            key = None
+        elif raw is None:
+            raise _line_error(
+                origin, number, f"{stripped!r} comes before the first [section] header"
+            )
+        else:
+            key, delimiter, value = stripped.partition("=")
+            if not delimiter or ":" in key:  # the first "=" or ":" splits the line
+                key, delimiter, value = stripped.partition(":")
+            if not delimiter:
+                raise _line_error(
+                    origin, number, f"expected 'key = value' or 'key: value', got {stripped!r}"
+                )
+            key = key.rstrip()
+            if not key:
+                raise _line_error(origin, number, f"empty key in {stripped!r}")
+            if key in raw:
+                raise _line_error(origin, number, f"duplicate key {key!r} in [{name}]")
+            raw[key] = value.strip()
+            indent, blanks = depth, 0
+    return sections
+
+
 def parse_config(
     text: str, origin: str = "<config>", overrides: Optional[Overrides] = None
 ) -> Scenario:
@@ -215,15 +275,8 @@ def parse_config(
     ``overrides.replace_sources`` replaces them.
     """
     ov = overrides or Overrides()
-    parser = configparser.ConfigParser(interpolation=None, strict=True)
-    parser.optionxform = str  # keys are case sensitive
-    try:
-        parser.read_string(text, source=origin)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from None
-    if parser.defaults():
-        raise ConfigError(f"{origin}: a [DEFAULT] section is not supported")
-    if not parser.sections():
+    sections = _sections(text, origin)
+    if not sections:
         raise ConfigError(f"{origin}: empty config, at least a [run] section is required")
 
     devices: list[Device] = []
@@ -233,9 +286,8 @@ def parse_config(
     filter_raw: dict = {}
     energy_raw: dict = {}
 
-    for section in parser.sections():
+    for section, raw in sections.items():
         tokens = section.split()
-        raw = dict(parser[section])
         head = tokens[0] if tokens else ""
         if head == "run" and len(tokens) == 1:
             run_raw = raw

@@ -8,6 +8,7 @@ and measure functions: what it pins is the order they run in.
 
 from __future__ import annotations
 
+import configparser
 import heapq
 import json
 import math
@@ -451,3 +452,18 @@ REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 def report_text(report):
     """``report.json``'s text as first defined: round a copy, then the stdlib encoder."""
     return REPORT_ENCODER.encode(round_floats(report)) + "\n"
+
+
+def ini_sections(text):
+    """``[(section name, {key: value})]`` as the stdlib ``configparser`` reads
+    ``text``, with the settings whose language ``mistsim.config`` reads (no
+    interpolation, strict, case-sensitive keys), or None where it rejects it.
+    Only meaningful for texts without a ``[DEFAULT]`` header, which
+    ``mistsim.config`` rejects and ``configparser`` folds into every section."""
+    parser = configparser.ConfigParser(interpolation=None, strict=True)
+    parser.optionxform = str
+    try:
+        parser.read_string(text)
+    except configparser.Error:
+        return None
+    return [(name, dict(parser[name])) for name in parser.sections()]

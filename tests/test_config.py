@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from mistsim.config import (
     ConfigError,
     Overrides,
     Scenario,
+    _sections,
     load_config,
     parse_config,
     serialize_scenario,
@@ -21,8 +25,10 @@ from mistsim.config import (
 from mistsim.mist_filter import FilterConfig
 from mistsim.sources import ReplaySpec, SensorSpec
 from mistsim.topology import KINDS, validate
+from oracles import ini_sections
 
-CONFIG_FORMAT_DOC = Path(__file__).resolve().parent.parent / "docs" / "config_format.md"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CONFIG_FORMAT_DOC = REPO_ROOT / "docs" / "config_format.md"
 
 MINIMAL = "[run]\n"
 
@@ -162,6 +168,12 @@ def test_property_flags_and_filter_section_parse_alike(n_values, p_values, sep):
     [
         ("", "at least a [run] section"),
         ("[DEFAULT]\nx = 1\n\n[run]\n", "[DEFAULT]"),
+        # An empty [DEFAULT] too.
+        (
+            "[DEFAULT]\n\n[run]\nseed = 3\n",
+            "<config>: line 1: a [DEFAULT] section is not supported",
+        ),
+        ("[run]\n\n[DEFAULT]\n", "<config>: line 3: a [DEFAULT] section is not supported"),
         ("[mystery]\n", "unknown section"),
         ("[run]\nspeed = 9\n", "unknown keys"),
         ("[run]\nseed = -1\n", "64 bits"),
@@ -202,12 +214,41 @@ def test_property_flags_and_filter_section_parse_alike(n_values, p_values, sep):
         ("[run]\n\n[source s]\nkind = normal\nstddev = -1\n", "stddev"),
         ("[run]\n\n[source s]\nkind = normal\n\n[source s]\nkind = normal\n", ""),
         ("[run]\nseed = 1\n\n[run]\nseed = 2\n", ""),  # duplicate section
+        ("[run]\nseed = 1\nseed : 2\n", "<config>: line 3: duplicate key 'seed' in [run]"),
+        (
+            "# scenario\nseed = 1\n[run]\n",
+            "<config>: line 2: 'seed = 1' comes before the first [section] header",
+        ),
+        (
+            "[run]\nseed\n",
+            "<config>: line 2: expected 'key = value' or 'key: value', got 'seed'",
+        ),
+        ("[run]\n = 5\n", "<config>: line 2: empty key in '= 5'"),
+        ("[]\n", "<config>: line 1: '[]' comes before the first [section] header"),
     ],
 )
 def test_bad_configs_raise(text, fragment):
     with pytest.raises(ConfigError, match=None) as exc:
         parse_config(text)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("[DEFAULT]\nx = 1\n\n[run]\n", "line 1: a [DEFAULT] section is not supported"),
+        (
+            "[run]\n\n[source s]\nkind = normal\n\n[source s]\nkind = normal\n",
+            "line 6: duplicate section [source s]",
+        ),
+        ("[run]\nseed = 1\n\n[run]\nseed = 2\n", "line 4: duplicate section [run]"),
+    ],
+)
+def test_reader_errors_name_the_file_and_line(text, message):
+    # The whole message, for the cases above whose fragment matches loosely.
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text, origin="my.cfg")
+    assert str(exc.value) == f"my.cfg: {message}"
 
 
 def test_value_errors_name_their_section_once():
@@ -225,6 +266,26 @@ def test_value_errors_name_their_section_once():
         assert str(exc.value) == f"my.cfg: {message}"
 
 
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("ram_mb = -1", "[device d]: ram_mb must be finite and >= 0, got -1.0"),
+        ("uplink_kbps = inf", "[device d]: uplink_kbps must be finite and >= 0, got inf"),
+        ("downlink_kbps = nan", "[device d]: downlink_kbps must be finite and >= 0, got nan"),
+    ],
+)
+def test_device_capacities_must_be_finite_and_non_negative(line, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"[run]\n\n[device d]\nkind = sensor\n{line}\n", origin="my.cfg")
+    assert str(exc.value) == f"my.cfg: {message}"
+
+
+def test_link_latency_must_be_finite_and_non_negative():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[run]\n\n[link a b]\nlatency_ms = -5\n", origin="my.cfg")
+    assert str(exc.value) == "my.cfg: [link a b]: latency_ms must be finite and >= 0, got -5.0"
+
+
 def test_mode_flag_error_names_the_flag():
     # As for --seed, --n and --p: the file's [run] section is not blamed.
     with pytest.raises(ConfigError) as exc:
@@ -240,6 +301,62 @@ def test_errors_name_the_origin():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "absent.cfg")
+
+
+# ------------------------------------------------------------- the reader
+
+# Lines of the INI language, its edge cases included: "[a]b]" names "a]b",
+# "[]" is no header, the first "=" or ":" splits a key line, a whitespace
+# line inside a value is kept as a blank line.  Indents and line ends use
+# whitespace that str.splitlines would take for a line break.
+_INI_LINES = st.sampled_from(
+    ["[a]", "[b]", "[a]b]", "[]", "[a] tail", "[ b ]", "[=]"]
+    + ["k = v", "k: v", "k : v = w", "j = 1", "j=", "= 5", ": 5", "k", "v w"]
+    + ["# note", "; note", ""]
+)
+_INI_SPACE = st.sampled_from(
+    ["", "", "", " ", "  ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+)
+
+
+@st.composite
+def _ini_texts(draw) -> str:
+    lines = draw(st.lists(st.tuples(_INI_SPACE, _INI_LINES, _INI_SPACE), max_size=12))
+    head = draw(st.sampled_from(["", "[a]\n", "[b]\n"]))
+    return head + "\n".join(indent + line + end for indent, line, end in lines)
+
+
+def _in_order(sections):
+    return None if sections is None else [(name, list(raw.items())) for name, raw in sections]
+
+
+@given(text=_ini_texts())
+@settings(max_examples=1000, deadline=None)
+def test_property_reader_matches_configparser(text):
+    # Without [DEFAULT], the reader accepts exactly what configparser accepts,
+    # and reads the same sections, keys and values, in the same order.
+    try:
+        got = _sections(text, "<t>").items()
+    except ConfigError:
+        got = None
+    assert _in_order(got) == _in_order(ini_sections(text))
+
+
+def test_reader_keeps_continuations_and_blank_lines():
+    text = "[a]\n  k = one\n\n   # note\n \n     two\n  j: \n \t x = y\n\n"
+    expected = {"k": "one\n\n\ntwo", "j": "\nx = y"}
+    assert _sections(text, "<t>") == {"a": expected}
+    assert ini_sections(text) == [("a", expected)]
+
+
+def test_importing_the_cli_leaves_configparser_unloaded():
+    path = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    code = "import sys, mistsim.cli; print('configparser' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "False\n"
 
 
 # ------------------------------------------------------------- overrides

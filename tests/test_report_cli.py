@@ -841,6 +841,25 @@ def test_exit_1_missing_dataset_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "filter"])
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("[device a]\n", "[device a]\nram_mb = -1\n", "[device a]: ram_mb must be finite and >= 0, got -1.0"),
+        ("latency_ms = 4\n", "latency_ms = -5\n", "[link a gw]: latency_ms must be finite and >= 0, got -5.0"),
+    ],
+)
+def test_exit_1_negative_capacity_or_latency(tmp_path, capsys, command, old, new, message):
+    # Both commands reject what simulate's topology check would, naming the
+    # section, and write nothing: filter has no topology to check.
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(SIM_CFG.replace(old, new, 1), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "filter"])
 def test_exit_1_source_timestamps_overflow(tmp_path, capsys, command):
     # The third timestamp, 2 * 1e308, is inf: a config error, before any
     # stream is generated.
