@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
-from .engine import Mode, compare, measure_streams, simulate
+from .engine import Mode, _measure_stream, compare, fork_map, simulate
 from .mist_filter import Sample
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .engine import run  # noqa: F401
@@ -125,15 +125,45 @@ def _plot_columns(samples: Sequence[Sample], count: int) -> tuple[array, array]:
     )
 
 
+def _load_source(
+    spec, duration_ms: Optional[float], keep: bool
+) -> tuple[list[Sample], Optional[dict], Optional[tuple[array, array]]]:
+    """One source's samples, its ingest block (``None`` unless it is a
+    replay source) and, when ``keep``, the packed columns of the samples
+    before the horizon ``duration_ms`` (all of them without one).
+
+    A source that starts at or past the horizon is rejected.
+    """
+    ingest = None
+    if isinstance(spec, SensorSpec):
+        samples = gen_normal(spec)
+    else:
+        samples, rep = load_csv(spec)
+        ingest = asdict(rep)
+    # The engine would drop every sample and report an empty run.
+    if duration_ms is not None and samples and samples[0].timestamp >= duration_ms:
+        raise ValueError(
+            f"source {spec.device_id!r} starts at timestamp {samples[0].timestamp!r}, at or "
+            f"past duration_ms = {duration_ms!r}, so every sample would be "
+            "dropped; replay timestamps are epoch seconds, while the run counts "
+            "milliseconds from 0"
+        )
+    columns = None
+    if keep:
+        cut = len(samples)
+        if duration_ms is not None:
+            cut = bisect_left(samples, duration_ms, key=attrgetter("timestamp"))
+        columns = _plot_columns(samples, cut)
+    return samples, ingest, columns
+
+
 class _LazyStreams(Mapping):
-    """Each source's samples, generated or replayed only when looked up.
+    """Each source's samples, loaded by :func:`_load_source` only when looked up.
 
     Keys, ``len`` and iteration load nothing.  A lookup records a replay
-    source's ingest block and, given a horizon ``duration_ms``, rejects a
-    source that starts at or past it.  When ``plot_data`` is on, ``kept``
-    holds the packed columns of the samples before the horizon (all of
-    them without one), the ones the pass keeps; the caller holds the only
-    reference to the samples themselves.
+    source's ingest block in ``ingest`` and, when ``plot_data`` is on, the
+    packed columns of the samples the pass keeps in ``kept``; the caller
+    holds the only reference to the samples themselves.
     """
 
     def __init__(self, scenario: Scenario, duration_ms: Optional[float]) -> None:
@@ -144,26 +174,13 @@ class _LazyStreams(Mapping):
         self.kept: dict[str, tuple[array, array]] = {}
 
     def __getitem__(self, source_id: str) -> list[Sample]:
-        spec = self._specs[source_id]
-        if isinstance(spec, SensorSpec):
-            samples = gen_normal(spec)
-        else:
-            samples, rep = load_csv(spec)
-            self.ingest[source_id] = asdict(rep)
-        horizon = self._duration_ms
-        # The engine would drop every sample and report an empty run.
-        if horizon is not None and samples and samples[0].timestamp >= horizon:
-            raise ValueError(
-                f"source {source_id!r} starts at timestamp {samples[0].timestamp!r}, at or "
-                f"past duration_ms = {horizon!r}, so every sample would be "
-                "dropped; replay timestamps are epoch seconds, while the run counts "
-                "milliseconds from 0"
-            )
-        if self._keep:
-            cut = len(samples)
-            if horizon is not None:
-                cut = bisect_left(samples, horizon, key=attrgetter("timestamp"))
-            self.kept[source_id] = _plot_columns(samples, cut)
+        samples, ingest, columns = _load_source(
+            self._specs[source_id], self._duration_ms, self._keep
+        )
+        if ingest is not None:
+            self.ingest[source_id] = ingest
+        if columns is not None:
+            self.kept[source_id] = columns
         return samples
 
     def __contains__(self, source_id) -> bool:
@@ -184,44 +201,51 @@ _SENSOR_HEADER_FILTER = ("n", "p", "sensor", *_SENSOR_COLUMNS)
 
 
 def _cmd_filter(args) -> tuple[dict, list, list[str]]:
-    """Filter and measure each source over the whole grid, one source at a time.
+    """Filter and measure each source over the whole grid, each on its own.
 
-    Sources go through :func:`mistsim.engine.measure_streams` in
-    declaration order, with no horizon.  Only their report blocks and, with
-    plots on, flags and packed timestamp and value columns are kept, so
-    memory follows one source's samples.  Nothing is written on an error.
+    Each source is loaded, then checked and measured with no horizon by the
+    per-stream step of :func:`mistsim.engine.measure_streams`, and the
+    sources are spread by :func:`mistsim.engine.fork_map` over the CPUs
+    the process may run on.  Each worker holds one source's samples at a
+    time and keeps only its report blocks and, with plots on, its flags and
+    packed timestamp and value columns.  Errors merge in declaration order:
+    the first load or check error raises; otherwise, once every source is
+    checked, the first measuring error does.  Nothing is written on an error.
     """
     scenario = _load_scenario(args, "filter")
     if not scenario.sources:
         raise ConfigError("no sources configured; add [source <id>] sections or pass --dataset")
     grid = scenario.grid
-    sensors: dict = {cfg: {} for cfg in grid}
-    flags: dict = {cfg: {} for cfg in grid}
-    streams = _LazyStreams(scenario, None)
-    failure = None
-    for source_id, samples, measured in measure_streams(streams, streams, grid, None, "source"):
-        # Drop this source's samples before the next one is loaded.
-        del samples
-        if isinstance(measured, ValueError):
-            failure = measured
-        elif measured is not None:
-            for cfg, m in zip(grid, measured):
-                sensors[cfg][source_id] = m.report.to_dict()
-                if scenario.plot_data:
-                    flags[cfg][source_id] = m.flags
-    if failure is not None:
-        raise failure
+    keep = scenario.plot_data
 
+    def measure(spec) -> tuple:
+        """``(ingest block, plot columns, [(report block, flags)] per grid
+        point or the measuring error)`` for one source."""
+        samples, ingest, columns = _load_source(spec, None, keep)
+        measured = _measure_stream(spec.device_id, samples, grid, None, "source")[1]
+        if not isinstance(measured, ValueError):
+            measured = [(m.report.to_dict(), m.flags if keep else None) for m in measured]
+        return ingest, columns, measured
+
+    results = fork_map(measure, scenario.sources)
+    for _, _, measured in results:
+        if isinstance(measured, ValueError):
+            raise measured
+
+    ids = [spec.device_id for spec in scenario.sources]
     runs = []
     sensor_rows = []
     plot_series: dict = {}
-    for cfg in grid:
-        for source_id, block in sensors[cfg].items():
-            sensor_rows.append((cfg.n, cfg.p, source_id, *(block[k] for k in _SENSOR_COLUMNS)))
-        for source_id, source_flags in flags[cfg].items():
-            stem = f"plot_{source_id}_n{cfg.n}_p{cfg.p!r}"
-            plot_series[stem] = (*streams.kept[source_id], source_flags)
-        runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors[cfg]})
+    for k, cfg in enumerate(grid):
+        sensors = {}
+        for source_id, (_, columns, measured) in zip(ids, results):
+            block, flags = measured[k]
+            sensors[source_id] = block
+            sensor_rows.append((cfg.n, cfg.p, source_id, *(block[c] for c in _SENSOR_COLUMNS)))
+            if keep:
+                plot_series[f"plot_{source_id}_n{cfg.n}_p{cfg.p!r}"] = (*columns, flags)
+        runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors})
+    ingest = {source_id: block for source_id, (block, _, _) in zip(ids, results) if block is not None}
 
     report = {
         "tool": {"name": "mistsim", "version": __version__},
@@ -230,8 +254,8 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
         "config_echo": serialize_scenario(scenario),
         "runs": runs,
     }
-    if streams.ingest:
-        report["ingest"] = streams.ingest
+    if ingest:
+        report["ingest"] = ingest
 
     written = emit_report(
         report,

@@ -16,20 +16,23 @@ ever queued.  Each sensor's transmit flags are the one record of what it
 sent: its log digest hashes the sent samples in the same pass.  A run is
 fully determined by its inputs.
 
-Both :func:`simulate` and ``mistsim filter`` go through one pass over the
-streams, :func:`measure_streams`: each stream is fetched once, in the
-order given, checked whole (:func:`mistsim.mist_filter.check_stream`
-enforces the filter's contract), cut at the horizon by bisection, together
-with the values the check returned, measured for every config and dropped,
-so memory follows one stream's samples, not all of them.  A stream the
-horizon does not cut is used as it is.  Any error names the stream.  A
-load or check error raises at once.  A measuring error stops all further
-measuring but not the checks, and is handed back to the caller, which
-raises it once every stream is checked.  :func:`simulate` adds only that
-the first timestamp is ``>= 0``, feeds the kept samples into the sources
-hash and the cloud-only accounting, and accounts what each run sent; a
-metric that would overflow when every kept sample is sent raises before
-the measuring error.
+Both :func:`simulate` and ``mistsim filter`` take each stream through one
+step, :func:`_measure_stream`: the stream is checked whole
+(:func:`mistsim.mist_filter.check_stream` enforces the filter's contract),
+cut at the horizon by bisection, together with the values the check
+returned, and measured for every config.  A stream the horizon does not
+cut is used as it is.  Any error names the stream.  A load or check error
+raises; a measuring error is handed back to the caller, which raises it
+once every stream is checked.  :func:`simulate` goes through
+:func:`measure_streams`, one pass that fetches each stream once, in the
+order given, and drops it before the next, so memory follows one stream's
+samples, not all of them; after a measuring error it only checks.  It adds
+only that the first timestamp is ``>= 0``, feeds the kept samples into the
+sources hash and the cloud-only accounting, and accounts what each run
+sent; a metric that would overflow when every kept sample is sent raises
+before the measuring error.  ``mistsim filter`` measures its sources
+independently of each other, spread by :func:`fork_map` over the CPUs the
+process may run on, each worker holding one source at a time.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -41,13 +44,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
+import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from functools import partial
+from itertools import chain, compress, islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample, check_stream
 from .reconstruction import ErrorReport, measure_grid
@@ -208,9 +214,40 @@ def _topology_fp(topology: Topology) -> str:
     return h.hexdigest()
 
 
-def _hash_source(h, sensor_id: str, samples: Sequence[Sample]) -> None:
-    """Feed one sensor's id and kept samples into ``sources_fp``'s running hash."""
-    h.update(sensor_id.encode() + b"\x00" + _packed(samples))
+def _hash_source(h, sensor_id: str, packed: bytes) -> None:
+    """Feed one sensor's id and its kept samples, :func:`_packed`, into
+    ``sources_fp``'s running hash."""
+    h.update(sensor_id.encode() + b"\x00")
+    h.update(packed)
+
+
+def _measure_stream(
+    s: str, samples: Sequence[Sample], configs: Sequence[Optional[FilterConfig]],
+    duration_ms: Optional[float], label: str, measure: bool = True,
+) -> tuple:
+    """``(kept samples, grid)`` for one stream: the step :func:`measure_streams`
+    takes for each stream, and ``mistsim filter`` for each source.
+
+    The stream is checked whole by :func:`check_stream` (an error raises),
+    cut at ``duration_ms`` (``None`` cuts nothing) and, if ``measure``,
+    measured: ``grid`` is :func:`measure_grid`'s list, or its error, which is
+    returned, not raised; ``None`` when not measured.  Errors are prefixed
+    ``"<label> '<s>': "``.
+    """
+    try:
+        values = check_stream(samples)
+    except ValueError as exc:
+        raise ValueError(f"{label} {s!r}: {exc}") from None
+    if duration_ms is not None:
+        cut = bisect_left(samples, duration_ms, key=lambda sample: sample.timestamp)
+        if cut < len(samples):
+            samples, values = samples[:cut], values[:cut]
+    if not measure:
+        return samples, None
+    try:
+        return samples, measure_grid(samples, values, configs)
+    except ValueError as exc:
+        return samples, ValueError(f"{label} {s!r}: {exc}")
 
 
 def measure_streams(
@@ -219,35 +256,114 @@ def measure_streams(
 ) -> Iterator[tuple]:
     """``(id, kept samples, grid)`` for each id in turn, one stream at a time.
 
-    Each stream is fetched once, checked whole by :func:`check_stream` (an
-    error raises at once), cut at ``duration_ms`` (``None`` cuts nothing)
-    and measured: ``grid`` is :func:`measure_grid`'s list.  The first
-    stream that fails to measure gets that error as its ``grid``, and every
-    later one ``None``.  Errors are prefixed ``"<label> '<id>': "``.  The
-    caller must drop each stream's samples before it asks for the next.
+    Each stream is fetched once and goes through :func:`_measure_stream`: a
+    check error raises at once.  The first stream that fails to measure gets
+    that error as its ``grid``, and every later one ``None``.  The caller
+    must drop each stream's samples before it asks for the next.
     """
     measuring = True
     for s in ids:
-        samples = streams[s]
-        try:
-            values = check_stream(samples)
-        except ValueError as exc:
-            raise ValueError(f"{label} {s!r}: {exc}") from None
-        if duration_ms is not None:
-            cut = bisect_left(samples, duration_ms, key=lambda sample: sample.timestamp)
-            if cut < len(samples):
-                samples, values = samples[:cut], values[:cut]
-        grid = None
-        if measuring:
-            try:
-                grid = measure_grid(samples, values, configs)
-            except ValueError as exc:
-                grid = ValueError(f"{label} {s!r}: {exc}")
-                measuring = False
-        del values
+        samples, grid = _measure_stream(s, streams[s], configs, duration_ms, label, measuring)
+        if isinstance(grid, ValueError):
+            measuring = False
         yield s, samples, grid
         # Drop this stream before the next one is fetched.
         del samples, grid
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _share(
+    func: Callable, items: Sequence, start: int, step: int
+) -> tuple[list, Optional[Exception]]:
+    """``func`` over ``items[start::step]`` until one raises: the results
+    before it, and its exception (``None`` when none raised)."""
+    results = []
+    try:
+        for item in islice(items, start, None, step):
+            results.append(func(item))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def fork_map(func: Callable, items: Sequence) -> list:
+    """``[func(x) for x in items]``, in order, spread over forked workers.
+
+    There are as many workers as CPUs in the process's affinity mask, but no
+    more than items.  The work runs in this process when that is one, when
+    the platform cannot fork, or when another thread runs (forking then is
+    unsafe).  Otherwise this process forks the other workers and takes
+    share 0 itself; item ``i`` goes to worker ``i % workers``.  The workers
+    inherit ``func`` and ``items`` as they are at the fork; only results
+    travel, pickled, once per worker, over a pipe.  Each worker stops its
+    share at its first exception, and the exception of the earliest item
+    that raised, in item order, is raised here, with its type and message.
+    A worker that ends without its whole result (killed, say) raises
+    ``OSError`` with its exit status.  Every worker is reaped before this
+    returns or raises.
+    """
+    workers = min(_cpu_count(), len(items))
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [func(item) for item in items]
+    import pickle  # only here, so runs that never fork load nothing new
+
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    shares: list = []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # The worker leaves only through os._exit: it never returns
+                # into the caller, flushes inherited stdio buffers or runs
+                # atexit handlers.
+                status = 1
+                try:
+                    os.close(read_fd)
+                    for _, fd in children:
+                        os.close(fd)
+                    share = _share(func, items, w, workers)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        shares.append(_share(func, items, 0, workers))
+    finally:
+        # Drain every pipe before reaping, so that no worker is left blocked
+        # on a full pipe, whatever raised.
+        received = []
+        for _, fd in children:
+            with open(fd, "rb") as pipe:
+                received.append(pipe.read())
+        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for data, status in zip(received, statuses):
+        try:
+            share = pickle.loads(data) if status == 0 else None
+        except Exception:  # a truncated result
+            share = None
+        if share is None:
+            code = os.waitstatus_to_exitcode(status)
+            raise OSError(f"a worker process ended without its result (exit status {code})")
+        shares.append(share)
+
+    failed = [
+        (w + workers * len(results), exc)
+        for w, (results, exc) in enumerate(shares)
+        if exc is not None
+    ]
+    if failed:
+        raise min(failed, key=lambda pair: pair[0])[1]
+    return [shares[i % workers][0][i // workers] for i in range(len(items))]
 
 
 class _Traffic:
@@ -255,9 +371,11 @@ class _Traffic:
 
     Sensors are added one at a time, in topology order, and only what the
     fields need is kept: counts, digests and one latency per sent sample.
-    The latencies stay in one array, in sending order, so ``min``, ``max``
-    and ``sum`` see the sequence a list of every sample would give; ``sum``
-    compensates on Python >= 3.12, so a running total could round differently.
+    The latencies stay in one array per sensor, never copied into one
+    growing array, and are read in turn, in sending order, so ``min``,
+    ``max`` and ``sum`` see the sequence a list of every sample would give;
+    ``sum`` compensates on Python >= 3.12, so a running total could round
+    differently.
     """
 
     def __init__(self, topology: Topology, paths: Mapping, message_size_bytes: int) -> None:
@@ -271,16 +389,18 @@ class _Traffic:
             for link in topology.links
         }
         self.device_messages = {d.id: 0 for d in topology.devices}
-        self.latencies = array("d")
+        self.latencies: list[array] = []
 
-    def add(self, sensor_id: str, sent: Sequence[Sample], total: int) -> None:
-        """Account ``sent``, the samples a sensor with ``total`` kept samples sent."""
+    def add(self, sensor_id: str, total: int, packed: bytes, latencies: array) -> None:
+        """Account what a sensor with ``total`` kept samples sent: the sent
+        samples, :func:`_packed`, and each one's latency, in sending order."""
         first, gw_id, second = self.paths[sensor_id]
         size = self.message_size_bytes
-        self.log_digests[sensor_id] = hashlib.sha256(
-            struct.pack("<q", total) + _packed(sent)
-        ).hexdigest()
-        count = len(sent)
+        digest = hashlib.sha256(struct.pack("<q", total))
+        digest.update(packed)
+        self.log_digests[sensor_id] = digest.hexdigest()
+        self.latencies.append(latencies)
+        count = len(latencies)
         for link in (first, second):
             usage = self.link_usage[f"{link.src}->{link.dst}"]
             usage["messages"] += count
@@ -288,11 +408,11 @@ class _Traffic:
             usage["byte_ms"] += count * (size * link.latency_ms)
         for device_id in (sensor_id, gw_id, self.cloud_id):
             self.device_messages[device_id] += count
-        l1, l2 = first.latency_ms, second.latency_ms
-        self.latencies.extend([((t + l1) + l2) - t for t, _ in sent])
 
     def fields(self, energy: EnergyModel, duration_ms: float) -> dict:
-        latencies, link_usage = self.latencies, self.link_usage
+        link_usage = self.link_usage
+        count = sum(map(len, self.latencies))
+        latencies = partial(chain.from_iterable, self.latencies)
         busy_energy = {
             d.id: account_energy(self.device_messages[d.id], energy.for_kind(d.kind), duration_ms)
             for d in self.topology.devices
@@ -305,12 +425,12 @@ class _Traffic:
             "device_energy_j": {d: joules for d, (_, joules) in busy_energy.items()},
             "total_bytes": sum(u["bytes"] for u in link_usage.values()),
             "total_byte_ms": sum(u["byte_ms"] for u in link_usage.values()),
-            "messages_emitted": len(latencies),
-            "messages_delivered": 2 * len(latencies),
-            "latency_count": len(latencies),
-            "latency_min_ms": min(latencies) if latencies else 0.0,
-            "latency_max_ms": max(latencies) if latencies else 0.0,
-            "latency_mean_ms": sum(latencies) / len(latencies) if latencies else 0.0,
+            "messages_emitted": count,
+            "messages_delivered": 2 * count,
+            "latency_count": count,
+            "latency_min_ms": min(latencies()) if count else 0.0,
+            "latency_max_ms": max(latencies()) if count else 0.0,
+            "latency_mean_ms": sum(latencies()) / count if count else 0.0,
         }
 
 
@@ -375,16 +495,24 @@ def simulate(
     for s, kept, grid in measure_streams(sensor_ids, streams, configs, duration_ms, "sensor"):
         if kept and kept[0].timestamp < 0:  # ordered: the first is the least
             raise ValueError(f"sensor {s!r}: negative timestamp {kept[0].timestamp!r}")
-        _hash_source(sources_hash, s, kept)
+        # Latencies and packed samples once per sensor, for every run: paths
+        # do not depend on the config.
+        first, _, second = paths[s]
+        l1, l2 = first.latency_ms, second.latency_ms
+        latencies = array("d", [((t + l1) + l2) - t for t, _ in kept])
+        packed = _packed(kept)
+        _hash_source(sources_hash, s, packed)
         total = len(kept)
-        everything.add(s, kept, total)
+        everything.add(s, total, packed, latencies)
+        del packed
         if isinstance(grid, ValueError):
             failure = grid
         elif grid is not None:
             for i, m in enumerate(grid):
                 reports[i][s], flags[i][s] = m.report, m.flags
                 if i in filtered:
-                    filtered[i].add(s, list(compress(kept, m.flags)), total)
+                    sent = _packed(list(compress(kept, m.flags)))
+                    filtered[i].add(s, total, sent, array("d", compress(latencies, m.flags)))
         # Drop this sensor's samples before the next stream is fetched.
         del kept
 

@@ -18,9 +18,12 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 from operator import eq, ge, gt, le, lt, ne
 from pathlib import Path
 from typing import Any, Optional, Sequence
+
+from .engine import fork_map
 
 # Unused here; perfbench/tracing.py wraps this name on this module.
 from .reconstruction import reconstruct_zoh  # noqa: F401
@@ -218,7 +221,9 @@ def emit_report(
     transmitted; each becomes a ``<stem>.csv`` with the timestamp, the raw
     value, its zero-order-hold reconstruction and the flag.  Series sharing
     one pair of ``timestamps`` and ``values`` columns (``array('d')`` in
-    the commands) are written together, formatting their cells once.
+    the commands) are written together, formatting their cells once, and
+    the groups are spread by :func:`mistsim.engine.fork_map` over the CPUs
+    the process may run on.
     ``report.json`` holds the bytes of :func:`dumps_stable`: the report is
     encoded first, in one walk, into a list of bounded blocks, which are
     written in turn and then dropped, so the text is never joined into one
@@ -252,36 +257,43 @@ def emit_report(
     for stem, (timestamps, values, flags) in plot_series.items():
         key = (id(timestamps), id(values))
         by_columns.setdefault(key, (timestamps, values, []))[2].append((stem, flags))
-    plot_paths: dict[str, Path] = {}
-    for timestamps, values, series in by_columns.values():
-        # Timestamps and raw values keep full precision; they are data, not
-        # derived metrics.  The held value is the text of a raw value.
-        raws = list(map(repr, values))
-        cells = [f"{t!r},{raw}," for t, raw in zip(timestamps, raws)]
-        for stem, flags in series:
-            plot_paths[stem] = _write_plot_csv(out / f"{stem}.csv", cells, raws, flags)
-        del raws, cells
-    written.extend(plot_paths[stem] for stem in plot_series)
+    fork_map(partial(_write_plot_csvs, out), list(by_columns.values()))
+    written.extend(out / f"{stem}.csv" for stem in plot_series)
 
     return written
 
 
-def _write_plot_csv(
-    path: Path, cells: Sequence[str], raws: Sequence[str], flags: bytearray
-) -> Path:
-    """One plot file from a source's ``timestamp,raw,`` cells and raw texts."""
-    lines = ["timestamp,raw,reconstructed,transmitted_flag"]
-    if 1 not in flags:
-        # Nothing was transmitted: there is no held value, the raw one stands in.
-        lines += [f"{cell}{raw},0" for cell, raw in zip(cells, raws)]
-    else:
-        held = ""
-        for cell, raw, flag in zip(cells, raws, flags):
-            if flag:
-                held = raw
-            lines.append(f"{cell}{held},{flag}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def _write_plot_csvs(out: Path, group: tuple[Sequence, Sequence, list]) -> None:
+    """The plot files of one ``(timestamps, values, [(stem, flags)])`` group.
+
+    Each cell and each transmitted line is formatted once for the group; a
+    suppressed line is its ``timestamp,raw,`` cell plus the held suffix,
+    which changes only on a transmission.  Each file is written in blocks
+    of ``_BLOCK`` lines, so its text is never joined whole.
+    """
+    timestamps, values, series = group
+    # Timestamps and raw values keep full precision; they are data, not
+    # derived metrics.  The held value is the text of a raw value.
+    raws = list(map(repr, values))
+    cells = [f"{t!r},{raw}," for t, raw in zip(timestamps, raws)]
+    sent = [f"{cell}{raw},1\n" for cell, raw in zip(cells, raws)]
+    for stem, flags in series:
+        lines = ["timestamp,raw,reconstructed,transmitted_flag\n"]
+        if 1 not in flags:
+            # Nothing was transmitted: there is no held value, the raw one stands in.
+            lines += [f"{cell}{raw},0\n" for cell, raw in zip(cells, raws)]
+        else:
+            append = lines.append
+            held = ",0\n"  # the empty held value before the first transmission
+            for cell, raw, line, flag in zip(cells, raws, sent, flags):
+                if flag:
+                    append(line)
+                    held = raw + ",0\n"
+                else:
+                    append(cell + held)
+        with open(out / f"{stem}.csv", "w", encoding="utf-8") as fh:
+            for start in range(0, len(lines), _BLOCK):
+                fh.write("".join(lines[start:start + _BLOCK]))
 
 
 def check_assertion(report: dict, expression: str) -> bool:

@@ -6,11 +6,17 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
+import signal
 import struct
+import subprocess
+import sys
+import threading
 import time
 import weakref
 from collections.abc import Mapping
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +30,7 @@ from mistsim.engine import (
     Mode,
     account_energy,
     compare,
+    fork_map,
     measure_streams,
     run,
     simulate,
@@ -769,11 +776,16 @@ def test_each_command_drops_each_source_before_the_next_is_generated(
     tmp_path, monkeypatch, command
 ):
     # Through the CLI: neither the command, the pass nor the loader holds a
-    # source's samples when the next source is generated.
+    # source's samples when the same process generates its next source.
+    # Each generation appends to a file how many of the streams its process
+    # generated before are still alive, so forked workers report too.
     refs = []
+    log = tmp_path / "generated.log"
 
     def watched(spec):
-        assert [ref() for ref in refs] == [None] * len(refs)
+        alive = sum(ref() is not None for ref in refs)
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {alive}\n")
         stream = WatchedStream(gen_normal(spec))
         refs.append(weakref.ref(stream))
         return stream
@@ -788,7 +800,8 @@ def test_each_command_drops_each_source_before_the_next_is_generated(
     cfg = tmp_path / "four.cfg"
     cfg.write_text(text, encoding="utf-8")
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]) == 0
-    assert len(refs) == 4
+    records = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    assert [alive for _, alive in records] == ["0"] * 4
 
 
 @pytest.mark.parametrize(
@@ -820,3 +833,111 @@ def test_large_sensor_bank_runs_in_linear_time(n_gateways, uplinks_first):
         assert metrics.messages_delivered == 20_000
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"10,000-sensor validate + run took {elapsed:.2f}s"
+
+
+# ------------------------------------------------------------ fork_map
+
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _python_stdout(code: str) -> str:
+    """The stdout of ``code`` run by a new interpreter, stdout on a pipe."""
+    code = f"import sys\nsys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n{code}"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+@pytest.fixture
+def three_workers(monkeypatch):
+    """fork_map spreads over three workers; afterwards no child is left."""
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _tagged(x):
+    return x * x, os.getpid()
+
+
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_fork_map_keeps_item_order(three_workers, count):
+    # One item runs here; three take one worker each; ten go round-robin.
+    got = fork_map(_tagged, range(count))
+    assert [value for value, _ in got] == [x * x for x in range(count)]
+    pids = [pid for _, pid in got]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == min(count, 3)
+    assert all(pids[i] == pids[i % 3] for i in range(count))
+
+
+def test_fork_map_returns_results_larger_than_a_pipe_buffer(three_workers):
+    # A worker blocks on its full pipe until this process reads it: each
+    # pipe is drained before its worker is reaped.
+    assert fork_map(lambda x: bytes([x]) * 300_000, range(3)) == [
+        bytes([x]) * 300_000 for x in range(3)
+    ]
+
+
+def test_fork_map_raises_the_earliest_failing_item(three_workers):
+    # Items 4 and 5 fail in two children, item 6 in this process's share:
+    # item 4's exception is raised, with its type and message.
+    def func(x):
+        if x == 4:
+            raise LookupError("item 4")
+        if x >= 5:
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(LookupError) as excinfo:
+        fork_map(func, range(8))
+    assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
+
+
+def test_fork_map_reports_a_worker_that_died(three_workers):
+    def func(x):
+        if x == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    with pytest.raises(OSError, match=r"exit status -9"):
+        fork_map(func, range(6))
+
+
+def test_fork_map_children_never_flush_inherited_stdout():
+    # Stdout on a pipe is block-buffered: text printed before the fork is
+    # still in the buffer each child inherits, and must appear once.
+    code = (
+        "from mistsim import engine\n"
+        "engine._cpu_count = lambda: 3\n"
+        "print('before the fork', end=' ')\n"
+        "print(engine.fork_map(abs, [-1, -2, -3, -4]))\n"
+    )
+    assert _python_stdout(code) == "before the fork [1, 2, 3, 4]\n"
+
+
+def test_fork_map_runs_inline_while_another_thread_runs(three_workers):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert fork_map(_tagged, range(5)) == [(x * x, os.getpid()) for x in range(5)]
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_a_run_that_never_forks_leaves_pickle_unloaded(tmp_path):
+    # One source is one worker, so filter runs in this process, and pickle,
+    # which only forked workers need, stays unloaded.
+    csv = REPO_ROOT / "tests" / "data" / "office_temperature.csv"
+    code = (
+        "import sys\n"
+        "from mistsim.cli import main\n"
+        f"args = ['filter', '--dataset', {str(csv)!r}, '--column', 'temp_c']\n"
+        f"assert main([*args, '--out', {str(tmp_path)!r}, '--quiet']) == 0\n"
+        "print('pickle' in sys.modules)\n"
+    )
+    assert _python_stdout(code) == "False\n"

@@ -7,9 +7,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from array import array
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -324,6 +326,17 @@ def test_emit_report_writes_expected_files(tmp_path):
     assert plot_lines[2].split(",")[2] == "1.0"
 
 
+def test_plot_holds_nothing_before_the_first_transmission(tmp_path):
+    # Until the first transmission there is no held value: the
+    # reconstruction cell stays empty.
+    timestamps, values = array("d", [0.0, 1.0, 2.0, 3.0]), array("d", [1.5, -2.5, 3.5, 4.5])
+    emit_report({}, tmp_path, plot_series={"p": (timestamps, values, bytearray([0, 0, 1, 0]))})
+    assert (tmp_path / "p.csv").read_text() == (
+        "timestamp,raw,reconstructed,transmitted_flag\n"
+        "0.0,1.5,,0\n1.0,-2.5,,0\n2.0,3.5,3.5,1\n3.0,4.5,3.5,0\n"
+    )
+
+
 def test_plot_rows_match_reference_reconstruction(tmp_path):
     # Two series share one source and a third has its own; paths come back
     # in the given order whatever order the files are written in.  With
@@ -477,18 +490,25 @@ def test_cli_simulate_both_modes(tmp_path, sim_cfg, capsys):
 
 
 @pytest.fixture
-def count_calls(monkeypatch):
-    """``count(owner, name)`` counts calls of ``owner.name`` into the dict."""
-    calls = {}
+def count_calls(monkeypatch, tmp_path):
+    """``count(owner, name)`` counts calls of ``owner.name``; ``calls()`` is
+    the count per name.  Each call appends its name to a file, so calls made
+    in forked workers count too."""
+    log = tmp_path / "calls.log"
+    log.touch()
 
     def count(owner, name):
         fn = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(name + "\n")
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
+
+    def calls() -> dict:
+        return dict(Counter(log.read_text(encoding="utf-8").split()))
 
     return calls, count
 
@@ -514,7 +534,7 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     monkeypatch.chdir(table2_cfg_path.parent)
     args = ["simulate", "--config", "table2.cfg", "--out", str(tmp_path), "--quiet"]
     assert main(args) == 0
-    assert calls == {
+    assert calls() == {
         "uplink_paths": 1, "_check": 1, "check_stream": 6, "_topology_fp": 1,
         "_hash_source": 6, "measure_grid": 6, "window_averages": 6, "serialize_scenario": 1,
     }
@@ -540,7 +560,7 @@ def test_cli_simulate_sweeps_the_grid_in_one_pass(
     gate = "comparison.8.network_total_bytes.reduction_percent > 0"
     args = ["simulate", "--config", "table2.cfg", *SWEEP, "--assert", gate, "--quiet"]
     assert main([*args, "--out", str(tmp_path / "sweep")]) == 0
-    assert calls == {
+    assert calls() == {
         "check_stream": 6, "measure_grid": 6, "window_averages": 18, "_hash_source": 6,
         "_check": 1,
     }
@@ -596,7 +616,7 @@ def test_cli_filter_checks_each_source_once(tmp_path, table2_cfg_path, monkeypat
     args = ["filter", "--config", "tests/data/filter_grid.cfg", "--n", "5,10,50"]
     args += ["--p", "0.01,0.05,0.1", "--out", str(tmp_path), "--quiet"]
     assert main(args) == 0
-    assert calls == {"check_stream": 3, "window_averages": 9}
+    assert calls() == {"check_stream": 3, "window_averages": 9}
 
 
 def _traced_filter_peak(tmp_path, sources: int) -> int:
@@ -806,6 +826,65 @@ def test_reference_runs_are_byte_golden(name, tmp_path, table2_cfg_path, monkeyp
     assert main([*args, "--out", str(tmp_path), "--quiet"]) == 0
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert digests == golden
+
+
+@pytest.mark.parametrize(
+    "name, forks",
+    # Three sources fork two workers to measure and two to plot; two
+    # sensors, one to plot.  One source is one worker: it runs here.
+    [("filter-grid", 4), ("simulate-plots", 1), ("filter-office", 0)],
+)
+def test_outputs_do_not_depend_on_the_worker_count(
+    name, forks, tmp_path, table2_cfg_path, monkeypatch, capsys
+):
+    # Everything in this process against three workers: the same bytes in
+    # every file and on stdout.
+    args = GOLDEN_RUNS[name][0]
+    monkeypatch.chdir(table2_cfg_path.parent)
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        forked.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        forked.clear()
+        out = tmp_path / f"workers{workers}"
+        assert main([*args, "--out", str(out)]) == 0
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        runs.append((files, capsys.readouterr().out.replace(str(out), "<out>"), len(forked)))
+    assert runs[0][:2] == runs[1][:2]
+    assert [fork_count for _, _, fork_count in runs] == [0, forks]
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_filter_load_error_wins_under_any_worker_count(tmp_path, monkeypatch, capsys, workers):
+    # Source b's windows overflow at n=3, a measuring error, and source c's
+    # CSV is missing, a load error: with three workers each source is
+    # measured by its own, and the load error still wins.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    (tmp_path / "b.csv").write_text(
+        "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
+    )
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(
+        "[run]\n\n[source a]\nkind = normal\nmean = 20\nstddev = 1\nperiod_ms = 1\ncount = 9\n\n"
+        f"[source b]\nkind = replay\nfile = {tmp_path / 'b.csv'}\n\n"
+        f"[source c]\nkind = replay\nfile = {tmp_path / 'c.csv'}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["filter", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dataset file not found: {tmp_path / 'c.csv'}\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ------------------------------------------------------------ exit codes
