@@ -18,6 +18,7 @@ from .mist_filter import (
     FilterConfig,
     Reason,
     Sample,
+    Stream,
     TransmitDecision,
     check_stream,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "FilterConfig",
     "Reason",
     "Sample",
+    "Stream",
     "TransmitDecision",
     "check_stream",
     "ErrorReport",

@@ -17,18 +17,15 @@ from __future__ import annotations
 import argparse
 import sys
 from array import array
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import asdict
-from itertools import islice
-from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
 from .engine import Mode, _measure_stream, compare, fork_map, simulate
-from .mist_filter import Sample
+from .mist_filter import Stream
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .engine import run  # noqa: F401
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
@@ -115,55 +112,33 @@ def _load_scenario(args, command: str) -> Scenario:
     raise UsageError("simulate needs --config")
 
 
-def _plot_columns(samples: Sequence[Sample], count: int) -> tuple[array, array]:
-    """The first ``count`` samples' timestamps and values, packed into two
-    ``array('d')`` columns: 16 B a sample, against about 112 B a ``Sample``."""
-    # array() fills from a list faster than from an iterator.
-    return (
-        array("d", list(map(itemgetter(0), islice(samples, count)))),
-        array("d", list(map(itemgetter(1), islice(samples, count)))),
-    )
-
-
-def _load_source(
-    spec, duration_ms: Optional[float], keep: bool
-) -> tuple[list[Sample], Optional[dict], Optional[tuple[array, array]]]:
-    """One source's samples, its ingest block (``None`` unless it is a
-    replay source) and, when ``keep``, the packed columns of the samples
-    before the horizon ``duration_ms`` (all of them without one).
-
-    A source that starts at or past the horizon is rejected.
-    """
+def _load_source(spec, duration_ms: Optional[float]) -> tuple[Stream, Optional[dict]]:
+    """One source's stream and its ingest block (``None`` unless it is a
+    replay source); one that starts at or past ``duration_ms`` is rejected."""
     ingest = None
     if isinstance(spec, SensorSpec):
-        samples = gen_normal(spec)
+        stream = gen_normal(spec)
     else:
-        samples, rep = load_csv(spec)
+        stream, rep = load_csv(spec)
         ingest = asdict(rep)
     # The engine would drop every sample and report an empty run.
-    if duration_ms is not None and samples and samples[0].timestamp >= duration_ms:
+    if duration_ms is not None and stream and stream.timestamps[0] >= duration_ms:
         raise ValueError(
-            f"source {spec.device_id!r} starts at timestamp {samples[0].timestamp!r}, at or "
+            f"source {spec.device_id!r} starts at timestamp {stream.timestamps[0]!r}, at or "
             f"past duration_ms = {duration_ms!r}, so every sample would be "
             "dropped; replay timestamps are epoch seconds, while the run counts "
             "milliseconds from 0"
         )
-    columns = None
-    if keep:
-        cut = len(samples)
-        if duration_ms is not None:
-            cut = bisect_left(samples, duration_ms, key=attrgetter("timestamp"))
-        columns = _plot_columns(samples, cut)
-    return samples, ingest, columns
+    return stream, ingest
 
 
 class _LazyStreams(Mapping):
-    """Each source's samples, loaded by :func:`_load_source` only when looked up.
+    """Each source's stream, loaded by :func:`_load_source` only when looked up.
 
     Keys, ``len`` and iteration load nothing.  A lookup records a replay
     source's ingest block in ``ingest`` and, when ``plot_data`` is on, the
-    packed columns of the samples the pass keeps in ``kept``; the caller
-    holds the only reference to the samples themselves.
+    stream's two columns in ``columns``; the caller holds the only
+    reference to the stream itself.
     """
 
     def __init__(self, scenario: Scenario, duration_ms: Optional[float]) -> None:
@@ -171,17 +146,15 @@ class _LazyStreams(Mapping):
         self._duration_ms = duration_ms
         self._keep = scenario.plot_data
         self.ingest: dict[str, dict] = {}
-        self.kept: dict[str, tuple[array, array]] = {}
+        self.columns: dict[str, tuple[array, array]] = {}
 
-    def __getitem__(self, source_id: str) -> list[Sample]:
-        samples, ingest, columns = _load_source(
-            self._specs[source_id], self._duration_ms, self._keep
-        )
+    def __getitem__(self, source_id: str) -> Stream:
+        stream, ingest = _load_source(self._specs[source_id], self._duration_ms)
         if ingest is not None:
             self.ingest[source_id] = ingest
-        if columns is not None:
-            self.kept[source_id] = columns
-        return samples
+        if self._keep:
+            self.columns[source_id] = (stream.timestamps, stream.values)
+        return stream
 
     def __contains__(self, source_id) -> bool:
         return source_id in self._specs
@@ -206,9 +179,9 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     Each source is loaded, then checked and measured with no horizon by the
     per-stream step of :func:`mistsim.engine.measure_streams`, and the
     sources are spread by :func:`mistsim.engine.fork_map` over the CPUs
-    the process may run on.  Each worker holds one source's samples at a
+    the process may run on.  Each worker holds one source's stream at a
     time and keeps only its report blocks and, with plots on, its flags and
-    packed timestamp and value columns.  Errors merge in declaration order:
+    the stream's two columns.  Errors merge in declaration order:
     the first load or check error raises; otherwise, once every source is
     checked, the first measuring error does.  Nothing is written on an error.
     """
@@ -221,10 +194,11 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     def measure(spec) -> tuple:
         """``(ingest block, plot columns, [(report block, flags)] per grid
         point or the measuring error)`` for one source."""
-        samples, ingest, columns = _load_source(spec, None, keep)
-        measured = _measure_stream(spec.device_id, samples, grid, None, "source")[1]
+        stream, ingest = _load_source(spec, None)
+        measured = _measure_stream(spec.device_id, stream, grid, None, "source")[1]
         if not isinstance(measured, ValueError):
             measured = [(m.report.to_dict(), m.flags if keep else None) for m in measured]
+        columns = (stream.timestamps, stream.values) if keep else None
         return ingest, columns, measured
 
     results = fork_map(measure, scenario.sources)
@@ -338,7 +312,8 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     link_rows = []
     plot_series: dict = {}
     # Plot the filtered runs when they ran; cloud-only transmits every sample.
-    # A plot covers only the samples the runs kept, those before the horizon.
+    # A plot covers only the samples the runs kept, those before the horizon:
+    # the first len(flags) of the stream's columns.
     plotted = results[-1].mode
     for metrics, suffix, block in zip(results, suffixes, blocks):
         label = metrics.mode + suffix
@@ -349,7 +324,7 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
             link_rows.append((label, link_name, usage["messages"], usage["bytes"], usage["byte_ms"]))
         if scenario.plot_data and metrics.mode == plotted:
             for sensor_id, flags in metrics.flags.items():
-                plot_series[f"plot_{sensor_id}{suffix}"] = (*streams.kept[sensor_id], flags)
+                plot_series[f"plot_{sensor_id}{suffix}"] = (*streams.columns[sensor_id], flags)
 
     written = emit_report(
         report,

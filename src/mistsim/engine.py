@@ -16,23 +16,24 @@ ever queued.  Each sensor's transmit flags are the one record of what it
 sent: its log digest hashes the sent samples in the same pass.  A run is
 fully determined by its inputs.
 
-Both :func:`simulate` and ``mistsim filter`` take each stream through one
-step, :func:`_measure_stream`: the stream is checked whole
+Both :func:`simulate` and ``mistsim filter`` take each stream, a
+:class:`~mistsim.mist_filter.Stream`, through one step,
+:func:`_measure_stream`: it is checked whole
 (:func:`mistsim.mist_filter.check_stream` enforces the filter's contract),
-cut at the horizon by bisection, together with the values the check
-returned, and measured for every config.  A stream the horizon does not
-cut is used as it is.  Any error names the stream.  A load or check error
-raises; a measuring error is handed back to the caller, which raises it
-once every stream is checked.  :func:`simulate` goes through
-:func:`measure_streams`, one pass that fetches each stream once, in the
-order given, and drops it before the next, so memory follows one stream's
-samples, not all of them; after a measuring error it only checks.  It adds
-only that the first timestamp is ``>= 0``, feeds the kept samples into the
-sources hash and the cloud-only accounting, and accounts what each run
-sent; a metric that would overflow when every kept sample is sent raises
-before the measuring error.  ``mistsim filter`` measures its sources
-independently of each other, spread by :func:`fork_map` over the CPUs the
-process may run on, each worker holding one source at a time.
+cut at the horizon by bisecting its timestamps, and measured for every
+config.  A stream the horizon does not cut is used as it is.  Any error
+names the stream.  A load or check error raises; a measuring error is
+handed back to the caller, which raises it once every stream is checked.
+:func:`simulate` goes through :func:`measure_streams`, one pass that
+fetches each stream once, in the order given, and drops it before the
+next, so memory follows one stream's samples, not all of them; after a
+measuring error it only checks.  It adds only that the first timestamp is
+``>= 0``, feeds the kept samples, :func:`_packed`, into the sources hash
+and the cloud-only accounting, and accounts what each run sent; a metric
+that would overflow when every kept sample is sent raises before the
+measuring error.  ``mistsim filter`` measures its sources independently of
+each other, spread by :func:`fork_map` over the CPUs the process may run
+on, each worker holding one source at a time.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -46,6 +47,7 @@ import hashlib
 import math
 import os
 import struct
+import sys
 import threading
 from array import array
 from bisect import bisect_left
@@ -55,7 +57,7 @@ from functools import partial
 from itertools import chain, compress, islice
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .mist_filter import FilterConfig, Sample, check_stream
+from .mist_filter import FilterConfig, Stream, check_stream
 from .reconstruction import ErrorReport, measure_grid
 from .topology import Topology
 # Unused here; perfbench/tracing.py wraps these names on this module.
@@ -197,9 +199,20 @@ class RunMetrics:
         }
 
 
-def _packed(samples: Sequence[Sample]) -> bytes:
-    """Samples as little-endian ``(timestamp, value)`` double pairs."""
-    return struct.pack(f"<{2 * len(samples)}d", *chain.from_iterable(samples))
+def _packed(stream: Stream) -> bytes:
+    """The stream's samples as little-endian ``(timestamp, value)`` double pairs."""
+    out = array("d", [0.0]) * (2 * len(stream))
+    out[0::2] = stream.timestamps
+    out[1::2] = stream.values
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out.tobytes()
+
+
+def _packed_sent(stream: Stream, flags: bytearray) -> bytes:
+    """:func:`_packed` of the samples whose flag is 1."""
+    sent = compress(zip(stream.timestamps, stream.values), flags)
+    return struct.pack(f"<{2 * flags.count(1)}d", *chain.from_iterable(sent))
 
 
 def _topology_fp(topology: Topology) -> str:
@@ -222,10 +235,10 @@ def _hash_source(h, sensor_id: str, packed: bytes) -> None:
 
 
 def _measure_stream(
-    s: str, samples: Sequence[Sample], configs: Sequence[Optional[FilterConfig]],
+    s: str, stream: Stream, configs: Sequence[Optional[FilterConfig]],
     duration_ms: Optional[float], label: str, measure: bool = True,
 ) -> tuple:
-    """``(kept samples, grid)`` for one stream: the step :func:`measure_streams`
+    """``(kept stream, grid)`` for one stream: the step :func:`measure_streams`
     takes for each stream, and ``mistsim filter`` for each source.
 
     The stream is checked whole by :func:`check_stream` (an error raises),
@@ -235,40 +248,40 @@ def _measure_stream(
     ``"<label> '<s>': "``.
     """
     try:
-        values = check_stream(samples)
+        check_stream(stream)
     except ValueError as exc:
         raise ValueError(f"{label} {s!r}: {exc}") from None
     if duration_ms is not None:
-        cut = bisect_left(samples, duration_ms, key=lambda sample: sample.timestamp)
-        if cut < len(samples):
-            samples, values = samples[:cut], values[:cut]
+        cut = bisect_left(stream.timestamps, duration_ms)
+        if cut < len(stream):
+            stream = Stream(stream.timestamps[:cut], stream.values[:cut])
     if not measure:
-        return samples, None
+        return stream, None
     try:
-        return samples, measure_grid(samples, values, configs)
+        return stream, measure_grid(stream, configs)
     except ValueError as exc:
-        return samples, ValueError(f"{label} {s!r}: {exc}")
+        return stream, ValueError(f"{label} {s!r}: {exc}")
 
 
 def measure_streams(
-    ids: Iterable[str], streams: Mapping[str, Sequence[Sample]],
+    ids: Iterable[str], streams: Mapping[str, Stream],
     configs: Sequence[Optional[FilterConfig]], duration_ms: Optional[float], label: str,
 ) -> Iterator[tuple]:
-    """``(id, kept samples, grid)`` for each id in turn, one stream at a time.
+    """``(id, kept stream, grid)`` for each id in turn, one stream at a time.
 
     Each stream is fetched once and goes through :func:`_measure_stream`: a
     check error raises at once.  The first stream that fails to measure gets
     that error as its ``grid``, and every later one ``None``.  The caller
-    must drop each stream's samples before it asks for the next.
+    must drop each stream before it asks for the next.
     """
     measuring = True
     for s in ids:
-        samples, grid = _measure_stream(s, streams[s], configs, duration_ms, label, measuring)
+        stream, grid = _measure_stream(s, streams[s], configs, duration_ms, label, measuring)
         if isinstance(grid, ValueError):
             measuring = False
-        yield s, samples, grid
+        yield s, stream, grid
         # Drop this stream before the next one is fetched.
-        del samples, grid
+        del stream, grid
 
 
 def _cpu_count() -> int:
@@ -436,7 +449,7 @@ class _Traffic:
 
 def simulate(
     topology: Topology,
-    streams: Mapping[str, Sequence[Sample]],
+    streams: Mapping[str, Stream],
     configs: Sequence[Optional[FilterConfig]],
     energy: EnergyModel,
     duration_ms: float,
@@ -449,12 +462,12 @@ def simulate(
     ``configs`` must be non-empty and free of repeats.  ``None`` runs the
     ``cloud_only`` pipeline, with no filter; a config runs ``mist_fog_cloud``
     with that filter.  ``streams`` maps every sensor id in the topology to
-    its samples; its keys are read first, and each stream is fetched once,
-    in topology order, and dropped once measured, so a lazy mapping bounds
-    memory by one sensor's samples.  Samples at or beyond ``duration_ms``
-    are dropped; messages still in flight when the horizon passes are
-    delivered (nothing is lost), while energy idles out the configured
-    duration.
+    its :class:`~mistsim.mist_filter.Stream`; its keys are read first, and
+    each stream is fetched once, in topology order, and dropped once
+    measured, so a lazy mapping bounds memory by one sensor's stream.
+    Samples at or beyond ``duration_ms`` are dropped; messages still in
+    flight when the horizon passes are delivered (nothing is lost), while
+    energy idles out the configured duration.
 
     Errors: a stream that fails its check raises at once.  A sensor that
     fails to measure stops all further measuring, but every stream is still
@@ -493,13 +506,13 @@ def simulate(
     sources_hash = hashlib.sha256()
     failure = None
     for s, kept, grid in measure_streams(sensor_ids, streams, configs, duration_ms, "sensor"):
-        if kept and kept[0].timestamp < 0:  # ordered: the first is the least
-            raise ValueError(f"sensor {s!r}: negative timestamp {kept[0].timestamp!r}")
+        if kept and kept.timestamps[0] < 0:  # ordered: the first is the least
+            raise ValueError(f"sensor {s!r}: negative timestamp {kept.timestamps[0]!r}")
         # Latencies and packed samples once per sensor, for every run: paths
         # do not depend on the config.
         first, _, second = paths[s]
         l1, l2 = first.latency_ms, second.latency_ms
-        latencies = array("d", [((t + l1) + l2) - t for t, _ in kept])
+        latencies = array("d", [((t + l1) + l2) - t for t in kept.timestamps])
         packed = _packed(kept)
         _hash_source(sources_hash, s, packed)
         total = len(kept)
@@ -511,9 +524,9 @@ def simulate(
             for i, m in enumerate(grid):
                 reports[i][s], flags[i][s] = m.report, m.flags
                 if i in filtered:
-                    sent = _packed(list(compress(kept, m.flags)))
+                    sent = _packed_sent(kept, m.flags)
                     filtered[i].add(s, total, sent, array("d", compress(latencies, m.flags)))
-        # Drop this sensor's samples before the next stream is fetched.
+        # Drop this sensor's stream before the next one is fetched.
         del kept
 
     cloud_only = everything.fields(energy, duration_ms)
@@ -558,7 +571,7 @@ def simulate(
 
 def run(
     topology: Topology,
-    streams: Mapping[str, Sequence[Sample]],
+    streams: Mapping[str, Stream],
     mode: Mode,
     filter_config: FilterConfig,
     energy: EnergyModel,

@@ -29,28 +29,29 @@ Every timestamp and value, and every full window's average, must be finite;
 ``step`` rejects a NaN, an infinity or an overflowing window sum with
 ``ValueError``.
 
-:class:`EventFilter` is the per-sample filter and the reference.  Whole
-streams are measured by a two-stage batch kernel that must agree with it
-bit for bit (``tests/test_reconstruction.py`` checks that on random grids).
+:class:`EventFilter` steps one :class:`Sample` and is the reference.  A
+whole :class:`Stream`, two ``array('d')`` columns, is measured by a
+two-stage batch kernel that must agree with it bit for bit
+(``tests/test_reconstruction.py`` checks that on random grids).
 :func:`check_stream` is the one check of the stream contract (timestamps
 finite and strictly increasing, values finite) outside ``step``; a caller
-runs it once per stream and keeps the values it returns.  Stage 1,
-:func:`window_averages`, depends only on those values and ``n``: it computes
-every full window's average as ``step`` does, ``sum(window) / n`` left to
-right, and only has to catch a window sum that overflows.  Stage 2,
-:func:`mistsim.reconstruction.measure_grid`, applies the band for each ``p``
-to those shared averages.
+runs it once per stream.  Stage 1, :func:`window_averages`, depends only on
+its values and ``n``: it computes every full window's average as ``step``
+does, ``sum(window) / n`` left to right, and only has to catch a window
+sum that overflows.  Stage 2, :func:`mistsim.reconstruction.measure_grid`,
+applies the band for each ``p`` to those shared averages.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from operator import itemgetter, lt
-from typing import Deque, NamedTuple, Optional, Sequence
+from operator import lt
+from typing import Deque, NamedTuple, Optional
 
 
 class Reason(str, Enum):
@@ -66,6 +67,24 @@ class Sample(NamedTuple):
 
     timestamp: float
     value: float
+
+
+@dataclass(frozen=True)
+class Stream:
+    """A stream as two equal-length ``array('d')`` columns, 16 B a sample.
+
+    Sample ``i`` is ``(timestamps[i], values[i])``; ``len()`` counts them.
+    """
+
+    timestamps: array
+    values: array
+
+    def __post_init__(self) -> None:
+        if len(self.timestamps) != len(self.values):
+            raise ValueError(f"{len(self.timestamps)} timestamps but {len(self.values)} values")
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 class TransmitDecision(NamedTuple):
@@ -196,32 +215,26 @@ class EventFilter:
         return decision
 
 
-_timestamp = itemgetter(0)  # Sample.timestamp
-_value = itemgetter(1)  # Sample.value
-
-
-def check_stream(samples: Sequence[Sample]) -> list[float]:
-    """The stream's values, once its timestamps and values pass ``step``'s checks.
+def check_stream(stream: Stream) -> None:
+    """Return when the stream's timestamps and values pass ``step``'s checks.
 
     Otherwise raises what :meth:`EventFilter.step` raises at the first
     failing sample, with a window that never fills: a window sum that
     overflows is left to :func:`window_averages`, which finds it for each
     ``n``.
     """
-    values = list(map(_value, samples))
-    times = list(map(_timestamp, samples))
+    times = stream.timestamps
     # Strictly increasing timestamps between finite ends are all finite (a
     # NaN fails every comparison).
     ordered = not times or (
         -_INF < times[0] and times[-1] < _INF and all(map(lt, times, islice(times, 1, None)))
     )
-    if not (ordered and all(map(_isfinite, values))):
-        _replay(samples, len(samples) + 1)
-    return values
+    if not (ordered and all(map(_isfinite, stream.values))):
+        _replay(stream, len(stream) + 1)
 
 
-def window_averages(samples: Sequence[Sample], values: Sequence[float], n: int) -> list[float]:
-    """Stage 1 of the batch kernel: the full-window averages of checked ``values``.
+def window_averages(stream: Stream, n: int) -> list[float]:
+    """Stage 1 of the batch kernel: the full-window averages of a checked stream.
 
     ``averages[k]`` is the average of ``values[k:k + n]``, computed as
     ``step`` computes it, so it judges ``values[k + n]``; a stream of
@@ -229,15 +242,17 @@ def window_averages(samples: Sequence[Sample], values: Sequence[float], n: int) 
     nothing.  Raises what :meth:`EventFilter.step` raises where a window
     sum first overflows.
     """
+    # Sum list slices: array slices would box every element of every window.
+    values = stream.values.tolist()
     averages = [sum(values[i - n:i]) / n for i in range(n, len(values) + 1)]
     if not all(map(_isfinite, averages)):
-        _replay(samples, n)
+        _replay(stream, n)
     return averages
 
 
-def _replay(samples: Sequence[Sample], n: int) -> None:
-    """Raise the exact error of ``samples`` stepped through a window of ``n``."""
+def _replay(stream: Stream, n: int) -> None:
+    """Raise the exact error of ``stream`` stepped through a window of ``n``."""
     filt = EventFilter(FilterConfig(n=n, p=0.0))
-    for sample in samples:
+    for sample in zip(stream.timestamps, stream.values):
         filt.step(sample)
     raise AssertionError("the bulk check rejected a stream EventFilter accepts")

@@ -8,10 +8,10 @@ sensor actually observed.
 :func:`measure_grid` measures one stream, checked once by
 :func:`mistsim.mist_filter.check_stream`, under many filter configs with a
 two-stage batch kernel.  Stage 1, :func:`mistsim.mist_filter.window_averages`,
-runs once per distinct window size ``n`` on the checked values.  Stage 2
+runs once per distinct window size ``n`` on the stream's values.  Stage 2
 runs once per band fraction ``p`` on those shared averages: it makes each
 transmit decision and accounts the hold error in the same loop.
-:meth:`EventFilter.step` per sample, then :func:`build_log`,
+:meth:`EventFilter.step` per :class:`Sample`, then :func:`build_log`,
 :func:`reconstruct_zoh` and :func:`error_report`, are the reference.
 """
 
@@ -20,12 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
-from operator import itemgetter, lt
+from operator import lt
 from typing import NamedTuple, Optional, Sequence
 
-from .mist_filter import FilterConfig, Sample, TransmitDecision, window_averages
-
-_timestamp = itemgetter(0)  # Sample.timestamp
+from .mist_filter import FilterConfig, Sample, Stream, TransmitDecision, window_averages
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class TransmissionLog:
             raise ValueError("total_count must be >= 0")
         if len(self.entries) > self.total_count:
             raise ValueError("log cannot hold more entries than samples seen")
-        times = list(map(_timestamp, self.entries))
+        times = [entry.timestamp for entry in self.entries]
         if not all(map(lt, times, islice(times, 1, None))):
             raise ValueError("log timestamps must strictly increase")
 
@@ -177,33 +175,34 @@ class Measurement(NamedTuple):
 
 
 def measure_grid(
-    samples: Sequence[Sample], values: Sequence[float], filter_configs: Sequence[Optional[FilterConfig]]
+    stream: Stream, filter_configs: Sequence[Optional[FilterConfig]]
 ) -> list[Measurement]:
-    """Measure one checked stream under each filter config, in the order given.
+    """Measure one stream under each filter config, in the order given.
 
-    ``values`` is what :func:`~mistsim.mist_filter.check_stream` returned
-    for ``samples``.  A ``None`` config means no filter: every sample is
-    transmitted.  Each result equals what :func:`build_log`,
-    :func:`reconstruct_zoh` and :func:`error_report` give in turn for the
-    decisions of :meth:`EventFilter.step` (:func:`empty_report` for an empty
-    stream).  Stage 1, :func:`window_averages`, runs once per distinct ``n``
-    in order of first occurrence and raises ``ValueError`` where ``step``
-    first meets an overflowing window; every ``p`` shares its averages.
+    The stream must have passed :func:`~mistsim.mist_filter.check_stream`.
+    A ``None`` config means no filter: every sample is transmitted.  Each
+    result equals what :func:`build_log`, :func:`reconstruct_zoh` and
+    :func:`error_report` give in turn for the decisions of
+    :meth:`EventFilter.step` (:func:`empty_report` for an empty stream).
+    Stage 1, :func:`window_averages`, runs once per distinct ``n`` in order
+    of first occurrence and raises ``ValueError`` where ``step`` first
+    meets an overflowing window; every ``p`` shares its averages.
     Stage 2 raises ``ValueError`` where the running total of hold errors overflows.
     """
-    total = len(samples)
+    values = stream.values
+    total = len(values)
     mean_abs_raw = sum(map(abs, values)) / total if total else 0.0
     results = []
     averages_by_n: dict[int, list[float]] = {}
     for config in filter_configs:
         if config is None:
             flags = bytearray(b"\x01" * total)
-            results.append(_measurement(samples, flags, [0.0] * total, mean_abs_raw))
+            results.append(_measurement(stream, flags, [0.0] * total, mean_abs_raw))
             continue
         n, p = config.n, config.p
         averages = averages_by_n.get(n)
         if averages is None:
-            averages = averages_by_n[n] = window_averages(samples, values, n)
+            averages = averages_by_n[n] = window_averages(stream, n)
         # Stage 2: step's band test on the shared averages, with the hold
         # error accounted in the same loop.
         warm = min(n, total)
@@ -217,12 +216,12 @@ def measure_grid(
                 held = value
             else:
                 abs_errors[i] = abs(value - held)
-        results.append(_measurement(samples, flags, abs_errors, mean_abs_raw))
+        results.append(_measurement(stream, flags, abs_errors, mean_abs_raw))
     return results
 
 
 def _measurement(
-    samples: Sequence[Sample], flags: bytearray, abs_errors: list, mean_abs_raw: float
+    stream: Stream, flags: bytearray, abs_errors: list, mean_abs_raw: float
 ) -> Measurement:
     total = len(flags)
     if not total:
@@ -233,7 +232,7 @@ def _measurement(
     if not math.isfinite(error_sum):  # errors are >= 0: one inf makes the sum inf
         at = next((i for i, t in enumerate(accumulate(abs_errors)) if t == math.inf), total - 1)
         raise ValueError(
-            f"hold error overflowed to inf at timestamp {samples[at].timestamp!r}; a suppressed "
+            f"hold error overflowed to inf at timestamp {stream.timestamps[at]!r}; a suppressed "
             "value's distance from its held value, or the sum of those, exceeds the float range"
         )
     avg_err = error_sum / total

@@ -28,7 +28,7 @@ from .engine import fork_map
 # Unused here; perfbench/tracing.py wraps this name on this module.
 from .reconstruction import reconstruct_zoh  # noqa: F401
 
-_OPS = {"<=": le, ">=": ge, "==": eq, "!=": ne, "<": lt, ">": gt}  # two-char ops first
+_OPS = {"<=": le, ">=": ge, "==": eq, "!=": ne, "<": lt, ">": gt}
 
 
 class _NonFiniteFloat(ValueError):
@@ -218,12 +218,12 @@ def emit_report(
 
     ``plot_series`` maps a file stem to ``(timestamps, values, flags)``,
     one sample per index, ``flags[i]`` being 1 when sample ``i`` was
-    transmitted; each becomes a ``<stem>.csv`` with the timestamp, the raw
-    value, its zero-order-hold reconstruction and the flag.  Series sharing
-    one pair of ``timestamps`` and ``values`` columns (``array('d')`` in
-    the commands) are written together, formatting their cells once, and
-    the groups are spread by :func:`mistsim.engine.fork_map` over the CPUs
-    the process may run on.
+    transmitted; each becomes a ``<stem>.csv`` with, for each of the first
+    ``len(flags)`` samples, the timestamp, the raw value, its
+    zero-order-hold reconstruction and the flag.  Series sharing one pair
+    of columns and one length are written together, formatting their cells
+    once, and the groups are spread by :func:`mistsim.engine.fork_map` over
+    the CPUs the process may run on.
     ``report.json`` holds the bytes of :func:`dumps_stable`: the report is
     encoded first, in one walk, into a list of bounded blocks, which are
     written in turn and then dropped, so the text is never joined into one
@@ -253,9 +253,9 @@ def emit_report(
         written.append(path)
 
     plot_series = plot_series or {}
-    by_columns: dict[tuple[int, int], tuple[Sequence, Sequence, list]] = {}
+    by_columns: dict[tuple[int, int, int], tuple[Sequence, Sequence, list]] = {}
     for stem, (timestamps, values, flags) in plot_series.items():
-        key = (id(timestamps), id(values))
+        key = (id(timestamps), id(values), len(flags))
         by_columns.setdefault(key, (timestamps, values, []))[2].append((stem, flags))
     fork_map(partial(_write_plot_csvs, out), list(by_columns.values()))
     written.extend(out / f"{stem}.csv" for stem in plot_series)
@@ -274,7 +274,7 @@ def _write_plot_csvs(out: Path, group: tuple[Sequence, Sequence, list]) -> None:
     timestamps, values, series = group
     # Timestamps and raw values keep full precision; they are data, not
     # derived metrics.  The held value is the text of a raw value.
-    raws = list(map(repr, values))
+    raws = list(map(repr, values[:len(series[0][1])]))
     cells = [f"{t!r},{raw}," for t, raw in zip(timestamps, raws)]
     sent = [f"{cell}{raw},1\n" for cell, raw in zip(cells, raws)]
     for stem, flags in series:
@@ -304,14 +304,13 @@ def check_assertion(report: dict, expression: str) -> bool:
     report.  A missing path or a ``None`` value fails the assertion rather
     than erroring, so gates can probe optional fields.
     """
-    for op in _OPS:
-        if op in expression:
-            left, right = expression.split(op, 1)
-            break
-    else:
+    # The last operator, the longer where two start there: a path may hold one.
+    at, _, op = max((expression.rfind(op), len(op), op) for op in _OPS)
+    if at < 0:
         raise ValueError(
             f"bad assertion {expression!r}: expected '<field.path> <op> <number>'"
         )
+    left, right = expression[:at], expression[at + len(op):]
     path = left.strip()
     if not path:
         raise ValueError(f"bad assertion {expression!r}: empty field path")

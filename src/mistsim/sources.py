@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import repeat
@@ -17,11 +18,11 @@ from operator import add, mul
 from pathlib import Path
 from typing import Optional, Union
 
-from .mist_filter import Sample
+from .mist_filter import Stream
 from .rng import normal_blocks
 
 # The most samples one synthetic source may have.  Its stream is built whole:
-# about 112 B a sample, plus 16 B for the check's lists, so about 1.3 GB.
+# 16 B a sample, so about 160 MB.
 MAX_COUNT = 10_000_000
 
 
@@ -97,26 +98,20 @@ class IngestReport:
 SourceSpec = Union[SensorSpec, ReplaySpec]
 
 
-def gen_normal(spec: SensorSpec) -> list[Sample]:
+def gen_normal(spec: SensorSpec) -> Stream:
     """Generate ``spec.count`` samples; the seed alone fixes the stream.
 
-    Sample ``k`` is ``Sample(k * period_ms, mean + stddev * z_k)`` with
-    ``z_k`` the ``k``-th normal of ``SplitMix64(seed)``.  The samples are
-    built one kernel block at a time, so no other list the length of the
-    stream exists beside the result.
+    Sample ``k`` is ``(k * period_ms, mean + stddev * z_k)`` with ``z_k``
+    the ``k``-th normal of ``SplitMix64(seed)``.  The values are built one
+    kernel block at a time, so no list the length of the stream exists
+    beside the result.
     """
-    mean, stddev, period = spec.mean, spec.stddev, spec.period_ms
-    samples: list[Sample] = []
-    k = 0
+    mean, stddev = spec.mean, spec.stddev
+    values = array("d")
     for normals in normal_blocks(spec.seed, spec.count):
-        end = k + len(normals)
-        times = map(mul, range(k, end), repeat(period))
-        values = map(add, repeat(mean), map(mul, repeat(stddev), normals))
-        # tuple.__new__ makes the Sample that Sample(t, v) would, without
-        # the generated Python-level __new__.
-        samples.extend(map(tuple.__new__, repeat(Sample), zip(times, values)))
-        k = end
-    return samples
+        values.extend(map(add, repeat(mean), map(mul, repeat(stddev), normals)))
+    timestamps = array("d", map(mul, range(spec.count), repeat(spec.period_ms)))
+    return Stream(timestamps, values)
 
 
 def _parse_timestamp(cell: str) -> float:
@@ -131,7 +126,7 @@ def _parse_timestamp(cell: str) -> float:
     return dt.timestamp()
 
 
-def load_csv(spec: ReplaySpec) -> tuple[list[Sample], IngestReport]:
+def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     """Replay a CSV column as a sample stream.
 
     A header row is required.  Data rows that cannot be parsed (missing
@@ -140,18 +135,18 @@ def load_csv(spec: ReplaySpec) -> tuple[list[Sample], IngestReport]:
     ``expected_period`` is set, a gap is counted whenever the spacing between
     consecutive kept samples exceeds 1.5 times the expected period.
 
-    Returns the samples plus an :class:`IngestReport`; by construction
+    Returns the stream plus an :class:`IngestReport`; by construction
     ``rows_read == samples + rows_skipped``.
     """
     path = Path(spec.path)
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
 
-    samples: list[Sample] = []
+    timestamps = array("d")
+    values = array("d")
     rows_read = 0
     rows_skipped = 0
     gaps = 0
-    last_ts: Optional[float] = None
 
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle, delimiter=spec.delimiter)
@@ -179,24 +174,24 @@ def load_csv(spec: ReplaySpec) -> tuple[list[Sample], IngestReport]:
             if not (math.isfinite(ts) and math.isfinite(value)):
                 rows_skipped += 1
                 continue
-            if last_ts is not None and ts <= last_ts:
+            if timestamps and ts <= timestamps[-1]:
                 # A stalled or rewinding clock; the stream must stay strictly
                 # increasing, so the row is dropped rather than fatal.
                 rows_skipped += 1
                 continue
             if (
                 spec.expected_period is not None
-                and last_ts is not None
-                and ts - last_ts > 1.5 * spec.expected_period
+                and timestamps
+                and ts - timestamps[-1] > 1.5 * spec.expected_period
             ):
                 gaps += 1
-            samples.append(Sample(ts, value))
-            last_ts = ts
+            timestamps.append(ts)
+            values.append(value)
 
     report = IngestReport(
         rows_read=rows_read,
         rows_skipped=rows_skipped,
-        samples=len(samples),
+        samples=len(timestamps),
         gaps_detected=gaps,
     )
-    return samples, report
+    return Stream(timestamps, values), report

@@ -2,8 +2,10 @@
 
 Nothing here shares code with the package under test.  Everything is written
 the slow, obvious way: the point is independent ground truth, not speed.  The
-one exception, :func:`two_phase_error`, is handed the package's loader, check
-and measure functions: what it pins is the order they run in.
+exceptions: :func:`two_phase_error` is handed the package's loader, check
+and measure functions, since what it pins is the order they run in, and
+:func:`to_stream` and :func:`to_rows` convert between the package's stream
+type and its rows.
 """
 
 from __future__ import annotations
@@ -12,6 +14,22 @@ import configparser
 import heapq
 import json
 import math
+from array import array
+
+
+def to_stream(rows):
+    """``(timestamp, value)`` rows as a :class:`mistsim.mist_filter.Stream`."""
+    from mistsim.mist_filter import Stream
+
+    rows = list(rows)
+    return Stream(array("d", [t for t, _ in rows]), array("d", [v for _, v in rows]))
+
+
+def to_rows(stream):
+    """A :class:`mistsim.mist_filter.Stream`'s samples as a list of ``Sample`` rows."""
+    from mistsim.mist_filter import Sample
+
+    return list(map(Sample, stream.timestamps, stream.values))
 
 
 def dead_band_flags(values, n, p):
@@ -380,22 +398,23 @@ def two_phase_error(sources, load, check, measure, configs, label):
     materialised streams: ``(0, "")`` when nothing fails.
 
     Phase 1 loads every source with ``load(spec)`` and checks it with
-    ``check(samples)``, in declaration order.  Phase 2 measures each
-    checked source with ``measure(samples, values, configs)``, in the same
-    order.  The first exception wins; a check or measuring error is
-    prefixed with ``label`` and the source id.
+    ``check(stream)``, in declaration order.  Phase 2 measures each
+    checked source with ``measure(stream, configs)``, in the same order.
+    The first exception wins; a check or measuring error is prefixed with
+    ``label`` and the source id.
     """
     try:
         checked = []
         for spec in sources:
-            samples = load(spec)
+            stream = load(spec)
             try:
-                checked.append((spec.device_id, samples, check(samples)))
+                check(stream)
             except ValueError as exc:
                 raise ValueError(f"{label} {spec.device_id!r}: {exc}") from None
-        for source_id, samples, values in checked:
+            checked.append((spec.device_id, stream))
+        for source_id, stream in checked:
             try:
-                measure(samples, values, configs)
+                measure(stream, configs)
             except ValueError as exc:
                 raise ValueError(f"{label} {source_id!r}: {exc}") from None
     except FileNotFoundError as exc:

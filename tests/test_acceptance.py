@@ -20,7 +20,7 @@ from mistsim.mist_filter import EventFilter, FilterConfig, Sample
 from mistsim.reconstruction import build_log, error_report, reconstruct_zoh, reduction_stats
 from mistsim.rng import SplitMix64
 from mistsim.sources import ReplaySpec, SensorSpec, gen_normal, load_csv
-from oracles import delivery_trace
+from oracles import delivery_trace, to_rows, to_stream
 
 pytestmark = pytest.mark.acceptance
 
@@ -63,8 +63,9 @@ def test_01_oracle_equivalence():
     started = time.perf_counter()
     streams = []
     for seed in range(20):
-        samples = gen_normal(SensorSpec("x", 25.0, 4.0, 1.0, 10_000, seed=seed))
-        streams.append((samples, [s.value for s in samples]))
+        stream = gen_normal(SensorSpec("x", 25.0, 4.0, 1.0, 10_000, seed=seed))
+        rows = list(zip(stream.timestamps, stream.values))
+        streams.append((rows, stream.values.tolist()))
 
     disagreements = 0
     checked = 0
@@ -131,7 +132,7 @@ def test_04_statistical_suppression():
     """The transmitted fraction of a Normal(28, 1) stream at n=10, p=0.05,
     N=100k matches an independent Monte Carlo oracle (numpy, 10 seeds
     averaged) within 0.02 absolute."""
-    samples = gen_normal(SensorSpec("S5", 28.0, 1.0, 1000.0, 100_000, seed=47))
+    samples = to_rows(gen_normal(SensorSpec("S5", 28.0, 1.0, 1000.0, 100_000, seed=47)))
     filt = EventFilter(FilterConfig(n=10, p=0.05))
     transmitted = sum(filt.step(s).transmit for s in samples)
     fraction = transmitted / len(samples)
@@ -157,7 +158,8 @@ def test_05_office_fixture_golden(office_csv_path):
     spec = ReplaySpec(
         "office", str(office_csv_path), value_column="temp_c", expected_period=60.0
     )
-    samples, ingest = load_csv(spec)
+    stream, ingest = load_csv(spec)
+    samples = to_rows(stream)
     assert (ingest.rows_read, ingest.rows_skipped, ingest.gaps_detected) == (5000, 0, 0)
 
     golden = {
@@ -208,9 +210,9 @@ def test_07_latency_exactness(table2_cfg_path):
     """One message from S1 reaches the cloud at emit time plus 4 plus 50
     milliseconds, exactly."""
     topology = load_config(table2_cfg_path).topology
-    streams = {d.id: [] for d in topology.sensors()}
+    streams = {d.id: to_stream([]) for d in topology.sensors()}
     for emit_ms in (0.0, 100.5, 9_999.0):
-        streams["S1"] = [Sample(emit_ms, 25.0)]
+        streams["S1"] = to_stream([(emit_ms, 25.0)])
         metrics = run(
             topology,
             streams,
@@ -219,7 +221,7 @@ def test_07_latency_exactness(table2_cfg_path):
             EnergyModel(),
             1_000_000.0,
         )
-        sent = {s: compress(streams[s], flags) for s, flags in metrics.flags.items()}
+        sent = {s: compress(to_rows(streams[s]), flags) for s, flags in metrics.flags.items()}
         trace = delivery_trace(topology, sent)
         assert metrics.latency_count == 1
         assert metrics.latency_min_ms == 54.0

@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mistsim import cli, engine
@@ -38,7 +38,9 @@ from mistsim.engine import (
 from mistsim.mist_filter import FilterConfig, Sample
 from mistsim.sources import SensorSpec, gen_normal
 from mistsim.topology import Device, Link, Topology, validate
-from oracles import dead_band_flags, delivery_trace, heap_network, loop_check_stream
+from oracles import (
+    dead_band_flags, delivery_trace, heap_network, loop_check_stream, to_rows, to_stream,
+)
 
 FC = FilterConfig(n=10, p=0.05)
 ENERGY = EnergyModel()
@@ -54,13 +56,13 @@ def small_topology(sensor_count=2, sensor_latency=4.0, uplink_latency=50.0):
 
 
 def constant_stream(count, value=25.0, period=1000.0):
-    return [Sample(k * period, value) for k in range(count)]
+    return to_stream((k * period, value) for k in range(count))
 
 
 def traced_run(topo, streams, *args, **kwargs):
     """``run`` and its delivery trace, derived from the flags it returns."""
     metrics = run(topo, streams, *args, **kwargs)
-    sent = {s: itertools.compress(streams[s], flags) for s, flags in metrics.flags.items()}
+    sent = {s: itertools.compress(to_rows(streams[s]), flags) for s, flags in metrics.flags.items()}
     return metrics, delivery_trace(topo, sent)
 
 
@@ -116,7 +118,7 @@ def test_account_energy_validation():
 
 def test_single_message_latency_is_sum_of_hops():
     topo = small_topology(sensor_count=1, sensor_latency=4.0, uplink_latency=50.0)
-    streams = {"s1": [Sample(0.0, 25.0)]}
+    streams = {"s1": to_stream([(0.0, 25.0)])}
     metrics, trace = traced_run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     assert metrics.latency_count == 1
     assert metrics.latency_min_ms == 54.0
@@ -126,14 +128,14 @@ def test_single_message_latency_is_sum_of_hops():
 
 def test_latency_offsets_track_emission_time():
     topo = small_topology(sensor_count=1, sensor_latency=4.0, uplink_latency=50.0)
-    streams = {"s1": [Sample(100.5, 25.0)]}
+    streams = {"s1": to_stream([(100.5, 25.0)])}
     _, trace = traced_run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     assert [t for t, _, _, _ in trace] == [104.5, 154.5]
 
 
 def test_messages_in_flight_at_horizon_still_deliver():
     topo = small_topology(sensor_count=1)
-    streams = {"s1": [Sample(999.0, 25.0)]}  # cloud arrival at 1053, past the horizon
+    streams = {"s1": to_stream([(999.0, 25.0)])}  # cloud arrival at 1053, past the horizon
     metrics = run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     assert metrics.messages_emitted == 1
     assert metrics.messages_delivered == 2  # gateway hop + cloud hop
@@ -142,7 +144,7 @@ def test_messages_in_flight_at_horizon_still_deliver():
 
 def test_samples_at_or_past_horizon_are_dropped():
     topo = small_topology(sensor_count=1)
-    streams = {"s1": [Sample(0.0, 25.0), Sample(1000.0, 25.0), Sample(2000.0, 25.0)]}
+    streams = {"s1": to_stream([(0.0, 25.0), (1000.0, 25.0), (2000.0, 25.0)])}
     metrics = run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     assert metrics.sensor_reports["s1"].total_count == 1
 
@@ -169,12 +171,12 @@ def test_run_rejects_invalid_topology():
     topo = small_topology()
     topo.links.append(Link("s1", "cloud", 1.0))
     with pytest.raises(ValueError, match="invalid topology"):
-        run(topo, {"s1": [], "s2": []}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
+        run(topo, {"s1": to_stream([]), "s2": to_stream([])}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
 
 
 def test_run_rejects_bad_duration_and_size():
     topo = small_topology()
-    streams = {"s1": [], "s2": []}
+    streams = {"s1": to_stream([]), "s2": to_stream([])}
     with pytest.raises(ValueError, match="duration"):
         run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 0.0)
     with pytest.raises(ValueError, match="message_size_bytes"):
@@ -184,11 +186,11 @@ def test_run_rejects_bad_duration_and_size():
 def test_run_rejects_stream_mismatches():
     topo = small_topology()
     with pytest.raises(ValueError, match="no stream for sensors"):
-        run(topo, {"s1": []}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
+        run(topo, {"s1": to_stream([])}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     with pytest.raises(ValueError, match="unknown sensors"):
         run(
             topo,
-            {"s1": [], "s2": [], "s3": []},
+            {"s1": to_stream([]), "s2": to_stream([]), "s3": to_stream([])},
             Mode.CLOUD_ONLY,
             FC,
             ENERGY,
@@ -203,20 +205,20 @@ def test_run_rejects_bad_timestamps():
     ):
         run(
             topo,
-            {"s1": [Sample(5.0, 1.0), Sample(5.0, 2.0)]},
+            {"s1": to_stream([(5.0, 1.0), (5.0, 2.0)])},
             Mode.CLOUD_ONLY,
             FC,
             ENERGY,
             1000.0,
         )
     with pytest.raises(ValueError, match=r"sensor 's1': negative timestamp -1\.0"):
-        run(topo, {"s1": [Sample(-1.0, 1.0)]}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
+        run(topo, {"s1": to_stream([(-1.0, 1.0)])}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_run_rejects_non_finite_values(mode):
     # Cloud-only never steps a filter, so the engine checks values itself.
-    stream = [Sample(0.0, 1.0), Sample(1.0, float("nan"))]
+    stream = to_stream([(0.0, 1.0), (1.0, float("nan"))])
     with pytest.raises(ValueError, match=r"sensor 's1': non-finite value nan at timestamp 1\.0"):
         run(small_topology(sensor_count=1), {"s1": stream}, mode, FC, ENERGY, 1000.0)
 
@@ -226,7 +228,8 @@ def test_run_rejects_non_finite_values(mode):
 
 def test_zero_sample_run_burns_idle_energy_only():
     topo = small_topology()
-    metrics = run(topo, {"s1": [], "s2": []}, Mode.MIST_FOG_CLOUD, FC, ENERGY, 60_000.0)
+    streams = {"s1": to_stream([]), "s2": to_stream([])}
+    metrics = run(topo, streams, Mode.MIST_FOG_CLOUD, FC, ENERGY, 60_000.0)
     assert metrics.messages_emitted == 0
     assert metrics.messages_delivered == 0
     assert metrics.total_bytes == 0
@@ -245,8 +248,8 @@ def test_zero_sample_run_burns_idle_energy_only():
 def test_filtered_mode_sends_no_more_than_cloud_only():
     topo = small_topology(sensor_count=2)
     streams = {
-        "s1": [Sample(t.timestamp, t.value) for t in gen_normal(SensorSpec("s1", 25, 4, 100.0, 400, seed=5))],
-        "s2": [Sample(t.timestamp, t.value) for t in gen_normal(SensorSpec("s2", 28, 1, 100.0, 400, seed=6))],
+        "s1": gen_normal(SensorSpec("s1", 25, 4, 100.0, 400, seed=5)),
+        "s2": gen_normal(SensorSpec("s2", 28, 1, 100.0, 400, seed=6)),
     }
     base = run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 40_000.0)
     mist = run(topo, streams, Mode.MIST_FOG_CLOUD, FC, ENERGY, 40_000.0)
@@ -277,8 +280,8 @@ def test_cloud_message_count_equals_transmissions():
 def test_repeated_runs_are_bit_identical():
     topo = small_topology(sensor_count=2)
     streams = {
-        "s1": [Sample(s.timestamp, s.value) for s in gen_normal(SensorSpec("s1", 25, 4, 100.0, 300, seed=1))],
-        "s2": [Sample(s.timestamp, s.value) for s in gen_normal(SensorSpec("s2", 22, 6, 100.0, 300, seed=2))],
+        "s1": gen_normal(SensorSpec("s1", 25, 4, 100.0, 300, seed=1)),
+        "s2": gen_normal(SensorSpec("s2", 22, 6, 100.0, 300, seed=2)),
     }
     first = run(topo, streams, Mode.MIST_FOG_CLOUD, FC, ENERGY, 30_000.0)
     second = run(topo, streams, Mode.MIST_FOG_CLOUD, FC, ENERGY, 30_000.0)
@@ -363,7 +366,7 @@ def test_compare_arithmetic():
 
 
 def test_compare_zero_baseline_gives_none():
-    streams = {"s1": []}
+    streams = {"s1": to_stream([])}
     topo = small_topology(sensor_count=1)
     a = run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     b = run(topo, streams, Mode.MIST_FOG_CLOUD, FC, ENERGY, 1000.0)
@@ -441,7 +444,7 @@ def network_scenarios(draw):
         start = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=100.0)))
         times = list(itertools.accumulate([start] + draw(st.lists(TIME_STEPS, max_size=12))))
         values = draw(st.lists(VALUES, min_size=len(times), max_size=len(times)))
-        streams[sensor] = [Sample(t, v) for t, v in zip(times, values)]
+        streams[sensor] = to_stream(zip(times, values))
     return topology, streams, duration
 
 
@@ -459,6 +462,28 @@ def packed_log_digest(total, sent):
     return hashlib.sha256(packed).hexdigest()
 
 
+PACKED_FLOATS = st.floats(allow_nan=False) | st.sampled_from([-0.0, 5e-324, -5e-324, 1e-310])
+
+
+@given(rows=st.lists(st.tuples(PACKED_FLOATS, PACKED_FLOATS, st.booleans()), max_size=40))
+@example(rows=[])
+@example(rows=[(-0.0, 5e-324, True)])
+@example(rows=[(1e-310, -0.0, False)])
+@settings(max_examples=300, deadline=None)
+def test_property_column_packing_matches_the_row_form(rows):
+    # The bytes that sources_fp and each log digest hash: every sample, or
+    # every flagged one, as its (timestamp, value) little-endian doubles.
+    stream = to_stream((t, v) for t, v, _ in rows)
+    flags = bytearray(flag for _, _, flag in rows)
+
+    def row_form(selected):
+        pairs = [x for t, v, _ in selected for x in (t, v)]
+        return struct.pack(f"<{len(pairs)}d", *pairs)
+
+    assert engine._packed(stream) == row_form(rows)
+    assert engine._packed_sent(stream, flags) == row_form([row for row in rows if row[2]])
+
+
 @given(
     scenario=network_scenarios(),
     n=st.integers(min_value=1, max_value=4),
@@ -469,7 +494,7 @@ def packed_log_digest(total, sent):
 def test_property_closed_form_matches_heap_oracle(scenario, n, p, size):
     topo, streams, duration = scenario
     sensor_ids = [d.id for d in topo.devices if d.kind == "sensor"]
-    kept = {s: [x for x in streams[s] if x.timestamp < duration] for s in sensor_ids}
+    kept = {s: [x for x in to_rows(streams[s]) if x.timestamp < duration] for s in sensor_ids}
     energy_params = {
         kind: (e.busy_w, e.idle_w, e.busy_ms_per_message)
         for kind, e in DEFAULT_ENERGY_PARAMS.items()
@@ -648,15 +673,16 @@ def test_property_stream_check_matches_the_loop_it_replaced(scenario):
         want = loop_check_stream("s1", samples, duration)
     except ValueError:
         with pytest.raises(ValueError, match="^sensor 's1': "):
-            simulate(topo, {"s1": samples}, [None], ENERGY, duration)
+            simulate(topo, {"s1": to_stream(samples)}, [None], ENERGY, duration)
         return
-    ((_, got, grid),) = measure_streams(["s1"], {"s1": samples}, [None], duration, "sensor")
-    assert list(got) == want
+    stream = to_stream(samples)
+    ((_, got, grid),) = measure_streams(["s1"], {"s1": stream}, [None], duration, "sensor")
+    assert to_rows(got) == want
     assert grid[0].report.total_count == len(want)
     if len(want) == len(samples):
-        assert got is samples  # a stream the horizon does not cut is not copied
-    (metrics,) = simulate(topo, {"s1": samples}, [None], ENERGY, duration)
-    (whole,) = simulate(topo, {"s1": want}, [None], ENERGY, duration)
+        assert got is stream  # a stream the horizon does not cut is not copied
+    (metrics,) = simulate(topo, {"s1": stream}, [None], ENERGY, duration)
+    (whole,) = simulate(topo, {"s1": to_stream(want)}, [None], ENERGY, duration)
     assert metrics.to_dict() == whole.to_dict()
 
 
@@ -673,8 +699,8 @@ def test_simulate_checks_every_stream_before_measuring_any():
     # stream check comes first, so s2's error wins whatever the mode.
     topo = small_topology(sensor_count=2)
     streams = {
-        "s1": [Sample(float(t), 1e308) for t in range(4)],
-        "s2": [Sample(1.0, 1.0), Sample(0.0, 1.0)],
+        "s1": to_stream([(float(t), 1e308) for t in range(4)]),
+        "s2": to_stream([(1.0, 1.0), (0.0, 1.0)]),
     }
     with pytest.raises(
         ValueError, match=r"sensor 's2': out-of-order sample: timestamp 0\.0 does not exceed 1\.0"
@@ -689,20 +715,16 @@ def test_simulate_measures_no_sensor_after_one_fails(monkeypatch):
     # s1's window sum overflows: s2 is still checked, but not measured.
     measured = []
 
-    def measure_grid(samples, *args):
-        measured.append(samples[0].value)
-        return real(samples, *args)
+    def measure_grid(stream, *args):
+        measured.append(stream.values[0])
+        return real(stream, *args)
 
     real = engine.measure_grid
     monkeypatch.setattr(engine, "measure_grid", measure_grid)
-    streams = {"s1": [Sample(float(t), 1e308) for t in range(4)], "s2": constant_stream(2)}
+    streams = {"s1": to_stream([(float(t), 1e308) for t in range(4)]), "s2": constant_stream(2)}
     with pytest.raises(ValueError, match="^sensor 's1': window average overflowed"):
         simulate(small_topology(sensor_count=2), streams, [FilterConfig(n=2, p=0.1)], ENERGY, 1e3)
     assert measured == [1e308]
-
-
-class WatchedStream(list):
-    """A list a weakref can watch."""
 
 
 class FetchOnce(Mapping):
@@ -719,7 +741,7 @@ class FetchOnce(Mapping):
     def __getitem__(self, sensor_id):
         assert [ref() for ref in self.refs] == [None] * len(self.refs)
         self.fetched.append(sensor_id)
-        stream = WatchedStream(gen_normal(self.specs[sensor_id]))
+        stream = gen_normal(self.specs[sensor_id])
         self.refs.append(weakref.ref(stream))
         return stream
 
@@ -752,7 +774,7 @@ def test_simulate_fetches_each_stream_once_in_topology_order_and_drops_it():
 
 def test_measure_streams_holds_no_stream_at_the_next_fetch():
     # The shared pass itself, under a caller that drops each stream's kept
-    # samples, as both commands do.  s2's windows overflow: its grid is the
+    # stream, as both commands do.  s2's windows overflow: its grid is the
     # error, and s3 and s4 are still fetched and checked, but not measured.
     specs = {
         f"s{i}": SensorSpec(f"s{i}", 1e308 if i == 2 else 25.0, 0.0, 100.0, 300, seed=i)
@@ -786,7 +808,7 @@ def test_each_command_drops_each_source_before_the_next_is_generated(
         alive = sum(ref() is not None for ref in refs)
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {alive}\n")
-        stream = WatchedStream(gen_normal(spec))
+        stream = gen_normal(spec)
         refs.append(weakref.ref(stream))
         return stream
 
@@ -822,7 +844,7 @@ def test_large_sensor_bank_runs_in_linear_time(n_gateways, uplinks_first):
     for i in range(10_000):
         devices.append(Device(f"s{i}", "sensor", 2))
         links.append(Link(f"s{i}", gateways[i % n_gateways], 4.0))
-        streams[f"s{i}"] = [Sample(0.0, 25.0)]
+        streams[f"s{i}"] = to_stream([(0.0, 25.0)])
     if not uplinks_first:
         links += uplinks
     topo = Topology(devices=devices, links=links)

@@ -18,10 +18,11 @@ from mistsim.mist_filter import (
     FilterConfig,
     Reason,
     Sample,
+    Stream,
     check_stream,
     window_averages,
 )
-from oracles import dead_band_flags, dead_band_reasons
+from oracles import dead_band_flags, dead_band_reasons, to_stream
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -399,23 +400,31 @@ def test_oracle_agrees_on_pathological_magnitudes():
 # ------------------------------------------------------- stream check split
 
 
-def test_check_stream_returns_values_or_steps_error_for_its_window():
-    samples = [Sample(0.0, 1e308), Sample(1.0, 1e308), Sample(2.0, math.nan)]
-    assert check_stream(samples[:2]) == [1e308, 1e308]
+def test_check_stream_passes_or_raises_steps_error_for_its_window():
+    rows = [(0.0, 1e308), (1.0, 1e308), (2.0, math.nan)]
+    assert check_stream(to_stream(rows[:2])) is None
     # The same broken stream, judged by check_stream's window that never
     # fills and by stage 1's window of 2, which overflows before it reaches
     # the NaN.
     with pytest.raises(ValueError, match="^non-finite value nan at timestamp 2.0$"):
-        check_stream(samples)
+        check_stream(to_stream(rows))
     with pytest.raises(ValueError, match="overflowed to inf at timestamp 1.0"):
-        window_averages(samples, [sample.value for sample in samples], 2)
+        window_averages(to_stream(rows), 2)
 
 
 def test_window_averages_reads_only_the_checked_values():
     # Stage 1 trusts check_stream: timestamps are not looked at again, and
     # the samples are replayed only for an overflowing window's message.
-    unchecked = [Sample(math.nan, 0.0), Sample(math.nan, 0.0), Sample(math.nan, 0.0)]
-    assert window_averages(unchecked, [1.0, 2.0, 4.0], 2) == [1.5, 3.0]
-    samples = [Sample(0.0, 1e308), Sample(1.0, 1e308)]
+    unchecked = to_stream([(math.nan, 1.0), (math.nan, 2.0), (math.nan, 4.0)])
+    assert window_averages(unchecked, 2) == [1.5, 3.0]
+    stream = to_stream([(0.0, 1e308), (1.0, 1e308)])
+    check_stream(stream)
     with pytest.raises(ValueError, match="overflowed to inf at timestamp 1.0"):
-        window_averages(samples, check_stream(samples), 2)
+        window_averages(stream, 2)
+
+
+def test_stream_columns_must_have_equal_length():
+    stream = to_stream([(0.0, 1.0), (1.0, 2.0)])
+    assert len(stream) == 2 and not to_stream([])
+    with pytest.raises(ValueError, match="^2 timestamps but 1 values$"):
+        Stream(stream.timestamps, stream.values[:1])

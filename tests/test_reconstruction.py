@@ -28,7 +28,7 @@ from mistsim.reconstruction import (
     reconstruct_zoh,
     reduction_stats,
 )
-from oracles import dead_band_flags, hold_last
+from oracles import dead_band_flags, hold_last, to_stream
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -39,12 +39,14 @@ def samples_of(values):
 
 def measure_stream(samples, cfg):
     """One checked stream under one config (None: no filter)."""
-    return measure_grid(samples, check_stream(samples), [cfg])[0]
+    return measure_checked(samples, [cfg])[0]
 
 
 def measure_checked(samples, configs):
     """measure_grid after the check a caller runs."""
-    return measure_grid(samples, check_stream(samples), configs)
+    stream = to_stream(samples)
+    check_stream(stream)
+    return measure_grid(stream, configs)
 
 
 def log_of(samples, flags):
@@ -426,15 +428,15 @@ def test_measure_grid_rejects_an_overflowing_hold_error(values, timestamp):
     config = FilterConfig(n=1, p=1e300)
     assert measure_stream(samples[:1], config).report.avg_abs_error == 0.0
     with pytest.raises(ValueError, match=f"^hold error overflowed to inf at timestamp {timestamp};"):
-        measure_grid(samples, check_stream(samples), [None, config])
+        measure_checked(samples, [None, config])
 
 
 def test_measure_grid_shares_one_window_pass_per_n(monkeypatch):
     calls = []
 
-    def counted(samples, values, n):
+    def counted(stream, n):
         calls.append(n)
-        return window_averages(samples, values, n)
+        return window_averages(stream, n)
 
     monkeypatch.setattr(reconstruction, "window_averages", counted)
     configs = [FilterConfig(n=5, p=0.1), None, FilterConfig(n=2, p=0.0), FilterConfig(n=5, p=0.0)]

@@ -28,7 +28,7 @@ from mistsim.reconstruction import TransmissionLog, measure_grid, reconstruct_zo
 from mistsim.report import check_assertion, dumps_stable, emit_report, write_csv
 from mistsim.sources import MAX_COUNT, SensorSpec, gen_normal, load_csv
 from mistsim.topology import Topology
-from oracles import report_text, round_floats, two_phase_error
+from oracles import report_text, round_floats, to_stream, two_phase_error
 
 SIM_CFG = """\
 [run]
@@ -300,11 +300,6 @@ def test_write_csv_formatting(tmp_path):
     assert path.read_text() == "a,b,c,d\n1,0.123456789,,true\n"
 
 
-def _columns(samples):
-    """``samples`` as the packed timestamp and value columns plot series take."""
-    return array("d", [s.timestamp for s in samples]), array("d", [s.value for s in samples])
-
-
 def test_emit_report_writes_expected_files(tmp_path):
     timestamps, values = array("d", [0.0, 1.0, 2.0]), array("d", [1.0, 2.0, 3.0])
     written = emit_report(
@@ -344,10 +339,11 @@ def test_plot_rows_match_reference_reconstruction(tmp_path):
     # reconstruction.
     a = [Sample(float(i), v) for i, v in enumerate([1.5, -0.0, 2.25, 1e-300, 7.0])]
     b = [Sample(10.0, 3.0), Sample(11.0, 4.0)]
-    columns_a, columns_b = _columns(a), _columns(b)
+    stream_a, stream_b = to_stream(a), to_stream(b)
+    columns_a = (stream_a.timestamps, stream_a.values)
     series = {
         "first": (*columns_a, bytearray([1, 0, 0, 1, 0])),
-        "other": (*columns_b, bytearray([0, 0])),
+        "other": (stream_b.timestamps, stream_b.values, bytearray([0, 0])),
         "second": (*columns_a, bytearray([1, 1, 0, 0, 0])),
     }
     streams = {"first": a, "other": b, "second": a}
@@ -374,6 +370,7 @@ def test_plot_rows_match_reference_reconstruction(tmp_path):
 REPORT = {
     "runs": [{"sensors": {"S1": {"reduction_percent": 99.0, "note": None}}}],
     "comparison": {"cloud_energy_j": {"reduction_percent": 0.5}},
+    "links": {"S1->gw": {"messages": 6}},
     "flag": True,
 }
 
@@ -392,6 +389,11 @@ REPORT = {
         ("runs.0.sensors.S2.reduction_percent > 0", False),  # missing path
         ("runs.5.sensors.S1.reduction_percent > 0", False),  # bad index
         ("flag == 1", False),  # booleans are not numbers here
+        # A link key holds '>': the operator is the last one in the expression.
+        ("links.S1->gw.messages > 5", True),
+        ("links.S1->gw.messages < 5", False),
+        ("links.S1->gw.messages >= 6", True),
+        ("links.S1->gw.messages <= 5", False),
     ],
 )
 def test_check_assertion(expr, expected):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mistsim.mist_filter import Sample
+from mistsim.mist_filter import Stream
 from mistsim.rng import _BLOCK, SplitMix64, derive_seed, normal_blocks
 from mistsim.sources import (
     IngestReport,
@@ -191,7 +191,7 @@ def test_sensor_spec_validation():
 def test_sensor_spec_rejects_a_last_timestamp_that_overflows():
     base = dict(device_id="s", mean=0.0, stddev=1.0, period_ms=1e308, seed=1)
     # 0 * 1e308 and 1 * 1e308 are finite; 2 * 1e308 is not.
-    assert [s.timestamp for s in gen_normal(SensorSpec(**base, count=2))] == [0.0, 1e308]
+    assert list(gen_normal(SensorSpec(**base, count=2)).timestamps) == [0.0, 1e308]
     with pytest.raises(ValueError, match=r"last timestamp \(count - 1\) \* period_ms must be finite, got inf"):
         SensorSpec(**base, count=3)
 
@@ -211,16 +211,15 @@ def test_gen_normal_matches_the_per_sample_reference(mean, stddev, period_ms, co
     spec = SensorSpec("s", mean, stddev, period_ms, count, seed=2**64 - 3)
     got = gen_normal(spec)
     want = normal_samples(spec)
-    assert type(got) is list and len(got) == len(want) == count
-    for sample, (t, v) in zip(got, want):
-        assert type(sample) is Sample
-        assert (type(sample.timestamp), type(sample.value)) == (type(t), type(v))
+    assert type(got) is Stream and len(got) == len(want) == count
+    assert (got.timestamps.typecode, got.values.typecode) == ("d", "d")
+    for sample, (t, v) in zip(zip(got.timestamps, got.values), want):
         assert sample == (t, v)
         assert struct.pack("<dd", *sample) == struct.pack("<dd", t, v)
 
 
 def test_gen_normal_peaks_near_the_size_of_its_result():
-    # Samples are built block by block: no list of every normal (about
+    # Values are built block by block: no list of every normal (about
     # 6.4 MB here) exists beside the 200,000-sample result.
     spec = SensorSpec("s", 25.0, 4.0, 100.0, 200_000, seed=5)
     gen_normal(SensorSpec("s", 25.0, 4.0, 100.0, 1, seed=5))  # build the lanes
@@ -237,7 +236,7 @@ def test_gen_normal_peaks_near_the_size_of_its_result():
 def test_gen_normal_timestamps_and_count():
     spec = SensorSpec("s", 5.0, 2.0, 250.0, 4, seed=9)
     samples = gen_normal(spec)
-    assert [s.timestamp for s in samples] == [0.0, 250.0, 500.0, 750.0]
+    assert list(samples.timestamps) == [0.0, 250.0, 500.0, 750.0]
     assert len(samples) == 4
 
 
@@ -250,19 +249,19 @@ def test_gen_normal_is_seed_deterministic():
 
 def test_gen_normal_zero_stddev_is_constant():
     spec = SensorSpec("s", 7.5, 0.0, 1000.0, 20, seed=3)
-    assert all(s.value == 7.5 for s in gen_normal(spec))
+    assert all(v == 7.5 for v in gen_normal(spec).values)
 
 
 def test_gen_normal_applies_mean_and_scale():
     base = gen_normal(SensorSpec("s", 0.0, 1.0, 1000.0, 50, seed=11))
     shifted = gen_normal(SensorSpec("s", 25.0, 4.0, 1000.0, 50, seed=11))
-    for b, s in zip(base, shifted):
-        assert s.value == 25.0 + 4.0 * b.value
+    for b, s in zip(base.values, shifted.values):
+        assert s == 25.0 + 4.0 * b
 
 
 def test_gen_normal_statistics():
     spec = SensorSpec("s", 25.0, 4.0, 1000.0, 100_000, seed=43)
-    values = [s.value for s in gen_normal(spec)]
+    values = gen_normal(spec).values
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
     assert abs(mean - 25.0) < 0.05
@@ -281,7 +280,7 @@ def write_csv(tmp_path, text, name="data.csv"):
 def test_load_csv_epoch_timestamps(tmp_path):
     path = write_csv(tmp_path, "timestamp,value\n0,1.5\n1.5,2.5\n3,-4\n")
     samples, report = load_csv(ReplaySpec("d", path))
-    assert [(s.timestamp, s.value) for s in samples] == [(0.0, 1.5), (1.5, 2.5), (3.0, -4.0)]
+    assert list(zip(samples.timestamps, samples.values)) == [(0.0, 1.5), (1.5, 2.5), (3.0, -4.0)]
     assert report == IngestReport(rows_read=3, rows_skipped=0, samples=3, gaps_detected=0)
 
 
@@ -291,8 +290,8 @@ def test_load_csv_iso_timestamps_naive_is_utc(tmp_path):
         "timestamp,value\n2024-01-01 00:00:00,1\n2024-01-01 00:01:00,2\n",
     )
     samples, _ = load_csv(ReplaySpec("d", path))
-    assert samples[0].timestamp == 1704067200.0  # 2024-01-01T00:00:00Z
-    assert samples[1].timestamp - samples[0].timestamp == 60.0
+    assert samples.timestamps[0] == 1704067200.0  # 2024-01-01T00:00:00Z
+    assert samples.timestamps[1] - samples.timestamps[0] == 60.0
 
 
 def test_load_csv_skips_bad_rows(tmp_path):
@@ -307,7 +306,7 @@ def test_load_csv_skips_bad_rows(tmp_path):
         "4,2.0\n",
     )
     samples, report = load_csv(ReplaySpec("d", path))
-    assert [(s.timestamp, s.value) for s in samples] == [(0.0, 1.0), (4.0, 2.0)]
+    assert list(zip(samples.timestamps, samples.values)) == [(0.0, 1.0), (4.0, 2.0)]
     assert report.rows_read == 6
     assert report.rows_skipped == 4
     assert report.rows_read == report.samples + report.rows_skipped
@@ -316,7 +315,7 @@ def test_load_csv_skips_bad_rows(tmp_path):
 def test_load_csv_drops_non_advancing_timestamps(tmp_path):
     path = write_csv(tmp_path, "timestamp,value\n0,1\n1,2\n1,3\n0.5,4\n2,5\n")
     samples, report = load_csv(ReplaySpec("d", path))
-    assert [s.timestamp for s in samples] == [0.0, 1.0, 2.0]
+    assert list(samples.timestamps) == [0.0, 1.0, 2.0]
     assert report.rows_skipped == 2
 
 
@@ -333,7 +332,7 @@ def test_load_csv_gap_detection(tmp_path):
 def test_load_csv_value_column_selection(tmp_path):
     path = write_csv(tmp_path, "timestamp,temp_c,rh\n0,20.5,40\n1,20.7,41\n")
     samples, _ = load_csv(ReplaySpec("d", path, value_column="temp_c"))
-    assert [s.value for s in samples] == [20.5, 20.7]
+    assert list(samples.values) == [20.5, 20.7]
 
 
 def test_load_csv_custom_delimiter(tmp_path):
@@ -342,7 +341,7 @@ def test_load_csv_custom_delimiter(tmp_path):
     assert len(samples) == 2
     path = write_csv(tmp_path, "timestamp\tvalue\n0\t1.5\n", name="tab.csv")
     samples, _ = load_csv(ReplaySpec("d", path, delimiter="\t"))
-    assert samples[0].value == 1.5
+    assert samples.values[0] == 1.5
 
 
 def test_load_csv_missing_file():
@@ -384,9 +383,8 @@ def test_office_fixture_ingests_cleanly(office_csv_path):
     samples, report = load_csv(spec)
     assert report == IngestReport(rows_read=5000, rows_skipped=0, samples=5000, gaps_detected=0)
     assert len(samples) == 5000
-    deltas = {
-        round(b.timestamp - a.timestamp, 9) for a, b in zip(samples, samples[1:])
-    }
+    times = samples.timestamps
+    deltas = {round(b - a, 9) for a, b in zip(times, times[1:])}
     assert deltas == {60.0}
-    values = [s.value for s in samples]
+    values = samples.values
     assert 15.0 < min(values) and max(values) < 35.0  # plausible indoor range
