@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from array import array
 from collections.abc import Mapping
 from dataclasses import asdict
 from pathlib import Path
@@ -136,25 +135,25 @@ class _LazyStreams(Mapping):
     """Each source's stream, loaded by :func:`_load_source` only when looked up.
 
     Keys, ``len`` and iteration load nothing.  A lookup records a replay
-    source's ingest block in ``ingest`` and, when ``plot_data`` is on, the
-    stream's two columns in ``columns``; the caller holds the only
-    reference to the stream itself.
+    source's ingest block, which :meth:`take_ingest` hands over; the caller
+    holds the only reference to the stream itself.
     """
 
     def __init__(self, scenario: Scenario, duration_ms: Optional[float]) -> None:
         self._specs = {spec.device_id: spec for spec in scenario.sources}
         self._duration_ms = duration_ms
-        self._keep = scenario.plot_data
-        self.ingest: dict[str, dict] = {}
-        self.columns: dict[str, tuple[array, array]] = {}
+        self._ingest: dict[str, dict] = {}
 
     def __getitem__(self, source_id: str) -> Stream:
         stream, ingest = _load_source(self._specs[source_id], self._duration_ms)
         if ingest is not None:
-            self.ingest[source_id] = ingest
-        if self._keep:
-            self.columns[source_id] = (stream.timestamps, stream.values)
+            self._ingest[source_id] = ingest
         return stream
+
+    def take_ingest(self, source_id: str) -> Optional[dict]:
+        """The ingest block this process's lookup of ``source_id`` recorded
+        (``None`` for a synthetic source), removed."""
+        return self._ingest.pop(source_id, None)
 
     def __contains__(self, source_id) -> bool:
         return source_id in self._specs
@@ -271,9 +270,12 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     configs: list = [] if scenario.mode == Mode.MIST_FOG_CLOUD else [None]
     if scenario.mode != Mode.CLOUD_ONLY:
         configs += scenario.grid
+    # Forked workers fetch the streams: each replay source's ingest block
+    # comes back as the note on its sensor.
     results = simulate(
         scenario.topology, streams, configs, scenario.energy, scenario.duration_ms,
         message_size_bytes=scenario.message_size_bytes, seed=scenario.seed,
+        note=streams.take_ingest, keep_streams=scenario.plot_data,
     )
 
     # In a sweep, each filtered run carries its grid point: as leading keys
@@ -305,15 +307,14 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     ]
     if comparisons:
         report["comparison"] = comparisons if sweep else comparisons[0]
-    if streams.ingest:
-        report["ingest"] = streams.ingest
+    if results[0].notes:
+        report["ingest"] = results[0].notes
 
     sensor_rows = []
     link_rows = []
     plot_series: dict = {}
     # Plot the filtered runs when they ran; cloud-only transmits every sample.
-    # A plot covers only the samples the runs kept, those before the horizon:
-    # the first len(flags) of the stream's columns.
+    # A plot covers only the samples the runs kept, those before the horizon.
     plotted = results[-1].mode
     for metrics, suffix, block in zip(results, suffixes, blocks):
         label = metrics.mode + suffix
@@ -324,7 +325,8 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
             link_rows.append((label, link_name, usage["messages"], usage["bytes"], usage["byte_ms"]))
         if scenario.plot_data and metrics.mode == plotted:
             for sensor_id, flags in metrics.flags.items():
-                plot_series[f"plot_{sensor_id}{suffix}"] = (*streams.columns[sensor_id], flags)
+                kept = metrics.kept_streams[sensor_id]
+                plot_series[f"plot_{sensor_id}{suffix}"] = (kept.timestamps, kept.values, flags)
 
     written = emit_report(
         report,

@@ -24,16 +24,20 @@ cut at the horizon by bisecting its timestamps, and measured for every
 config.  A stream the horizon does not cut is used as it is.  Any error
 names the stream.  A load or check error raises; a measuring error is
 handed back to the caller, which raises it once every stream is checked.
-:func:`simulate` goes through :func:`measure_streams`, one pass that
-fetches each stream once, in the order given, and drops it before the
-next, so memory follows one stream's samples, not all of them; after a
-measuring error it only checks.  It adds only that the first timestamp is
-``>= 0``, feeds the kept samples, :func:`_packed`, into the sources hash
-and the cloud-only accounting, and accounts what each run sent; a metric
-that would overflow when every kept sample is sent raises before the
-measuring error.  ``mistsim filter`` measures its sources independently of
-each other, spread by :func:`fork_map` over the CPUs the process may run
-on, each worker holding one source at a time.
+:func:`simulate` deals its sensors out over the CPUs the process may run
+on with :func:`fork_stream`, and each process goes through its share with
+:func:`measure_streams`, one pass that fetches each stream once, in the
+order given, and drops it before the next, so memory follows one stream's
+samples per process, not all of them; after a measuring error that
+process only checks.  It adds only that the first timestamp is ``>= 0``,
+packs the kept samples, :func:`_packed`, and digests what each run sent.
+This process takes the results in topology order into the sources hash
+and the accounting, so they do not depend on the number of workers; a
+check error raises when its sensor is reached, and a metric that would
+overflow when every kept sample is sent raises before the first measuring
+error.  ``mistsim filter`` measures its sources independently of each
+other, spread by :func:`fork_map`, each worker holding one source at a
+time.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -51,11 +55,12 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain, compress, islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Stream, check_stream
 from .reconstruction import ErrorReport, measure_grid
@@ -160,6 +165,10 @@ class RunMetrics:
     latency_max_ms: float
     latency_mean_ms: float
     cloud_id: str
+    # Shared by every run of one simulate call, and not part of to_dict:
+    # what its note callback returned, and the kept streams it was asked to keep.
+    notes: dict[str, object] = field(default_factory=dict)
+    kept_streams: dict[str, Stream] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """Plain nested dict; each sensor's sent samples appear as a digest only."""
@@ -211,8 +220,26 @@ def _packed(stream: Stream) -> bytes:
 
 def _packed_sent(stream: Stream, flags: bytearray) -> bytes:
     """:func:`_packed` of the samples whose flag is 1."""
-    sent = compress(zip(stream.timestamps, stream.values), flags)
-    return struct.pack(f"<{2 * flags.count(1)}d", *chain.from_iterable(sent))
+    return _packed(
+        Stream(array("d", compress(stream.timestamps, flags)), array("d", compress(stream.values, flags)))
+    )
+
+
+def _unpacked(packed: bytes) -> Stream:
+    """The stream that :func:`_packed` turned into ``packed``."""
+    pairs = array("d")
+    pairs.frombytes(packed)
+    if sys.byteorder == "big":
+        pairs.byteswap()
+    return Stream(pairs[0::2], pairs[1::2])
+
+
+def _log_digest(total: int, packed: bytes) -> str:
+    """A sensor's log digest: SHA-256 of its kept count, a little-endian
+    int64, then the samples it sent, :func:`_packed`."""
+    digest = hashlib.sha256(struct.pack("<q", total))
+    digest.update(packed)
+    return digest.hexdigest()
 
 
 def _topology_fp(topology: Topology) -> str:
@@ -292,6 +319,68 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _workers(count: int) -> int:
+    """How many workers a map over ``count`` items uses.
+
+    As many as CPUs in the process's affinity mask, but no more than items;
+    one, which runs the map in this process, when the platform cannot fork
+    or when another thread runs (forking then is unsafe).
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return max(1, min(_cpu_count(), count))
+
+
+def _fork(workers: int, body: Callable[[int, BinaryIO], None]) -> list[tuple[int, BinaryIO]]:
+    """Fork workers ``1 .. workers - 1``: worker ``w`` runs ``body(w, pipe)``,
+    ``pipe`` being the write end of its own pipe, and exits.  Returns
+    ``(pid, read end)`` per worker.
+
+    A worker leaves only through ``os._exit``: it never returns into the
+    caller, flushes inherited stdio buffers or runs atexit handlers.  It
+    exits 0 once ``body`` returned and its pipe is flushed, 1 otherwise.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    for _, pipe in children:
+                        pipe.close()
+                    with open(write_fd, "wb") as pipe:
+                        body(w, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+    except BaseException:
+        _reap(children)
+        raise
+    return children
+
+
+def _reap(children: list[tuple[int, BinaryIO]]) -> list[int]:
+    """Close each worker's pipe, then wait for it; the wait statuses.
+
+    A worker still writing then fails on its closed pipe and exits.
+    """
+    for _, pipe in children:
+        pipe.close()
+    return [os.waitpid(pid, 0)[1] for pid, _ in children]
+
+
+def _lost(status: int) -> OSError:
+    """The error for a worker that ended, with wait ``status``, before
+    sending all it owed."""
+    code = os.waitstatus_to_exitcode(status)
+    return OSError(f"a worker process ended without its result (exit status {code})")
+
+
 def _share(
     func: Callable, items: Sequence, start: int, step: int
 ) -> tuple[list, Optional[Exception]]:
@@ -309,64 +398,40 @@ def _share(
 def fork_map(func: Callable, items: Sequence) -> list:
     """``[func(x) for x in items]``, in order, spread over forked workers.
 
-    There are as many workers as CPUs in the process's affinity mask, but no
-    more than items.  The work runs in this process when that is one, when
-    the platform cannot fork, or when another thread runs (forking then is
-    unsafe).  Otherwise this process forks the other workers and takes
-    share 0 itself; item ``i`` goes to worker ``i % workers``.  The workers
-    inherit ``func`` and ``items`` as they are at the fork; only results
-    travel, pickled, once per worker, over a pipe.  Each worker stops its
-    share at its first exception, and the exception of the earliest item
-    that raised, in item order, is raised here, with its type and message.
-    A worker that ends without its whole result (killed, say) raises
+    :func:`_workers` says how many; with one the work runs in this process.
+    Otherwise this process forks the other workers and takes share 0
+    itself; item ``i`` goes to worker ``i % workers``.  The workers inherit
+    ``func`` and ``items`` as they are at the fork; only results travel,
+    pickled, once per worker, over a pipe.  Each worker stops its share at
+    its first exception, and the exception of the earliest item that
+    raised, in item order, is raised here, with its type and message.  A
+    worker that ends without its whole result (killed, say) raises
     ``OSError`` with its exit status.  Every worker is reaped before this
     returns or raises.
     """
-    workers = min(_cpu_count(), len(items))
-    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+    workers = _workers(len(items))
+    if workers == 1:
         return [func(item) for item in items]
     import pickle  # only here, so runs that never fork load nothing new
 
-    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    shares: list = []
+    def body(w: int, pipe: BinaryIO) -> None:
+        pickle.dump(_share(func, items, w, workers), pipe, pickle.HIGHEST_PROTOCOL)
+
+    children = _fork(workers, body)
     try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # The worker leaves only through os._exit: it never returns
-                # into the caller, flushes inherited stdio buffers or runs
-                # atexit handlers.
-                status = 1
-                try:
-                    os.close(read_fd)
-                    for _, fd in children:
-                        os.close(fd)
-                    share = _share(func, items, w, workers)
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        shares.append(_share(func, items, 0, workers))
+        shares = [_share(func, items, 0, workers)]
+        # Read every pipe to its end before reaping, so that no worker is
+        # left blocked on a full pipe.
+        received = [pipe.read() for _, pipe in children]
     finally:
-        # Drain every pipe before reaping, so that no worker is left blocked
-        # on a full pipe, whatever raised.
-        received = []
-        for _, fd in children:
-            with open(fd, "rb") as pipe:
-                received.append(pipe.read())
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
+        statuses = _reap(children)
     for data, status in zip(received, statuses):
         try:
             share = pickle.loads(data) if status == 0 else None
         except Exception:  # a truncated result
             share = None
         if share is None:
-            code = os.waitstatus_to_exitcode(status)
-            raise OSError(f"a worker process ended without its result (exit status {code})")
+            raise _lost(status)
         shares.append(share)
 
     failed = [
@@ -377,6 +442,71 @@ def fork_map(func: Callable, items: Sequence) -> list:
     if failed:
         raise min(failed, key=lambda pair: pair[0])[1]
     return [shares[i % workers][0][i // workers] for i in range(len(items))]
+
+
+class _Raised:
+    """An exception a :func:`fork_stream` worker sends in place of a result."""
+
+    def __init__(self, exc: Exception) -> None:
+        self.exc = exc
+
+
+def fork_stream(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator:
+    """One result per item, yielded in item order as each is ready.
+
+    ``share`` is called once per worker with an iterator over that worker's
+    items and must yield one result per item, in turn; whatever state it
+    keeps lasts for that worker's share.  :func:`_workers` says how many
+    workers there are; with one this is ``share(iter(items))``.  Otherwise
+    item ``i`` goes to worker ``i % workers``: this process forks the
+    others and runs share 0 itself, computing item ``i`` only when the
+    consumer asks for it, and reads each other item from its worker's pipe,
+    one pickle per item, so a worker runs ahead of the consumer only by
+    what its pipe holds.  The workers inherit ``share`` and ``items`` as
+    they are at the fork.
+
+    A worker stops at its first exception and sends it as that item's
+    result, so the first exception raised here, with its type and message,
+    is that of the earliest item that raised.  A worker that ends without
+    an item it owes raises ``OSError`` with its exit status.  Every worker
+    is reaped when the iteration ends, raises or is closed; a consumer that
+    may stop early closes it (``contextlib.closing``).
+    """
+    workers = _workers(len(items))
+    if workers == 1:
+        yield from share(iter(items))
+        return
+    import pickle  # only here, so runs that never fork load nothing new
+
+    def body(w: int, pipe: BinaryIO) -> None:
+        try:
+            for result in share(islice(items, w, None, workers)):
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()  # the consumer may be waiting for this very item
+        except Exception as exc:
+            pickle.dump(_Raised(exc), pipe, pickle.HIGHEST_PROTOCOL)
+
+    children = _fork(workers, body)
+    statuses = None
+    try:
+        own = share(islice(items, 0, None, workers))
+        for i in range(len(items)):
+            w = i % workers
+            if w == 0:
+                yield next(own)
+                continue
+            try:
+                result = pickle.load(children[w - 1][1])
+            except Exception:  # the worker ended before sending item i
+                statuses = _reap(children)
+                raise _lost(statuses[w - 1]) from None
+            if type(result) is _Raised:
+                raise result.exc
+            yield result
+            del result
+    finally:
+        if statuses is None:
+            _reap(children)
 
 
 class _Traffic:
@@ -404,14 +534,12 @@ class _Traffic:
         self.device_messages = {d.id: 0 for d in topology.devices}
         self.latencies: list[array] = []
 
-    def add(self, sensor_id: str, total: int, packed: bytes, latencies: array) -> None:
-        """Account what a sensor with ``total`` kept samples sent: the sent
-        samples, :func:`_packed`, and each one's latency, in sending order."""
+    def add(self, sensor_id: str, digest: str, latencies: array) -> None:
+        """Account what a sensor sent: its log digest, :func:`_log_digest`,
+        and each sent sample's latency, in sending order."""
         first, gw_id, second = self.paths[sensor_id]
         size = self.message_size_bytes
-        digest = hashlib.sha256(struct.pack("<q", total))
-        digest.update(packed)
-        self.log_digests[sensor_id] = digest.hexdigest()
+        self.log_digests[sensor_id] = digest
         self.latencies.append(latencies)
         count = len(latencies)
         for link in (first, second):
@@ -447,6 +575,51 @@ class _Traffic:
         }
 
 
+def _sensor_pass(
+    ids: Iterable[str], streams: Mapping[str, Stream],
+    configs: Sequence[Optional[FilterConfig]], duration_ms: float, paths: Mapping,
+    note: Optional[Callable[[str], object]],
+) -> Iterator[tuple]:
+    """What :func:`simulate` takes of each sensor in ``ids``, in turn: one
+    process's share of its pass.
+
+    Each stream goes through :func:`measure_streams`, so once one sensor
+    fails to measure, the later ones of this share are only checked; a
+    negative first timestamp raises.  Yields ``(id, packed, latencies,
+    digest, runs, noted)``: the kept samples, :func:`_packed`, each one's
+    latency, the cloud-only log digest, and ``note(id)`` (``None`` without
+    ``note``).  ``runs`` is the measuring error, ``None`` when not
+    measured, or per config ``(report, flags, digest, latencies)`` of what
+    that run sent, the last two ``None`` for the cloud-only config.
+    """
+    for s, kept, grid in measure_streams(ids, streams, configs, duration_ms, "sensor"):
+        if kept and kept.timestamps[0] < 0:  # ordered: the first is the least
+            raise ValueError(f"sensor {s!r}: negative timestamp {kept.timestamps[0]!r}")
+        # Latencies and packed samples once per sensor, for every run: paths
+        # do not depend on the config.
+        first, _, second = paths[s]
+        l1, l2 = first.latency_ms, second.latency_ms
+        latencies = array("d", [((t + l1) + l2) - t for t in kept.timestamps])
+        total = len(kept)
+        runs = grid
+        if grid is not None and not isinstance(grid, ValueError):
+            runs = [
+                (m.report, m.flags, None, None) if config is None else (
+                    m.report,
+                    m.flags,
+                    _log_digest(total, _packed_sent(kept, m.flags)),
+                    array("d", compress(latencies, m.flags)),
+                )
+                for config, m in zip(configs, grid)
+            ]
+        # Packed last, so that the whole stream's bytes never sit beside the
+        # packed copies of what each run sent.
+        packed = _packed(kept)
+        yield s, packed, latencies, _log_digest(total, packed), runs, note(s) if note else None
+        # Drop this sensor's stream and samples before the next one is fetched.
+        del kept, grid, packed, latencies, runs
+
+
 def simulate(
     topology: Topology,
     streams: Mapping[str, Stream],
@@ -456,23 +629,39 @@ def simulate(
     *,
     message_size_bytes: int = 100,
     seed: int = 0,
+    note: Optional[Callable[[str], object]] = None,
+    keep_streams: bool = False,
 ) -> list[RunMetrics]:
     """One :class:`RunMetrics` per filter config, in the order given.
 
     ``configs`` must be non-empty and free of repeats.  ``None`` runs the
     ``cloud_only`` pipeline, with no filter; a config runs ``mist_fog_cloud``
     with that filter.  ``streams`` maps every sensor id in the topology to
-    its :class:`~mistsim.mist_filter.Stream`; its keys are read first, and
-    each stream is fetched once, in topology order, and dropped once
-    measured, so a lazy mapping bounds memory by one sensor's stream.
+    its :class:`~mistsim.mist_filter.Stream`; its keys are read first.
     Samples at or beyond ``duration_ms`` are dropped; messages still in
     flight when the horizon passes are delivered (nothing is lost), while
     energy idles out the configured duration.
 
-    Errors: a stream that fails its check raises at once.  A sensor that
-    fails to measure stops all further measuring, but every stream is still
-    checked, and then a metric that would overflow when every kept sample is
-    sent is rejected; only after both does the measuring error raise.
+    The sensors are spread by :func:`fork_stream` over the CPUs the process
+    may run on.  Each process fetches each of its sensors' streams once, in
+    topology order, and drops it once measured, so a lazy mapping bounds
+    memory by one sensor's stream per process.  A worker sends back only
+    the kept samples, packed, the latencies and what each run measured and
+    sent: reports, flags and log digests.  This process takes them in
+    topology order into the sources hash and the accounting, so the results
+    do not depend on the number of workers.  ``note``, if given, is called
+    with each sensor's id right after its stream is fetched, in the process
+    that fetched it; each run's ``notes`` maps the id to what it returned,
+    unless ``None``.  With ``keep_streams`` each run's ``kept_streams`` maps
+    every sensor to its kept samples.
+
+    Errors: a stream that fails its check raises when its sensor is
+    reached.  A sensor that fails to measure stops all further measuring in
+    the process that measured it, but every stream is still checked, and
+    then a metric that would overflow when every kept sample is sent is
+    rejected; only after both does the measuring error of the earliest
+    sensor raise.  The error raised does not depend on the number of
+    workers.
     """
     # Validates the topology and resolves every path in one linear pass.
     paths = topology.uplink_paths()
@@ -503,31 +692,31 @@ def simulate(
     }
     reports: list[dict] = [{} for _ in configs]
     flags: list[dict] = [{} for _ in configs]
+    notes: dict[str, object] = {}
+    kept_streams: dict[str, Stream] = {}
     sources_hash = hashlib.sha256()
     failure = None
-    for s, kept, grid in measure_streams(sensor_ids, streams, configs, duration_ms, "sensor"):
-        if kept and kept.timestamps[0] < 0:  # ordered: the first is the least
-            raise ValueError(f"sensor {s!r}: negative timestamp {kept.timestamps[0]!r}")
-        # Latencies and packed samples once per sensor, for every run: paths
-        # do not depend on the config.
-        first, _, second = paths[s]
-        l1, l2 = first.latency_ms, second.latency_ms
-        latencies = array("d", [((t + l1) + l2) - t for t in kept.timestamps])
-        packed = _packed(kept)
-        _hash_source(sources_hash, s, packed)
-        total = len(kept)
-        everything.add(s, total, packed, latencies)
-        del packed
-        if isinstance(grid, ValueError):
-            failure = grid
-        elif grid is not None:
-            for i, m in enumerate(grid):
-                reports[i][s], flags[i][s] = m.report, m.flags
-                if i in filtered:
-                    sent = _packed_sent(kept, m.flags)
-                    filtered[i].add(s, total, sent, array("d", compress(latencies, m.flags)))
-        # Drop this sensor's stream before the next one is fetched.
-        del kept
+    share = partial(
+        _sensor_pass, streams=streams, configs=configs, duration_ms=duration_ms,
+        paths=paths, note=note,
+    )
+    with closing(fork_stream(share, sensor_ids)) as sensors:
+        for s, packed, latencies, digest, runs, noted in sensors:
+            _hash_source(sources_hash, s, packed)
+            everything.add(s, digest, latencies)
+            if keep_streams:
+                kept_streams[s] = _unpacked(packed)
+            del packed
+            if noted is not None:
+                notes[s] = noted
+            if isinstance(runs, ValueError):
+                if failure is None:
+                    failure = runs
+            elif runs is not None:
+                for i, (report, sent_flags, sent_digest, sent_latencies) in enumerate(runs):
+                    reports[i][s], flags[i][s] = report, sent_flags
+                    if i in filtered:
+                        filtered[i].add(s, sent_digest, sent_latencies)
 
     cloud_only = everything.fields(energy, duration_ms)
     bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in cloud_only["link_usage"].items()]
@@ -563,6 +752,8 @@ def simulate(
                 sensor_reports=reports[i],
                 flags=flags[i],
                 cloud_id=everything.cloud_id,
+                notes=notes,
+                kept_streams=kept_streams,
                 **fields,
             )
         )

@@ -74,12 +74,17 @@ class Stream:
     """A stream as two equal-length ``array('d')`` columns, 16 B a sample.
 
     Sample ``i`` is ``(timestamps[i], values[i])``; ``len()`` counts them.
+    Any other column type is rejected at construction.
     """
 
     timestamps: array
     values: array
 
     def __post_init__(self) -> None:
+        for name, column in (("timestamps", self.timestamps), ("values", self.values)):
+            if not (isinstance(column, array) and column.typecode == "d"):
+                got = f"array({column.typecode!r})" if isinstance(column, array) else type(column).__name__
+                raise ValueError(f"{name} must be an array('d'), got {got}")
         if len(self.timestamps) != len(self.values):
             raise ValueError(f"{len(self.timestamps)} timestamps but {len(self.values)} values")
 

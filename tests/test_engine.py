@@ -31,6 +31,7 @@ from mistsim.engine import (
     account_energy,
     compare,
     fork_map,
+    fork_stream,
     measure_streams,
     run,
     simulate,
@@ -712,7 +713,9 @@ def test_simulate_checks_every_stream_before_measuring_any():
 
 
 def test_simulate_measures_no_sensor_after_one_fails(monkeypatch):
-    # s1's window sum overflows: s2 is still checked, but not measured.
+    # s1's window sum overflows: s2 is still checked, but not measured.  In
+    # one process: this one cannot see calls made in forked workers.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
     measured = []
 
     def measure_grid(stream, *args):
@@ -725,6 +728,52 @@ def test_simulate_measures_no_sensor_after_one_fails(monkeypatch):
     with pytest.raises(ValueError, match="^sensor 's1': window average overflowed"):
         simulate(small_topology(sensor_count=2), streams, [FilterConfig(n=2, p=0.1)], ENERGY, 1e3)
     assert measured == [1e308]
+
+
+def _overflowing(start):
+    """A stream whose window sum overflows at n=2, from timestamp ``start``."""
+    return to_stream([(start + t, 1e308) for t in range(4)])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_simulate_check_error_beats_an_earlier_measuring_error(monkeypatch, workers):
+    # s2 fails to measure (worker 1 of 3) and s4, later, fails its check
+    # (share 0, this process): the check error wins under any worker count.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    streams = {f"s{i}": constant_stream(4) for i in range(1, 5)}
+    streams["s2"] = _overflowing(0.0)
+    streams["s4"] = to_stream([(1.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match=r"^sensor 's4': out-of-order sample"):
+        simulate(small_topology(sensor_count=4), streams, [FilterConfig(n=2, p=0.1)], ENERGY, 1e3)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_simulate_raises_the_first_measuring_error(monkeypatch, workers):
+    # s2, s3 and s4 all fail to measure, in three processes under three
+    # workers: s2's error is raised under any worker count.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    streams = {"s1": constant_stream(4)}
+    streams.update({f"s{i}": _overflowing(float(i)) for i in range(2, 5)})
+    with pytest.raises(ValueError, match=r"^sensor 's2': window average overflowed to inf at timestamp 3\.0"):
+        simulate(small_topology(sensor_count=4), streams, [FilterConfig(n=2, p=0.1)], ENERGY, 1e3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_simulate_negative_timestamp_beats_an_earlier_measuring_error(monkeypatch, workers):
+    # s1 fails to measure (this process) and s3 (worker 2 of 3) starts
+    # before 0: the negative timestamp raises under any worker count.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    streams = {f"s{i}": constant_stream(4) for i in range(1, 5)}
+    streams["s1"] = _overflowing(0.0)
+    streams["s3"] = to_stream([(-1.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(ValueError, match=r"^sensor 's3': negative timestamp -1\.0$"):
+        simulate(small_topology(sensor_count=4), streams, [None, FC], ENERGY, 1e3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class FetchOnce(Mapping):
@@ -752,7 +801,9 @@ class FetchOnce(Mapping):
         return len(self.specs)
 
 
-def test_simulate_fetches_each_stream_once_in_topology_order_and_drops_it():
+def test_simulate_fetches_each_stream_once_in_topology_order_and_drops_it(monkeypatch):
+    # In one process: this one cannot see lookups made in forked workers.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
     topo = small_topology(sensor_count=4)
     # The horizon cuts the 300-sample streams and leaves the others whole:
     # neither the cut-off original nor a whole stream outlives its sensor.
@@ -800,7 +851,9 @@ def test_each_command_drops_each_source_before_the_next_is_generated(
     # Through the CLI: neither the command, the pass nor the loader holds a
     # source's samples when the same process generates its next source.
     # Each generation appends to a file how many of the streams its process
-    # generated before are still alive, so forked workers report too.
+    # generated before are still alive.  In one process, whose weak
+    # references see every stream.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
     refs = []
     log = tmp_path / "generated.log"
 
@@ -963,3 +1016,88 @@ def test_a_run_that_never_forks_leaves_pickle_unloaded(tmp_path):
         "print('pickle' in sys.modules)\n"
     )
     assert _python_stdout(code) == "False\n"
+
+
+def test_a_simulate_run_that_never_forks_leaves_pickle_unloaded(tmp_path):
+    # One sensor is one worker, so simulate measures in this process, and
+    # pickle stays unloaded.
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(
+        "[run]\nduration_ms = 1000\n\n[device cloud]\nkind = cloud\n\n"
+        "[device gw]\nkind = gateway\n\n[device s]\nkind = sensor\n\n"
+        "[link s gw]\nlatency_ms = 4\n\n[link gw cloud]\nlatency_ms = 50\n\n"
+        "[source s]\nkind = normal\nmean = 20\nstddev = 1\nperiod_ms = 10\ncount = 50\n",
+        encoding="utf-8",
+    )
+    code = (
+        "import sys\n"
+        "from mistsim.cli import main\n"
+        f"args = ['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        "assert main([*args, '--quiet']) == 0\n"
+        "print('pickle' in sys.modules)\n"
+    )
+    assert _python_stdout(code) == "False\n"
+
+
+# ------------------------------------------------------------ fork_stream
+
+
+def _numbered(xs):
+    """Each item with its place in this share and the pid of its process."""
+    for k, x in enumerate(xs):
+        yield x, k, os.getpid()
+
+
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_fork_stream_keeps_item_order_with_one_share_per_worker(three_workers, count):
+    # Item i goes to worker i % 3, whose share numbers its items from 0.
+    got = list(fork_stream(_numbered, range(count)))
+    workers = min(count, 3)
+    assert [x for x, _, _ in got] == list(range(count))
+    assert [k for _, k, _ in got] == [i // workers for i in range(count)]
+    pids = [pid for _, _, pid in got]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == workers
+    assert all(pids[i] == pids[i % workers] for i in range(count))
+
+
+def test_fork_stream_raises_the_earliest_failing_item_after_the_items_before_it(three_workers):
+    # Items 4 and 5 fail in two workers, item 6 in this process's share.
+    def share(xs):
+        for x in xs:
+            if x == 4:
+                raise LookupError("item 4")
+            if x >= 5:
+                raise ValueError(f"item {x}")
+            yield x
+
+    got = []
+    with pytest.raises(LookupError) as excinfo:
+        for x in fork_stream(share, range(8)):
+            got.append(x)
+    assert got == [0, 1, 2, 3]
+    assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
+
+
+def test_fork_stream_reaps_workers_blocked_on_a_full_pipe_when_closed(three_workers):
+    # Each item is larger than a pipe buffer, so the workers are blocked
+    # writing when the consumer stops after the first two items.
+    def share(xs):
+        for x in xs:
+            yield bytes([x]) * 300_000
+
+    stream = fork_stream(share, range(9))
+    assert next(stream) == bytes([0]) * 300_000
+    assert next(stream) == bytes([1]) * 300_000
+    stream.close()
+
+
+def test_fork_stream_reports_a_worker_that_died(three_workers):
+    def share(xs):
+        for x in xs:
+            if x == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            yield x
+
+    with pytest.raises(OSError, match=r"exit status -9"):
+        list(fork_stream(share, range(6)))

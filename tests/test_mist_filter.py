@@ -8,6 +8,7 @@ oracle in ``oracles.py`` and the algebraic facts the band definition implies.
 from __future__ import annotations
 
 import math
+from array import array
 
 import pytest
 from hypothesis import assume, given, settings
@@ -428,3 +429,17 @@ def test_stream_columns_must_have_equal_length():
     assert len(stream) == 2 and not to_stream([])
     with pytest.raises(ValueError, match="^2 timestamps but 1 values$"):
         Stream(stream.timestamps, stream.values[:1])
+
+
+@pytest.mark.parametrize(
+    "timestamps, values, message",
+    [
+        ([0.0, 1.0], array("d", [1.0, 2.0]), r"^timestamps must be an array\('d'\), got list$"),
+        (array("d", [0.0, 1.0]), (1.0, 2.0), r"^values must be an array\('d'\), got tuple$"),
+        (array("d", [0.0, 1.0]), array("f", [1.0, 2.0]), r"^values must be an array\('d'\), got array\('f'\)$"),
+    ],
+)
+def test_stream_columns_must_be_double_arrays(timestamps, values, message):
+    # Rejected at construction, not deep in measuring or packing.
+    with pytest.raises(ValueError, match=message):
+        Stream(timestamps, values)

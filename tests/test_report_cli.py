@@ -833,8 +833,9 @@ def test_reference_runs_are_byte_golden(name, tmp_path, table2_cfg_path, monkeyp
 @pytest.mark.parametrize(
     "name, forks",
     # Three sources fork two workers to measure and two to plot; two
-    # sensors, one to plot.  One source is one worker: it runs here.
-    [("filter-grid", 4), ("simulate-plots", 1), ("filter-office", 0)],
+    # sensors, one to measure and one to plot.  One source is one worker:
+    # it runs here.
+    [("filter-grid", 4), ("simulate-plots", 2), ("filter-office", 0)],
 )
 def test_outputs_do_not_depend_on_the_worker_count(
     name, forks, tmp_path, table2_cfg_path, monkeypatch, capsys
@@ -862,6 +863,40 @@ def test_outputs_do_not_depend_on_the_worker_count(
     assert runs[0][:2] == runs[1][:2]
     assert [fork_count for _, _, fork_count in runs] == [0, forks]
     with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_simulate_replay_and_plots_do_not_depend_on_the_worker_count(
+    tmp_path, office_csv_path, monkeypatch
+):
+    # A replay sensor beside two synthetic ones, each in its own process
+    # under three workers, plots on: its ingest block and every plot come
+    # back from the workers unchanged.  The replay runs past the horizon,
+    # so its plot is cut there.
+    rows = office_csv_path.read_text(encoding="utf-8").splitlines()[1:301]
+    values = [row.split(",")[1] for row in rows]
+    replay = tmp_path / "replay.csv"
+    replay.write_text(
+        "timestamp,value\n" + "".join(f"{1000 * k},{v}\n" for k, v in enumerate(values)) + "oops,1\n",
+        encoding="utf-8",
+    )
+    text = SIM_CFG.replace("mode = both\n", "mode = both\nplot_data = true\n")
+    text += "\n[device c]\nkind = sensor\n\n[link c gw]\nlatency_ms = 5\n"
+    text = text.replace("[source b]\n", f"[source c]\nkind = replay\nfile = {replay}\n\n[source b]\n")
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        runs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert runs[0] == runs[1]
+    report = json.loads(runs[0]["report.json"])
+    assert list(report["ingest"]) == ["c"] and report["ingest"]["c"]["rows_skipped"] == 1
+    assert {"plot_a.csv", "plot_b.csv", "plot_c.csv", "resolved.cfg"} <= set(runs[0])
+    assert runs[0]["plot_c.csv"].count(b"\n") == 1 + 200  # the header, then 0 .. 199,000 ms
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
