@@ -402,12 +402,14 @@ def fork_map(func: Callable, items: Sequence) -> list:
     Otherwise this process forks the other workers and takes share 0
     itself; item ``i`` goes to worker ``i % workers``.  The workers inherit
     ``func`` and ``items`` as they are at the fork; only results travel,
-    pickled, once per worker, over a pipe.  Each worker stops its share at
-    its first exception, and the exception of the earliest item that
-    raised, in item order, is raised here, with its type and message.  A
-    worker that ends without its whole result (killed, say) raises
-    ``OSError`` with its exit status.  Every worker is reaped before this
-    returns or raises.
+    pickled, once per worker, over a pipe.  Each result is unpickled as it
+    is read from the pipe, so its pickled bytes are never held whole, and
+    each pipe is read to its end before any worker is reaped.  Each worker
+    stops its share at its first exception, and the exception of the
+    earliest item that raised, in item order, is raised here, with its type
+    and message.  A worker that ends without its whole result (killed, say)
+    raises ``OSError`` with its exit status.  Every worker is reaped before
+    this returns or raises.
     """
     workers = _workers(len(items))
     if workers == 1:
@@ -420,17 +422,19 @@ def fork_map(func: Callable, items: Sequence) -> list:
     children = _fork(workers, body)
     try:
         shares = [_share(func, items, 0, workers)]
-        # Read every pipe to its end before reaping, so that no worker is
-        # left blocked on a full pipe.
-        received = [pipe.read() for _, pipe in children]
+        received = []
+        for _, pipe in children:
+            try:
+                received.append(pickle.load(pipe))
+            except Exception:  # a truncated result
+                received.append(None)
+            # Read the pipe to its end before reaping, so that no worker is
+            # left blocked on a full pipe.
+            pipe.read()
     finally:
         statuses = _reap(children)
-    for data, status in zip(received, statuses):
-        try:
-            share = pickle.loads(data) if status == 0 else None
-        except Exception:  # a truncated result
-            share = None
-        if share is None:
+    for share, status in zip(received, statuses):
+        if share is None or status != 0:
             raise _lost(status)
         shares.append(share)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack
 from functools import partial
 from operator import eq, ge, gt, le, lt, ne
 from pathlib import Path
@@ -48,7 +49,8 @@ _float_repr = float.__repr__
 _int_repr = int.__repr__
 _isfinite = math.isfinite
 _quote = json.encoder.encode_basestring_ascii
-_BLOCK = 1024  # chunks folded into one block string
+_BLOCK = 1024  # chunks folded into one block string; plot samples formatted at once
+_OPEN_FILES = 32  # plot files one process keeps open at once
 
 
 def _report_blocks(report: Any) -> list[str]:
@@ -221,9 +223,11 @@ def emit_report(
     transmitted; each becomes a ``<stem>.csv`` with, for each of the first
     ``len(flags)`` samples, the timestamp, the raw value, its
     zero-order-hold reconstruction and the flag.  Series sharing one pair
-    of columns and one length are written together, formatting their cells
-    once, and the groups are spread by :func:`mistsim.engine.fork_map` over
-    the CPUs the process may run on.
+    of columns and one length are written together, ``_BLOCK`` samples at
+    a time: each block's cells are formatted once for all of them and
+    written to every file before the next block, so the plot writer's
+    memory does not grow with the stream.  The groups are spread by
+    :func:`mistsim.engine.fork_map` over the CPUs the process may run on.
     ``report.json`` holds the bytes of :func:`dumps_stable`: the report is
     encoded first, in one walk, into a list of bounded blocks, which are
     written in turn and then dropped, so the text is never joined into one
@@ -266,34 +270,53 @@ def emit_report(
 def _write_plot_csvs(out: Path, group: tuple[Sequence, Sequence, list]) -> None:
     """The plot files of one ``(timestamps, values, [(stem, flags)])`` group.
 
-    Each cell and each transmitted line is formatted once for the group; a
-    suppressed line is its ``timestamp,raw,`` cell plus the held suffix,
-    which changes only on a transmission.  Each file is written in blocks
-    of ``_BLOCK`` lines, so its text is never joined whole.
+    The samples go ``_BLOCK`` at a time: each block's cells and transmitted
+    lines are formatted once and shared by every series, and each series'
+    block is written to its file before the next block is formatted, so
+    nothing as long as the stream is built.  A suppressed line is its
+    ``timestamp,raw,`` cell plus the held suffix, which changes only on a
+    transmission and is carried from block to block.  At most
+    ``_OPEN_FILES`` files are open at once: a larger group is written in
+    passes of that many series.
     """
     timestamps, values, series = group
-    # Timestamps and raw values keep full precision; they are data, not
-    # derived metrics.  The held value is the text of a raw value.
-    raws = list(map(repr, values[:len(series[0][1])]))
-    cells = [f"{t!r},{raw}," for t, raw in zip(timestamps, raws)]
-    sent = [f"{cell}{raw},1\n" for cell, raw in zip(cells, raws)]
-    for stem, flags in series:
-        lines = ["timestamp,raw,reconstructed,transmitted_flag\n"]
-        if 1 not in flags:
-            # Nothing was transmitted: there is no held value, the raw one stands in.
-            lines += [f"{cell}{raw},0\n" for cell, raw in zip(cells, raws)]
-        else:
-            append = lines.append
-            held = ",0\n"  # the empty held value before the first transmission
-            for cell, raw, line, flag in zip(cells, raws, sent, flags):
-                if flag:
-                    append(line)
-                    held = raw + ",0\n"
-                else:
-                    append(cell + held)
-        with open(out / f"{stem}.csv", "w", encoding="utf-8") as fh:
-            for start in range(0, len(lines), _BLOCK):
-                fh.write("".join(lines[start:start + _BLOCK]))
+    total = len(series[0][1])
+    for first in range(0, len(series), _OPEN_FILES):
+        chunk = series[first:first + _OPEN_FILES]
+        with ExitStack() as stack:
+            files = [
+                stack.enter_context(open(out / f"{stem}.csv", "w", encoding="utf-8"))
+                for stem, _ in chunk
+            ]
+            for fh in files:
+                fh.write("timestamp,raw,reconstructed,transmitted_flag\n")
+            # The suffix of a suppressed line: the empty held value before the
+            # first transmission, or None when nothing is ever transmitted
+            # and the raw value stands in.
+            held: list = [",0\n" if 1 in flags else None for _, flags in chunk]
+            for start in range(0, total, _BLOCK):
+                stop = min(start + _BLOCK, total)
+                # Timestamps and raw values keep full precision; they are
+                # data, not derived metrics.  The held value is the text of
+                # a raw value.
+                raws = list(map(repr, values[start:stop]))
+                cells = [f"{t!r},{raw}," for t, raw in zip(timestamps[start:stop], raws)]
+                sent = [f"{cell}{raw},1\n" for cell, raw in zip(cells, raws)]
+                for k, (fh, (_, flags)) in enumerate(zip(files, chunk)):
+                    suffix = held[k]
+                    if suffix is None:
+                        fh.write("".join([f"{cell}{raw},0\n" for cell, raw in zip(cells, raws)]))
+                        continue
+                    lines = []
+                    append = lines.append
+                    for cell, raw, line, flag in zip(cells, raws, sent, flags[start:stop]):
+                        if flag:
+                            append(line)
+                            suffix = raw + ",0\n"
+                        else:
+                            append(cell + suffix)
+                    held[k] = suffix
+                    fh.write("".join(lines))
 
 
 def check_assertion(report: dict, expression: str) -> bool:

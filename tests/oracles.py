@@ -424,6 +424,22 @@ def two_phase_error(sources, load, check, measure, configs, label):
     return 0, ""
 
 
+def write_plot_csv(path, timestamps, values, flags):
+    """Write a plot file one line at a time: for each sample, its timestamp
+    and raw value at full precision, the value last transmitted (empty
+    before the first transmission, and the raw value itself when nothing is
+    ever transmitted) and its transmitted flag."""
+    ever_sent = any(flags)
+    held = ""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("timestamp,raw,reconstructed,transmitted_flag\n")
+        for t, v, flag in zip(timestamps, values, flags):
+            if flag:
+                held = repr(v)
+            reconstructed = held if ever_sent else repr(v)
+            fh.write(f"{t!r},{v!r},{reconstructed},{1 if flag else 0}\n")
+
+
 class NonFiniteFloat(ValueError):
     """A non-finite float in a report, with the keys that lead to it."""
 

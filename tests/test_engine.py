@@ -980,6 +980,21 @@ def test_fork_map_reports_a_worker_that_died(three_workers):
         fork_map(func, range(6))
 
 
+class _ExitWhilePickled:
+    """An object whose pickling ends the process with exit status 3."""
+
+    def __reduce__(self):
+        os._exit(3)
+
+
+def test_fork_map_reports_a_result_cut_short_after_a_pipe_buffer(three_workers):
+    # Each worker sends 300 KB of its result, more than a pipe holds, then
+    # exits while pickling the rest: the part already read is not mistaken
+    # for a result, and no worker is left behind.
+    with pytest.raises(OSError, match=r"exit status 3\)"):
+        fork_map(lambda x: (bytes(300_000), _ExitWhilePickled()), range(3))
+
+
 def test_fork_map_children_never_flush_inherited_stdout():
     # Stdout on a pipe is block-buffered: text printed before the fork is
     # still in the buffer each child inherits, and must appear once.
