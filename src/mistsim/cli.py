@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Mapping
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -119,7 +118,7 @@ def _load_source(spec, duration_ms: Optional[float]) -> tuple[Stream, Optional[d
         stream = gen_normal(spec)
     else:
         stream, rep = load_csv(spec)
-        ingest = asdict(rep)
+        ingest = rep._asdict()
     # The engine would drop every sample and report an empty run.
     if duration_ms is not None and stream and stream.timestamps[0] >= duration_ms:
         raise ValueError(

@@ -17,9 +17,8 @@ echo re-run bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import DEFAULT_ENERGY_PARAMS, EnergyModel, EnergyParams, Mode
 from .mist_filter import FilterConfig
@@ -38,8 +37,7 @@ class ConfigError(ValueError):
     """A config file could not be parsed or failed validation."""
 
 
-@dataclass(frozen=True)
-class Overrides:
+class Overrides(NamedTuple):
     """Command-line knobs folded in during parsing, before seed resolution."""
 
     seed: Optional[int] = None
@@ -50,20 +48,47 @@ class Overrides:
     replace_sources: Optional[tuple[SourceSpec, ...]] = None
 
 
-@dataclass
 class Scenario:
     """A fully resolved run description."""
 
-    topology: Topology
-    sources: tuple[SourceSpec, ...]
-    n_values: tuple[int, ...]
-    p_values: tuple[float, ...]
-    energy: EnergyModel
-    seed: int
-    duration_ms: Optional[float]
-    message_size_bytes: int
-    mode: str
-    plot_data: Optional[bool]
+    __slots__ = (
+        "topology", "sources", "n_values", "p_values", "energy", "seed", "duration_ms",
+        "message_size_bytes", "mode", "plot_data",
+    )
+
+    def __init__(
+        self,
+        topology: Topology,
+        sources: tuple[SourceSpec, ...],
+        n_values: tuple[int, ...],
+        p_values: tuple[float, ...],
+        energy: EnergyModel,
+        seed: int,
+        duration_ms: Optional[float],
+        message_size_bytes: int,
+        mode: str,
+        plot_data: Optional[bool],
+    ) -> None:
+        self.topology = topology
+        self.sources = sources
+        self.n_values = n_values
+        self.p_values = p_values
+        self.energy = energy
+        self.seed = seed
+        self.duration_ms = duration_ms
+        self.message_size_bytes = message_size_bytes
+        self.mode = mode
+        self.plot_data = plot_data
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Scenario:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"Scenario({fields})"
 
     @property
     def grid(self) -> tuple[FilterConfig, ...]:
@@ -431,7 +456,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     the output is a complete standalone description of the run.
     """
     lines: list[str] = []
-    _write(lines, "run", "run", vars(scenario))
+    _write(lines, "run", "run", {key: getattr(scenario, key) for key in _KEYS["run"]})
     grid = zip(_KEYS["filter"], (scenario.n_values, scenario.p_values))  # n, then p
     _write(lines, "filter", "filter", {key: ",".join(map(str, values)) for key, values in grid})
     energy = {
@@ -441,15 +466,15 @@ def serialize_scenario(scenario: Scenario) -> str:
     }
     _write(lines, "energy", "energy", energy)
     for dev in scenario.topology.devices:
-        _write(lines, f"device {dev.id}", "device", vars(dev))
+        _write(lines, f"device {dev.id}", "device", dev._asdict())
     for link in scenario.topology.links:
-        _write(lines, f"link {link.src} {link.dst}", "link", vars(link))
+        _write(lines, f"link {link.src} {link.dst}", "link", link._asdict())
     for source in scenario.sources:
         header = f"source {source.device_id}"
         if isinstance(source, SensorSpec):
-            _write(lines, header, "normal", {**vars(source), "kind": "normal"})
+            _write(lines, header, "normal", {**source._asdict(), "kind": "normal"})
         else:
             delimiter = _encode_delimiter(source.delimiter)
-            replay = {**vars(source), "kind": "replay", "file": source.path, "delimiter": delimiter}
+            replay = {**source._asdict(), "kind": "replay", "file": source.path, "delimiter": delimiter}
             _write(lines, header, "replay", replay)
     return "\n".join(lines)

@@ -55,8 +55,8 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left
+from collections import namedtuple
 from contextlib import closing
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain, compress, islice
@@ -75,23 +75,19 @@ class Mode(str, Enum):
     MIST_FOG_CLOUD = "mist_fog_cloud"
 
 
-@dataclass(frozen=True)
-class EnergyParams:
+class EnergyParams(namedtuple("EnergyParams", "busy_w idle_w busy_ms_per_message")):
     """Affine power model for one device kind."""
 
-    busy_w: float
-    idle_w: float
-    busy_ms_per_message: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.busy_w) and math.isfinite(self.idle_w)):
+    def __new__(cls, busy_w: float, idle_w: float, busy_ms_per_message: float) -> EnergyParams:
+        if not (math.isfinite(busy_w) and math.isfinite(idle_w)):
             raise ValueError("power figures must be finite")
-        if not self.busy_w >= self.idle_w >= 0:
-            raise ValueError(
-                f"need busy_w >= idle_w >= 0, got busy={self.busy_w!r} idle={self.idle_w!r}"
-            )
-        if not math.isfinite(self.busy_ms_per_message) or self.busy_ms_per_message < 0:
+        if not busy_w >= idle_w >= 0:
+            raise ValueError(f"need busy_w >= idle_w >= 0, got busy={busy_w!r} idle={idle_w!r}")
+        if not math.isfinite(busy_ms_per_message) or busy_ms_per_message < 0:
             raise ValueError("busy_ms_per_message must be finite and >= 0")
+        return tuple.__new__(cls, (busy_w, idle_w, busy_ms_per_message))
 
 
 # Conventional defaults, freely overridable in the config: a cloud host at
@@ -104,13 +100,13 @@ DEFAULT_ENERGY_PARAMS = {
 }
 
 
-@dataclass(frozen=True)
-class EnergyModel:
-    """Per-kind energy parameters."""
+class EnergyModel(namedtuple("EnergyModel", "params")):
+    """Per-kind energy parameters; by default a fresh copy of the defaults."""
 
-    params: Mapping[str, EnergyParams] = field(
-        default_factory=lambda: dict(DEFAULT_ENERGY_PARAMS)
-    )
+    __slots__ = ()
+
+    def __new__(cls, params: Optional[Mapping[str, EnergyParams]] = None) -> EnergyModel:
+        return tuple.__new__(cls, (dict(DEFAULT_ENERGY_PARAMS) if params is None else params,))
 
     def for_kind(self, kind: str) -> EnergyParams:
         try:
@@ -139,36 +135,80 @@ def account_energy(
     return busy_ms, energy_j
 
 
-@dataclass
 class RunMetrics:
     """Everything one run measured.  ``to_dict`` is the stable serial form."""
 
-    mode: str
-    seed: int
-    duration_ms: float
-    message_size_bytes: int
-    topology_fp: str
-    sources_fp: str
-    sensor_reports: dict[str, ErrorReport]
-    flags: dict[str, bytearray]
-    log_digests: dict[str, str]
-    link_usage: dict[str, dict]
-    device_messages: dict[str, int]
-    device_busy_ms: dict[str, float]
-    device_energy_j: dict[str, float]
-    total_bytes: int
-    total_byte_ms: float
-    messages_emitted: int
-    messages_delivered: int
-    latency_count: int
-    latency_min_ms: float
-    latency_max_ms: float
-    latency_mean_ms: float
-    cloud_id: str
-    # Shared by every run of one simulate call, and not part of to_dict:
-    # what its note callback returned, and the kept streams it was asked to keep.
-    notes: dict[str, object] = field(default_factory=dict)
-    kept_streams: dict[str, Stream] = field(default_factory=dict)
+    __slots__ = (
+        "mode", "seed", "duration_ms", "message_size_bytes", "topology_fp", "sources_fp",
+        "sensor_reports", "flags", "log_digests", "link_usage", "device_messages",
+        "device_busy_ms", "device_energy_j", "total_bytes", "total_byte_ms",
+        "messages_emitted", "messages_delivered", "latency_count", "latency_min_ms",
+        "latency_max_ms", "latency_mean_ms", "cloud_id", "notes", "kept_streams",
+    )
+
+    def __init__(
+        self,
+        mode: str,
+        seed: int,
+        duration_ms: float,
+        message_size_bytes: int,
+        topology_fp: str,
+        sources_fp: str,
+        sensor_reports: dict[str, ErrorReport],
+        flags: dict[str, bytearray],
+        log_digests: dict[str, str],
+        link_usage: dict[str, dict],
+        device_messages: dict[str, int],
+        device_busy_ms: dict[str, float],
+        device_energy_j: dict[str, float],
+        total_bytes: int,
+        total_byte_ms: float,
+        messages_emitted: int,
+        messages_delivered: int,
+        latency_count: int,
+        latency_min_ms: float,
+        latency_max_ms: float,
+        latency_mean_ms: float,
+        cloud_id: str,
+        notes: Optional[dict[str, object]] = None,
+        kept_streams: Optional[dict[str, Stream]] = None,
+    ) -> None:
+        self.mode = mode
+        self.seed = seed
+        self.duration_ms = duration_ms
+        self.message_size_bytes = message_size_bytes
+        self.topology_fp = topology_fp
+        self.sources_fp = sources_fp
+        self.sensor_reports = sensor_reports
+        self.flags = flags
+        self.log_digests = log_digests
+        self.link_usage = link_usage
+        self.device_messages = device_messages
+        self.device_busy_ms = device_busy_ms
+        self.device_energy_j = device_energy_j
+        self.total_bytes = total_bytes
+        self.total_byte_ms = total_byte_ms
+        self.messages_emitted = messages_emitted
+        self.messages_delivered = messages_delivered
+        self.latency_count = latency_count
+        self.latency_min_ms = latency_min_ms
+        self.latency_max_ms = latency_max_ms
+        self.latency_mean_ms = latency_mean_ms
+        self.cloud_id = cloud_id
+        # Shared by every run of one simulate call, and not part of to_dict:
+        # what its note callback returned, and the kept streams it was asked to keep.
+        self.notes = {} if notes is None else notes
+        self.kept_streams = {} if kept_streams is None else kept_streams
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RunMetrics:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"RunMetrics({fields})"
 
     def to_dict(self) -> dict:
         """Plain nested dict; each sensor's sent samples appear as a digest only."""

@@ -46,8 +46,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from enum import Enum
 from itertools import islice
 from operator import lt
@@ -69,24 +68,42 @@ class Sample(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
 class Stream:
     """A stream as two equal-length ``array('d')`` columns, 16 B a sample.
 
     Sample ``i`` is ``(timestamps[i], values[i])``; ``len()`` counts them.
-    Any other column type is rejected at construction.
+    Any other column type is rejected at construction, and the columns
+    cannot be reassigned afterwards.
     """
 
-    timestamps: array
-    values: array
+    __slots__ = ("timestamps", "values", "__weakref__")
 
-    def __post_init__(self) -> None:
-        for name, column in (("timestamps", self.timestamps), ("values", self.values)):
+    def __init__(self, timestamps: array, values: array) -> None:
+        for name, column in (("timestamps", timestamps), ("values", values)):
             if not (isinstance(column, array) and column.typecode == "d"):
                 got = f"array({column.typecode!r})" if isinstance(column, array) else type(column).__name__
                 raise ValueError(f"{name} must be an array('d'), got {got}")
-        if len(self.timestamps) != len(self.values):
-            raise ValueError(f"{len(self.timestamps)} timestamps but {len(self.values)} values")
+        if len(timestamps) != len(values):
+            raise ValueError(f"{len(timestamps)} timestamps but {len(values)} values")
+        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return Stream, (self.timestamps, self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Stream:
+            return NotImplemented
+        return (self.timestamps, self.values) == (other.timestamps, other.values)
+
+    def __repr__(self) -> str:
+        return f"Stream(timestamps={self.timestamps!r}, values={self.values!r})"
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -111,8 +128,7 @@ _EVENT = TransmitDecision(True, Reason.EVENT)
 _SUPPRESSED = TransmitDecision(False, Reason.SUPPRESSED)
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(namedtuple("FilterConfig", "n p")):
     """Filter parameters.
 
     Parameters
@@ -124,16 +140,16 @@ class FilterConfig:
         >= 0.  ``0.05`` means plus or minus five percent.
     """
 
-    n: int = 10
-    p: float = 0.05
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"window size n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.p, (int, float)) or isinstance(self.p, bool):
-            raise ValueError(f"band fraction p must be a number, got {self.p!r}")
-        if not math.isfinite(self.p) or self.p < 0:
-            raise ValueError(f"band fraction p must be finite and >= 0, got {self.p!r}")
+    def __new__(cls, n: int = 10, p: float = 0.05) -> FilterConfig:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"window size n must be an integer >= 1, got {n!r}")
+        if not isinstance(p, (int, float)) or isinstance(p, bool):
+            raise ValueError(f"band fraction p must be a number, got {p!r}")
+        if not math.isfinite(p) or p < 0:
+            raise ValueError(f"band fraction p must be finite and >= 0, got {p!r}")
+        return tuple.__new__(cls, (n, p))
 
 
 class EventFilter:

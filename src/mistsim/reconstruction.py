@@ -18,7 +18,7 @@ transmit decision and accounts the hold error in the same loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, islice
 from operator import lt
 from typing import NamedTuple, Optional, Sequence
@@ -26,25 +26,24 @@ from typing import NamedTuple, Optional, Sequence
 from .mist_filter import FilterConfig, Sample, Stream, TransmitDecision, window_averages
 
 
-@dataclass(frozen=True)
-class TransmissionLog:
+class TransmissionLog(namedtuple("TransmissionLog", "entries total_count")):
     """What actually left a sensor: the transmitted samples, in order.
 
     ``total_count`` is the number of raw samples the filter stepped through,
     so ``total_count - len(entries)`` values were suppressed.
     """
 
-    entries: tuple[Sample, ...]
-    total_count: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.total_count < 0:
+    def __new__(cls, entries: tuple[Sample, ...], total_count: int) -> TransmissionLog:
+        if total_count < 0:
             raise ValueError("total_count must be >= 0")
-        if len(self.entries) > self.total_count:
+        if len(entries) > total_count:
             raise ValueError("log cannot hold more entries than samples seen")
-        times = [entry.timestamp for entry in self.entries]
+        times = [entry.timestamp for entry in entries]
         if not all(map(lt, times, islice(times, 1, None))):
             raise ValueError("log timestamps must strictly increase")
+        return tuple.__new__(cls, (entries, total_count))
 
 
 def build_log(samples: Sequence[Sample], decisions: Sequence[TransmitDecision]) -> TransmissionLog:
@@ -55,8 +54,7 @@ def build_log(samples: Sequence[Sample], decisions: Sequence[TransmitDecision]) 
     return TransmissionLog(entries=entries, total_count=len(samples))
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Reconstruction quality and traffic reduction for one stream.
 
     ``avg_error_pct_of_mean`` is a secondary convenience figure, the average

@@ -8,15 +8,13 @@ abort a run.  Skipped rows are counted and reported instead.
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from collections import namedtuple
 from itertools import repeat
 from operator import add, mul
 from pathlib import Path
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .mist_filter import Stream
 from .rng import normal_blocks
@@ -26,67 +24,72 @@ from .rng import normal_blocks
 MAX_COUNT = 10_000_000
 
 
-@dataclass(frozen=True)
-class SensorSpec:
+class SensorSpec(namedtuple("SensorSpec", "device_id mean stddev period_ms count seed")):
     """A synthetic sensor drawing i.i.d. normal values on a fixed cadence.
 
     Timestamps are ``k * period_ms`` for ``k = 0 .. count - 1``, with
     ``count <= MAX_COUNT``; the last, which is the largest, must be finite.
     """
 
-    device_id: str
-    mean: float
-    stddev: float
-    period_ms: float
-    count: int
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.device_id:
+    def __new__(
+        cls, device_id: str, mean: float, stddev: float, period_ms: float, count: int, seed: int
+    ) -> SensorSpec:
+        if not device_id:
             raise ValueError("device_id must be non-empty")
-        if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean!r}")
-        if not math.isfinite(self.stddev) or self.stddev < 0:
-            raise ValueError(f"stddev must be finite and >= 0, got {self.stddev!r}")
-        if not math.isfinite(self.period_ms) or self.period_ms <= 0:
-            raise ValueError(f"period_ms must be finite and > 0, got {self.period_ms!r}")
-        if not 0 <= self.count <= MAX_COUNT:
-            raise ValueError(f"count must be >= 0 and <= {MAX_COUNT}, got {self.count!r}")
-        last = (self.count - 1) * self.period_ms
+        if not math.isfinite(mean):
+            raise ValueError(f"mean must be finite, got {mean!r}")
+        if not math.isfinite(stddev) or stddev < 0:
+            raise ValueError(f"stddev must be finite and >= 0, got {stddev!r}")
+        if not math.isfinite(period_ms) or period_ms <= 0:
+            raise ValueError(f"period_ms must be finite and > 0, got {period_ms!r}")
+        if not 0 <= count <= MAX_COUNT:
+            raise ValueError(f"count must be >= 0 and <= {MAX_COUNT}, got {count!r}")
+        last = (count - 1) * period_ms
         if not math.isfinite(last):
             raise ValueError(
                 f"the last timestamp (count - 1) * period_ms must be finite, got {last!r}"
             )
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed!r}")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must fit in 64 bits, got {seed!r}")
+        return tuple.__new__(cls, (device_id, mean, stddev, period_ms, count, seed))
 
 
-@dataclass(frozen=True)
-class ReplaySpec:
+class ReplaySpec(
+    namedtuple(
+        "ReplaySpec",
+        "device_id path value_column timestamp_column delimiter expected_period",
+    )
+):
     """A sensor fed from a CSV column instead of a generator."""
 
-    device_id: str
-    path: str
-    value_column: str = "value"
-    timestamp_column: str = "timestamp"
-    delimiter: str = ","
-    expected_period: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.device_id:
+    def __new__(
+        cls,
+        device_id: str,
+        path: str,
+        value_column: str = "value",
+        timestamp_column: str = "timestamp",
+        delimiter: str = ",",
+        expected_period: Optional[float] = None,
+    ) -> ReplaySpec:
+        if not device_id:
             raise ValueError("device_id must be non-empty")
-        if len(self.delimiter) != 1:
-            raise ValueError(f"delimiter must be a single character, got {self.delimiter!r}")
-        if self.expected_period is not None and not (
-            math.isfinite(self.expected_period) and self.expected_period > 0
+        if len(delimiter) != 1:
+            raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
+        if expected_period is not None and not (
+            math.isfinite(expected_period) and expected_period > 0
         ):
             raise ValueError(
-                f"expected_period must be finite and > 0 when given, got {self.expected_period!r}"
+                f"expected_period must be finite and > 0 when given, got {expected_period!r}"
             )
+        fields = (device_id, path, value_column, timestamp_column, delimiter, expected_period)
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True)
-class IngestReport:
+class IngestReport(NamedTuple):
     """Bookkeeping for one CSV replay: every data row is accounted for."""
 
     rows_read: int
@@ -106,24 +109,18 @@ def gen_normal(spec: SensorSpec) -> Stream:
     kernel block at a time, so no list the length of the stream exists
     beside the result.
     """
-    mean, stddev = spec.mean, spec.stddev
-    values = array("d")
+    mean, stddev, period_ms = spec.mean, spec.stddev, spec.period_ms
+    # Both columns are allocated at their final size and filled a block at
+    # a time; growing them by appends would leave spare capacity behind.
+    timestamps = array("d", [0.0]) * spec.count
+    values = array("d", [0.0]) * spec.count
+    start = 0
     for normals in normal_blocks(spec.seed, spec.count):
-        values.extend(map(add, repeat(mean), map(mul, repeat(stddev), normals)))
-    timestamps = array("d", map(mul, range(spec.count), repeat(spec.period_ms)))
+        stop = start + len(normals)
+        values[start:stop] = array("d", map(add, repeat(mean), map(mul, repeat(stddev), normals)))
+        timestamps[start:stop] = array("d", map(mul, range(start, stop), repeat(period_ms)))
+        start = stop
     return Stream(timestamps, values)
-
-
-def _parse_timestamp(cell: str) -> float:
-    """ISO-8601 first, then epoch seconds.  Naive datetimes count as UTC."""
-    text = cell.strip()
-    try:
-        dt = datetime.fromisoformat(text)
-    except ValueError:
-        return float(text)
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
 
 
 def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
@@ -138,6 +135,21 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     Returns the stream plus an :class:`IngestReport`; by construction
     ``rows_read == samples + rows_skipped``.
     """
+    # Imported here, once per replay, so a run without one never loads them.
+    import csv
+    from datetime import datetime, timezone
+
+    def parse_timestamp(cell: str) -> float:
+        """ISO-8601 first, then epoch seconds.  Naive datetimes count as UTC."""
+        text = cell.strip()
+        try:
+            dt = datetime.fromisoformat(text)
+        except ValueError:
+            return float(text)
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        return dt.timestamp()
+
     path = Path(spec.path)
     if not path.is_file():
         raise FileNotFoundError(f"dataset file not found: {path}")
@@ -166,7 +178,7 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
         for row in reader:
             rows_read += 1
             try:
-                ts = _parse_timestamp(row[ts_idx])
+                ts = parse_timestamp(row[ts_idx])
                 value = float(row[val_idx])
             except (ValueError, IndexError):
                 rows_skipped += 1

@@ -18,9 +18,8 @@ always take effect.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from collections import Counter, namedtuple
+from typing import NamedTuple, Optional, Sequence
 
 KINDS = ("cloud", "gateway", "sensor")
 _LINK_KINDS = (("gateway", "sensor"), ("cloud", "gateway"))  # sorted kind pairs
@@ -30,24 +29,26 @@ _LINK_KINDS = (("gateway", "sensor"), ("cloud", "gateway"))  # sorted kind pairs
 DEFAULT_LEVELS = {"cloud": 0, "gateway": 1, "sensor": 2}
 
 
-@dataclass(frozen=True)
-class Device:
-    id: str
-    kind: str
-    level: int
-    uplink_kbps: float = 0.0
-    downlink_kbps: float = 0.0
-    ram_mb: float = 0.0
+class Device(namedtuple("Device", "id kind level uplink_kbps downlink_kbps ram_mb")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.id:
+    def __new__(
+        cls,
+        id: str,
+        kind: str,
+        level: int,
+        uplink_kbps: float = 0.0,
+        downlink_kbps: float = 0.0,
+        ram_mb: float = 0.0,
+    ) -> Device:
+        if not id:
             raise ValueError("device id must be non-empty")
-        if self.kind not in KINDS:
-            raise ValueError(f"device kind must be one of {KINDS}, got {self.kind!r}")
+        if kind not in KINDS:
+            raise ValueError(f"device kind must be one of {KINDS}, got {kind!r}")
+        return tuple.__new__(cls, (id, kind, level, uplink_kbps, downlink_kbps, ram_mb))
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     """Undirected edge; ``latency_ms`` applies per message in either direction."""
 
     src: str
@@ -55,14 +56,26 @@ class Link:
     latency_ms: float
 
 
-@dataclass
 class Topology:
     """Devices and links in declaration order (order matters for tie-breaks)."""
 
-    devices: list[Device] = field(default_factory=list)
-    links: list[Link] = field(default_factory=list)
-    # (devices, links) as last checked, and the check's result.
-    _last_check: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("devices", "links", "_last_check")
+
+    def __init__(
+        self, devices: Optional[list[Device]] = None, links: Optional[list[Link]] = None
+    ) -> None:
+        self.devices: list[Device] = [] if devices is None else devices
+        self.links: list[Link] = [] if links is None else links
+        # (devices, links) as last checked, and the check's result.
+        self._last_check: Optional[tuple] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.devices, self.links) == (other.devices, other.links)
+
+    def __repr__(self) -> str:
+        return f"Topology(devices={self.devices!r}, links={self.links!r})"
 
     def by_kind(self, kind: str) -> list[Device]:
         return [d for d in self.devices if d.kind == kind]

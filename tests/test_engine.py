@@ -1054,6 +1054,31 @@ def test_a_simulate_run_that_never_forks_leaves_pickle_unloaded(tmp_path):
     assert _python_stdout(code) == "False\n"
 
 
+def test_cold_start_leaves_unused_modules_unloaded(tmp_path):
+    # Importing the CLI loads neither dataclasses nor inspect, which it
+    # would pull in; a simulate over normal sources only also leaves the
+    # CSV reader's csv and datetime unloaded.
+    cfg = tmp_path / "normal.cfg"
+    cfg.write_text(
+        "[run]\nduration_ms = 1000\n\n[device cloud]\nkind = cloud\n\n"
+        "[device gw]\nkind = gateway\n\n[device s]\nkind = sensor\n\n"
+        "[link s gw]\nlatency_ms = 4\n\n[link gw cloud]\nlatency_ms = 50\n\n"
+        "[source s]\nkind = normal\nmean = 20\nstddev = 1\nperiod_ms = 10\ncount = 50\n",
+        encoding="utf-8",
+    )
+    code = (
+        "import sys\n"
+        "def loaded(*names):\n"
+        "    print(sorted(name for name in names if name in sys.modules))\n"
+        "import mistsim.cli\n"
+        "loaded('dataclasses', 'inspect')\n"
+        f"args = ['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        "assert mistsim.cli.main([*args, '--quiet']) == 0\n"
+        "loaded('csv', 'datetime', 'dataclasses', 'inspect')\n"
+    )
+    assert _python_stdout(code) == "[]\n[]\n"
+
+
 # ------------------------------------------------------------ fork_stream
 
 

@@ -631,7 +631,7 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     counted(reconstruction, "window_averages")
     counted(Topology, "uplink_paths")
     counted(topology_module, "_check")
-    counted(TransmissionLog, "__post_init__")
+    counted(TransmissionLog, "__new__")
     counted(cli, "serialize_scenario")
     monkeypatch.chdir(table2_cfg_path.parent)
     args = ["simulate", "--config", "table2.cfg", "--out", str(tmp_path), "--quiet"]
@@ -713,7 +713,7 @@ def test_cli_filter_checks_each_source_once(tmp_path, table2_cfg_path, monkeypat
     calls, counted = count_calls
     counted(engine, "check_stream")
     counted(reconstruction, "window_averages")
-    counted(TransmissionLog, "__post_init__")
+    counted(TransmissionLog, "__new__")
     monkeypatch.chdir(table2_cfg_path.parent)
     args = ["filter", "--config", "tests/data/filter_grid.cfg", "--n", "5,10,50"]
     args += ["--p", "0.01,0.05,0.1", "--out", str(tmp_path), "--quiet"]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,15 @@ def test_gen_normal_peaks_near_the_size_of_its_result():
         tracemalloc.stop()
     assert len(samples) == 200_000
     assert peak - current < 1_000_000
+
+
+@pytest.mark.parametrize("count", [0, 1, 2 * _BLOCK + 1, 20_000])
+def test_gen_normal_columns_hold_no_spare_capacity(count):
+    # Each column is allocated at its final size, 8 B a sample and no more.
+    stream = gen_normal(SensorSpec("s", 25.0, 4.0, 100.0, count, seed=5))
+    empty = sys.getsizeof(array("d"))
+    assert sys.getsizeof(stream.timestamps) == empty + 8 * count
+    assert sys.getsizeof(stream.values) == empty + 8 * count
 
 
 def test_gen_normal_timestamps_and_count():
