@@ -18,11 +18,11 @@ import argparse
 import sys
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
-from .engine import Mode, _measure_stream, compare, fork_map, simulate
+from .engine import Mode, compare, fork_map, measure_streams, simulate
 from .mist_filter import Stream
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .engine import run  # noqa: F401
@@ -110,32 +110,13 @@ def _load_scenario(args, command: str) -> Scenario:
     raise UsageError("simulate needs --config")
 
 
-def _load_source(spec, duration_ms: Optional[float]) -> tuple[Stream, Optional[dict]]:
-    """One source's stream and its ingest block (``None`` unless it is a
-    replay source); one that starts at or past ``duration_ms`` is rejected."""
-    ingest = None
-    if isinstance(spec, SensorSpec):
-        stream = gen_normal(spec)
-    else:
-        stream, rep = load_csv(spec)
-        ingest = rep._asdict()
-    # The engine would drop every sample and report an empty run.
-    if duration_ms is not None and stream and stream.timestamps[0] >= duration_ms:
-        raise ValueError(
-            f"source {spec.device_id!r} starts at timestamp {stream.timestamps[0]!r}, at or "
-            f"past duration_ms = {duration_ms!r}, so every sample would be "
-            "dropped; replay timestamps are epoch seconds, while the run counts "
-            "milliseconds from 0"
-        )
-    return stream, ingest
-
-
 class _LazyStreams(Mapping):
-    """Each source's stream, loaded by :func:`_load_source` only when looked up.
+    """Each source's stream, generated or replayed only when looked up.
 
     Keys, ``len`` and iteration load nothing.  A lookup records a replay
     source's ingest block, which :meth:`take_ingest` hands over; the caller
-    holds the only reference to the stream itself.
+    holds the only reference to the stream itself.  With ``duration_ms``, a
+    source that starts at or past it is rejected.
     """
 
     def __init__(self, scenario: Scenario, duration_ms: Optional[float]) -> None:
@@ -144,9 +125,21 @@ class _LazyStreams(Mapping):
         self._ingest: dict[str, dict] = {}
 
     def __getitem__(self, source_id: str) -> Stream:
-        stream, ingest = _load_source(self._specs[source_id], self._duration_ms)
-        if ingest is not None:
-            self._ingest[source_id] = ingest
+        spec = self._specs[source_id]
+        if isinstance(spec, SensorSpec):
+            stream = gen_normal(spec)
+        else:
+            stream, rep = load_csv(spec)
+            self._ingest[source_id] = rep._asdict()
+        # The engine would drop every sample and report an empty run.
+        duration_ms = self._duration_ms
+        if duration_ms is not None and stream and stream.timestamps[0] >= duration_ms:
+            raise ValueError(
+                f"source {source_id!r} starts at timestamp {stream.timestamps[0]!r}, at or "
+                f"past duration_ms = {duration_ms!r}, so every sample would be "
+                "dropped; replay timestamps are epoch seconds, while the run counts "
+                "milliseconds from 0"
+            )
         return stream
 
     def take_ingest(self, source_id: str) -> Optional[dict]:
@@ -174,37 +167,42 @@ _SENSOR_HEADER_FILTER = ("n", "p", "sensor", *_SENSOR_COLUMNS)
 def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     """Filter and measure each source over the whole grid, each on its own.
 
-    Each source is loaded, then checked and measured with no horizon by the
-    per-stream step of :func:`mistsim.engine.measure_streams`, and the
-    sources are spread by :func:`mistsim.engine.fork_map` over the CPUs
-    the process may run on.  Each worker holds one source's stream at a
-    time and keeps only its report blocks and, with plots on, its flags and
-    the stream's two columns.  Errors merge in declaration order:
-    the first load or check error raises; otherwise, once every source is
-    checked, the first measuring error does.  Nothing is written on an error.
+    The sources go through :func:`mistsim.engine.measure_streams`, the pass
+    ``simulate`` uses, with no horizon, spread by
+    :func:`mistsim.engine.fork_map` over the CPUs the process may run on.
+    Each worker holds one source's stream at a time and keeps only its
+    report blocks and, with plots on, its flags and the stream's two
+    columns; after its first measuring error it only loads and checks.
+    The first load or check error, in declaration order, raises; otherwise,
+    once every source is checked, the first measuring error does.  Nothing
+    is written on an error.
     """
     scenario = _load_scenario(args, "filter")
     if not scenario.sources:
         raise ConfigError("no sources configured; add [source <id>] sections or pass --dataset")
     grid = scenario.grid
     keep = scenario.plot_data
+    streams = _LazyStreams(scenario, None)
 
-    def measure(spec) -> tuple:
-        """``(ingest block, plot columns, [(report block, flags)] per grid
-        point or the measuring error)`` for one source."""
-        stream, ingest = _load_source(spec, None)
-        measured = _measure_stream(spec.device_id, stream, grid, None, "source")[1]
-        if not isinstance(measured, ValueError):
-            measured = [(m.report.to_dict(), m.flags if keep else None) for m in measured]
-        columns = (stream.timestamps, stream.values) if keep else None
-        return ingest, columns, measured
+    def measure(ids: Iterator[str]) -> Iterator[tuple]:
+        """``(ingest block, plot columns, blocks)`` for each source in turn,
+        ``blocks`` being ``[(report block, flags)]`` per grid point, the
+        measuring error, or ``None`` after one."""
+        for s, stream, measured in measure_streams(ids, streams, grid, None, "source"):
+            blocks = measured
+            if isinstance(measured, list):
+                blocks = [(m.report.to_dict(), m.flags if keep else None) for m in measured]
+            columns = (stream.timestamps, stream.values) if keep else None
+            yield streams.take_ingest(s), columns, blocks
+            # Drop this source's stream before the next one is loaded.
+            del stream, measured
 
-    results = fork_map(measure, scenario.sources)
+    ids = [spec.device_id for spec in scenario.sources]
+    results = fork_map(measure, ids)
     for _, _, measured in results:
         if isinstance(measured, ValueError):
             raise measured
 
-    ids = [spec.device_id for spec in scenario.sources]
     runs = []
     sensor_rows = []
     plot_series: dict = {}

@@ -17,27 +17,15 @@ sent: its log digest hashes the sent samples in the same pass.  A run is
 fully determined by its inputs.
 
 Both :func:`simulate` and ``mistsim filter`` take each stream, a
-:class:`~mistsim.mist_filter.Stream`, through one step,
-:func:`_measure_stream`: it is checked whole
-(:func:`mistsim.mist_filter.check_stream` enforces the filter's contract),
-cut at the horizon by bisecting its timestamps, and measured for every
-config.  A stream the horizon does not cut is used as it is.  Any error
-names the stream.  A load or check error raises; a measuring error is
-handed back to the caller, which raises it once every stream is checked.
-:func:`simulate` deals its sensors out over the CPUs the process may run
-on with :func:`fork_stream`, and each process goes through its share with
-:func:`measure_streams`, one pass that fetches each stream once, in the
-order given, and drops it before the next, so memory follows one stream's
-samples per process, not all of them; after a measuring error that
-process only checks.  It adds only that the first timestamp is ``>= 0``,
-packs the kept samples, :func:`_packed`, and digests what each run sent.
-This process takes the results in topology order into the sources hash
-and the accounting, so they do not depend on the number of workers; a
-check error raises when its sensor is reached, and a metric that would
-overflow when every kept sample is sent raises before the first measuring
-error.  ``mistsim filter`` measures its sources independently of each
-other, spread by :func:`fork_map`, each worker holding one source at a
-time.
+:class:`~mistsim.mist_filter.Stream`, through one pass,
+:func:`measure_streams`, which holds one stream at a time, and spread
+their streams over the CPUs the process may run on with one fork
+primitive, :func:`fork_stream`, on one of two schedules.  :func:`simulate`
+takes each sensor's result, in topology order, as it is ready.
+``mistsim filter`` and the plot writer use :func:`fork_map`, which runs
+each worker's share to its end before it sends anything: their few,
+similar items, handed over one at a time, would make each process wait on
+the others once per item.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -301,50 +289,36 @@ def _hash_source(h, sensor_id: str, packed: bytes) -> None:
     h.update(packed)
 
 
-def _measure_stream(
-    s: str, stream: Stream, configs: Sequence[Optional[FilterConfig]],
-    duration_ms: Optional[float], label: str, measure: bool = True,
-) -> tuple:
-    """``(kept stream, grid)`` for one stream: the step :func:`measure_streams`
-    takes for each stream, and ``mistsim filter`` for each source.
-
-    The stream is checked whole by :func:`check_stream` (an error raises),
-    cut at ``duration_ms`` (``None`` cuts nothing) and, if ``measure``,
-    measured: ``grid`` is :func:`measure_grid`'s list, or its error, which is
-    returned, not raised; ``None`` when not measured.  Errors are prefixed
-    ``"<label> '<s>': "``.
-    """
-    try:
-        check_stream(stream)
-    except ValueError as exc:
-        raise ValueError(f"{label} {s!r}: {exc}") from None
-    if duration_ms is not None:
-        cut = bisect_left(stream.timestamps, duration_ms)
-        if cut < len(stream):
-            stream = Stream(stream.timestamps[:cut], stream.values[:cut])
-    if not measure:
-        return stream, None
-    try:
-        return stream, measure_grid(stream, configs)
-    except ValueError as exc:
-        return stream, ValueError(f"{label} {s!r}: {exc}")
-
-
 def measure_streams(
     ids: Iterable[str], streams: Mapping[str, Stream],
     configs: Sequence[Optional[FilterConfig]], duration_ms: Optional[float], label: str,
 ) -> Iterator[tuple]:
-    """``(id, kept stream, grid)`` for each id in turn, one stream at a time.
+    """``(id, kept stream, grid)`` for each id in turn, one stream at a time:
+    the one per-stream pass of :func:`simulate` and ``mistsim filter``.
 
-    Each stream is fetched once and goes through :func:`_measure_stream`: a
-    check error raises at once.  The first stream that fails to measure gets
-    that error as its ``grid``, and every later one ``None``.  The caller
-    must drop each stream before it asks for the next.
+    Each stream is fetched once, checked whole by :func:`check_stream` (an
+    error raises), cut at ``duration_ms`` (``None`` cuts nothing) and
+    measured: ``grid`` is :func:`measure_grid`'s list.  The first stream
+    that fails to measure gets that error as its ``grid``, returned, not
+    raised, and every later one ``None``: it is only checked.  Errors are
+    prefixed ``"<label> '<id>': "``.  The caller must drop each stream
+    before it asks for the next.
     """
     measuring = True
     for s in ids:
-        stream, grid = _measure_stream(s, streams[s], configs, duration_ms, label, measuring)
-        if isinstance(grid, ValueError):
+        stream = streams[s]
+        try:
+            check_stream(stream)
+        except ValueError as exc:
+            raise ValueError(f"{label} {s!r}: {exc}") from None
+        if duration_ms is not None:
+            cut = bisect_left(stream.timestamps, duration_ms)
+            if cut < len(stream):
+                stream = Stream(stream.timestamps[:cut], stream.values[:cut])
+        try:
+            grid = measure_grid(stream, configs) if measuring else None
+        except ValueError as exc:
+            grid = ValueError(f"{label} {s!r}: {exc}")
             measuring = False
         yield s, stream, grid
         # Drop this stream before the next one is fetched.
@@ -421,71 +395,31 @@ def _lost(status: int) -> OSError:
     return OSError(f"a worker process ended without its result (exit status {code})")
 
 
-def _share(
-    func: Callable, items: Sequence, start: int, step: int
-) -> tuple[list, Optional[Exception]]:
-    """``func`` over ``items[start::step]`` until one raises: the results
-    before it, and its exception (``None`` when none raised)."""
-    results = []
-    try:
-        for item in islice(items, start, None, step):
-            results.append(func(item))
-    except Exception as exc:
-        return results, exc
-    return results, None
+def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> list:
+    """Every result of :func:`fork_stream` over ``share``, in item order,
+    each worker running its whole share before it sends anything.
 
-
-def fork_map(func: Callable, items: Sequence) -> list:
-    """``[func(x) for x in items]``, in order, spread over forked workers.
-
-    :func:`_workers` says how many; with one the work runs in this process.
-    Otherwise this process forks the other workers and takes share 0
-    itself; item ``i`` goes to worker ``i % workers``.  The workers inherit
-    ``func`` and ``items`` as they are at the fork; only results travel,
-    pickled, once per worker, over a pipe.  Each result is unpickled as it
-    is read from the pipe, so its pickled bytes are never held whole, and
-    each pipe is read to its end before any worker is reaped.  Each worker
-    stops its share at its first exception, and the exception of the
-    earliest item that raised, in item order, is raised here, with its type
-    and message.  A worker that ends without its whole result (killed, say)
-    raises ``OSError`` with its exit status.  Every worker is reaped before
-    this returns or raises.
+    This process, too, runs its own share to its end, or to its first
+    exception, before it reads a worker's pipe; the exception is raised at
+    the item that raised it, so the errors are those of :func:`fork_stream`.
+    No process then waits on another while it still has work of its own,
+    as a few similar items handed over one at a time (``filter``'s
+    sources, the plot writer's groups) would make it do once per item.
     """
-    workers = _workers(len(items))
-    if workers == 1:
-        return [func(item) for item in items]
-    import pickle  # only here, so runs that never fork load nothing new
 
-    def body(w: int, pipe: BinaryIO) -> None:
-        pickle.dump(_share(func, items, w, workers), pipe, pickle.HIGHEST_PROTOCOL)
+    def whole(own: Iterator) -> Iterator:
+        results = []
+        error = None
+        try:
+            for result in share(own):
+                results.append(result)
+        except Exception as exc:
+            error = exc
+        yield from results
+        if error is not None:
+            raise error
 
-    children = _fork(workers, body)
-    try:
-        shares = [_share(func, items, 0, workers)]
-        received = []
-        for _, pipe in children:
-            try:
-                received.append(pickle.load(pipe))
-            except Exception:  # a truncated result
-                received.append(None)
-            # Read the pipe to its end before reaping, so that no worker is
-            # left blocked on a full pipe.
-            pipe.read()
-    finally:
-        statuses = _reap(children)
-    for share, status in zip(received, statuses):
-        if share is None or status != 0:
-            raise _lost(status)
-        shares.append(share)
-
-    failed = [
-        (w + workers * len(results), exc)
-        for w, (results, exc) in enumerate(shares)
-        if exc is not None
-    ]
-    if failed:
-        raise min(failed, key=lambda pair: pair[0])[1]
-    return [shares[i % workers][0][i // workers] for i in range(len(items))]
+    return list(fork_stream(whole, items))
 
 
 class _Raised:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
@@ -132,6 +132,10 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     ``expected_period`` is set, a gap is counted whenever the spacing between
     consecutive kept samples exceeds 1.5 times the expected period.
 
+    A file the reader cannot read as CSV (a field over
+    ``csv.field_size_limit()``, say) or that is not UTF-8 raises
+    ``ValueError`` naming the file and the line.
+
     Returns the stream plus an :class:`IngestReport`; by construction
     ``rows_read == samples + rows_skipped``.
     """
@@ -160,45 +164,57 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     rows_skipped = 0
     gaps = 0
 
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle, delimiter=spec.delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, a header row is required") from None
-        columns = {name.strip(): idx for idx, name in enumerate(header)}
-        for needed in (spec.timestamp_column, spec.value_column):
-            if needed not in columns:
-                raise ValueError(
-                    f"{path}: column {needed!r} not in header {header!r}"
-                )
-        ts_idx = columns[spec.timestamp_column]
-        val_idx = columns[spec.value_column]
-
-        for row in reader:
-            rows_read += 1
+    try:
+        with path.open(newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle, delimiter=spec.delimiter)
             try:
-                ts = parse_timestamp(row[ts_idx])
-                value = float(row[val_idx])
-            except (ValueError, IndexError):
-                rows_skipped += 1
-                continue
-            if not (math.isfinite(ts) and math.isfinite(value)):
-                rows_skipped += 1
-                continue
-            if timestamps and ts <= timestamps[-1]:
-                # A stalled or rewinding clock; the stream must stay strictly
-                # increasing, so the row is dropped rather than fatal.
-                rows_skipped += 1
-                continue
-            if (
-                spec.expected_period is not None
-                and timestamps
-                and ts - timestamps[-1] > 1.5 * spec.expected_period
-            ):
-                gaps += 1
-            timestamps.append(ts)
-            values.append(value)
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty file, a header row is required") from None
+            columns = {name.strip(): idx for idx, name in enumerate(header)}
+            for needed in (spec.timestamp_column, spec.value_column):
+                if needed not in columns:
+                    raise ValueError(f"{path}: column {needed!r} not in header {header!r}")
+            ts_idx = columns[spec.timestamp_column]
+            val_idx = columns[spec.value_column]
+
+            for row in reader:
+                rows_read += 1
+                try:
+                    ts = parse_timestamp(row[ts_idx])
+                    value = float(row[val_idx])
+                except (ValueError, IndexError):
+                    rows_skipped += 1
+                    continue
+                if not (math.isfinite(ts) and math.isfinite(value)):
+                    rows_skipped += 1
+                    continue
+                if timestamps and ts <= timestamps[-1]:
+                    # A stalled or rewinding clock; the stream must stay strictly
+                    # increasing, so the row is dropped rather than fatal.
+                    rows_skipped += 1
+                    continue
+                if (
+                    spec.expected_period is not None
+                    and timestamps
+                    and ts - timestamps[-1] > 1.5 * spec.expected_period
+                ):
+                    gaps += 1
+                timestamps.append(ts)
+                values.append(value)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), say
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        # The reader decodes a block at a time: find the line that failed,
+        # counting lines as the reader does (\r, \n and \r\n end one).
+        with path.open("rb") as handle:
+            lines = chain.from_iterable(map(bytes.splitlines, handle))
+            for n, line in enumerate(lines, 1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}: line {n}: {exc}") from None
+        raise
 
     report = IngestReport(
         rows_read=rows_read,

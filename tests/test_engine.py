@@ -16,6 +16,7 @@ import threading
 import time
 import weakref
 from collections.abc import Mapping
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -925,7 +926,8 @@ def _python_stdout(code: str) -> str:
 
 @pytest.fixture
 def three_workers(monkeypatch):
-    """fork_map spreads over three workers; afterwards no child is left."""
+    """Three CPUs, so fork_map and fork_stream fork up to two workers and
+    take share 0 here; afterwards no child is left."""
     monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
     yield
     with pytest.raises(ChildProcessError):
@@ -939,7 +941,7 @@ def _tagged(x):
 @pytest.mark.parametrize("count", [1, 3, 10])
 def test_fork_map_keeps_item_order(three_workers, count):
     # One item runs here; three take one worker each; ten go round-robin.
-    got = fork_map(_tagged, range(count))
+    got = fork_map(partial(map, _tagged), range(count))
     assert [value for value, _ in got] == [x * x for x in range(count)]
     pids = [pid for _, pid in got]
     assert pids[0] == os.getpid()
@@ -950,7 +952,7 @@ def test_fork_map_keeps_item_order(three_workers, count):
 def test_fork_map_returns_results_larger_than_a_pipe_buffer(three_workers):
     # A worker blocks on its full pipe until this process reads it: each
     # pipe is drained before its worker is reaped.
-    assert fork_map(lambda x: bytes([x]) * 300_000, range(3)) == [
+    assert fork_map(partial(map, lambda x: bytes([x]) * 300_000), range(3)) == [
         bytes([x]) * 300_000 for x in range(3)
     ]
 
@@ -966,8 +968,25 @@ def test_fork_map_raises_the_earliest_failing_item(three_workers):
         return x
 
     with pytest.raises(LookupError) as excinfo:
-        fork_map(func, range(8))
+        fork_map(partial(map, func), range(8))
     assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
+
+
+def test_fork_map_runs_this_process_share_to_its_end_before_reading_a_worker(three_workers):
+    # Item 1 raises in worker 1.  This process runs its whole share, items
+    # 0 and 3, before it reads a worker's pipe, so it has computed item 3
+    # when item 1's exception is raised; streamed in step, it would not.
+    computed = []  # what this process computed: each worker has its own copy
+
+    def func(x):
+        computed.append(x)
+        if x == 1:
+            raise LookupError("item 1")
+        return x
+
+    with pytest.raises(LookupError, match="^item 1$"):
+        fork_map(partial(map, func), range(6))
+    assert computed == [0, 3]
 
 
 def test_fork_map_reports_a_worker_that_died(three_workers):
@@ -977,7 +996,7 @@ def test_fork_map_reports_a_worker_that_died(three_workers):
         return x
 
     with pytest.raises(OSError, match=r"exit status -9"):
-        fork_map(func, range(6))
+        fork_map(partial(map, func), range(6))
 
 
 class _ExitWhilePickled:
@@ -992,17 +1011,18 @@ def test_fork_map_reports_a_result_cut_short_after_a_pipe_buffer(three_workers):
     # exits while pickling the rest: the part already read is not mistaken
     # for a result, and no worker is left behind.
     with pytest.raises(OSError, match=r"exit status 3\)"):
-        fork_map(lambda x: (bytes(300_000), _ExitWhilePickled()), range(3))
+        fork_map(partial(map, lambda x: (bytes(300_000), _ExitWhilePickled())), range(3))
 
 
 def test_fork_map_children_never_flush_inherited_stdout():
     # Stdout on a pipe is block-buffered: text printed before the fork is
     # still in the buffer each child inherits, and must appear once.
     code = (
+        "from functools import partial\n"
         "from mistsim import engine\n"
         "engine._cpu_count = lambda: 3\n"
         "print('before the fork', end=' ')\n"
-        "print(engine.fork_map(abs, [-1, -2, -3, -4]))\n"
+        "print(engine.fork_map(partial(map, abs), [-1, -2, -3, -4]))\n"
     )
     assert _python_stdout(code) == "before the fork [1, 2, 3, 4]\n"
 
@@ -1012,7 +1032,7 @@ def test_fork_map_runs_inline_while_another_thread_runs(three_workers):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert fork_map(_tagged, range(5)) == [(x * x, os.getpid()) for x in range(5)]
+        assert fork_map(partial(map, _tagged), range(5)) == [(x * x, os.getpid()) for x in range(5)]
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -1092,6 +1112,19 @@ def _numbered(xs):
 def test_fork_stream_keeps_item_order_with_one_share_per_worker(three_workers, count):
     # Item i goes to worker i % 3, whose share numbers its items from 0.
     got = list(fork_stream(_numbered, range(count)))
+    workers = min(count, 3)
+    assert [x for x, _, _ in got] == list(range(count))
+    assert [k for _, k, _ in got] == [i // workers for i in range(count)]
+    pids = [pid for _, _, pid in got]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == workers
+    assert all(pids[i] == pids[i % workers] for i in range(count))
+
+
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_fork_map_keeps_item_order_with_one_share_per_worker(three_workers, count):
+    # fork_map takes the same share as fork_stream: one call per worker.
+    got = fork_map(_numbered, range(count))
     workers = min(count, 3)
     assert [x for x, _, _ in got] == list(range(count))
     assert [k for _, k, _ in got] == [i // workers for i in range(count)]

@@ -1028,6 +1028,43 @@ def test_filter_load_error_wins_under_any_worker_count(tmp_path, monkeypatch, ca
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_filter_measures_no_source_after_one_fails(tmp_path, monkeypatch, capsys):
+    # Source b's windows overflow at n=3, a measuring error: source c, of 5
+    # samples, is still loaded and checked, but not measured, as in
+    # simulate.  In one process: this one cannot see calls made in forked
+    # workers.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
+    checked, measured = [], []
+    check, measure = engine.check_stream, engine.measure_grid
+
+    def counted_check(stream):
+        checked.append(len(stream))
+        return check(stream)
+
+    def counted_measure(stream, *args):
+        measured.append(len(stream))
+        return measure(stream, *args)
+
+    monkeypatch.setattr(engine, "check_stream", counted_check)
+    monkeypatch.setattr(engine, "measure_grid", counted_measure)
+    (tmp_path / "b.csv").write_text(
+        "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
+    )
+    cfg = tmp_path / "three.cfg"
+    cfg.write_text(
+        "[run]\n\n[source a]\nkind = normal\nmean = 20\nstddev = 1\nperiod_ms = 1\ncount = 9\n\n"
+        f"[source b]\nkind = replay\nfile = {tmp_path / 'b.csv'}\n\n"
+        "[source c]\nkind = normal\nmean = 20\nstddev = 1\nperiod_ms = 1\ncount = 5\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["filter", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: source 'b': window average overflowed")
+    assert checked == [9, 3, 5]
+    assert measured == [9, 3]
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -1058,6 +1095,43 @@ def test_exit_1_simulate_without_topology(tmp_path, capsys):
 def test_exit_1_missing_dataset_file(tmp_path, capsys):
     assert main(["filter", "--dataset", str(tmp_path / "absent.csv")]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("command", ["simulate", "filter"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            b"timestamp,value\n0,1\n1,2\n2," + b"9" * 131_073 + b"\n3,4\n",
+            "line 4: field larger than field limit (131072)",
+        ),
+        (
+            b"timestamp,value\n0,1\n1,\xff2\n2,3\n",
+            "line 3: 'utf-8' codec can't decode byte 0xff in position 2: invalid start byte",
+        ),
+    ],
+    ids=["oversized-field", "not-utf-8"],
+)
+def test_exit_2_unreadable_replay_file_names_the_file_and_line(
+    tmp_path, monkeypatch, capsys, workers, command, data, message
+):
+    # Source c replays a file the CSV reader cannot read; under three
+    # workers it is read in a forked worker.  Both commands exit 2 naming
+    # the file and the line, and write nothing.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    replay = tmp_path / "c.csv"
+    replay.write_bytes(data)
+    text = SIM_CFG + "\n[device c]\nkind = sensor\n\n[link c gw]\nlatency_ms = 5\n"
+    text += f"\n[source c]\nkind = replay\nfile = {replay}\n"
+    cfg = tmp_path / "replay.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {replay}: {message}\n"
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["simulate", "filter"])

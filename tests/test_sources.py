@@ -372,6 +372,27 @@ def test_load_csv_missing_column(tmp_path):
         load_csv(ReplaySpec("d", path, value_column="temp_c"))
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+        (b"9" * 131_073, "field larger than field limit (131072)"),
+    ],
+    ids=["not-utf-8", "oversized-field"],
+)
+def test_load_csv_names_the_line_it_cannot_read(tmp_path, newline, bad, message):
+    # Line 1,502 of 2,001, past the first block the reader decodes, with
+    # lines ending as the reader counts them.
+    rows = [b"timestamp,value"] + [b"%d,1" % k for k in range(2000)]
+    rows[1501] += bad
+    path = tmp_path / "d.csv"
+    path.write_bytes(newline.join(rows) + newline)
+    with pytest.raises(ValueError) as excinfo:
+        load_csv(ReplaySpec("d", str(path)))
+    assert str(excinfo.value) == f"{path}: line 1502: {message}"
+
+
 def test_replay_spec_validation():
     with pytest.raises(ValueError):
         ReplaySpec("", "x.csv")
