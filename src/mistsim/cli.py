@@ -170,7 +170,7 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     The sources go through :func:`mistsim.engine.measure_streams`, the pass
     ``simulate`` uses, with no horizon, spread by
     :func:`mistsim.engine.fork_map` over the CPUs the process may run on.
-    Each worker holds one source's stream at a time and keeps only its
+    Each process holds one source's stream at a time and keeps only its
     report blocks and, with plots on, its flags and the stream's two
     columns; after its first measuring error it only loads and checks.
     The first load or check error, in declaration order, raises; otherwise,
@@ -198,7 +198,7 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
             del stream, measured
 
     ids = [spec.device_id for spec in scenario.sources]
-    results = fork_map(measure, ids)
+    results = list(fork_map(measure, ids))
     for _, _, measured in results:
         if isinstance(measured, ValueError):
             raise measured

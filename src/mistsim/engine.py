@@ -20,12 +20,8 @@ Both :func:`simulate` and ``mistsim filter`` take each stream, a
 :class:`~mistsim.mist_filter.Stream`, through one pass,
 :func:`measure_streams`, which holds one stream at a time, and spread
 their streams over the CPUs the process may run on with one fork
-primitive, :func:`fork_stream`, on one of two schedules.  :func:`simulate`
-takes each sensor's result, in topology order, as it is ready.
-``mistsim filter`` and the plot writer use :func:`fork_map`, which runs
-each worker's share to its end before it sends anything: their few,
-similar items, handed over one at a time, would make each process wait on
-the others once per item.
+primitive, :func:`fork_map`: each process runs its whole share before it
+hands anything over, so none waits on another while it still has work.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -43,11 +39,11 @@ import sys
 import threading
 from array import array
 from bisect import bisect_left
-from collections import namedtuple
+from collections import deque, namedtuple
 from contextlib import closing
 from enum import Enum
 from functools import partial
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Stream, check_stream
@@ -373,82 +369,65 @@ def _fork(workers: int, body: Callable[[int, BinaryIO], None]) -> list[tuple[int
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
     except BaseException:
-        _reap(children)
+        _stop(children)
         raise
     return children
 
 
 def _reap(children: list[tuple[int, BinaryIO]]) -> list[int]:
-    """Close each worker's pipe, then wait for it; the wait statuses.
-
-    A worker still writing then fails on its closed pipe and exits.
-    """
+    """Close each worker's pipe, on which one still writing fails, then wait
+    for it; the wait statuses."""
     for _, pipe in children:
         pipe.close()
     return [os.waitpid(pid, 0)[1] for pid, _ in children]
 
 
-def _lost(status: int) -> OSError:
-    """The error for a worker that ended, with wait ``status``, before
-    sending all it owed."""
-    code = os.waitstatus_to_exitcode(status)
-    return OSError(f"a worker process ended without its result (exit status {code})")
+def _stop(children: list[tuple[int, BinaryIO]]) -> None:
+    """Kill each worker, which may still be running its share, then reap it."""
+    import signal  # only here, as pickle in fork_map
+
+    for pid, _ in children:
+        os.kill(pid, signal.SIGKILL)
+    _reap(children)
 
 
-def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> list:
-    """Every result of :func:`fork_stream` over ``share``, in item order,
-    each worker running its whole share before it sends anything.
-
-    This process, too, runs its own share to its end, or to its first
-    exception, before it reads a worker's pipe; the exception is raised at
-    the item that raised it, so the errors are those of :func:`fork_stream`.
-    No process then waits on another while it still has work of its own,
-    as a few similar items handed over one at a time (``filter``'s
-    sources, the plot writer's groups) would make it do once per item.
-    """
-
-    def whole(own: Iterator) -> Iterator:
-        results = []
-        error = None
-        try:
-            for result in share(own):
-                results.append(result)
-        except Exception as exc:
-            error = exc
-        yield from results
-        if error is not None:
-            raise error
-
-    return list(fork_stream(whole, items))
+# An exception a share raised, in place of its item's result.
+_Raised = namedtuple("_Raised", "exc")
 
 
-class _Raised:
-    """An exception a :func:`fork_stream` worker sends in place of a result."""
+def _whole(share: Callable[[Iterator], Iterator], own: Iterator) -> deque:
+    """``share``'s results over ``own``, run to its end or to its first
+    exception, which then ends the results as a :class:`_Raised`."""
+    results: deque = deque()
+    try:
+        for result in share(own):
+            results.append(result)
+    except Exception as exc:
+        results.append(_Raised(exc))
+    return results
 
-    def __init__(self, exc: Exception) -> None:
-        self.exc = exc
 
-
-def fork_stream(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator:
-    """One result per item, yielded in item order as each is ready.
+def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator:
+    """One result per item, yielded in item order.
 
     ``share`` is called once per worker with an iterator over that worker's
-    items and must yield one result per item, in turn; whatever state it
-    keeps lasts for that worker's share.  :func:`_workers` says how many
-    workers there are; with one this is ``share(iter(items))``.  Otherwise
-    item ``i`` goes to worker ``i % workers``: this process forks the
-    others and runs share 0 itself, computing item ``i`` only when the
-    consumer asks for it, and reads each other item from its worker's pipe,
-    one pickle per item, so a worker runs ahead of the consumer only by
-    what its pipe holds.  The workers inherit ``share`` and ``items`` as
-    they are at the fork.
+    items and must yield one result per item, in turn.  :func:`_workers`
+    says how many workers there are; with one this is
+    ``share(iter(items))``, run lazily in this process.  Otherwise item
+    ``i`` goes to worker ``i % workers``: this process forks the others,
+    which inherit ``share`` and ``items`` as they are, and takes share 0.
+    Every process runs its whole share, to its end or to its first
+    exception, before it yields or sends anything, so none waits on another
+    while it still has work of its own; a worker then writes one pickle per
+    result to its pipe.  This process reads them in item order as it yields
+    them, and holds only the results it has not yet yielded.
 
-    A worker stops at its first exception and sends it as that item's
-    result, so the first exception raised here, with its type and message,
-    is that of the earliest item that raised.  A worker that ends without
-    an item it owes raises ``OSError`` with its exit status.  Every worker
-    is reaped when the iteration ends, raises or is closed; a consumer that
-    may stop early closes it (``contextlib.closing``).
+    A share's exception is raised at the item that raised it, so the first
+    one raised here, with its type and message, is the earliest item's.  A
+    worker that ends without an item it owes raises ``OSError`` with its
+    exit status.  Every worker is reaped when the iteration ends, and
+    killed first when it raises or is closed; a consumer that may stop
+    early closes it (``contextlib.closing``).
     """
     workers = _workers(len(items))
     if workers == 1:
@@ -457,46 +436,50 @@ def fork_stream(share: Callable[[Iterator], Iterator], items: Sequence) -> Itera
     import pickle  # only here, so runs that never fork load nothing new
 
     def body(w: int, pipe: BinaryIO) -> None:
-        try:
-            for result in share(islice(items, w, None, workers)):
+        for result in _whole(share, islice(items, w, None, workers)):
+            try:
                 pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
-                pipe.flush()  # the consumer may be waiting for this very item
-        except Exception as exc:
-            pickle.dump(_Raised(exc), pipe, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # say, a result that cannot be pickled
+                pickle.dump(_Raised(exc), pipe, pickle.HIGHEST_PROTOCOL)
+                return
 
     children = _fork(workers, body)
-    statuses = None
     try:
-        own = share(islice(items, 0, None, workers))
+        own = _whole(share, islice(items, 0, None, workers))
         for i in range(len(items)):
             w = i % workers
             if w == 0:
-                yield next(own)
-                continue
-            try:
-                result = pickle.load(children[w - 1][1])
-            except Exception:  # the worker ended before sending item i
-                statuses = _reap(children)
-                raise _lost(statuses[w - 1]) from None
+                result = own.popleft()
+            else:
+                try:
+                    result = pickle.load(children[w - 1][1])
+                except Exception:  # the worker ended before sending item i
+                    # It writes only after its share has run, so it ends on its
+                    # closed pipe; reaped before the others are killed, it
+                    # keeps its own exit status.
+                    (status,) = _reap([children.pop(w - 1)])
+                    code = os.waitstatus_to_exitcode(status)
+                    raise OSError(
+                        f"a worker process ended without its result (exit status {code})"
+                    ) from None
             if type(result) is _Raised:
                 raise result.exc
             yield result
             del result
-    finally:
-        if statuses is None:
-            _reap(children)
+    except BaseException:  # raised, or closed before its end
+        _stop(children)
+        raise
+    _reap(children)
 
 
 class _Traffic:
     """The :class:`RunMetrics` fields that follow from what each sensor sent.
 
     Sensors are added one at a time, in topology order, and only what the
-    fields need is kept: counts, digests and one latency per sent sample.
-    The latencies stay in one array per sensor, never copied into one
-    growing array, and are read in turn, in sending order, so ``min``,
-    ``max`` and ``sum`` see the sequence a list of every sample would give;
-    ``sum`` compensates on Python >= 3.12, so a running total could round
-    differently.
+    fields need is kept: counts, digests and the latency count, least,
+    greatest and sum.  The latency sum adds each sensor's exact sum, in
+    topology order, so it is the same on every Python version, whatever
+    the number of workers.
     """
 
     def __init__(self, topology: Topology, paths: Mapping, message_size_bytes: int) -> None:
@@ -510,16 +493,19 @@ class _Traffic:
             for link in topology.links
         }
         self.device_messages = {d.id: 0 for d in topology.devices}
-        self.latencies: list[array] = []
+        self.count, self.least, self.greatest, self.total = 0, math.inf, -math.inf, 0.0
 
-    def add(self, sensor_id: str, digest: str, latencies: array) -> None:
+    def add(self, sensor_id: str, digest: str, latencies: tuple) -> None:
         """Account what a sensor sent: its log digest, :func:`_log_digest`,
-        and each sent sample's latency, in sending order."""
+        and its sent samples' :func:`_latency_summary`."""
         first, gw_id, second = self.paths[sensor_id]
         size = self.message_size_bytes
         self.log_digests[sensor_id] = digest
-        self.latencies.append(latencies)
-        count = len(latencies)
+        count, least, greatest, total = latencies
+        self.count += count
+        self.least = min(self.least, least)
+        self.greatest = max(self.greatest, greatest)
+        self.total += total
         for link in (first, second):
             usage = self.link_usage[f"{link.src}->{link.dst}"]
             usage["messages"] += count
@@ -529,9 +515,7 @@ class _Traffic:
             self.device_messages[device_id] += count
 
     def fields(self, energy: EnergyModel, duration_ms: float) -> dict:
-        link_usage = self.link_usage
-        count = sum(map(len, self.latencies))
-        latencies = partial(chain.from_iterable, self.latencies)
+        link_usage, count = self.link_usage, self.count
         busy_energy = {
             d.id: account_energy(self.device_messages[d.id], energy.for_kind(d.kind), duration_ms)
             for d in self.topology.devices
@@ -547,10 +531,21 @@ class _Traffic:
             "messages_emitted": count,
             "messages_delivered": 2 * count,
             "latency_count": count,
-            "latency_min_ms": min(latencies()) if count else 0.0,
-            "latency_max_ms": max(latencies()) if count else 0.0,
-            "latency_mean_ms": sum(latencies()) / count if count else 0.0,
+            "latency_min_ms": self.least if count else 0.0,
+            "latency_max_ms": self.greatest if count else 0.0,
+            "latency_mean_ms": self.total / count if count else 0.0,
         }
+
+
+def _latency_summary(latencies: Sequence[float]) -> tuple[int, float, float, float]:
+    """``(count, least, greatest, exact sum)`` of latencies ``>= 0``: the sum is
+    ``inf`` past the float limit; with none, least and greatest are ``inf``, ``-inf``."""
+    try:
+        total = math.fsum(latencies)
+    except OverflowError:  # finite values whose sum is past the float limit
+        total = math.inf
+    least, greatest = min(latencies, default=math.inf), max(latencies, default=-math.inf)
+    return len(latencies), least, greatest, total
 
 
 def _sensor_pass(
@@ -563,12 +558,14 @@ def _sensor_pass(
 
     Each stream goes through :func:`measure_streams`, so once one sensor
     fails to measure, the later ones of this share are only checked; a
-    negative first timestamp raises.  Yields ``(id, packed, latencies,
-    digest, runs, noted)``: the kept samples, :func:`_packed`, each one's
-    latency, the cloud-only log digest, and ``note(id)`` (``None`` without
-    ``note``).  ``runs`` is the measuring error, ``None`` when not
-    measured, or per config ``(report, flags, digest, latencies)`` of what
-    that run sent, the last two ``None`` for the cloud-only config.
+    negative first timestamp raises.  A sample's latency is ``((t + l1) +
+    l2) - t``, ``l1`` and ``l2`` being its two links'.  Yields ``(id, packed,
+    latencies, digest, runs, noted)``: the kept samples, :func:`_packed`,
+    their :func:`_latency_summary`, the cloud-only log digest, and
+    ``note(id)`` (``None`` without ``note``).  ``runs`` is the measuring
+    error, ``None`` when not measured, or per config ``(report, flags,
+    digest, latencies)`` of what that run sent, the last two ``None`` for
+    the cloud-only config.
     """
     for s, kept, grid in measure_streams(ids, streams, configs, duration_ms, "sensor"):
         if kept and kept.timestamps[0] < 0:  # ordered: the first is the least
@@ -577,7 +574,7 @@ def _sensor_pass(
         # do not depend on the config.
         first, _, second = paths[s]
         l1, l2 = first.latency_ms, second.latency_ms
-        latencies = array("d", [((t + l1) + l2) - t for t in kept.timestamps])
+        latencies = [((t + l1) + l2) - t for t in kept.timestamps]
         total = len(kept)
         runs = grid
         if grid is not None and not isinstance(grid, ValueError):
@@ -586,14 +583,15 @@ def _sensor_pass(
                     m.report,
                     m.flags,
                     _log_digest(total, _packed_sent(kept, m.flags)),
-                    array("d", compress(latencies, m.flags)),
+                    _latency_summary(list(compress(latencies, m.flags))),
                 )
                 for config, m in zip(configs, grid)
             ]
         # Packed last, so that the whole stream's bytes never sit beside the
         # packed copies of what each run sent.
         packed = _packed(kept)
-        yield s, packed, latencies, _log_digest(total, packed), runs, note(s) if note else None
+        summary = _latency_summary(latencies)
+        yield s, packed, summary, _log_digest(total, packed), runs, note(s) if note else None
         # Drop this sensor's stream and samples before the next one is fetched.
         del kept, grid, packed, latencies, runs
 
@@ -620,14 +618,15 @@ def simulate(
     flight when the horizon passes are delivered (nothing is lost), while
     energy idles out the configured duration.
 
-    The sensors are spread by :func:`fork_stream` over the CPUs the process
+    The sensors are spread by :func:`fork_map` over the CPUs the process
     may run on.  Each process fetches each of its sensors' streams once, in
-    topology order, and drops it once measured, so a lazy mapping bounds
-    memory by one sensor's stream per process.  A worker sends back only
-    the kept samples, packed, the latencies and what each run measured and
-    sent: reports, flags and log digests.  This process takes them in
-    topology order into the sources hash and the accounting, so the results
-    do not depend on the number of workers.  ``note``, if given, is called
+    topology order, and drops it once measured, so with a lazy mapping a
+    process holds one stream while it measures, plus the results of its
+    share until this process has taken them: each sensor's kept samples,
+    packed, and per run a :func:`_latency_summary` and what that run
+    measured and sent: report, flags and log digest.  This process takes
+    them in topology order into the sources hash and the accounting, so the
+    results do not depend on the number of workers.  ``note``, if given, is called
     with each sensor's id right after its stream is fetched, in the process
     that fetched it; each run's ``notes`` maps the id to what it returned,
     unless ``None``.  With ``keep_streams`` each run's ``kept_streams`` maps
@@ -678,7 +677,7 @@ def simulate(
         _sensor_pass, streams=streams, configs=configs, duration_ms=duration_ms,
         paths=paths, note=note,
     )
-    with closing(fork_stream(share, sensor_ids)) as sensors:
+    with closing(fork_map(share, sensor_ids)) as sensors:
         for s, packed, latencies, digest, runs, noted in sensors:
             _hash_source(sources_hash, s, packed)
             everything.add(s, digest, latencies)

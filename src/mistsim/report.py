@@ -228,7 +228,7 @@ def emit_report(
     written to every file before the next block, so the plot writer's
     memory does not grow with the stream.  The groups are spread by
     :func:`mistsim.engine.fork_map` over the CPUs the process may run on,
-    each worker writing all of its groups before it reports back.
+    each process writing all of its groups before it reports back.
     ``report.json`` holds the bytes of :func:`dumps_stable`: the report is
     encoded first, in one walk, into a list of bounded blocks, which are
     written in turn and then dropped, so the text is never joined into one
@@ -262,7 +262,7 @@ def emit_report(
     for stem, (timestamps, values, flags) in plot_series.items():
         key = (id(timestamps), id(values), len(flags))
         by_columns.setdefault(key, (timestamps, values, []))[2].append((stem, flags))
-    fork_map(partial(map, partial(_write_plot_csvs, out)), list(by_columns.values()))
+    list(fork_map(partial(map, partial(_write_plot_csvs, out)), list(by_columns.values())))
     written.extend(out / f"{stem}.csv" for stem in plot_series)
 
     return written

@@ -16,6 +16,7 @@ import threading
 import time
 import weakref
 from collections.abc import Mapping
+from contextlib import closing
 from functools import partial
 from pathlib import Path
 
@@ -32,7 +33,6 @@ from mistsim.engine import (
     account_energy,
     compare,
     fork_map,
-    fork_stream,
     measure_streams,
     run,
     simulate,
@@ -133,6 +133,44 @@ def test_latency_offsets_track_emission_time():
     streams = {"s1": to_stream([(100.5, 25.0)])}
     _, trace = traced_run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
     assert [t for t, _, _, _ in trace] == [104.5, 154.5]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_latency_is_each_sent_samples_time_to_the_cloud(monkeypatch, workers):
+    # Fractional latencies and timestamps, so the hops round: each sent
+    # sample's latency is ((t + l1) + l2) - t, and the mean is the exact sum
+    # of each sensor's latencies, added in topology order, over the count.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    hops = {"s1": 0.1, "s2": 0.2, "s3": 0.7}
+    topo = Topology(
+        devices=[Device("cloud", "cloud", 0), Device("gw", "gateway", 1)]
+        + [Device(s, "sensor", 2) for s in hops],
+        links=[Link("gw", "cloud", 0.7)] + [Link(s, "gw", l1) for s, l1 in hops.items()],
+    )
+    rng = random.Random(5)
+    streams = {
+        s: to_stream((k * 0.3 + i * 0.01, rng.gauss(25.0, 4.0)) for k in range(200))
+        for i, s in enumerate(hops)
+    }
+    differs = False
+    for metrics in simulate(topo, streams, [None, FilterConfig(n=3, p=0.05)], ENERGY, 1e3):
+        sent = {
+            s: [((t + l1) + 0.7) - t for t, f in zip(streams[s].timestamps, metrics.flags[s]) if f]
+            for s, l1 in hops.items()
+        }
+        every = [x for s in hops for x in sent[s]]
+        total = 0.0
+        for s in hops:
+            total += math.fsum(sent[s])
+        assert metrics.latency_count == len(every) > 0
+        assert metrics.latency_min_ms == min(every)
+        assert metrics.latency_max_ms == max(every)
+        assert metrics.latency_mean_ms == total / len(every)
+        in_turn = 0.0
+        for x in every:
+            in_turn += x
+        differs |= in_turn / len(every) != total / len(every)
+    assert differs  # a running sum over every sample would fail this test
 
 
 def test_messages_in_flight_at_horizon_still_deliver():
@@ -824,6 +862,22 @@ def test_simulate_fetches_each_stream_once_in_topology_order_and_drops_it(monkey
         assert a.flags == b.flags and a.log_digests == b.log_digests
 
 
+def test_simulate_runs_this_process_share_to_its_end_before_accounting(three_workers, monkeypatch):
+    # Of seven sensors, this process measures the 1st, 4th and 7th: it
+    # fetches all three before it accounts any sensor.
+    specs = {f"s{i}": SensorSpec(f"s{i}", 25.0, 4.0, 100.0, 50, seed=i) for i in range(1, 8)}
+    lazy = FetchOnce(specs)
+    real_add = engine._Traffic.add
+
+    def add(self, sensor_id, *args):
+        lazy.fetched.append(("add", sensor_id))
+        real_add(self, sensor_id, *args)
+
+    monkeypatch.setattr(engine._Traffic, "add", add)
+    simulate(small_topology(sensor_count=7), lazy, [None, FC], ENERGY, 25_000.0)
+    assert lazy.fetched[:4] == ["s1", "s4", "s7", ("add", "s1")]
+
+
 def test_measure_streams_holds_no_stream_at_the_next_fetch():
     # The shared pass itself, under a caller that drops each stream's kept
     # stream, as both commands do.  s2's windows overflow: its grid is the
@@ -926,8 +980,8 @@ def _python_stdout(code: str) -> str:
 
 @pytest.fixture
 def three_workers(monkeypatch):
-    """Three CPUs, so fork_map and fork_stream fork up to two workers and
-    take share 0 here; afterwards no child is left."""
+    """Three CPUs, so fork_map and simulate fork up to two workers and take
+    share 0 here; afterwards no child is left."""
     monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
     yield
     with pytest.raises(ChildProcessError):
@@ -941,7 +995,7 @@ def _tagged(x):
 @pytest.mark.parametrize("count", [1, 3, 10])
 def test_fork_map_keeps_item_order(three_workers, count):
     # One item runs here; three take one worker each; ten go round-robin.
-    got = fork_map(partial(map, _tagged), range(count))
+    got = list(fork_map(partial(map, _tagged), range(count)))
     assert [value for value, _ in got] == [x * x for x in range(count)]
     pids = [pid for _, pid in got]
     assert pids[0] == os.getpid()
@@ -952,7 +1006,7 @@ def test_fork_map_keeps_item_order(three_workers, count):
 def test_fork_map_returns_results_larger_than_a_pipe_buffer(three_workers):
     # A worker blocks on its full pipe until this process reads it: each
     # pipe is drained before its worker is reaped.
-    assert fork_map(partial(map, lambda x: bytes([x]) * 300_000), range(3)) == [
+    assert list(fork_map(partial(map, lambda x: bytes([x]) * 300_000), range(3))) == [
         bytes([x]) * 300_000 for x in range(3)
     ]
 
@@ -968,7 +1022,7 @@ def test_fork_map_raises_the_earliest_failing_item(three_workers):
         return x
 
     with pytest.raises(LookupError) as excinfo:
-        fork_map(partial(map, func), range(8))
+        list(fork_map(partial(map, func), range(8)))
     assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
 
 
@@ -985,7 +1039,7 @@ def test_fork_map_runs_this_process_share_to_its_end_before_reading_a_worker(thr
         return x
 
     with pytest.raises(LookupError, match="^item 1$"):
-        fork_map(partial(map, func), range(6))
+        list(fork_map(partial(map, func), range(6)))
     assert computed == [0, 3]
 
 
@@ -996,7 +1050,7 @@ def test_fork_map_reports_a_worker_that_died(three_workers):
         return x
 
     with pytest.raises(OSError, match=r"exit status -9"):
-        fork_map(partial(map, func), range(6))
+        list(fork_map(partial(map, func), range(6)))
 
 
 class _ExitWhilePickled:
@@ -1011,7 +1065,7 @@ def test_fork_map_reports_a_result_cut_short_after_a_pipe_buffer(three_workers):
     # exits while pickling the rest: the part already read is not mistaken
     # for a result, and no worker is left behind.
     with pytest.raises(OSError, match=r"exit status 3\)"):
-        fork_map(partial(map, lambda x: (bytes(300_000), _ExitWhilePickled())), range(3))
+        list(fork_map(partial(map, lambda x: (bytes(300_000), _ExitWhilePickled())), range(3)))
 
 
 def test_fork_map_children_never_flush_inherited_stdout():
@@ -1022,7 +1076,7 @@ def test_fork_map_children_never_flush_inherited_stdout():
         "from mistsim import engine\n"
         "engine._cpu_count = lambda: 3\n"
         "print('before the fork', end=' ')\n"
-        "print(engine.fork_map(partial(map, abs), [-1, -2, -3, -4]))\n"
+        "print(list(engine.fork_map(partial(map, abs), [-1, -2, -3, -4])))\n"
     )
     assert _python_stdout(code) == "before the fork [1, 2, 3, 4]\n"
 
@@ -1032,7 +1086,8 @@ def test_fork_map_runs_inline_while_another_thread_runs(three_workers):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert fork_map(partial(map, _tagged), range(5)) == [(x * x, os.getpid()) for x in range(5)]
+        got = list(fork_map(partial(map, _tagged), range(5)))
+        assert got == [(x * x, os.getpid()) for x in range(5)]
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -1099,9 +1154,6 @@ def test_cold_start_leaves_unused_modules_unloaded(tmp_path):
     assert _python_stdout(code) == "[]\n[]\n"
 
 
-# ------------------------------------------------------------ fork_stream
-
-
 def _numbered(xs):
     """Each item with its place in this share and the pid of its process."""
     for k, x in enumerate(xs):
@@ -1110,8 +1162,11 @@ def _numbered(xs):
 
 @pytest.mark.parametrize("count", [1, 3, 10])
 def test_fork_stream_keeps_item_order_with_one_share_per_worker(three_workers, count):
-    # Item i goes to worker i % 3, whose share numbers its items from 0.
-    got = list(fork_stream(_numbered, range(count)))
+    # Taken one item at a time under closing(), as simulate takes it: item i
+    # goes to worker i % 3, whose share numbers its items from 0.
+    with closing(fork_map(_numbered, range(count))) as stream:
+        got = [next(stream) for _ in range(count)]
+        assert next(stream, None) is None
     workers = min(count, 3)
     assert [x for x, _, _ in got] == list(range(count))
     assert [k for _, k, _ in got] == [i // workers for i in range(count)]
@@ -1123,8 +1178,8 @@ def test_fork_stream_keeps_item_order_with_one_share_per_worker(three_workers, c
 
 @pytest.mark.parametrize("count", [1, 3, 10])
 def test_fork_map_keeps_item_order_with_one_share_per_worker(three_workers, count):
-    # fork_map takes the same share as fork_stream: one call per worker.
-    got = fork_map(_numbered, range(count))
+    # The same, taken whole with list(), as filter and the plot writer take it.
+    got = list(fork_map(_numbered, range(count)))
     workers = min(count, 3)
     assert [x for x, _, _ in got] == list(range(count))
     assert [k for _, k, _ in got] == [i // workers for i in range(count)]
@@ -1146,7 +1201,7 @@ def test_fork_stream_raises_the_earliest_failing_item_after_the_items_before_it(
 
     got = []
     with pytest.raises(LookupError) as excinfo:
-        for x in fork_stream(share, range(8)):
+        for x in fork_map(share, range(8)):
             got.append(x)
     assert got == [0, 1, 2, 3]
     assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
@@ -1159,7 +1214,7 @@ def test_fork_stream_reaps_workers_blocked_on_a_full_pipe_when_closed(three_work
         for x in xs:
             yield bytes([x]) * 300_000
 
-    stream = fork_stream(share, range(9))
+    stream = fork_map(share, range(9))
     assert next(stream) == bytes([0]) * 300_000
     assert next(stream) == bytes([1]) * 300_000
     stream.close()
@@ -1173,4 +1228,25 @@ def test_fork_stream_reports_a_worker_that_died(three_workers):
             yield x
 
     with pytest.raises(OSError, match=r"exit status -9"):
-        list(fork_stream(share, range(6)))
+        list(fork_map(share, range(6)))
+
+
+def test_fork_map_kills_the_workers_when_it_raises():
+    # Item 0 raises in this process while each worker's share sleeps for a
+    # minute: the error is raised at once, not after the workers' shares.
+    code = (
+        "import sys, time\n"
+        f"sys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
+        "from mistsim import engine\n"
+        "engine._cpu_count = lambda: 3\n"
+        "def share(xs):\n"
+        "    for x in xs:\n"
+        "        if x == 0:\n"
+        "            raise LookupError('item 0')\n"
+        "        time.sleep(60)\n"
+        "        yield x\n"
+        "list(engine.fork_map(share, range(3)))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert done.returncode == 1
+    assert done.stderr.endswith("LookupError: item 0\n")
