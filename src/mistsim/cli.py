@@ -172,10 +172,8 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     :func:`mistsim.engine.fork_map` over the CPUs the process may run on.
     Each process holds one source's stream at a time and keeps only its
     report blocks and, with plots on, its flags and the stream's two
-    columns; after its first measuring error it only loads and checks.
-    The first load or check error, in declaration order, raises; otherwise,
-    once every source is checked, the first measuring error does.  Nothing
-    is written on an error.
+    columns.  The first source, in declaration order, that fails to load,
+    check or measure raises, and nothing is written.
     """
     scenario = _load_scenario(args, "filter")
     if not scenario.sources:
@@ -186,12 +184,9 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
 
     def measure(ids: Iterator[str]) -> Iterator[tuple]:
         """``(ingest block, plot columns, blocks)`` for each source in turn,
-        ``blocks`` being ``[(report block, flags)]`` per grid point, the
-        measuring error, or ``None`` after one."""
+        ``blocks`` being ``[(report block, flags)]`` per grid point."""
         for s, stream, measured in measure_streams(ids, streams, grid, None, "source"):
-            blocks = measured
-            if isinstance(measured, list):
-                blocks = [(m.report.to_dict(), m.flags if keep else None) for m in measured]
+            blocks = [(m.report.to_dict(), m.flags if keep else None) for m in measured]
             columns = (stream.timestamps, stream.values) if keep else None
             yield streams.take_ingest(s), columns, blocks
             # Drop this source's stream before the next one is loaded.
@@ -199,9 +194,6 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
 
     ids = [spec.device_id for spec in scenario.sources]
     results = list(fork_map(measure, ids))
-    for _, _, measured in results:
-        if isinstance(measured, ValueError):
-            raise measured
 
     runs = []
     sensor_rows = []

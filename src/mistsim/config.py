@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 from .engine import DEFAULT_ENERGY_PARAMS, EnergyModel, EnergyParams, Mode
 from .mist_filter import FilterConfig
 from .rng import derive_seed
-from .sources import ReplaySpec, SensorSpec, SourceSpec
+from .sources import ReplaySpec, SensorSpec, SourceSpec, undecodable_line
 from .topology import DEFAULT_LEVELS, KINDS, Device, Link, Topology
 
 MODES = ("both", *(m.value for m in Mode))
@@ -433,6 +433,11 @@ def load_config(path: str | Path, overrides: Optional[Overrides] = None) -> Scen
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        number, exc = undecodable_line(path)
+        raise _line_error(str(path), number, str(exc)) from None
     return parse_config(text, origin=str(path), overrides=overrides)
 
 

@@ -43,7 +43,7 @@ from collections import deque, namedtuple
 from contextlib import closing
 from enum import Enum
 from functools import partial
-from itertools import compress, islice
+from itertools import compress, islice, takewhile
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .mist_filter import FilterConfig, Stream, check_stream
@@ -292,30 +292,27 @@ def measure_streams(
     """``(id, kept stream, grid)`` for each id in turn, one stream at a time:
     the one per-stream pass of :func:`simulate` and ``mistsim filter``.
 
-    Each stream is fetched once, checked whole by :func:`check_stream` (an
-    error raises), cut at ``duration_ms`` (``None`` cuts nothing) and
-    measured: ``grid`` is :func:`measure_grid`'s list.  The first stream
-    that fails to measure gets that error as its ``grid``, returned, not
-    raised, and every later one ``None``: it is only checked.  Errors are
-    prefixed ``"<label> '<id>': "``.  The caller must drop each stream
-    before it asks for the next.
+    Each stream is fetched once, checked whole by :func:`check_stream`, cut
+    at ``duration_ms`` and measured: ``grid`` is :func:`measure_grid`'s
+    list.  With a horizon, ``duration_ms`` not ``None``, a stream that
+    starts before 0 is rejected too; without one nothing is cut.  The first
+    stream that fails its check or its measure raises there, prefixed
+    ``"<label> '<id>': "``.  The caller must drop each stream before it
+    asks for the next.
     """
-    measuring = True
     for s in ids:
         stream = streams[s]
         try:
             check_stream(stream)
+            if duration_ms is not None:
+                if stream and stream.timestamps[0] < 0:  # ordered: the first is the least
+                    raise ValueError(f"negative timestamp {stream.timestamps[0]!r}")
+                cut = bisect_left(stream.timestamps, duration_ms)
+                if cut < len(stream):
+                    stream = Stream(stream.timestamps[:cut], stream.values[:cut])
+            grid = measure_grid(stream, configs)
         except ValueError as exc:
             raise ValueError(f"{label} {s!r}: {exc}") from None
-        if duration_ms is not None:
-            cut = bisect_left(stream.timestamps, duration_ms)
-            if cut < len(stream):
-                stream = Stream(stream.timestamps[:cut], stream.values[:cut])
-        try:
-            grid = measure_grid(stream, configs) if measuring else None
-        except ValueError as exc:
-            grid = ValueError(f"{label} {s!r}: {exc}")
-            measuring = False
         yield s, stream, grid
         # Drop this stream before the next one is fetched.
         del stream, grid
@@ -427,7 +424,8 @@ def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator
     worker that ends without an item it owes raises ``OSError`` with its
     exit status.  Every worker is reaped when the iteration ends, and
     killed first when it raises or is closed; a consumer that may stop
-    early closes it (``contextlib.closing``).
+    early closes it (``contextlib.closing``).  A worker whose parent is
+    killed ends once its current item is done.
     """
     workers = _workers(len(items))
     if workers == 1:
@@ -435,8 +433,12 @@ def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator
         return
     import pickle  # only here, so runs that never fork load nothing new
 
+    parent = os.getpid()
+
     def body(w: int, pipe: BinaryIO) -> None:
-        for result in _whole(share, islice(items, w, None, workers)):
+        # Between items: a worker whose parent is gone takes no more.
+        own = takewhile(lambda _: os.getppid() == parent, islice(items, w, None, workers))
+        for result in _whole(share, own):
             try:
                 pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
             except Exception as exc:  # say, a result that cannot be pickled
@@ -556,37 +558,31 @@ def _sensor_pass(
     """What :func:`simulate` takes of each sensor in ``ids``, in turn: one
     process's share of its pass.
 
-    Each stream goes through :func:`measure_streams`, so once one sensor
-    fails to measure, the later ones of this share are only checked; a
-    negative first timestamp raises.  A sample's latency is ``((t + l1) +
-    l2) - t``, ``l1`` and ``l2`` being its two links'.  Yields ``(id, packed,
-    latencies, digest, runs, noted)``: the kept samples, :func:`_packed`,
-    their :func:`_latency_summary`, the cloud-only log digest, and
-    ``note(id)`` (``None`` without ``note``).  ``runs`` is the measuring
-    error, ``None`` when not measured, or per config ``(report, flags,
-    digest, latencies)`` of what that run sent, the last two ``None`` for
-    the cloud-only config.
+    Each stream goes through :func:`measure_streams`, so the first sensor
+    that fails to load, check or measure raises.  A sample's latency is
+    ``((t + l1) + l2) - t``, ``l1`` and ``l2`` being its two links'.  Yields
+    ``(id, packed, latencies, digest, runs, noted)``: the kept samples,
+    :func:`_packed`, their :func:`_latency_summary`, the cloud-only log
+    digest, per config ``(report, flags, digest, latencies)`` of what that
+    run sent, the last two ``None`` for the cloud-only config, and
+    ``note(id)`` (``None`` without ``note``).
     """
     for s, kept, grid in measure_streams(ids, streams, configs, duration_ms, "sensor"):
-        if kept and kept.timestamps[0] < 0:  # ordered: the first is the least
-            raise ValueError(f"sensor {s!r}: negative timestamp {kept.timestamps[0]!r}")
         # Latencies and packed samples once per sensor, for every run: paths
         # do not depend on the config.
         first, _, second = paths[s]
         l1, l2 = first.latency_ms, second.latency_ms
         latencies = [((t + l1) + l2) - t for t in kept.timestamps]
         total = len(kept)
-        runs = grid
-        if grid is not None and not isinstance(grid, ValueError):
-            runs = [
-                (m.report, m.flags, None, None) if config is None else (
-                    m.report,
-                    m.flags,
-                    _log_digest(total, _packed_sent(kept, m.flags)),
-                    _latency_summary(list(compress(latencies, m.flags))),
-                )
-                for config, m in zip(configs, grid)
-            ]
+        runs = [
+            (m.report, m.flags, None, None) if config is None else (
+                m.report,
+                m.flags,
+                _log_digest(total, _packed_sent(kept, m.flags)),
+                _latency_summary(list(compress(latencies, m.flags))),
+            )
+            for config, m in zip(configs, grid)
+        ]
         # Packed last, so that the whole stream's bytes never sit beside the
         # packed copies of what each run sent.
         packed = _packed(kept)
@@ -627,18 +623,15 @@ def simulate(
     measured and sent: report, flags and log digest.  This process takes
     them in topology order into the sources hash and the accounting, so the
     results do not depend on the number of workers.  ``note``, if given, is called
-    with each sensor's id right after its stream is fetched, in the process
+    with each sensor's id once its stream is measured, in the process
     that fetched it; each run's ``notes`` maps the id to what it returned,
     unless ``None``.  With ``keep_streams`` each run's ``kept_streams`` maps
     every sensor to its kept samples.
 
-    Errors: a stream that fails its check raises when its sensor is
-    reached.  A sensor that fails to measure stops all further measuring in
-    the process that measured it, but every stream is still checked, and
-    then a metric that would overflow when every kept sample is sent is
-    rejected; only after both does the measuring error of the earliest
-    sensor raise.  The error raised does not depend on the number of
-    workers.
+    Errors: the first sensor, in topology order, whose stream fails to
+    load, check or measure raises, whatever the number of workers; a
+    stream that starts before 0 fails.  After every sensor is measured, a
+    metric that would overflow when every kept sample is sent is rejected.
     """
     # Validates the topology and resolves every path in one linear pass.
     paths = topology.uplink_paths()
@@ -660,7 +653,7 @@ def simulate(
 
     # Every run sends some of the kept samples, and each float metric grows
     # with what is sent, so the run that sends them all, cloud-only, bounds
-    # every run; it is accounted for every sensor, measured or not.
+    # every run.
     everything = _Traffic(topology, paths, message_size_bytes)
     filtered = {
         i: _Traffic(topology, paths, message_size_bytes)
@@ -672,7 +665,6 @@ def simulate(
     notes: dict[str, object] = {}
     kept_streams: dict[str, Stream] = {}
     sources_hash = hashlib.sha256()
-    failure = None
     share = partial(
         _sensor_pass, streams=streams, configs=configs, duration_ms=duration_ms,
         paths=paths, note=note,
@@ -686,14 +678,10 @@ def simulate(
             del packed
             if noted is not None:
                 notes[s] = noted
-            if isinstance(runs, ValueError):
-                if failure is None:
-                    failure = runs
-            elif runs is not None:
-                for i, (report, sent_flags, sent_digest, sent_latencies) in enumerate(runs):
-                    reports[i][s], flags[i][s] = report, sent_flags
-                    if i in filtered:
-                        filtered[i].add(s, sent_digest, sent_latencies)
+            for i, (report, sent_flags, sent_digest, sent_latencies) in enumerate(runs):
+                reports[i][s], flags[i][s] = report, sent_flags
+                if i in filtered:
+                    filtered[i].add(s, sent_digest, sent_latencies)
 
     cloud_only = everything.fields(energy, duration_ms)
     bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in cloud_only["link_usage"].items()]
@@ -706,8 +694,6 @@ def simulate(
     for name, value in bounds:
         if not math.isfinite(value):
             raise ValueError(f"a run's {name} would overflow to inf when every kept sample is sent")
-    if failure is not None:
-        raise failure
 
     topology_fp = _topology_fp(topology)
     sources_fp = sources_hash.hexdigest()

@@ -123,6 +123,20 @@ def gen_normal(spec: SensorSpec) -> Stream:
     return Stream(timestamps, values)
 
 
+def undecodable_line(path: Path) -> tuple[int, UnicodeDecodeError]:
+    """The number of the first line of ``path`` that is not UTF-8, and its
+    error, for a file a text reader could not decode: the reader decodes a
+    block at a time, so its own error does not say where.  Lines are counted
+    as the reader counts them: ``\r``, ``\n`` and ``\r\n`` end one."""
+    with path.open("rb") as handle:
+        for number, line in enumerate(chain.from_iterable(map(bytes.splitlines, handle)), 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return number, exc
+    raise ValueError(f"{path}: every line decodes as UTF-8")
+
+
 def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     """Replay a CSV column as a sample stream.
 
@@ -205,16 +219,8 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
-        # The reader decodes a block at a time: find the line that failed,
-        # counting lines as the reader does (\r, \n and \r\n end one).
-        with path.open("rb") as handle:
-            lines = chain.from_iterable(map(bytes.splitlines, handle))
-            for n, line in enumerate(lines, 1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ValueError(f"{path}: line {n}: {exc}") from None
-        raise
+        number, exc = undecodable_line(path)
+        raise ValueError(f"{path}: line {number}: {exc}") from None
 
     report = IngestReport(
         rows_read=rows_read,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -20,3 +21,12 @@ def table2_cfg_path() -> Path:
 @pytest.fixture(scope="session")
 def office_csv_path() -> Path:
     return DATA_DIR / "office_temperature.csv"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After every test, this process has no child left: every worker it
+    forked, and every subprocess it started, was reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

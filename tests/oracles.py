@@ -2,7 +2,7 @@
 
 Nothing here shares code with the package under test.  Everything is written
 the slow, obvious way: the point is independent ground truth, not speed.  The
-exceptions: :func:`two_phase_error` is handed the package's loader, check
+exceptions: :func:`first_failure` is handed the package's loader, check
 and measure functions, since what it pins is the order they run in, and
 :func:`to_stream` and :func:`to_rows` convert between the package's stream
 type and its rows.
@@ -393,30 +393,23 @@ def loop_check_stream(sensor_id, samples, duration_ms):
     return kept
 
 
-def two_phase_error(sources, load, check, measure, configs, label):
-    """A command's exit code and stderr line, from two passes over
-    materialised streams: ``(0, "")`` when nothing fails.
+def first_failure(sources, load, check, measure, configs, label):
+    """A command's exit code and stderr line when each source in turn is
+    loaded, checked and measured, stopping at the first failure: ``(0, "")``
+    when nothing fails.
 
-    Phase 1 loads every source with ``load(spec)`` and checks it with
-    ``check(stream)``, in declaration order.  Phase 2 measures each
-    checked source with ``measure(stream, configs)``, in the same order.
-    The first exception wins; a check or measuring error is prefixed with
-    ``label`` and the source id.
+    ``load(spec)`` loads a source, ``check(stream)`` checks it and
+    ``measure(stream, configs)`` measures it, in declaration order.  A
+    check or measuring error is prefixed with ``label`` and the source id.
     """
     try:
-        checked = []
         for spec in sources:
             stream = load(spec)
             try:
                 check(stream)
-            except ValueError as exc:
-                raise ValueError(f"{label} {spec.device_id!r}: {exc}") from None
-            checked.append((spec.device_id, stream))
-        for source_id, stream in checked:
-            try:
                 measure(stream, configs)
             except ValueError as exc:
-                raise ValueError(f"{label} {source_id!r}: {exc}") from None
+                raise ValueError(f"{label} {spec.device_id!r}: {exc}") from None
     except FileNotFoundError as exc:
         return 1, f"error: {exc}\n"
     except ValueError as exc:

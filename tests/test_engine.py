@@ -734,26 +734,24 @@ def test_simulate_rejects_empty_or_repeated_configs():
             simulate(topo, streams, configs, ENERGY, 10_000.0)
 
 
-def test_simulate_checks_every_stream_before_measuring_any():
-    # s1's window sum overflows in the filter; s2 is out of order.  The
-    # stream check comes first, so s2's error wins whatever the mode.
+def test_simulate_raises_the_first_sensor_to_fail_its_check_or_its_measure():
+    # One sensor's window sum overflows in the filter, the other is out of
+    # order: whichever comes first in the topology raises.
     topo = small_topology(sensor_count=2)
-    streams = {
-        "s1": to_stream([(float(t), 1e308) for t in range(4)]),
-        "s2": to_stream([(1.0, 1.0), (0.0, 1.0)]),
-    }
-    with pytest.raises(
-        ValueError, match=r"sensor 's2': out-of-order sample: timestamp 0\.0 does not exceed 1\.0"
-    ):
-        simulate(topo, streams, [None, FilterConfig(n=2, p=0.1)], ENERGY, 1000.0)
-    streams["s2"] = constant_stream(2)
+    overflowing = to_stream([(float(t), 1e308) for t in range(4)])
+    out_of_order = to_stream([(1.0, 1.0), (0.0, 1.0)])
+    configs = [None, FilterConfig(n=2, p=0.1)]
     with pytest.raises(ValueError, match="^sensor 's1': window average overflowed"):
-        simulate(topo, streams, [None, FilterConfig(n=2, p=0.1)], ENERGY, 1000.0)
+        simulate(topo, {"s1": overflowing, "s2": out_of_order}, configs, ENERGY, 1000.0)
+    with pytest.raises(
+        ValueError, match=r"^sensor 's1': out-of-order sample: timestamp 0\.0 does not exceed 1\.0"
+    ):
+        simulate(topo, {"s1": out_of_order, "s2": overflowing}, configs, ENERGY, 1000.0)
 
 
 def test_simulate_measures_no_sensor_after_one_fails(monkeypatch):
-    # s1's window sum overflows: s2 is still checked, but not measured.  In
-    # one process: this one cannot see calls made in forked workers.
+    # s1's window sum overflows: it raises there, and s2 is not measured.
+    # In one process: this one cannot see calls made in forked workers.
     monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
     measured = []
 
@@ -775,17 +773,20 @@ def _overflowing(start):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_simulate_check_error_beats_an_earlier_measuring_error(monkeypatch, workers):
+def test_simulate_measuring_error_beats_a_later_check_error(monkeypatch, workers):
     # s2 fails to measure (worker 1 of 3) and s4, later, fails its check
-    # (share 0, this process): the check error wins under any worker count.
+    # (share 0, this process): the earlier sensor's error wins under any
+    # worker count.  Without s2's failure, s4's check error raises.
     monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
     streams = {f"s{i}": constant_stream(4) for i in range(1, 5)}
     streams["s2"] = _overflowing(0.0)
     streams["s4"] = to_stream([(1.0, 1.0), (0.0, 1.0)])
+    topo, configs = small_topology(sensor_count=4), [FilterConfig(n=2, p=0.1)]
+    with pytest.raises(ValueError, match=r"^sensor 's2': window average overflowed"):
+        simulate(topo, streams, configs, ENERGY, 1e3)
+    streams["s2"] = constant_stream(4)
     with pytest.raises(ValueError, match=r"^sensor 's4': out-of-order sample"):
-        simulate(small_topology(sensor_count=4), streams, [FilterConfig(n=2, p=0.1)], ENERGY, 1e3)
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
+        simulate(topo, streams, configs, ENERGY, 1e3)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -797,22 +798,23 @@ def test_simulate_raises_the_first_measuring_error(monkeypatch, workers):
     streams.update({f"s{i}": _overflowing(float(i)) for i in range(2, 5)})
     with pytest.raises(ValueError, match=r"^sensor 's2': window average overflowed to inf at timestamp 3\.0"):
         simulate(small_topology(sensor_count=4), streams, [FilterConfig(n=2, p=0.1)], ENERGY, 1e3)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_simulate_negative_timestamp_beats_an_earlier_measuring_error(monkeypatch, workers):
-    # s1 fails to measure (this process) and s3 (worker 2 of 3) starts
-    # before 0: the negative timestamp raises under any worker count.
+def test_simulate_measuring_error_beats_a_later_negative_timestamp(monkeypatch, workers):
+    # s1 fails to measure at n=2 (this process) and s3 (worker 2 of 3)
+    # starts before 0: s1's error wins under any worker count.  Without
+    # s1's failure, the negative timestamp raises.
     monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
     streams = {f"s{i}": constant_stream(4) for i in range(1, 5)}
     streams["s1"] = _overflowing(0.0)
     streams["s3"] = to_stream([(-1.0, 1.0), (0.0, 1.0)])
+    topo, configs = small_topology(sensor_count=4), [None, FilterConfig(n=2, p=0.1)]
+    with pytest.raises(ValueError, match=r"^sensor 's1': window average overflowed"):
+        simulate(topo, streams, configs, ENERGY, 1e3)
+    streams["s1"] = constant_stream(4)
     with pytest.raises(ValueError, match=r"^sensor 's3': negative timestamp -1\.0$"):
-        simulate(small_topology(sensor_count=4), streams, [None, FC], ENERGY, 1e3)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        simulate(topo, streams, configs, ENERGY, 1e3)
 
 
 class FetchOnce(Mapping):
@@ -880,23 +882,34 @@ def test_simulate_runs_this_process_share_to_its_end_before_accounting(three_wor
 
 def test_measure_streams_holds_no_stream_at_the_next_fetch():
     # The shared pass itself, under a caller that drops each stream's kept
-    # stream, as both commands do.  s2's windows overflow: its grid is the
-    # error, and s3 and s4 are still fetched and checked, but not measured.
+    # stream, as both commands do.
+    specs = {f"s{i}": SensorSpec(f"s{i}", 25.0, 0.0, 100.0, 300, seed=i) for i in range(1, 5)}
+    lazy = FetchOnce(specs)
+    totals = []
+    for s, kept, grid in measure_streams(["s1", "s2", "s3", "s4"], lazy, [FC], 25_000.0, "sensor"):
+        assert len(kept) == 250
+        totals.append(grid[0].report.total_count)
+        del kept
+    assert lazy.fetched == ["s1", "s2", "s3", "s4"]
+    assert [ref() for ref in lazy.refs] == [None] * 4
+    assert totals == [250] * 4
+
+
+def test_measure_streams_raises_where_a_stream_fails_to_measure():
+    # s2's windows overflow: the pass raises there, and s3 and s4 are never
+    # fetched.
     specs = {
         f"s{i}": SensorSpec(f"s{i}", 1e308 if i == 2 else 25.0, 0.0, 100.0, 300, seed=i)
         for i in range(1, 5)
     }
     lazy = FetchOnce(specs)
-    grids = {}
-    for s, kept, grid in measure_streams(["s1", "s2", "s3", "s4"], lazy, [FC], 25_000.0, "sensor"):
-        assert len(kept) == 250
-        grids[s] = grid
-        del kept
-    assert lazy.fetched == ["s1", "s2", "s3", "s4"]
-    assert [ref() for ref in lazy.refs] == [None] * 4
-    assert grids["s1"][0].report.total_count == 250
-    assert str(grids["s2"]).startswith("sensor 's2': window average overflowed to inf")
-    assert grids["s3"] is None and grids["s4"] is None
+    measured = []
+    with pytest.raises(ValueError, match="^sensor 's2': window average overflowed to inf"):
+        for s, kept, _ in measure_streams(["s1", "s2", "s3", "s4"], lazy, [FC], 25_000.0, "sensor"):
+            measured.append(s)
+            del kept
+    assert measured == ["s1"]
+    assert lazy.fetched == ["s1", "s2"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "filter"])
@@ -981,11 +994,8 @@ def _python_stdout(code: str) -> str:
 @pytest.fixture
 def three_workers(monkeypatch):
     """Three CPUs, so fork_map and simulate fork up to two workers and take
-    share 0 here; afterwards no child is left."""
+    share 0 here."""
     monkeypatch.setattr(engine, "_cpu_count", lambda: 3)
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _tagged(x):
@@ -1250,3 +1260,44 @@ def test_fork_map_kills_the_workers_when_it_raises():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
     assert done.returncode == 1
     assert done.stderr.endswith("LookupError: item 0\n")
+
+
+def test_fork_map_workers_stop_once_their_parent_is_killed(tmp_path):
+    # Three processes share 30 items of 0.2 s each, and each logs when it
+    # starts an item.  Once the parent is killed, its two workers finish the
+    # item they are on and start no other; before, they ran their whole
+    # share, starting items up to 1.6 s after the kill.
+    log = tmp_path / "started.log"
+    code = (
+        "import os, sys, time\n"
+        f"sys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
+        "from mistsim import engine\n"
+        "engine._cpu_count = lambda: 3\n"
+        "def item(x):\n"
+        "    with open(sys.argv[1], 'a') as fh:\n"
+        "        fh.write(f'{os.getpid()} {time.time()!r}\\n')\n"
+        "    time.sleep(0.2)\n"
+        "    return x\n"
+        "list(engine.fork_map(lambda own: map(item, own), range(30)))\n"
+    )
+
+    def started():
+        text = log.read_text(encoding="utf-8") if log.exists() else ""
+        return [(int(pid), float(t)) for pid, t in map(str.split, text.splitlines())]
+
+    parent = subprocess.Popen([sys.executable, "-c", code, str(log)])
+    try:
+        deadline = time.monotonic() + 30
+        while len(started()) < 4:  # some process is on its second item
+            assert time.monotonic() < deadline, "the workers never started"
+            time.sleep(0.01)
+        killed = time.time()
+        parent.terminate()
+        parent.wait(timeout=30)
+    finally:
+        if parent.returncode is None:
+            parent.kill()
+            parent.wait()
+    time.sleep(1.0)
+    late = [t - killed for pid, t in started() if pid != parent.pid and t > killed + 0.6]
+    assert late == [], "a worker started items after its parent was killed"

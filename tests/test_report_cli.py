@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ from mistsim.reconstruction import TransmissionLog, measure_grid, reconstruct_zo
 from mistsim.report import _BLOCK, _OPEN_FILES, check_assertion, dumps_stable, emit_report, write_csv
 from mistsim.sources import MAX_COUNT, SensorSpec, gen_normal, load_csv
 from mistsim.topology import Topology
-from oracles import report_text, round_floats, to_stream, two_phase_error, write_plot_csv
+from oracles import first_failure, report_text, round_floats, to_stream, write_plot_csv
 
 SIM_CFG = """\
 [run]
@@ -966,8 +968,6 @@ def test_outputs_do_not_depend_on_the_worker_count(
         runs.append((files, capsys.readouterr().out.replace(str(out), "<out>"), len(forked)))
     assert runs[0][:2] == runs[1][:2]
     assert [fork_count for _, _, fork_count in runs] == [0, forks]
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_replay_and_plots_do_not_depend_on_the_worker_count(
@@ -1000,15 +1000,16 @@ def test_simulate_replay_and_plots_do_not_depend_on_the_worker_count(
     assert list(report["ingest"]) == ["c"] and report["ingest"]["c"]["rows_skipped"] == 1
     assert {"plot_a.csv", "plot_b.csv", "plot_c.csv", "resolved.cfg"} <= set(runs[0])
     assert runs[0]["plot_c.csv"].count(b"\n") == 1 + 200  # the header, then 0 .. 199,000 ms
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_filter_load_error_wins_under_any_worker_count(tmp_path, monkeypatch, capsys, workers):
+def test_filter_raises_the_first_source_to_fail_under_any_worker_count(
+    tmp_path, monkeypatch, capsys, workers
+):
     # Source b's windows overflow at n=3, a measuring error, and source c's
     # CSV is missing, a load error: with three workers each source is
-    # measured by its own, and the load error still wins.
+    # measured by its own, and b's error, the earlier, wins.  With b's
+    # windows in range, c's load error raises from its worker.
     monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
     (tmp_path / "b.csv").write_text(
         "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
@@ -1021,18 +1022,19 @@ def test_filter_load_error_wins_under_any_worker_count(tmp_path, monkeypatch, ca
         encoding="utf-8",
     )
     out = tmp_path / "out"
+    assert main(["filter", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == _OVERFLOW_LINE.format(source="b", t="2.0")
+    assert not out.exists()
+    (tmp_path / "b.csv").write_text("timestamp,value\n0,1\n1,1\n2,1\n", encoding="utf-8")
     assert main(["filter", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: dataset file not found: {tmp_path / 'c.csv'}\n"
     assert not out.exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_filter_measures_no_source_after_one_fails(tmp_path, monkeypatch, capsys):
-    # Source b's windows overflow at n=3, a measuring error: source c, of 5
-    # samples, is still loaded and checked, but not measured, as in
-    # simulate.  In one process: this one cannot see calls made in forked
-    # workers.
+    # Source b's windows overflow at n=3, a measuring error: it raises
+    # there, and source c, of 5 samples, is never loaded, as in simulate.
+    # In one process: this one cannot see calls made in forked workers.
     monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
     checked, measured = [], []
     check, measure = engine.check_stream, engine.measure_grid
@@ -1060,7 +1062,7 @@ def test_filter_measures_no_source_after_one_fails(tmp_path, monkeypatch, capsys
     out = tmp_path / "out"
     assert main(["filter", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("runtime error: source 'b': window average overflowed")
-    assert checked == [9, 3, 5]
+    assert checked == [9, 3]
     assert measured == [9, 3]
     assert not out.exists()
 
@@ -1083,6 +1085,22 @@ def test_exit_1_bad_config(tmp_path, capsys):
     cfg.write_text("[mystery]\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "unknown section" in capsys.readouterr().err
+
+
+def test_exit_1_config_path_is_a_directory(tmp_path, capsys):
+    assert main(["simulate", "--config", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: cannot read config file {tmp_path}: Is a directory\n"
+
+
+def test_exit_1_config_not_utf_8_names_the_file_and_line(tmp_path, capsys):
+    # Lines end at \n, \r\n and \r alike: the bad byte is on line 4.
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"[run]\nseed = 1\r\n# one\r# caf\xe9!\nduration_ms = 10\n")
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 4: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+        "invalid continuation byte\n"
+    )
 
 
 def test_exit_1_simulate_without_topology(tmp_path, capsys):
@@ -1130,8 +1148,6 @@ def test_exit_2_unreadable_replay_file_names_the_file_and_line(
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"runtime error: {replay}: {message}\n"
     assert not out.exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("command", ["simulate", "filter"])
@@ -1332,27 +1348,23 @@ def test_exit_2_replay_past_the_horizon_writes_nothing(tmp_path, office_csv_path
 )
 def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, edit, path):
     # Finite inputs whose metrics would overflow: rejected once every stream
-    # is checked, naming the report field.  Sensor a's windows overflow too
-    # (mean 1e308), which alone exits 2 naming it; the bound's message wins.
-    window = SIM_CFG.replace("mean = 25\n", "mean = 1e308\n")
-    cfg = tmp_path / "window.cfg"
-    cfg.write_text(window, encoding="utf-8")
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("runtime error: sensor 'a': window average overflowed")
-    text = window
+    # is measured, naming the report field.  When sensor a's windows
+    # overflow too (mean 1e308), a's measuring error is met first and wins.
+    text = SIM_CFG
     for old, new in edit.items():
         assert old in text
         text = text.replace(old, new)
-    cfg = tmp_path / "huge.cfg"
-    cfg.write_text(text, encoding="utf-8")
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     field = path.removeprefix("runs.cloud_only.")
-    assert capsys.readouterr().err == (
-        f"runtime error: a run's {field} would overflow to inf when every kept sample is sent\n"
-    )
-    assert not out.exists()
+    for mean, err in (
+        ("25", f"runtime error: a run's {field} would overflow to inf when every kept sample is sent\n"),
+        ("1e308", "runtime error: sensor 'a': window average overflowed to inf at timestamp "),
+    ):
+        cfg = tmp_path / f"mean{mean}.cfg"
+        cfg.write_text(text.replace("mean = 25\n", f"mean = {mean}\n"), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(err)
+        assert not out.exists()
 
 
 def test_exit_1_underived_duration_names_both_conditions(tmp_path, capsys):
@@ -1434,9 +1446,9 @@ def test_filter_checks_each_source_within_the_sweep(tmp_path, capsys, b_mean, n_
     assert not out.exists()
 
 
-def test_filter_load_error_wins_over_an_earlier_measuring_error(tmp_path, capsys):
-    # Source a fails to measure at n=3, and source b's CSV is missing: every
-    # source is loaded before the error is raised, so the load error wins.
+def test_filter_measuring_error_beats_a_later_load_error(tmp_path, capsys):
+    # Source a fails to measure at n=3, and source b's CSV is missing: a's
+    # error raises before b is loaded.
     (tmp_path / "a.csv").write_text(
         "timestamp,value\n0,0.6e308\n1,0.6e308\n2,0.6e308\n", encoding="utf-8"
     )
@@ -1447,8 +1459,8 @@ def test_filter_load_error_wins_over_an_earlier_measuring_error(tmp_path, capsys
         encoding="utf-8",
     )
     out = tmp_path / "out"
-    assert main(["filter", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: dataset file not found: {tmp_path / 'b.csv'}\n"
+    assert main(["filter", "--config", str(cfg), "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == _OVERFLOW_LINE.format(source="a", t="2.0")
     assert not out.exists()
 
 
@@ -1476,16 +1488,17 @@ def _load_any(spec):
     p_values=st.lists(st.sampled_from([0.0, 0.05, 0.5]), min_size=1, max_size=2, unique=True),
 )
 @settings(max_examples=200, deadline=None)
-def test_property_filter_and_simulate_raise_the_error_of_the_two_phase_oracle(
+def test_property_filter_and_simulate_raise_the_first_failure(
     sources, missing, broken, n_values, p_values
 ):
     # Each source is a replay CSV, except that the one at index ``missing``
     # has no file and the one at index ``broken`` is a synthetic stream that
     # fails its check.  Whatever fails, and wherever, ``filter`` exits as
-    # loading and checking every source, then measuring each over the whole
-    # grid, does, and writes nothing on a failure.  ``simulate`` runs the
-    # same sources under one gateway, with a horizon past every timestamp,
-    # and exits the same way.
+    # loading, checking and measuring each source over the whole grid in
+    # turn, up to the first failure, does, under one worker or three, and
+    # writes nothing on a failure.  ``simulate`` runs the same sources under
+    # one gateway, with a horizon past every timestamp, and exits the same
+    # way.
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         text = "[run]\nduration_ms = 100\nmode = mist_fog_cloud\n\n[filter]\n"
@@ -1505,14 +1518,18 @@ def test_property_filter_and_simulate_raise_the_error_of_the_two_phase_oracle(
         cfg = tmp / "grid.cfg"
         cfg.write_text(text, encoding="utf-8")
         scenario = load_config(cfg)
-        code, err = two_phase_error(
+        code, err = first_failure(
             scenario.sources, _load_any, check_stream, measure_grid, scenario.grid, "source"
         )
-        for command, word in (("filter", "source"), ("simulate", "sensor")):
-            out = tmp / command
+        for workers, (command, word) in itertools.product(
+            (1, 3), (("filter", "source"), ("simulate", "sensor"))
+        ):
+            out = tmp / f"{command}{workers}"
             stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr):
-                got = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
+            # monkeypatch cannot be used inside @given.
+            with mock.patch.object(engine, "_cpu_count", lambda: workers):
+                with contextlib.redirect_stderr(stderr):
+                    got = main([command, "--config", str(cfg), "--out", str(out), "--quiet"])
             want = err.replace("runtime error: source ", f"runtime error: {word} ", 1)
             assert (got, stderr.getvalue()) == (code, want)
             assert out.exists() == (code == 0)
