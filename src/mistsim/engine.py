@@ -31,7 +31,6 @@ reported in joules.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -261,12 +260,16 @@ def _unpacked(packed: bytes) -> Stream:
 def _log_digest(total: int, packed: bytes) -> str:
     """A sensor's log digest: SHA-256 of its kept count, a little-endian
     int64, then the samples it sent, :func:`_packed`."""
+    import hashlib  # see simulate
+
     digest = hashlib.sha256(struct.pack("<q", total))
     digest.update(packed)
     return digest.hexdigest()
 
 
 def _topology_fp(topology: Topology) -> str:
+    import hashlib  # see simulate
+
     h = hashlib.sha256()
     for dev in topology.devices:
         h.update(
@@ -664,6 +667,10 @@ def simulate(
     flags: list[dict] = [{} for _ in configs]
     notes: dict[str, object] = {}
     kept_streams: dict[str, Stream] = {}
+    # Imported here, not at the top, so that `mistsim filter`, which makes no
+    # digest, never loads OpenSSL; before fork_map, so that workers inherit it.
+    import hashlib
+
     sources_hash = hashlib.sha256()
     share = partial(
         _sensor_pass, streams=streams, configs=configs, duration_ms=duration_ms,

@@ -36,10 +36,13 @@ two-stage batch kernel that must agree with it bit for bit
 :func:`check_stream` is the one check of the stream contract (timestamps
 finite and strictly increasing, values finite) outside ``step``; a caller
 runs it once per stream.  Stage 1, :func:`window_averages`, depends only on
-its values and ``n``: it computes every full window's average as ``step``
-does, ``sum(window) / n`` left to right, and only has to catch a window
-sum that overflows.  Stage 2, :func:`mistsim.reconstruction.measure_grid`,
-applies the band for each ``p`` to those shared averages.
+its values and ``n``: it slides a window of ``n`` values over them as
+``step`` does and returns each full window's average, ``sum(window) / n``
+left to right, in an ``array('d')`` of 8 B a window.  It only has to catch
+a window sum that overflows.  Stage 2,
+:func:`mistsim.reconstruction.measure_grid`, applies the band for each
+``p`` to those shared averages.  Neither stage keeps a Python object per
+sample.
 """
 
 from __future__ import annotations
@@ -254,18 +257,23 @@ def check_stream(stream: Stream) -> None:
         _replay(stream, len(stream) + 1)
 
 
-def window_averages(stream: Stream, n: int) -> list[float]:
+def window_averages(stream: Stream, n: int) -> array:
     """Stage 1 of the batch kernel: the full-window averages of a checked stream.
 
     ``averages[k]`` is the average of ``values[k:k + n]``, computed as
     ``step`` computes it, so it judges ``values[k + n]``; a stream of
     ``total >= n`` samples has ``total - n + 1`` of them, the last judging
-    nothing.  Raises what :meth:`EventFilter.step` raises where a window
-    sum first overflows.
+    nothing.  Returns them as an ``array('d')``.  Raises what
+    :meth:`EventFilter.step` raises where a window sum first overflows.
     """
-    # Sum list slices: array slices would box every element of every window.
-    values = stream.values.tolist()
-    averages = [sum(values[i - n:i]) / n for i in range(n, len(values) + 1)]
+    values = stream.values
+    # The window slides as step's does: n floats, summed oldest first.
+    window = deque(islice(values, n - 1), maxlen=n)
+    averages = array("d")
+    push, put = window.append, averages.append
+    for value in islice(values, n - 1, None):
+        push(value)
+        put(sum(window) / n)
     if not all(map(_isfinite, averages)):
         _replay(stream, n)
     return averages

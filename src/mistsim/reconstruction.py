@@ -9,18 +9,24 @@ sensor actually observed.
 :func:`mistsim.mist_filter.check_stream`, under many filter configs with a
 two-stage batch kernel.  Stage 1, :func:`mistsim.mist_filter.window_averages`,
 runs once per distinct window size ``n`` on the stream's values.  Stage 2
-runs once per band fraction ``p`` on those shared averages: it makes each
-transmit decision and accounts the hold error in the same loop.
+runs once per config on those shared averages: it makes each transmit
+decision and accounts the hold error in the same loop, as a running total
+and a running maximum, so apart from the flags, which are output, it keeps
+nothing per sample.
 :meth:`EventFilter.step` per :class:`Sample`, then :func:`build_log`,
-:func:`reconstruct_zoh` and :func:`error_report`, are the reference.
+:func:`reconstruct_zoh` and :func:`error_report`, are the reference.  Kernel
+and reference add every total left to right with no compensation
+(:func:`_plain_sum`), so they round alike on every Python version.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
-from itertools import accumulate, islice
-from operator import lt
+from functools import reduce
+from itertools import islice
+from operator import add, lt
 from typing import NamedTuple, Optional, Sequence
 
 from .mist_filter import FilterConfig, Sample, Stream, TransmitDecision, window_averages
@@ -129,6 +135,13 @@ def reconstruct_zoh(log: TransmissionLog, timestamps: Sequence[float]) -> list[f
     return out
 
 
+def _plain_sum(numbers) -> float:
+    """``numbers`` added left to right in floats, with no compensation, as
+    ``sum()`` adds them before Python 3.12: the batch kernel's running
+    totals round the same way."""
+    return reduce(add, numbers, 0.0)
+
+
 def error_report(
     raw: Sequence[float], reconstructed: Sequence[float], transmitted_count: int
 ) -> ErrorReport:
@@ -148,10 +161,10 @@ def error_report(
         raise ValueError(f"transmitted_count {transmitted_count} out of range 0..{total}")
 
     abs_errors = [abs(r - v) for r, v in zip(raw, reconstructed)]
-    avg_err = sum(abs_errors) / total
+    avg_err = _plain_sum(abs_errors) / total
     max_err = max(abs_errors)
     suppressed, _ = reduction_stats(total, transmitted_count)
-    mean_abs_raw = sum(abs(r) for r in raw) / total
+    mean_abs_raw = _plain_sum(map(abs, raw)) / total
     # The ratio first: 100 * an error near the float limit overflows.
     pct = 100.0 * (avg_err / mean_abs_raw) if mean_abs_raw > 0 else None
     return ErrorReport(
@@ -189,23 +202,25 @@ def measure_grid(
     """
     values = stream.values
     total = len(values)
-    mean_abs_raw = sum(map(abs, values)) / total if total else 0.0
+    mean_abs_raw = _plain_sum(map(abs, values)) / total if total else 0.0
     results = []
-    averages_by_n: dict[int, list[float]] = {}
+    averages_by_n: dict[int, array] = {}
     for config in filter_configs:
         if config is None:
             flags = bytearray(b"\x01" * total)
-            results.append(_measurement(stream, flags, [0.0] * total, mean_abs_raw))
+            results.append(_measurement(stream, flags, 0.0, 0.0, mean_abs_raw))
             continue
         n, p = config.n, config.p
         averages = averages_by_n.get(n)
         if averages is None:
             averages = averages_by_n[n] = window_averages(stream, n)
         # Stage 2: step's band test on the shared averages, with the hold
-        # error accounted in the same loop.
+        # error accounted in the same loop as a running total, left to
+        # right, and a running maximum; a transmitted sample's error is 0.0,
+        # which changes neither.
         warm = min(n, total)
         flags = bytearray(b"\x01" * warm) + bytes(total - warm)
-        abs_errors = [0.0] * total
+        error_sum = max_error = 0.0
         held = values[warm - 1] if warm else 0.0
         for i, value, avg in zip(range(n, total), islice(values, n, None), averages):
             band = p * abs(avg)
@@ -213,22 +228,22 @@ def measure_grid(
                 flags[i] = 1
                 held = value
             else:
-                abs_errors[i] = abs(value - held)
-        results.append(_measurement(stream, flags, abs_errors, mean_abs_raw))
+                error = abs(value - held)
+                error_sum += error
+                if error > max_error:
+                    max_error = error
+        results.append(_measurement(stream, flags, error_sum, max_error, mean_abs_raw))
     return results
 
 
 def _measurement(
-    stream: Stream, flags: bytearray, abs_errors: list, mean_abs_raw: float
+    stream: Stream, flags: bytearray, error_sum: float, max_error: float, mean_abs_raw: float
 ) -> Measurement:
     total = len(flags)
     if not total:
         return Measurement(empty_report(), flags)
-    # sum() over the ordered list, as error_report does: a running total
-    # rounds differently wherever sum() compensates (Python >= 3.12).
-    error_sum = sum(abs_errors)
     if not math.isfinite(error_sum):  # errors are >= 0: one inf makes the sum inf
-        at = next((i for i, t in enumerate(accumulate(abs_errors)) if t == math.inf), total - 1)
+        at = _overflow_index(stream.values, flags)
         raise ValueError(
             f"hold error overflowed to inf at timestamp {stream.timestamps[at]!r}; a suppressed "
             "value's distance from its held value, or the sum of those, exceeds the float range"
@@ -243,10 +258,24 @@ def _measurement(
         suppressed_count=total - transmitted,
         reduction_fraction=(total - transmitted) / total,
         avg_abs_error=avg_err,
-        max_abs_error=max(abs_errors),
+        max_abs_error=max_error,
         avg_error_pct_of_mean=pct,
     )
     return Measurement(report, flags)
+
+
+def _overflow_index(values: array, flags: bytearray) -> int:
+    """Where the running total of hold errors, under ``flags``, first reaches inf."""
+    error_sum = 0.0
+    held = 0.0
+    for i, (value, sent) in enumerate(zip(values, flags)):
+        if sent:
+            held = value
+        else:
+            error_sum += abs(value - held)
+            if error_sum == math.inf:
+                return i
+    return len(flags) - 1
 
 
 def reduction_stats(total_count: int, transmitted_count: int) -> tuple[int, float]:

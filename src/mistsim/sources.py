@@ -146,9 +146,10 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     ``expected_period`` is set, a gap is counted whenever the spacing between
     consecutive kept samples exceeds 1.5 times the expected period.
 
-    A file the reader cannot read as CSV (a field over
-    ``csv.field_size_limit()``, say) or that is not UTF-8 raises
-    ``ValueError`` naming the file and the line.
+    A path that is missing or is not a regular file (a directory, say)
+    raises ``FileNotFoundError`` saying which.  A file the reader cannot
+    read as CSV (a field over ``csv.field_size_limit()``, say) or that is
+    not UTF-8 raises ``ValueError`` naming the file and the line.
 
     Returns the stream plus an :class:`IngestReport`; by construction
     ``rows_read == samples + rows_skipped``.
@@ -170,6 +171,8 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
 
     path = Path(spec.path)
     if not path.is_file():
+        if path.exists():  # a directory, say
+            raise FileNotFoundError(f"dataset path is not a regular file: {path}")
         raise FileNotFoundError(f"dataset file not found: {path}")
 
     timestamps = array("d")

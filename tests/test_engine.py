@@ -1141,8 +1141,10 @@ def test_a_simulate_run_that_never_forks_leaves_pickle_unloaded(tmp_path):
 
 def test_cold_start_leaves_unused_modules_unloaded(tmp_path):
     # Importing the CLI loads neither dataclasses nor inspect, which it
-    # would pull in; a simulate over normal sources only also leaves the
-    # CSV reader's csv and datetime unloaded.
+    # would pull in, nor hashlib, which loads OpenSSL: a filter run, which
+    # makes no digest, leaves it unloaded, and a simulate run loads it.  A
+    # simulate over normal sources only also leaves the CSV reader's csv
+    # and datetime unloaded.
     cfg = tmp_path / "normal.cfg"
     cfg.write_text(
         "[run]\nduration_ms = 1000\n\n[device cloud]\nkind = cloud\n\n"
@@ -1156,12 +1158,14 @@ def test_cold_start_leaves_unused_modules_unloaded(tmp_path):
         "def loaded(*names):\n"
         "    print(sorted(name for name in names if name in sys.modules))\n"
         "import mistsim.cli\n"
-        "loaded('dataclasses', 'inspect')\n"
-        f"args = ['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
-        "assert mistsim.cli.main([*args, '--quiet']) == 0\n"
-        "loaded('csv', 'datetime', 'dataclasses', 'inspect')\n"
+        "loaded('dataclasses', 'inspect', 'hashlib', '_hashlib')\n"
+        f"args = ['--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}, '--quiet']\n"
+        "assert mistsim.cli.main(['filter', *args]) == 0\n"
+        "loaded('hashlib', '_hashlib')\n"
+        "assert mistsim.cli.main(['simulate', *args]) == 0\n"
+        "loaded('csv', 'datetime', 'dataclasses', 'inspect', 'hashlib', '_hashlib')\n"
     )
-    assert _python_stdout(code) == "[]\n[]\n"
+    assert _python_stdout(code) == "[]\n[]\n['_hashlib', 'hashlib']\n"
 
 
 def _numbered(xs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import compress
 
 import pytest
@@ -28,6 +29,7 @@ from mistsim.reconstruction import (
     reconstruct_zoh,
     reduction_stats,
 )
+from mistsim.sources import SensorSpec, gen_normal
 from oracles import dead_band_flags, hold_last, to_stream
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -443,3 +445,58 @@ def test_measure_grid_shares_one_window_pass_per_n(monkeypatch):
     measure_checked(samples_of([1.0, 2.0, 3.0] * 4), configs)
     assert calls == [5, 2]
 
+
+def compensated_sum(numbers, start=0):
+    """``sum()`` of floats as Python 3.12 and later compute it: with
+    Neumaier's compensation, which keeps the low-order bits a plain
+    left-to-right addition rounds away."""
+    total, compensation = float(start), 0.0
+    for x in numbers:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_kernel_and_reference_add_left_to_right_whatever_sum_does(monkeypatch):
+    # A band of 1e20 * |avg| suppresses all but the first sample, held at
+    # 2.0: the hold errors are 0, 1e16, 1, 1, and the raw magnitudes 2,
+    # 1e16 + 2, 3, 3.  Added left to right each 1 (and each 3) rounds to an
+    # even neighbour of 1e16; a compensated sum keeps them.  Neither the
+    # kernel nor its reference may follow the sum() of the Python it runs on.
+    samples = samples_of([2.0, 1e16 + 2.0, 3.0, 3.0])
+    config = FilterConfig(n=1, p=1e20)
+
+    def measured():
+        (got,) = measure_checked(samples, [config])
+        _, expected, _ = reference_measurement(samples, config)
+        return got.report, expected
+
+    plain = measured()
+    assert plain[0] == plain[1]
+    assert plain[0].avg_abs_error == 1e16 / 4
+    assert plain[0].avg_error_pct_of_mean == 100.0 * ((1e16 / 4) / ((1e16 + 12.0) / 4))
+    assert compensated_sum([1e16, 1.0, 1.0]) == 1e16 + 2.0
+    monkeypatch.setattr(reconstruction, "sum", compensated_sum, raising=False)
+    assert measured() == plain
+
+
+def test_measure_grid_holds_no_python_object_per_sample():
+    # Stage 1's averages are an array('d'), 8 B a sample, and stage 2 keeps
+    # running totals; each run's flags add 1 B a sample.  A Python float
+    # kept per sample (a list of values, averages or hold errors) costs
+    # 32 B or more.
+    count = 200_000
+    stream = gen_normal(SensorSpec("s", 20.0, 1.0, 10.0, count, 7))
+    check_stream(stream)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        measure_grid(stream, [None, FilterConfig(n=10, p=0.05)])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * count + 1_000_000, f"measure_grid peaked at {peak} B for {count} samples"

@@ -1115,6 +1115,22 @@ def test_exit_1_missing_dataset_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_exit_1_dataset_flag_naming_a_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["filter", "--dataset", str(tmp_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dataset path is not a regular file: {tmp_path}\n"
+    assert not out.exists()
+
+
+def test_exit_1_replay_source_naming_a_directory(tmp_path, capsys):
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text(f"[run]\n\n[source d]\nkind = replay\nfile = {tmp_path}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dataset path is not a regular file: {tmp_path}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("command", ["simulate", "filter"])
 @pytest.mark.parametrize(
