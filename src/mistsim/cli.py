@@ -29,6 +29,7 @@ from .engine import run  # noqa: F401
 from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
 from .report import check_assertion, emit_report
 from .sources import ReplaySpec, SensorSpec, gen_normal, load_csv
+from .topology import TopologyError
 
 
 class UsageError(Exception):
@@ -87,10 +88,10 @@ def _load_scenario(args, command: str) -> Scenario:
             ReplaySpec(
                 device_id=dataset.stem or "dataset",
                 path=args.dataset,
-                value_column=args.column or "value",
+                value_column="value" if args.column is None else args.column,
             ),
         )
-    elif getattr(args, "column", None):
+    elif getattr(args, "column", None) is not None:
         raise UsageError("--column requires --dataset")
 
     overrides = Overrides(
@@ -108,6 +109,15 @@ def _load_scenario(args, command: str) -> Scenario:
     if command == "filter":
         raise UsageError("filter needs --config or --dataset")
     raise UsageError("simulate needs --config")
+
+
+def _check_out(out: str) -> None:
+    """Reject an ``--out`` that cannot be made a directory, before any work."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists() or path.is_symlink():
+            if not path.is_dir():
+                raise UsageError(f"--out {out}: {path} exists and is not a directory")
+            return
 
 
 class _LazyStreams(Mapping):
@@ -234,11 +244,6 @@ _SENSOR_HEADER_SIM = ("mode", "sensor", *_SENSOR_COLUMNS)
 
 def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     scenario = _load_scenario(args, "simulate")
-    from .topology import validate
-
-    violations = validate(scenario.topology)
-    if violations:
-        raise ConfigError("invalid topology: " + "; ".join(violations))
     if scenario.duration_ms is None:
         raise ConfigError(
             "duration_ms is required in [run] (it is derived only when every source "
@@ -259,8 +264,9 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     configs: list = [] if scenario.mode == Mode.MIST_FOG_CLOUD else [None]
     if scenario.mode != Mode.CLOUD_ONLY:
         configs += scenario.grid
-    # Forked workers fetch the streams: each replay source's ingest block
-    # comes back as the note on its sensor.
+    # The engine checks the topology before it fetches any stream.  Forked
+    # workers fetch the streams: each replay source's ingest block comes
+    # back as the note on its sensor.
     results = simulate(
         scenario.topology, streams, configs, scenario.energy, scenario.duration_ms,
         message_size_bytes=scenario.message_size_bytes, seed=scenario.seed,
@@ -387,8 +393,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     try:
         command = _cmd_filter if args.command == "filter" else _cmd_simulate
+        _check_out(args.out)
         report, written, summary = command(args)
-    except (UsageError, ConfigError, FileNotFoundError) as exc:
+    except (UsageError, ConfigError, TopologyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

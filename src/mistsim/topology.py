@@ -6,13 +6,10 @@ rates and RAM are carried as descriptive capacity figures and reported
 as-is; the simulator does not model bandwidth saturation or memory.
 
 Validation and path lookup are one pass: :func:`validate` and
-:meth:`Topology.uplink_paths` both come from the same check, which indexes
+:meth:`Topology.uplink_paths` each call the same check once, which indexes
 the devices by id and the links by the devices they touch, so it costs time
-linear in devices plus links, in any declaration order.  A topology keeps
-its last check's result together with the device and link lists it checked,
-and reuses it only while both lists still compare equal, so validating and
-then resolving paths checks once, and edits to ``devices`` or ``links``
-always take effect.
+linear in devices plus links, in any declaration order.  Nothing is cached:
+each call checks ``devices`` and ``links`` as they stand.
 """
 
 from __future__ import annotations
@@ -27,6 +24,11 @@ _LINK_KINDS = (("gateway", "sensor"), ("cloud", "gateway"))  # sorted kind pairs
 # Conventional level per kind; validation only requires the ordering
 # cloud < gateway < sensor, not these exact numbers.
 DEFAULT_LEVELS = {"cloud": 0, "gateway": 1, "sensor": 2}
+
+
+class TopologyError(ValueError):
+    """A topology that is not a valid three-tier tree; the message lists
+    every violation."""
 
 
 class Device(namedtuple("Device", "id kind level uplink_kbps downlink_kbps ram_mb")):
@@ -59,15 +61,13 @@ class Link(NamedTuple):
 class Topology:
     """Devices and links in declaration order (order matters for tie-breaks)."""
 
-    __slots__ = ("devices", "links", "_last_check")
+    __slots__ = ("devices", "links")
 
     def __init__(
         self, devices: Optional[list[Device]] = None, links: Optional[list[Link]] = None
     ) -> None:
         self.devices: list[Device] = [] if devices is None else devices
         self.links: list[Link] = [] if links is None else links
-        # (devices, links) as last checked, and the check's result.
-        self._last_check: Optional[tuple] = None
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -108,13 +108,14 @@ class Topology:
         """Every sensor's path, in declaration order, from the validation pass.
 
         Maps each sensor id to ``(sensor->gateway link, gateway id,
-        gateway->cloud link)``.  Raises ``ValueError("invalid topology: ...")``
-        listing every violation :func:`validate` reports, if there is any.
+        gateway->cloud link)``.  Raises :class:`TopologyError("invalid
+        topology: ...") <TopologyError>` listing every violation
+        :func:`validate` reports, if there is any.
         """
-        violations, paths = _checked(self)
+        violations, paths = _check(self)
         if violations:
-            raise ValueError("invalid topology: " + "; ".join(violations))
-        return dict(paths)
+            raise TopologyError("invalid topology: " + "; ".join(violations))
+        return paths
 
 
 def validate(topology: Topology) -> list[str]:
@@ -126,20 +127,7 @@ def validate(topology: Topology) -> list[str]:
     devices plus links, plus the level pairs visited when some level
     ordering is broken.
     """
-    return list(_checked(topology)[0])
-
-
-def _checked(topology: Topology) -> tuple[list[str], dict[str, tuple[Link, str, Link]]]:
-    """:func:`_check`'s result, reused while ``devices`` and ``links`` compare equal.
-
-    Devices and links are frozen, so equal lists get the same result; the
-    comparison costs one identity test per element while neither list is
-    edited.
-    """
-    snapshot = (tuple(topology.devices), tuple(topology.links))
-    if topology._last_check is None or topology._last_check[0] != snapshot:
-        topology._last_check = (snapshot, _check(topology))
-    return topology._last_check[1]
+    return _check(topology)[0]
 
 
 def _check(topology: Topology) -> tuple[list[str], dict[str, tuple[Link, str, Link]]]:

@@ -39,7 +39,7 @@ from mistsim.engine import (
 )
 from mistsim.mist_filter import FilterConfig, Sample
 from mistsim.sources import SensorSpec, gen_normal
-from mistsim.topology import Device, Link, Topology, validate
+from mistsim.topology import Device, Link, Topology, TopologyError, validate
 from oracles import (
     dead_band_flags, delivery_trace, heap_network, loop_check_stream, to_rows, to_stream,
 )
@@ -212,6 +212,26 @@ def test_run_rejects_invalid_topology():
     topo.links.append(Link("s1", "cloud", 1.0))
     with pytest.raises(ValueError, match="invalid topology"):
         run(topo, {"s1": to_stream([]), "s2": to_stream([])}, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0)
+
+
+def test_simulate_checks_the_topology_before_fetching_any_stream():
+    # A sensor linked straight to the cloud: simulate raises the topology's
+    # own error, still a ValueError, before any stream is looked up.
+    topo = small_topology()
+    topo.links[1] = Link("s1", "cloud", 4.0)
+
+    class NoLookup(dict):
+        def __getitem__(self, sensor_id):
+            pytest.fail(f"stream {sensor_id!r} fetched")
+
+    streams = NoLookup(s1=to_stream([]), s2=to_stream([]))
+    with pytest.raises(TopologyError) as caught:
+        simulate(topo, streams, [None, FC], ENERGY, 1000.0)
+    assert isinstance(caught.value, ValueError)
+    assert str(caught.value) == (
+        "invalid topology: link 's1'->'cloud': only sensor-gateway and "
+        "gateway-cloud links are allowed, got cloud-sensor"
+    )
 
 
 def test_run_rejects_bad_duration_and_size():

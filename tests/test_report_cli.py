@@ -625,8 +625,8 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     # are measured unchecked.  The flags are the only record of what was
     # sent, so no transmission log is built, and the scenario is serialized
     # once for both of its echoes.
-    # The topology is checked once, by the CLI's validation, before any
-    # source is generated; the engine's path lookup reuses that check.
+    # The topology is checked once, by the engine's path lookup, before any
+    # source is generated.
     calls, counted = count_calls
     for name in ("check_stream", "_hash_source", "_topology_fp", "measure_grid"):
         counted(engine, name)
@@ -1108,6 +1108,72 @@ def test_exit_1_simulate_without_topology(tmp_path, capsys):
     cfg.write_text("[run]\nduration_ms = 1000\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfg)]) == 1
     assert "invalid topology" in capsys.readouterr().err
+
+
+def test_exit_1_topology_checked_once_by_the_engine(tmp_path, sim_cfg, capsys, monkeypatch):
+    # A sensor linked straight to the cloud is the config's only fault: the
+    # engine's path lookup reports it, in the CLI's words, before any source
+    # is generated, and the CLI never calls validate.
+    sim_cfg.write_text(SIM_CFG.replace("[link a gw]", "[link a cloud]"), encoding="utf-8")
+    monkeypatch.setattr(topology_module, "validate", lambda t: pytest.fail("validate called"))
+    monkeypatch.setattr(cli, "gen_normal", lambda spec: pytest.fail("source generated"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(sim_cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid topology: link 'a'->'cloud': only sensor-gateway and "
+        "gateway-cloud links are allowed, got cloud-sensor\n"
+    )
+    assert not out.exists()
+
+
+def test_exit_1_simulate_reports_config_faults_before_the_topology(tmp_path, sim_cfg, capsys):
+    # The topology is checked by the engine, so the CLI's own config checks,
+    # duration_ms first and then sensors against sources, come before it.
+    broken = SIM_CFG.replace("[link a gw]", "[link a cloud]")
+    replay = broken.split("[source b]")[0] + "[source b]\nkind = replay\nfile = b.csv\n"
+    sim_cfg.write_text(replay.replace("duration_ms = 200000\n", ""), encoding="utf-8")
+    assert main(["simulate", "--config", str(sim_cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: duration_ms is required in [run]")
+    sim_cfg.write_text(broken.replace("[source b]", "[source c]"), encoding="utf-8")
+    assert main(["simulate", "--config", str(sim_cfg)]) == 1
+    assert capsys.readouterr().err == "error: sensors without a [source] section: ['b']\n"
+
+
+@pytest.mark.parametrize("command", ["filter", "simulate"])
+@pytest.mark.parametrize("where", ["file", "below-file", "dangling-link"])
+def test_exit_1_out_that_cannot_be_a_directory(tmp_path, sim_cfg, capsys, monkeypatch, command, where):
+    # An --out that is a regular file, lies below one, or is a dangling
+    # symlink fails before any source is loaded, instead of after all the
+    # work; nothing is created.
+    monkeypatch.setattr(cli, "gen_normal", lambda spec: pytest.fail("source generated"))
+    blocker = tmp_path / "taken"
+    if where == "dangling-link":
+        blocker.symlink_to(tmp_path / "absent")
+    else:
+        blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / "sub" if where == "below-file" else blocker
+    assert main([command, "--config", str(sim_cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --out {out}: {blocker} exists and is not a directory\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.cfg", "taken"]
+    assert blocker.is_symlink() or blocker.read_text(encoding="utf-8") == "keep\n"
+
+
+def test_empty_column_is_not_replaced(tmp_path, sim_cfg, capsys):
+    # An empty --column is a name like any other: with --dataset, load_csv
+    # finds no such column; without it, it is a usage error.
+    csv = tmp_path / "d.csv"
+    csv.write_text("timestamp,value\n0,1.0\n1,2.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--dataset", str(csv), "--column", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"runtime error: {csv}: column '' not in header ['timestamp', 'value']\n"
+    )
+    assert not out.exists()
+    assert main(["filter", "--config", str(sim_cfg), "--column", "", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --column requires --dataset\n"
+    assert not out.exists()
 
 
 def test_exit_1_missing_dataset_file(tmp_path, capsys):
