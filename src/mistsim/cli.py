@@ -18,11 +18,11 @@ import argparse
 import sys
 from collections.abc import Mapping
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import __version__
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
-from .engine import Mode, compare, fork_map, measure_streams, simulate
+from .engine import Mode, compare, fork_map, measure_stream, simulate
 from .mist_filter import Stream
 # Unused here; perfbench/tracing.py wraps these names on this module.
 from .engine import run  # noqa: F401
@@ -124,14 +124,15 @@ class _LazyStreams(Mapping):
     """Each source's stream, generated or replayed only when looked up.
 
     Keys, ``len`` and iteration load nothing.  A lookup records a replay
-    source's ingest block, which :meth:`take_ingest` hands over; the caller
-    holds the only reference to the stream itself.  With ``duration_ms``, a
-    source that starts at or past it is rejected.
+    source's ingest block, which :meth:`note` hands over; the caller holds
+    the only reference to the stream itself.  With ``duration_ms``, a source
+    that starts at or past it is rejected.
     """
 
     def __init__(self, scenario: Scenario, duration_ms: Optional[float]) -> None:
         self._specs = {spec.device_id: spec for spec in scenario.sources}
         self._duration_ms = duration_ms
+        self._plot = scenario.plot_data
         self._ingest: dict[str, dict] = {}
 
     def __getitem__(self, source_id: str) -> Stream:
@@ -152,10 +153,13 @@ class _LazyStreams(Mapping):
             )
         return stream
 
-    def take_ingest(self, source_id: str) -> Optional[dict]:
-        """The ingest block this process's lookup of ``source_id`` recorded
-        (``None`` for a synthetic source), removed."""
-        return self._ingest.pop(source_id, None)
+    def note(self, source_id: str, kept: Stream) -> tuple[Optional[dict], Optional[tuple]]:
+        """``(ingest block, plot columns)`` of a measured source: the block
+        this process's lookup of ``source_id`` recorded, removed (``None``
+        for a synthetic source), and, with plots on, ``kept``'s two columns
+        (``None`` otherwise)."""
+        columns = (kept.timestamps, kept.values) if self._plot else None
+        return self._ingest.pop(source_id, None), columns
 
     def __contains__(self, source_id) -> bool:
         return source_id in self._specs
@@ -177,8 +181,8 @@ _SENSOR_HEADER_FILTER = ("n", "p", "sensor", *_SENSOR_COLUMNS)
 def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     """Filter and measure each source over the whole grid, each on its own.
 
-    The sources go through :func:`mistsim.engine.measure_streams`, the pass
-    ``simulate`` uses, with no horizon, spread by
+    Each source goes through :func:`mistsim.engine.measure_stream`, the
+    step ``simulate`` uses, with no horizon, spread by
     :func:`mistsim.engine.fork_map` over the CPUs the process may run on.
     Each process holds one source's stream at a time and keeps only its
     report blocks and, with plots on, its flags and the stream's two
@@ -192,15 +196,12 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     keep = scenario.plot_data
     streams = _LazyStreams(scenario, None)
 
-    def measure(ids: Iterator[str]) -> Iterator[tuple]:
-        """``(ingest block, plot columns, blocks)`` for each source in turn,
+    def measure(s: str) -> tuple:
+        """``((ingest block, plot columns), blocks)`` of source ``s``,
         ``blocks`` being ``[(report block, flags)]`` per grid point."""
-        for s, stream, measured in measure_streams(ids, streams, grid, None, "source"):
-            blocks = [(m.report.to_dict(), m.flags if keep else None) for m in measured]
-            columns = (stream.timestamps, stream.values) if keep else None
-            yield streams.take_ingest(s), columns, blocks
-            # Drop this source's stream before the next one is loaded.
-            del stream, measured
+        kept, measured = measure_stream(s, streams, grid, None, "source")
+        blocks = [(m.report.to_dict(), m.flags if keep else None) for m in measured]
+        return streams.note(s, kept), blocks
 
     ids = [spec.device_id for spec in scenario.sources]
     results = list(fork_map(measure, ids))
@@ -210,14 +211,14 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     plot_series: dict = {}
     for k, cfg in enumerate(grid):
         sensors = {}
-        for source_id, (_, columns, measured) in zip(ids, results):
+        for source_id, ((_, columns), measured) in zip(ids, results):
             block, flags = measured[k]
             sensors[source_id] = block
             sensor_rows.append((cfg.n, cfg.p, source_id, *(block[c] for c in _SENSOR_COLUMNS)))
             if keep:
                 plot_series[f"plot_{source_id}_n{cfg.n}_p{cfg.p!r}"] = (*columns, flags)
         runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors})
-    ingest = {source_id: block for source_id, (block, _, _) in zip(ids, results) if block is not None}
+    ingest = {source_id: block for source_id, ((block, _), _) in zip(ids, results) if block is not None}
 
     report = {
         "tool": {"name": "mistsim", "version": __version__},
@@ -265,13 +266,14 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     if scenario.mode != Mode.CLOUD_ONLY:
         configs += scenario.grid
     # The engine checks the topology before it fetches any stream.  Forked
-    # workers fetch the streams: each replay source's ingest block comes
-    # back as the note on its sensor.
+    # workers fetch the streams: each source's ingest block and plot
+    # columns come back as the note on its sensor.
     results = simulate(
         scenario.topology, streams, configs, scenario.energy, scenario.duration_ms,
         message_size_bytes=scenario.message_size_bytes, seed=scenario.seed,
-        note=streams.take_ingest, keep_streams=scenario.plot_data,
+        note=streams.note,
     )
+    notes = results[0].notes
 
     # In a sweep, each filtered run carries its grid point: as leading keys
     # of its run block and comparison row, and as the label suffix of its
@@ -302,8 +304,9 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     ]
     if comparisons:
         report["comparison"] = comparisons if sweep else comparisons[0]
-    if results[0].notes:
-        report["ingest"] = results[0].notes
+    ingest = {sensor_id: block for sensor_id, (block, _) in notes.items() if block is not None}
+    if ingest:
+        report["ingest"] = ingest
 
     sensor_rows = []
     link_rows = []
@@ -320,8 +323,7 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
             link_rows.append((label, link_name, usage["messages"], usage["bytes"], usage["byte_ms"]))
         if scenario.plot_data and metrics.mode == plotted:
             for sensor_id, flags in metrics.flags.items():
-                kept = metrics.kept_streams[sensor_id]
-                plot_series[f"plot_{sensor_id}{suffix}"] = (kept.timestamps, kept.values, flags)
+                plot_series[f"plot_{sensor_id}{suffix}"] = (*notes[sensor_id][1], flags)
 
     written = emit_report(
         report,

@@ -430,7 +430,7 @@ def load_config(path: str | Path, overrides: Optional[Overrides] = None) -> Scen
     """Read and parse a config file.  See :func:`parse_config`."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is not text
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except OSError as exc:  # a directory, say

@@ -17,11 +17,11 @@ sent: its log digest hashes the sent samples in the same pass.  A run is
 fully determined by its inputs.
 
 Both :func:`simulate` and ``mistsim filter`` take each stream, a
-:class:`~mistsim.mist_filter.Stream`, through one pass,
-:func:`measure_streams`, which holds one stream at a time, and spread
-their streams over the CPUs the process may run on with one fork
-primitive, :func:`fork_map`: each process runs its whole share before it
-hands anything over, so none waits on another while it still has work.
+:class:`~mistsim.mist_filter.Stream`, through one step,
+:func:`measure_stream`, and spread their streams over the CPUs the process
+may run on with one fork primitive, :func:`fork_map`, which maps a
+function over items: each process runs its whole share of the items before
+it hands anything over, so none waits on another while it still has work.
 
 Time is in milliseconds throughout.  Energy integrates an affine two-state
 model per device: ``busy_ms = messages * busy_ms_per_message`` (clamped to
@@ -41,7 +41,6 @@ from bisect import bisect_left
 from collections import deque, namedtuple
 from contextlib import closing
 from enum import Enum
-from functools import partial
 from itertools import compress, islice, takewhile
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -126,7 +125,7 @@ class RunMetrics:
         "sensor_reports", "flags", "log_digests", "link_usage", "device_messages",
         "device_busy_ms", "device_energy_j", "total_bytes", "total_byte_ms",
         "messages_emitted", "messages_delivered", "latency_count", "latency_min_ms",
-        "latency_max_ms", "latency_mean_ms", "cloud_id", "notes", "kept_streams",
+        "latency_max_ms", "latency_mean_ms", "cloud_id", "notes",
     )
 
     def __init__(
@@ -154,7 +153,6 @@ class RunMetrics:
         latency_mean_ms: float,
         cloud_id: str,
         notes: Optional[dict[str, object]] = None,
-        kept_streams: Optional[dict[str, Stream]] = None,
     ) -> None:
         self.mode = mode
         self.seed = seed
@@ -179,9 +177,8 @@ class RunMetrics:
         self.latency_mean_ms = latency_mean_ms
         self.cloud_id = cloud_id
         # Shared by every run of one simulate call, and not part of to_dict:
-        # what its note callback returned, and the kept streams it was asked to keep.
+        # what its note callback returned.
         self.notes = {} if notes is None else notes
-        self.kept_streams = {} if kept_streams is None else kept_streams
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not RunMetrics:
@@ -248,15 +245,6 @@ def _packed_sent(stream: Stream, flags: bytearray) -> bytes:
     )
 
 
-def _unpacked(packed: bytes) -> Stream:
-    """The stream that :func:`_packed` turned into ``packed``."""
-    pairs = array("d")
-    pairs.frombytes(packed)
-    if sys.byteorder == "big":
-        pairs.byteswap()
-    return Stream(pairs[0::2], pairs[1::2])
-
-
 def _log_digest(total: int, packed: bytes) -> str:
     """A sensor's log digest: SHA-256 of its kept count, a little-endian
     int64, then the samples it sent, :func:`_packed`."""
@@ -288,37 +276,32 @@ def _hash_source(h, sensor_id: str, packed: bytes) -> None:
     h.update(packed)
 
 
-def measure_streams(
-    ids: Iterable[str], streams: Mapping[str, Stream],
+def measure_stream(
+    s: str, streams: Mapping[str, Stream],
     configs: Sequence[Optional[FilterConfig]], duration_ms: Optional[float], label: str,
-) -> Iterator[tuple]:
-    """``(id, kept stream, grid)`` for each id in turn, one stream at a time:
-    the one per-stream pass of :func:`simulate` and ``mistsim filter``.
+) -> tuple[Stream, list]:
+    """``(kept stream, grid)`` of stream ``s``: the one per-stream step of
+    :func:`simulate` and ``mistsim filter``.
 
-    Each stream is fetched once, checked whole by :func:`check_stream`, cut
+    The stream is fetched once, checked whole by :func:`check_stream`, cut
     at ``duration_ms`` and measured: ``grid`` is :func:`measure_grid`'s
     list.  With a horizon, ``duration_ms`` not ``None``, a stream that
-    starts before 0 is rejected too; without one nothing is cut.  The first
-    stream that fails its check or its measure raises there, prefixed
-    ``"<label> '<id>': "``.  The caller must drop each stream before it
-    asks for the next.
+    starts before 0 is rejected too; without one nothing is cut.  A stream
+    that fails its check or its measure raises, prefixed
+    ``"<label> '<s>': "``.
     """
-    for s in ids:
-        stream = streams[s]
-        try:
-            check_stream(stream)
-            if duration_ms is not None:
-                if stream and stream.timestamps[0] < 0:  # ordered: the first is the least
-                    raise ValueError(f"negative timestamp {stream.timestamps[0]!r}")
-                cut = bisect_left(stream.timestamps, duration_ms)
-                if cut < len(stream):
-                    stream = Stream(stream.timestamps[:cut], stream.values[:cut])
-            grid = measure_grid(stream, configs)
-        except ValueError as exc:
-            raise ValueError(f"{label} {s!r}: {exc}") from None
-        yield s, stream, grid
-        # Drop this stream before the next one is fetched.
-        del stream, grid
+    stream = streams[s]
+    try:
+        check_stream(stream)
+        if duration_ms is not None:
+            if stream and stream.timestamps[0] < 0:  # ordered: the first is the least
+                raise ValueError(f"negative timestamp {stream.timestamps[0]!r}")
+            cut = bisect_left(stream.timestamps, duration_ms)
+            if cut < len(stream):
+                stream = Stream(stream.timestamps[:cut], stream.values[:cut])
+        return stream, measure_grid(stream, configs)
+    except ValueError as exc:
+        raise ValueError(f"{label} {s!r}: {exc}") from None
 
 
 def _cpu_count() -> int:
@@ -391,39 +374,37 @@ def _stop(children: list[tuple[int, BinaryIO]]) -> None:
     _reap(children)
 
 
-# An exception a share raised, in place of its item's result.
+# An exception ``func`` raised, in place of its item's result.
 _Raised = namedtuple("_Raised", "exc")
 
 
-def _whole(share: Callable[[Iterator], Iterator], own: Iterator) -> deque:
-    """``share``'s results over ``own``, run to its end or to its first
-    exception, which then ends the results as a :class:`_Raised`."""
+def _whole(func: Callable, own: Iterable) -> deque:
+    """``func(item)`` for each item of ``own``, up to the first item whose
+    call raises, whose exception then ends the results as a :class:`_Raised`."""
     results: deque = deque()
     try:
-        for result in share(own):
-            results.append(result)
+        for item in own:
+            results.append(func(item))
     except Exception as exc:
         results.append(_Raised(exc))
     return results
 
 
-def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator:
-    """One result per item, yielded in item order.
+def fork_map(func: Callable, items: Sequence) -> Iterator:
+    """``func(item)`` for each item, yielded in item order.
 
-    ``share`` is called once per worker with an iterator over that worker's
-    items and must yield one result per item, in turn.  :func:`_workers`
-    says how many workers there are; with one this is
-    ``share(iter(items))``, run lazily in this process.  Otherwise item
-    ``i`` goes to worker ``i % workers``: this process forks the others,
-    which inherit ``share`` and ``items`` as they are, and takes share 0.
-    Every process runs its whole share, to its end or to its first
-    exception, before it yields or sends anything, so none waits on another
-    while it still has work of its own; a worker then writes one pickle per
-    result to its pipe.  This process reads them in item order as it yields
-    them, and holds only the results it has not yet yielded.
+    :func:`_workers` says how many workers there are; with one this is
+    ``map(func, items)``, run lazily in this process.  Otherwise item ``i``
+    goes to worker ``i % workers``: this process forks the others, which
+    inherit ``func`` and ``items`` as they are, and takes share 0.  Every
+    process runs its whole share, to its end or to its first exception,
+    before it yields or sends anything, so none waits on another while it
+    still has work of its own; a worker then writes one pickle per result to
+    its pipe.  This process reads them in item order as it yields them, and
+    holds only the results it has not yet yielded.
 
-    A share's exception is raised at the item that raised it, so the first
-    one raised here, with its type and message, is the earliest item's.  A
+    An item's exception is raised at that item, so the first one raised
+    here, with its type and message, is the earliest item's.  A
     worker that ends without an item it owes raises ``OSError`` with its
     exit status.  Every worker is reaped when the iteration ends, and
     killed first when it raises or is closed; a consumer that may stop
@@ -432,7 +413,7 @@ def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator
     """
     workers = _workers(len(items))
     if workers == 1:
-        yield from share(iter(items))
+        yield from map(func, items)
         return
     import pickle  # only here, so runs that never fork load nothing new
 
@@ -441,7 +422,7 @@ def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator
     def body(w: int, pipe: BinaryIO) -> None:
         # Between items: a worker whose parent is gone takes no more.
         own = takewhile(lambda _: os.getppid() == parent, islice(items, w, None, workers))
-        for result in _whole(share, own):
+        for result in _whole(func, own):
             try:
                 pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
             except Exception as exc:  # say, a result that cannot be pickled
@@ -450,7 +431,7 @@ def fork_map(share: Callable[[Iterator], Iterator], items: Sequence) -> Iterator
 
     children = _fork(workers, body)
     try:
-        own = _whole(share, islice(items, 0, None, workers))
+        own = _whole(func, islice(items, 0, None, workers))
         for i in range(len(items)):
             w = i % workers
             if w == 0:
@@ -553,48 +534,6 @@ def _latency_summary(latencies: Sequence[float]) -> tuple[int, float, float, flo
     return len(latencies), least, greatest, total
 
 
-def _sensor_pass(
-    ids: Iterable[str], streams: Mapping[str, Stream],
-    configs: Sequence[Optional[FilterConfig]], duration_ms: float, paths: Mapping,
-    note: Optional[Callable[[str], object]],
-) -> Iterator[tuple]:
-    """What :func:`simulate` takes of each sensor in ``ids``, in turn: one
-    process's share of its pass.
-
-    Each stream goes through :func:`measure_streams`, so the first sensor
-    that fails to load, check or measure raises.  A sample's latency is
-    ``((t + l1) + l2) - t``, ``l1`` and ``l2`` being its two links'.  Yields
-    ``(id, packed, latencies, digest, runs, noted)``: the kept samples,
-    :func:`_packed`, their :func:`_latency_summary`, the cloud-only log
-    digest, per config ``(report, flags, digest, latencies)`` of what that
-    run sent, the last two ``None`` for the cloud-only config, and
-    ``note(id)`` (``None`` without ``note``).
-    """
-    for s, kept, grid in measure_streams(ids, streams, configs, duration_ms, "sensor"):
-        # Latencies and packed samples once per sensor, for every run: paths
-        # do not depend on the config.
-        first, _, second = paths[s]
-        l1, l2 = first.latency_ms, second.latency_ms
-        latencies = [((t + l1) + l2) - t for t in kept.timestamps]
-        total = len(kept)
-        runs = [
-            (m.report, m.flags, None, None) if config is None else (
-                m.report,
-                m.flags,
-                _log_digest(total, _packed_sent(kept, m.flags)),
-                _latency_summary(list(compress(latencies, m.flags))),
-            )
-            for config, m in zip(configs, grid)
-        ]
-        # Packed last, so that the whole stream's bytes never sit beside the
-        # packed copies of what each run sent.
-        packed = _packed(kept)
-        summary = _latency_summary(latencies)
-        yield s, packed, summary, _log_digest(total, packed), runs, note(s) if note else None
-        # Drop this sensor's stream and samples before the next one is fetched.
-        del kept, grid, packed, latencies, runs
-
-
 def simulate(
     topology: Topology,
     streams: Mapping[str, Stream],
@@ -604,8 +543,7 @@ def simulate(
     *,
     message_size_bytes: int = 100,
     seed: int = 0,
-    note: Optional[Callable[[str], object]] = None,
-    keep_streams: bool = False,
+    note: Optional[Callable[[str, Stream], object]] = None,
 ) -> list[RunMetrics]:
     """One :class:`RunMetrics` per filter config, in the order given.
 
@@ -617,19 +555,19 @@ def simulate(
     flight when the horizon passes are delivered (nothing is lost), while
     energy idles out the configured duration.
 
-    The sensors are spread by :func:`fork_map` over the CPUs the process
-    may run on.  Each process fetches each of its sensors' streams once, in
-    topology order, and drops it once measured, so with a lazy mapping a
-    process holds one stream while it measures, plus the results of its
-    share until this process has taken them: each sensor's kept samples,
-    packed, and per run a :func:`_latency_summary` and what that run
-    measured and sent: report, flags and log digest.  This process takes
-    them in topology order into the sources hash and the accounting, so the
-    results do not depend on the number of workers.  ``note``, if given, is called
-    with each sensor's id once its stream is measured, in the process
-    that fetched it; each run's ``notes`` maps the id to what it returned,
-    unless ``None``.  With ``keep_streams`` each run's ``kept_streams`` maps
-    every sensor to its kept samples.
+    Each sensor goes through :func:`measure_stream`, and the sensors are
+    spread by :func:`fork_map` over the CPUs the process may run on.  Each
+    process fetches each of its sensors' streams once, in topology order,
+    and drops it once measured, so with a lazy mapping a process holds one
+    stream while it measures, plus the results of its share until this
+    process has taken them: each sensor's kept samples, packed, and per run
+    a :func:`_latency_summary` and what that run measured and sent: report,
+    flags and log digest.  This process takes them in topology order into
+    the sources hash and the accounting, so the results do not depend on
+    the number of workers.  ``note``, if given, is called as ``note(id,
+    kept)`` once per sensor, with its stream cut at the horizon, in the
+    process that measured it; each run's ``notes`` maps the id to what it
+    returned, unless ``None``.
 
     Errors: the first sensor, in topology order, whose stream fails to
     load, check or measure raises, whatever the number of workers; a
@@ -654,6 +592,36 @@ def simulate(
     if extra:
         raise ValueError(f"streams for unknown sensors: {extra}")
 
+    def sensor(s: str) -> tuple:
+        """``(s, packed, latencies, digest, runs, noted)``: the id, its kept
+        samples, :func:`_packed`, their :func:`_latency_summary`, the
+        cloud-only log digest, per config ``(report, flags, digest,
+        latencies)`` of what that run sent, the last two ``None`` for the
+        cloud-only config, and what ``note`` returned.  A sample's latency
+        is ``((t + l1) + l2) - t``, ``l1`` and ``l2`` being its two links'.
+        """
+        kept, grid = measure_stream(s, streams, configs, duration_ms, "sensor")
+        noted = note(s, kept) if note else None
+        # Latencies and packed samples once per sensor, for every run: paths
+        # do not depend on the config.
+        first, _, second = paths[s]
+        l1, l2 = first.latency_ms, second.latency_ms
+        latencies = [((t + l1) + l2) - t for t in kept.timestamps]
+        total = len(kept)
+        runs = [
+            (m.report, m.flags, None, None) if config is None else (
+                m.report,
+                m.flags,
+                _log_digest(total, _packed_sent(kept, m.flags)),
+                _latency_summary(list(compress(latencies, m.flags))),
+            )
+            for config, m in zip(configs, grid)
+        ]
+        # Packed last, so that the whole stream's bytes never sit beside the
+        # packed copies of what each run sent.
+        packed = _packed(kept)
+        return s, packed, _latency_summary(latencies), _log_digest(total, packed), runs, noted
+
     # Every run sends some of the kept samples, and each float metric grows
     # with what is sent, so the run that sends them all, cloud-only, bounds
     # every run.
@@ -666,22 +634,15 @@ def simulate(
     reports: list[dict] = [{} for _ in configs]
     flags: list[dict] = [{} for _ in configs]
     notes: dict[str, object] = {}
-    kept_streams: dict[str, Stream] = {}
     # Imported here, not at the top, so that `mistsim filter`, which makes no
     # digest, never loads OpenSSL; before fork_map, so that workers inherit it.
     import hashlib
 
     sources_hash = hashlib.sha256()
-    share = partial(
-        _sensor_pass, streams=streams, configs=configs, duration_ms=duration_ms,
-        paths=paths, note=note,
-    )
-    with closing(fork_map(share, sensor_ids)) as sensors:
+    with closing(fork_map(sensor, sensor_ids)) as sensors:
         for s, packed, latencies, digest, runs, noted in sensors:
             _hash_source(sources_hash, s, packed)
             everything.add(s, digest, latencies)
-            if keep_streams:
-                kept_streams[s] = _unpacked(packed)
             del packed
             if noted is not None:
                 notes[s] = noted
@@ -723,7 +684,6 @@ def simulate(
                 flags=flags[i],
                 cloud_id=everything.cloud_id,
                 notes=notes,
-                kept_streams=kept_streams,
                 **fields,
             )
         )

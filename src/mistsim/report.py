@@ -262,7 +262,7 @@ def emit_report(
     for stem, (timestamps, values, flags) in plot_series.items():
         key = (id(timestamps), id(values), len(flags))
         by_columns.setdefault(key, (timestamps, values, []))[2].append((stem, flags))
-    list(fork_map(partial(map, partial(_write_plot_csvs, out)), list(by_columns.values())))
+    list(fork_map(partial(_write_plot_csvs, out), list(by_columns.values())))
     written.extend(out / f"{stem}.csv" for stem in plot_series)
 
     return written
@@ -347,9 +347,10 @@ def check_assertion(report: dict, expression: str) -> bool:
 
     node: Any = report
     for part in path.split("."):
+        digits = part.removeprefix("-")  # a list index: an optional "-", then ASCII digits
         if isinstance(node, dict) and part in node:
             node = node[part]
-        elif isinstance(node, list) and part.lstrip("-").isdigit():
+        elif isinstance(node, list) and digits.isascii() and digits.isdigit():
             idx = int(part)
             if -len(node) <= idx < len(node):
                 node = node[idx]

@@ -182,7 +182,7 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     gaps = 0
 
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:  # a byte-order mark is not text
             reader = csv.reader(handle, delimiter=spec.delimiter)
             try:
                 header = next(reader)

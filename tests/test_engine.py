@@ -17,7 +17,6 @@ import time
 import weakref
 from collections.abc import Mapping
 from contextlib import closing
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -33,7 +32,7 @@ from mistsim.engine import (
     account_energy,
     compare,
     fork_map,
-    measure_streams,
+    measure_stream,
     run,
     simulate,
 )
@@ -725,7 +724,7 @@ def checked_streams(draw):
 @given(scenario=checked_streams())
 @settings(max_examples=400, deadline=None)
 def test_property_stream_check_matches_the_loop_it_replaced(scenario):
-    # The shared pass checks and cuts the stream; simulate adds the rule
+    # The shared step checks and cuts the stream; simulate adds the rule
     # that the first timestamp is not negative.
     samples, duration = scenario
     topo = small_topology(sensor_count=1)
@@ -736,7 +735,7 @@ def test_property_stream_check_matches_the_loop_it_replaced(scenario):
             simulate(topo, {"s1": to_stream(samples)}, [None], ENERGY, duration)
         return
     stream = to_stream(samples)
-    ((_, got, grid),) = measure_streams(["s1"], {"s1": stream}, [None], duration, "sensor")
+    got, grid = measure_stream("s1", {"s1": stream}, [None], duration, "sensor")
     assert to_rows(got) == want
     assert grid[0].report.total_count == len(want)
     if len(want) == len(samples):
@@ -900,34 +899,75 @@ def test_simulate_runs_this_process_share_to_its_end_before_accounting(three_wor
     assert lazy.fetched[:4] == ["s1", "s4", "s7", ("add", "s1")]
 
 
-def test_measure_streams_holds_no_stream_at_the_next_fetch():
-    # The shared pass itself, under a caller that drops each stream's kept
-    # stream, as both commands do.
+@pytest.mark.parametrize("workers", [1, 3])
+def test_simulate_notes_each_sensor_once_where_it_was_measured(monkeypatch, workers):
+    # The note of each of five sensors sees its stream cut at the horizon
+    # (300 samples every 100 ms, cut at 25,000 ms), and is called right
+    # after that sensor's measure in the same process: each process's
+    # measures and notes go in step, on fork_map's schedule.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: workers)
+    specs = {f"s{i}": SensorSpec(f"s{i}", 25.0, 4.0, 100.0, 300, seed=i) for i in range(1, 6)}
+    measured, noted = [], []  # each forked worker appends to its own copies
+    real = engine.measure_grid
+
+    def measure_grid(stream, configs):
+        measured.append(len(stream))
+        return real(stream, configs)
+
+    def note(sensor_id, kept):
+        noted.append(sensor_id)
+        return os.getpid(), tuple(noted), len(measured), list(kept.timestamps), list(kept.values)
+
+    monkeypatch.setattr(engine, "measure_grid", measure_grid)
+    streams = {s: gen_normal(spec) for s, spec in specs.items()}
+    (metrics,) = simulate(small_topology(sensor_count=5), streams, [FC], ENERGY, 25_000.0, note=note)
+    ids = list(specs)
+    assert list(metrics.notes) == ids
+    pids = [metrics.notes[s][0] for s in ids]
+    assert pids[0] == os.getpid() and len(set(pids)) == workers
+    for i, s in enumerate(ids):
+        pid, seen, measures, timestamps, values = metrics.notes[s]
+        assert pid == pids[i % workers]
+        assert seen == tuple(ids[i % workers:i + 1:workers])  # once per sensor, in turn
+        assert measures == len(seen)
+        assert timestamps == [100.0 * k for k in range(250)]
+        assert values == list(streams[s].values[:250])
+
+
+def test_measure_stream_holds_no_stream_at_the_next_fetch():
+    # The shared step itself: the horizon cuts every stream, and nothing
+    # holds a fetched stream once its step has returned the cut copy.
     specs = {f"s{i}": SensorSpec(f"s{i}", 25.0, 0.0, 100.0, 300, seed=i) for i in range(1, 5)}
     lazy = FetchOnce(specs)
     totals = []
-    for s, kept, grid in measure_streams(["s1", "s2", "s3", "s4"], lazy, [FC], 25_000.0, "sensor"):
+    for s in ["s1", "s2", "s3", "s4"]:
+        kept, grid = measure_stream(s, lazy, [FC], 25_000.0, "sensor")
         assert len(kept) == 250
         totals.append(grid[0].report.total_count)
-        del kept
     assert lazy.fetched == ["s1", "s2", "s3", "s4"]
     assert [ref() for ref in lazy.refs] == [None] * 4
     assert totals == [250] * 4
 
 
-def test_measure_streams_raises_where_a_stream_fails_to_measure():
-    # s2's windows overflow: the pass raises there, and s3 and s4 are never
-    # fetched.
+def test_measure_stream_raises_where_a_stream_fails_to_measure(monkeypatch):
+    # s2's windows overflow: its step raises, labelled, and fork_map takes
+    # no item after it, so s3 and s4 are never fetched.  In one process,
+    # which sees every lookup.
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 1)
     specs = {
         f"s{i}": SensorSpec(f"s{i}", 1e308 if i == 2 else 25.0, 0.0, 100.0, 300, seed=i)
         for i in range(1, 5)
     }
     lazy = FetchOnce(specs)
     measured = []
+
+    def measure(s):
+        kept, _ = measure_stream(s, lazy, [FC], 25_000.0, "sensor")
+        measured.append(s)
+        return len(kept)
+
     with pytest.raises(ValueError, match="^sensor 's2': window average overflowed to inf"):
-        for s, kept, _ in measure_streams(["s1", "s2", "s3", "s4"], lazy, [FC], 25_000.0, "sensor"):
-            measured.append(s)
-            del kept
+        list(fork_map(measure, ["s1", "s2", "s3", "s4"]))
     assert measured == ["s1"]
     assert lazy.fetched == ["s1", "s2"]
 
@@ -1025,7 +1065,7 @@ def _tagged(x):
 @pytest.mark.parametrize("count", [1, 3, 10])
 def test_fork_map_keeps_item_order(three_workers, count):
     # One item runs here; three take one worker each; ten go round-robin.
-    got = list(fork_map(partial(map, _tagged), range(count)))
+    got = list(fork_map(_tagged, range(count)))
     assert [value for value, _ in got] == [x * x for x in range(count)]
     pids = [pid for _, pid in got]
     assert pids[0] == os.getpid()
@@ -1036,14 +1076,22 @@ def test_fork_map_keeps_item_order(three_workers, count):
 def test_fork_map_returns_results_larger_than_a_pipe_buffer(three_workers):
     # A worker blocks on its full pipe until this process reads it: each
     # pipe is drained before its worker is reaped.
-    assert list(fork_map(partial(map, lambda x: bytes([x]) * 300_000), range(3))) == [
-        bytes([x]) * 300_000 for x in range(3)
-    ]
+    def big(x):
+        return bytes([x]) * 300_000
+
+    assert list(fork_map(big, range(3))) == [big(x) for x in range(3)]
+    # Closed after two of nine items, while the workers are blocked writing
+    # theirs: they are killed and reaped, and no child is left behind.
+    results = fork_map(big, range(9))
+    assert next(results) == big(0)
+    assert next(results) == big(1)
+    results.close()
 
 
 def test_fork_map_raises_the_earliest_failing_item(three_workers):
     # Items 4 and 5 fail in two children, item 6 in this process's share:
-    # item 4's exception is raised, with its type and message.
+    # the items before item 4 are yielded, then item 4's exception is
+    # raised, with its type and message.
     def func(x):
         if x == 4:
             raise LookupError("item 4")
@@ -1051,8 +1099,11 @@ def test_fork_map_raises_the_earliest_failing_item(three_workers):
             raise ValueError(f"item {x}")
         return x
 
+    got = []
     with pytest.raises(LookupError) as excinfo:
-        list(fork_map(partial(map, func), range(8)))
+        for x in fork_map(func, range(8)):
+            got.append(x)
+    assert got == [0, 1, 2, 3]
     assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
 
 
@@ -1069,7 +1120,7 @@ def test_fork_map_runs_this_process_share_to_its_end_before_reading_a_worker(thr
         return x
 
     with pytest.raises(LookupError, match="^item 1$"):
-        list(fork_map(partial(map, func), range(6)))
+        list(fork_map(func, range(6)))
     assert computed == [0, 3]
 
 
@@ -1080,7 +1131,7 @@ def test_fork_map_reports_a_worker_that_died(three_workers):
         return x
 
     with pytest.raises(OSError, match=r"exit status -9"):
-        list(fork_map(partial(map, func), range(6)))
+        list(fork_map(func, range(6)))
 
 
 class _ExitWhilePickled:
@@ -1095,18 +1146,17 @@ def test_fork_map_reports_a_result_cut_short_after_a_pipe_buffer(three_workers):
     # exits while pickling the rest: the part already read is not mistaken
     # for a result, and no worker is left behind.
     with pytest.raises(OSError, match=r"exit status 3\)"):
-        list(fork_map(partial(map, lambda x: (bytes(300_000), _ExitWhilePickled())), range(3)))
+        list(fork_map(lambda x: (bytes(300_000), _ExitWhilePickled()), range(3)))
 
 
 def test_fork_map_children_never_flush_inherited_stdout():
     # Stdout on a pipe is block-buffered: text printed before the fork is
     # still in the buffer each child inherits, and must appear once.
     code = (
-        "from functools import partial\n"
         "from mistsim import engine\n"
         "engine._cpu_count = lambda: 3\n"
         "print('before the fork', end=' ')\n"
-        "print(list(engine.fork_map(partial(map, abs), [-1, -2, -3, -4])))\n"
+        "print(list(engine.fork_map(abs, [-1, -2, -3, -4])))\n"
     )
     assert _python_stdout(code) == "before the fork [1, 2, 3, 4]\n"
 
@@ -1116,7 +1166,7 @@ def test_fork_map_runs_inline_while_another_thread_runs(three_workers):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        got = list(fork_map(partial(map, _tagged), range(5)))
+        got = list(fork_map(_tagged, range(5)))
         assert got == [(x * x, os.getpid()) for x in range(5)]
     finally:
         stop.set()
@@ -1188,98 +1238,44 @@ def test_cold_start_leaves_unused_modules_unloaded(tmp_path):
     assert _python_stdout(code) == "[]\n[]\n['_hashlib', 'hashlib']\n"
 
 
-def _numbered(xs):
-    """Each item with its place in this share and the pid of its process."""
-    for k, x in enumerate(xs):
-        yield x, k, os.getpid()
-
-
-@pytest.mark.parametrize("count", [1, 3, 10])
-def test_fork_stream_keeps_item_order_with_one_share_per_worker(three_workers, count):
-    # Taken one item at a time under closing(), as simulate takes it: item i
-    # goes to worker i % 3, whose share numbers its items from 0.
-    with closing(fork_map(_numbered, range(count))) as stream:
-        got = [next(stream) for _ in range(count)]
-        assert next(stream, None) is None
-    workers = min(count, 3)
-    assert [x for x, _, _ in got] == list(range(count))
-    assert [k for _, k, _ in got] == [i // workers for i in range(count)]
-    pids = [pid for _, _, pid in got]
-    assert pids[0] == os.getpid()
-    assert len(set(pids)) == workers
-    assert all(pids[i] == pids[i % workers] for i in range(count))
-
-
 @pytest.mark.parametrize("count", [1, 3, 10])
 def test_fork_map_keeps_item_order_with_one_share_per_worker(three_workers, count):
-    # The same, taken whole with list(), as filter and the plot writer take it.
-    got = list(fork_map(_numbered, range(count)))
+    # Item i goes to worker i % 3, which numbers its items from 0: taken
+    # whole with list(), as filter and the plot writer take it, and one item
+    # at a time under closing(), as simulate takes it.
+    def numbered():
+        """Each item with its place among its process's items, and that process's pid."""
+        places = itertools.count()  # each forked worker counts on its own copy
+        return lambda x: (x, next(places), os.getpid())
+
+    whole = list(fork_map(numbered(), range(count)))
+    with closing(fork_map(numbered(), range(count))) as results:
+        one_by_one = [next(results) for _ in range(count)]
+        assert next(results, None) is None
     workers = min(count, 3)
-    assert [x for x, _, _ in got] == list(range(count))
-    assert [k for _, k, _ in got] == [i // workers for i in range(count)]
-    pids = [pid for _, _, pid in got]
-    assert pids[0] == os.getpid()
-    assert len(set(pids)) == workers
-    assert all(pids[i] == pids[i % workers] for i in range(count))
-
-
-def test_fork_stream_raises_the_earliest_failing_item_after_the_items_before_it(three_workers):
-    # Items 4 and 5 fail in two workers, item 6 in this process's share.
-    def share(xs):
-        for x in xs:
-            if x == 4:
-                raise LookupError("item 4")
-            if x >= 5:
-                raise ValueError(f"item {x}")
-            yield x
-
-    got = []
-    with pytest.raises(LookupError) as excinfo:
-        for x in fork_map(share, range(8)):
-            got.append(x)
-    assert got == [0, 1, 2, 3]
-    assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
-
-
-def test_fork_stream_reaps_workers_blocked_on_a_full_pipe_when_closed(three_workers):
-    # Each item is larger than a pipe buffer, so the workers are blocked
-    # writing when the consumer stops after the first two items.
-    def share(xs):
-        for x in xs:
-            yield bytes([x]) * 300_000
-
-    stream = fork_map(share, range(9))
-    assert next(stream) == bytes([0]) * 300_000
-    assert next(stream) == bytes([1]) * 300_000
-    stream.close()
-
-
-def test_fork_stream_reports_a_worker_that_died(three_workers):
-    def share(xs):
-        for x in xs:
-            if x == 2:
-                os.kill(os.getpid(), signal.SIGKILL)
-            yield x
-
-    with pytest.raises(OSError, match=r"exit status -9"):
-        list(fork_map(share, range(6)))
+    for got in (whole, one_by_one):
+        assert [x for x, _, _ in got] == list(range(count))
+        assert [k for _, k, _ in got] == [i // workers for i in range(count)]
+        pids = [pid for _, _, pid in got]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == workers
+        assert all(pids[i] == pids[i % workers] for i in range(count))
 
 
 def test_fork_map_kills_the_workers_when_it_raises():
-    # Item 0 raises in this process while each worker's share sleeps for a
-    # minute: the error is raised at once, not after the workers' shares.
+    # Item 0 raises in this process while each worker's item sleeps for a
+    # minute: the error is raised at once, not after the workers' items.
     code = (
         "import sys, time\n"
         f"sys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n"
         "from mistsim import engine\n"
         "engine._cpu_count = lambda: 3\n"
-        "def share(xs):\n"
-        "    for x in xs:\n"
-        "        if x == 0:\n"
-        "            raise LookupError('item 0')\n"
-        "        time.sleep(60)\n"
-        "        yield x\n"
-        "list(engine.fork_map(share, range(3)))\n"
+        "def item(x):\n"
+        "    if x == 0:\n"
+        "        raise LookupError('item 0')\n"
+        "    time.sleep(60)\n"
+        "    return x\n"
+        "list(engine.fork_map(item, range(3)))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
     assert done.returncode == 1
@@ -1302,7 +1298,7 @@ def test_fork_map_workers_stop_once_their_parent_is_killed(tmp_path):
         "        fh.write(f'{os.getpid()} {time.time()!r}\\n')\n"
         "    time.sleep(0.2)\n"
         "    return x\n"
-        "list(engine.fork_map(lambda own: map(item, own), range(30)))\n"
+        "list(engine.fork_map(item, range(30)))\n"
     )
 
     def started():

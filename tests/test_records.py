@@ -374,13 +374,13 @@ def _run_metrics_fields() -> dict:
 def test_run_metrics_construction_defaults_equality_and_repr():
     fields = _run_metrics_fields()
     metrics = RunMetrics(**fields)
-    assert metrics.notes == {} and metrics.kept_streams == {}
+    assert metrics.notes == {}
     assert RunMetrics(**fields).notes is not metrics.notes  # a fresh dict each time
     assert metrics == RunMetrics(*fields.values())
-    assert metrics == RunMetrics(*fields.values(), {}, {})
+    assert metrics == RunMetrics(*fields.values(), {})
     assert metrics != RunMetrics(**{**fields, "total_bytes": 101})
     assert metrics != RunMetrics(**fields, notes={"s": 1})
-    every = {**fields, "notes": {}, "kept_streams": {}}
+    every = {**fields, "notes": {}}
     assert repr(metrics) == "RunMetrics(" + ", ".join(f"{k}={v!r}" for k, v in every.items()) + ")"
     with pytest.raises(TypeError):
         hash(metrics)

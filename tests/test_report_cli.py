@@ -490,6 +490,8 @@ REPORT = {
         ("runs.0.sensors.S1.note > 0", False),  # None never satisfies
         ("runs.0.sensors.S2.reduction_percent > 0", False),  # missing path
         ("runs.5.sensors.S1.reduction_percent > 0", False),  # bad index
+        ("runs.--1.sensors.S1.reduction_percent >= 0", False),  # not an index
+        ("runs.\u00b2.sensors.S1.reduction_percent >= 0", False),  # a digit int() rejects
         ("flag == 1", False),  # booleans are not numbers here
         # A link key holds '>': the operator is the last one in the expression.
         ("links.S1->gw.messages > 5", True),
@@ -1101,6 +1103,28 @@ def test_exit_1_config_not_utf_8_names_the_file_and_line(tmp_path, capsys):
         f"error: {cfg}: line 4: 'utf-8' codec can't decode byte 0xe9 in position 5: "
         "invalid continuation byte\n"
     )
+
+
+@pytest.mark.parametrize("command", ["simulate", "filter"])
+def test_a_utf_8_byte_order_mark_changes_no_output(tmp_path, monkeypatch, command):
+    # A config and a replay file that each start with a UTF-8 byte-order
+    # mark give the resolved.cfg and report.json of the same files without
+    # one.  Each pair runs from its own directory, so the replay path the
+    # config echoes is the same relative path.
+    text = SIM_CFG + "\n[device c]\nkind = sensor\n\n[link c gw]\nlatency_ms = 5\n"
+    text += "\n[source c]\nkind = replay\nfile = c.csv\n"
+    rows = "timestamp,value\n" + "".join(f"{100 * k},{20 + k % 7}\n" for k in range(50))
+    outputs = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        here = tmp_path / ("marked" if mark else "plain")
+        here.mkdir()
+        (here / "scenario.cfg").write_bytes(mark + text.encode())
+        (here / "c.csv").write_bytes(mark + rows.encode())
+        monkeypatch.chdir(here)
+        assert main([command, "--config", "scenario.cfg", "--out", "out", "--quiet"]) == 0
+        outputs.append([(here / "out" / name).read_bytes() for name in ("resolved.cfg", "report.json")])
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1][1])["ingest"]["c"]["samples"] == 50
 
 
 def test_exit_1_simulate_without_topology(tmp_path, capsys):
