@@ -1080,30 +1080,21 @@ def test_fork_map_returns_results_larger_than_a_pipe_buffer(three_workers):
         return bytes([x]) * 300_000
 
     assert list(fork_map(big, range(3))) == [big(x) for x in range(3)]
-    # Closed after two of nine items, while the workers are blocked writing
-    # theirs: they are killed and reaped, and no child is left behind.
-    results = fork_map(big, range(9))
-    assert next(results) == big(0)
-    assert next(results) == big(1)
-    results.close()
+
+
+def _fails_from_item_4(x):
+    if x == 4:
+        raise LookupError("item 4")
+    if x >= 5:
+        raise ValueError(f"item {x}")
+    return x
 
 
 def test_fork_map_raises_the_earliest_failing_item(three_workers):
     # Items 4 and 5 fail in two children, item 6 in this process's share:
-    # the items before item 4 are yielded, then item 4's exception is
-    # raised, with its type and message.
-    def func(x):
-        if x == 4:
-            raise LookupError("item 4")
-        if x >= 5:
-            raise ValueError(f"item {x}")
-        return x
-
-    got = []
+    # item 4's exception is raised, with its type and message.
     with pytest.raises(LookupError) as excinfo:
-        for x in fork_map(func, range(8)):
-            got.append(x)
-    assert got == [0, 1, 2, 3]
+        list(fork_map(_fails_from_item_4, range(8)))
     assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
 
 
@@ -1124,14 +1115,15 @@ def test_fork_map_runs_this_process_share_to_its_end_before_reading_a_worker(thr
     assert computed == [0, 3]
 
 
-def test_fork_map_reports_a_worker_that_died(three_workers):
-    def func(x):
-        if x == 2:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return x
+def _dies_at_item_2(x):
+    if x == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
 
+
+def test_fork_map_reports_a_worker_that_died(three_workers):
     with pytest.raises(OSError, match=r"exit status -9"):
-        list(fork_map(func, range(6)))
+        list(fork_map(_dies_at_item_2, range(6)))
 
 
 class _ExitWhilePickled:
@@ -1238,28 +1230,70 @@ def test_cold_start_leaves_unused_modules_unloaded(tmp_path):
     assert _python_stdout(code) == "[]\n[]\n['_hashlib', 'hashlib']\n"
 
 
+def _numbered():
+    """Each item with its place among its process's items, and that process's pid."""
+    places = itertools.count()  # each forked worker counts on its own copy
+    return lambda x: (x, next(places), os.getpid())
+
+
+def _assert_one_share_per_worker(got, count):
+    """Item i came from worker i % workers, which numbered its items from 0."""
+    workers = min(count, 3)
+    assert [x for x, _, _ in got] == list(range(count))
+    assert [k for _, k, _ in got] == [i // workers for i in range(count)]
+    pids = [pid for _, _, pid in got]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == workers
+    assert all(pids[i] == pids[i % workers] for i in range(count))
+
+
+# The test_fork_stream_* tests take fork_map's results one item at a time, as
+# simulate takes them (fork_stream was the name of that use), where the
+# test_fork_map_* tests take them whole with list(), as filter and the plot
+# writer do.
+
+
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_fork_stream_keeps_item_order_with_one_share_per_worker(three_workers, count):
+    # Taken one item at a time under closing(), as simulate takes it.
+    with closing(fork_map(_numbered(), range(count))) as results:
+        got = [next(results) for _ in range(count)]
+        assert next(results, None) is None
+    _assert_one_share_per_worker(got, count)
+
+
 @pytest.mark.parametrize("count", [1, 3, 10])
 def test_fork_map_keeps_item_order_with_one_share_per_worker(three_workers, count):
-    # Item i goes to worker i % 3, which numbers its items from 0: taken
-    # whole with list(), as filter and the plot writer take it, and one item
-    # at a time under closing(), as simulate takes it.
-    def numbered():
-        """Each item with its place among its process's items, and that process's pid."""
-        places = itertools.count()  # each forked worker counts on its own copy
-        return lambda x: (x, next(places), os.getpid())
+    # The same, taken whole with list(), as filter and the plot writer take it.
+    _assert_one_share_per_worker(list(fork_map(_numbered(), range(count))), count)
 
-    whole = list(fork_map(numbered(), range(count)))
-    with closing(fork_map(numbered(), range(count))) as results:
-        one_by_one = [next(results) for _ in range(count)]
-        assert next(results, None) is None
-    workers = min(count, 3)
-    for got in (whole, one_by_one):
-        assert [x for x, _, _ in got] == list(range(count))
-        assert [k for _, k, _ in got] == [i // workers for i in range(count)]
-        pids = [pid for _, _, pid in got]
-        assert pids[0] == os.getpid()
-        assert len(set(pids)) == workers
-        assert all(pids[i] == pids[i % workers] for i in range(count))
+
+def test_fork_stream_raises_the_earliest_failing_item_after_the_items_before_it(three_workers):
+    # Items 4 and 5 fail in two workers, item 6 in this process's share.
+    got = []
+    with pytest.raises(LookupError) as excinfo:
+        for x in fork_map(_fails_from_item_4, range(8)):
+            got.append(x)
+    assert got == [0, 1, 2, 3]
+    assert excinfo.type is LookupError and str(excinfo.value) == "item 4"
+
+
+def test_fork_stream_reaps_workers_blocked_on_a_full_pipe_when_closed(three_workers):
+    # Each item is larger than a pipe buffer, so the workers are blocked
+    # writing when the consumer stops after the first two items.
+    results = fork_map(lambda x: bytes([x]) * 300_000, range(9))
+    assert next(results) == bytes([0]) * 300_000
+    assert next(results) == bytes([1]) * 300_000
+    results.close()
+
+
+def test_fork_stream_reports_a_worker_that_died(three_workers):
+    # Item 2's worker dies: items 0 and 1 are yielded before it is reported.
+    got = []
+    with pytest.raises(OSError, match=r"exit status -9"):
+        for x in fork_map(_dies_at_item_2, range(6)):
+            got.append(x)
+    assert got == [0, 1]
 
 
 def test_fork_map_kills_the_workers_when_it_raises():
