@@ -48,47 +48,19 @@ class Overrides(NamedTuple):
     replace_sources: Optional[tuple[SourceSpec, ...]] = None
 
 
-class Scenario:
+class Scenario(NamedTuple):
     """A fully resolved run description."""
 
-    __slots__ = (
-        "topology", "sources", "n_values", "p_values", "energy", "seed", "duration_ms",
-        "message_size_bytes", "mode", "plot_data",
-    )
-
-    def __init__(
-        self,
-        topology: Topology,
-        sources: tuple[SourceSpec, ...],
-        n_values: tuple[int, ...],
-        p_values: tuple[float, ...],
-        energy: EnergyModel,
-        seed: int,
-        duration_ms: Optional[float],
-        message_size_bytes: int,
-        mode: str,
-        plot_data: Optional[bool],
-    ) -> None:
-        self.topology = topology
-        self.sources = sources
-        self.n_values = n_values
-        self.p_values = p_values
-        self.energy = energy
-        self.seed = seed
-        self.duration_ms = duration_ms
-        self.message_size_bytes = message_size_bytes
-        self.mode = mode
-        self.plot_data = plot_data
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Scenario:
-            return NotImplemented
-        names = self.__slots__
-        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"Scenario({fields})"
+    topology: Topology
+    sources: tuple[SourceSpec, ...]
+    n_values: tuple[int, ...]
+    p_values: tuple[float, ...]
+    energy: EnergyModel
+    seed: int
+    duration_ms: Optional[float]
+    message_size_bytes: int
+    mode: str
+    plot_data: Optional[bool]
 
     @property
     def grid(self) -> tuple[FilterConfig, ...]:

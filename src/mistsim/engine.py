@@ -42,7 +42,7 @@ from collections import deque, namedtuple
 from contextlib import closing
 from enum import Enum
 from itertools import compress, islice, takewhile
-from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .mist_filter import FilterConfig, Stream, check_stream
 from .reconstruction import ErrorReport, measure_grid
@@ -117,78 +117,34 @@ def account_energy(
     return busy_ms, energy_j
 
 
-class RunMetrics:
+class RunMetrics(NamedTuple):
     """Everything one run measured.  ``to_dict`` is the stable serial form."""
 
-    __slots__ = (
-        "mode", "seed", "duration_ms", "message_size_bytes", "topology_fp", "sources_fp",
-        "sensor_reports", "flags", "log_digests", "link_usage", "device_messages",
-        "device_busy_ms", "device_energy_j", "total_bytes", "total_byte_ms",
-        "messages_emitted", "messages_delivered", "latency_count", "latency_min_ms",
-        "latency_max_ms", "latency_mean_ms", "cloud_id", "notes",
-    )
-
-    def __init__(
-        self,
-        mode: str,
-        seed: int,
-        duration_ms: float,
-        message_size_bytes: int,
-        topology_fp: str,
-        sources_fp: str,
-        sensor_reports: dict[str, ErrorReport],
-        flags: dict[str, bytearray],
-        log_digests: dict[str, str],
-        link_usage: dict[str, dict],
-        device_messages: dict[str, int],
-        device_busy_ms: dict[str, float],
-        device_energy_j: dict[str, float],
-        total_bytes: int,
-        total_byte_ms: float,
-        messages_emitted: int,
-        messages_delivered: int,
-        latency_count: int,
-        latency_min_ms: float,
-        latency_max_ms: float,
-        latency_mean_ms: float,
-        cloud_id: str,
-        notes: Optional[dict[str, object]] = None,
-    ) -> None:
-        self.mode = mode
-        self.seed = seed
-        self.duration_ms = duration_ms
-        self.message_size_bytes = message_size_bytes
-        self.topology_fp = topology_fp
-        self.sources_fp = sources_fp
-        self.sensor_reports = sensor_reports
-        self.flags = flags
-        self.log_digests = log_digests
-        self.link_usage = link_usage
-        self.device_messages = device_messages
-        self.device_busy_ms = device_busy_ms
-        self.device_energy_j = device_energy_j
-        self.total_bytes = total_bytes
-        self.total_byte_ms = total_byte_ms
-        self.messages_emitted = messages_emitted
-        self.messages_delivered = messages_delivered
-        self.latency_count = latency_count
-        self.latency_min_ms = latency_min_ms
-        self.latency_max_ms = latency_max_ms
-        self.latency_mean_ms = latency_mean_ms
-        self.cloud_id = cloud_id
-        # Shared by every run of one simulate call, and not part of to_dict:
-        # what its note callback returned.
-        self.notes = {} if notes is None else notes
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RunMetrics:
-            return NotImplemented
-        names = self.__slots__
-        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"RunMetrics({fields})"
+    mode: str
+    seed: int
+    duration_ms: float
+    message_size_bytes: int
+    topology_fp: str
+    sources_fp: str
+    sensor_reports: dict[str, ErrorReport]
+    flags: dict[str, bytearray]
+    log_digests: dict[str, str]
+    link_usage: dict[str, dict]
+    device_messages: dict[str, int]
+    device_busy_ms: dict[str, float]
+    device_energy_j: dict[str, float]
+    total_bytes: int
+    total_byte_ms: float
+    messages_emitted: int
+    messages_delivered: int
+    latency_count: int
+    latency_min_ms: float
+    latency_max_ms: float
+    latency_mean_ms: float
+    cloud_id: str
+    # Shared by every run of one simulate call, and not part of to_dict:
+    # what its note callback returned.
+    notes: Optional[dict[str, object]] = None
 
     def to_dict(self) -> dict:
         """Plain nested dict; each sensor's sent samples appear as a digest only."""

@@ -140,11 +140,13 @@ def undecodable_line(path: Path) -> tuple[int, UnicodeDecodeError]:
 def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     """Replay a CSV column as a sample stream.
 
-    A header row is required.  Data rows that cannot be parsed (missing
-    cells, non-numeric values, unreadable timestamps, non-finite values) are
-    skipped and counted, as are rows whose timestamp fails to advance.  When
-    ``expected_period`` is set, a gap is counted whenever the spacing between
-    consecutive kept samples exceeds 1.5 times the expected period.
+    A header row is required, and it must name the timestamp and value
+    columns once each (after ``strip()``), else ``ValueError``.  Data rows
+    that cannot be parsed (missing cells, non-numeric values, unreadable
+    timestamps, non-finite values) are skipped and counted, as are rows
+    whose timestamp fails to advance.  When ``expected_period`` is set, a
+    gap is counted whenever the spacing between consecutive kept samples
+    exceeds 1.5 times the expected period.
 
     A path that is missing or is not a regular file (a directory, say)
     raises ``FileNotFoundError`` saying which.  A file the reader cannot
@@ -159,12 +161,14 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     from datetime import datetime, timezone
 
     def parse_timestamp(cell: str) -> float:
-        """ISO-8601 first, then epoch seconds.  Naive datetimes count as UTC."""
+        """Epoch seconds if ``float`` reads the cell, else ISO-8601, so a cell
+        such as ``20240101`` means the same on every Python.  Naive datetimes
+        count as UTC."""
         text = cell.strip()
         try:
-            dt = datetime.fromisoformat(text)
-        except ValueError:
             return float(text)
+        except ValueError:
+            dt = datetime.fromisoformat(text)
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         return dt.timestamp()
@@ -188,12 +192,16 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
                 header = next(reader)
             except StopIteration:
                 raise ValueError(f"{path}: empty file, a header row is required") from None
-            columns = {name.strip(): idx for idx, name in enumerate(header)}
+            names = [name.strip() for name in header]
             for needed in (spec.timestamp_column, spec.value_column):
-                if needed not in columns:
+                if needed not in names:
                     raise ValueError(f"{path}: column {needed!r} not in header {header!r}")
-            ts_idx = columns[spec.timestamp_column]
-            val_idx = columns[spec.value_column]
+                if names.count(needed) > 1:
+                    raise ValueError(
+                        f"{path}: column {needed!r} named more than once in header {header!r}"
+                    )
+            ts_idx = names.index(spec.timestamp_column)
+            val_idx = names.index(spec.value_column)
 
             for row in reader:
                 rows_read += 1

@@ -114,6 +114,31 @@ def normal_samples(spec):
     return [(k * spec.period_ms, spec.mean + spec.stddev * normals[k]) for k in range(spec.count)]
 
 
+def normal_suppression_rate(mu, sd, n, p, steps=4000):
+    """The share of judged values the dead band suppresses on an i.i.d.
+    N(mu, sd) source, sd > 0, in closed form.
+
+    The window mean ``A`` of the ``n`` values before the judged value ``X``
+    is N(mu, sd^2 / n) and independent of ``X``, so the rate is
+    ``E_A[Phi((A + p|A| - mu) / sd) - Phi((A - p|A| - mu) / sd)]``.  The
+    expectation is a trapezoid rule over ``A = mu + z * sd / sqrt(n)``,
+    ``z`` from -8 to 8.
+    """
+
+    def phi(z):
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+
+    def integrand(z):
+        a = mu + z * sd / math.sqrt(n)
+        band = p * abs(a)
+        inside = phi((a + band - mu) / sd) - phi((a - band - mu) / sd)
+        return inside * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    h = 16.0 / steps
+    ends = 0.5 * (integrand(-8.0) + integrand(8.0))
+    return h * (ends + sum(integrand(-8.0 + k * h) for k in range(1, steps)))
+
+
 def heap_network(devices, links, emitted, size_bytes, duration_ms, energy_params):
     """The event-queue engine: every delivery pushed through a heap, one hop at a time.
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import statistics
 import tracemalloc
 from itertools import compress
 
@@ -30,7 +32,7 @@ from mistsim.reconstruction import (
     reduction_stats,
 )
 from mistsim.sources import SensorSpec, gen_normal
-from oracles import dead_band_flags, hold_last, to_stream
+from oracles import dead_band_flags, hold_last, normal_suppression_rate, to_stream
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -500,3 +502,27 @@ def test_measure_grid_holds_no_python_object_per_sample():
     finally:
         tracemalloc.stop()
     assert peak < 12 * count + 1_000_000, f"measure_grid peaked at {peak} B for {count} samples"
+
+
+def test_measure_grid_suppresses_normal_sources_at_the_closed_form_rate():
+    # Random sources whose band is 0.2 to 2 standard deviations wide at the
+    # mean, so the rate lies well inside (0, 1).  Overlapping windows
+    # correlate neighbouring decisions, so the tolerance comes from the
+    # spread of batch means, each batch hundreds of windows long, rather
+    # than from the binomial error of independent draws.
+    rng = random.Random(2019)
+    count, batches = 30_000, 20
+    for _ in range(8):
+        n = rng.randint(1, 20)
+        mu = rng.choice((-1.0, 1.0)) * 10 ** rng.uniform(-0.3, 1.7)
+        sd = 10 ** rng.uniform(-0.7, 0.7)
+        p = rng.uniform(0.2, 2.0) * sd / abs(mu)
+        stream = gen_normal(SensorSpec("s", mu, sd, 1.0, count, rng.getrandbits(64)))
+        (measured,) = measure_grid(stream, [FilterConfig(n, p)])
+        judged = measured.flags[n:]
+        size = len(judged) // batches
+        means = [1.0 - sum(judged[b * size:(b + 1) * size]) / size for b in range(batches)]
+        rate = measured.report.suppressed_count / len(judged)
+        expected = normal_suppression_rate(mu, sd, n, p)
+        tolerance = 5.0 * statistics.stdev(means) / math.sqrt(batches)
+        assert abs(rate - expected) < tolerance, (mu, sd, n, p, rate, expected, tolerance)

@@ -374,19 +374,24 @@ def _run_metrics_fields() -> dict:
 def test_run_metrics_construction_defaults_equality_and_repr():
     fields = _run_metrics_fields()
     metrics = RunMetrics(**fields)
-    assert metrics.notes == {}
-    assert RunMetrics(**fields).notes is not metrics.notes  # a fresh dict each time
+    assert metrics.notes is None
     assert metrics == RunMetrics(*fields.values())
-    assert metrics == RunMetrics(*fields.values(), {})
+    assert metrics == RunMetrics(*fields.values(), None)
     assert metrics != RunMetrics(**{**fields, "total_bytes": 101})
-    assert metrics != RunMetrics(**fields, notes={"s": 1})
-    every = {**fields, "notes": {}}
-    assert repr(metrics) == "RunMetrics(" + ", ".join(f"{k}={v!r}" for k, v in every.items()) + ")"
+    assert metrics != RunMetrics(**fields, notes={})
+    noted = RunMetrics(**fields, notes={"s": 1})
+    assert noted == RunMetrics(*fields.values(), {"s": 1}) and noted.notes == {"s": 1}
+    for record, notes in ((metrics, None), (noted, {"s": 1})):
+        every = {**fields, "notes": notes}
+        assert repr(record) == (
+            "RunMetrics(" + ", ".join(f"{k}={v!r}" for k, v in every.items()) + ")"
+        )
     with pytest.raises(TypeError):
         hash(metrics)
     _round_trips(metrics)
-    metrics.total_bytes = 7
-    assert metrics.total_bytes == 7
+    _round_trips(noted)
+    _frozen(metrics, "total_bytes")
+    _frozen(noted, "notes")
 
 
 def _scenario_fields() -> dict:
@@ -408,8 +413,7 @@ def test_scenario_construction_equality_repr_grid_and_pickle():
     with pytest.raises(TypeError):
         hash(scenario)
     _round_trips(scenario)
-    scenario.seed = 7
-    assert scenario.seed == 7
+    _frozen(scenario, "seed")
 
 
 # ------------------------------------------------------------------- config

@@ -1200,6 +1200,25 @@ def test_empty_column_is_not_replaced(tmp_path, sim_cfg, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "header, column",
+    [("timestamp,value,value", "value"), ("timestamp, value,timestamp ", "timestamp")],
+    ids=["value", "timestamp-after-strip"],
+)
+def test_exit_2_replay_header_naming_a_column_twice(tmp_path, capsys, header, column):
+    # Which copy would be read is a guess (the last used to win, replaying
+    # 100.0 here), so the header is rejected before anything is written.
+    csv = tmp_path / "d.csv"
+    csv.write_text(f"{header}\n0,1.0,100.0\n1,2.0,200.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--dataset", str(csv), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"runtime error: {csv}: column {column!r} named more than once in header "
+        f"{header.split(',')!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_exit_1_missing_dataset_file(tmp_path, capsys):
     assert main(["filter", "--dataset", str(tmp_path / "absent.csv")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -305,6 +305,15 @@ def test_load_csv_iso_timestamps_naive_is_utc(tmp_path):
     assert samples.timestamps[1] - samples.timestamps[0] == 60.0
 
 
+def test_load_csv_reads_a_number_as_epoch_seconds_on_every_python(tmp_path):
+    # Python 3.11's fromisoformat also reads 20240101 (and 20240101.12 as
+    # 2024-01-01 12:00), which 3.10's rejects; a number stays a number.
+    path = write_csv(tmp_path, "timestamp,value\n20240101,1\n20240101.12,2\n2024-01-02,3\n")
+    samples, report = load_csv(ReplaySpec("d", path))
+    assert list(samples.timestamps) == [20240101.0, 20240101.12, 1704153600.0]
+    assert report.rows_skipped == 0
+
+
 def test_load_csv_skips_bad_rows(tmp_path):
     path = write_csv(
         tmp_path,
