@@ -27,11 +27,9 @@ from .reconstruction import (
     Measurement,
     TransmissionLog,
     build_log,
-    empty_report,
     error_report,
     measure_grid,
     reconstruct_zoh,
-    reduction_stats,
 )
 from .rng import SplitMix64, derive_seed
 from .sources import (
@@ -68,11 +66,9 @@ __all__ = [
     "Measurement",
     "TransmissionLog",
     "build_log",
-    "empty_report",
     "error_report",
     "measure_grid",
     "reconstruct_zoh",
-    "reduction_stats",
     "SplitMix64",
     "derive_seed",
     "IngestReport",

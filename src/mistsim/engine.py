@@ -415,20 +415,24 @@ def fork_map(func: Callable, items: Sequence) -> Iterator:
 
 
 class _Traffic:
-    """The :class:`RunMetrics` fields that follow from what each sensor sent.
+    """One run's accounting, and the only place its :class:`RunMetrics` is
+    built; the run is of a filter config, ``None`` standing for cloud-only.
 
     Sensors are added one at a time, in topology order, and only what the
-    fields need is kept: counts, digests and the latency count, least,
-    greatest and sum.  The latency sum adds each sensor's exact sum, in
-    topology order, so it is the same on every Python version, whatever
-    the number of workers.
+    metrics need is kept: each sensor's report, flags and log digest, and
+    the counts and the latency count, least, greatest and sum.  The latency
+    sum adds each sensor's exact sum, in topology order, so it is the same
+    on every Python version, whatever the number of workers.
     """
 
-    def __init__(self, topology: Topology, paths: Mapping, message_size_bytes: int) -> None:
+    def __init__(self, config, topology: Topology, paths: Mapping, message_size_bytes: int) -> None:
+        self.mode = Mode.CLOUD_ONLY if config is None else Mode.MIST_FOG_CLOUD
         self.topology = topology
         self.paths = paths
         self.message_size_bytes = message_size_bytes
         self.cloud_id = topology.cloud().id
+        self.reports: dict[str, ErrorReport] = {}
+        self.flags: dict[str, bytearray] = {}
         self.log_digests: dict[str, str] = {}
         self.link_usage = {
             f"{link.src}->{link.dst}": {"messages": 0, "bytes": 0, "byte_ms": 0.0}
@@ -437,11 +441,14 @@ class _Traffic:
         self.device_messages = {d.id: 0 for d in topology.devices}
         self.count, self.least, self.greatest, self.total = 0, math.inf, -math.inf, 0.0
 
-    def add(self, sensor_id: str, digest: str, latencies: tuple) -> None:
+    def add(self, sensor_id: str, digest: str, latencies: tuple, measured=None) -> None:
         """Account what a sensor sent: its log digest, :func:`_log_digest`,
-        and its sent samples' :func:`_latency_summary`."""
+        its sent samples' :func:`_latency_summary` and, unless ``None``, its
+        :class:`~mistsim.reconstruction.Measurement`."""
         first, gw_id, second = self.paths[sensor_id]
         size = self.message_size_bytes
+        if measured is not None:
+            self.reports[sensor_id], self.flags[sensor_id] = measured
         self.log_digests[sensor_id] = digest
         count, least, greatest, total = latencies
         self.count += count
@@ -456,27 +463,36 @@ class _Traffic:
         for device_id in (sensor_id, gw_id, self.cloud_id):
             self.device_messages[device_id] += count
 
-    def fields(self, energy: EnergyModel, duration_ms: float) -> dict:
+    def metrics(self, energy: EnergyModel, duration_ms: float, **shared) -> RunMetrics:
+        """The run's :class:`RunMetrics`; ``shared`` holds the fields all runs
+        of one :func:`simulate` call share: seed, fingerprints and notes."""
         link_usage, count = self.link_usage, self.count
         busy_energy = {
             d.id: account_energy(self.device_messages[d.id], energy.for_kind(d.kind), duration_ms)
             for d in self.topology.devices
         }
-        return {
-            "log_digests": self.log_digests,
-            "link_usage": link_usage,
-            "device_messages": self.device_messages,
-            "device_busy_ms": {d: busy for d, (busy, _) in busy_energy.items()},
-            "device_energy_j": {d: joules for d, (_, joules) in busy_energy.items()},
-            "total_bytes": sum(u["bytes"] for u in link_usage.values()),
-            "total_byte_ms": sum(u["byte_ms"] for u in link_usage.values()),
-            "messages_emitted": count,
-            "messages_delivered": 2 * count,
-            "latency_count": count,
-            "latency_min_ms": self.least if count else 0.0,
-            "latency_max_ms": self.greatest if count else 0.0,
-            "latency_mean_ms": self.total / count if count else 0.0,
-        }
+        return RunMetrics(
+            mode=self.mode.value,
+            duration_ms=duration_ms,
+            message_size_bytes=self.message_size_bytes,
+            sensor_reports=self.reports,
+            flags=self.flags,
+            log_digests=self.log_digests,
+            link_usage=link_usage,
+            device_messages=self.device_messages,
+            device_busy_ms={d: busy for d, (busy, _) in busy_energy.items()},
+            device_energy_j={d: joules for d, (_, joules) in busy_energy.items()},
+            total_bytes=sum(u["bytes"] for u in link_usage.values()),
+            total_byte_ms=sum(u["byte_ms"] for u in link_usage.values()),
+            messages_emitted=count,
+            messages_delivered=2 * count,
+            latency_count=count,
+            latency_min_ms=self.least if count else 0.0,
+            latency_max_ms=self.greatest if count else 0.0,
+            latency_mean_ms=self.total / count if count else 0.0,
+            cloud_id=self.cloud_id,
+            **shared,
+        )
 
 
 def _latency_summary(latencies: Sequence[float]) -> tuple[int, float, float, float]:
@@ -549,13 +565,11 @@ def simulate(
         raise ValueError(f"streams for unknown sensors: {extra}")
 
     def sensor(s: str) -> tuple:
-        """``(s, packed, latencies, digest, runs, noted)``: the id, its kept
-        samples, :func:`_packed`, their :func:`_latency_summary`, the
-        cloud-only log digest, per config ``(report, flags, digest,
-        latencies)`` of what that run sent, the last two ``None`` for the
-        cloud-only config, and what ``note`` returned.  A sample's latency
-        is ``((t + l1) + l2) - t``, ``l1`` and ``l2`` being its two links'.
-        """
+        """``(s, packed, noted, everything, runs)``: the id, its kept samples,
+        :func:`_packed`, what ``note`` returned, ``(log digest, latencies)``
+        of sending every kept sample, :func:`_latency_summary`, and per config
+        ``(log digest, latencies, measurement)`` of what that run sent.  A
+        sample's latency is ``((t + l1) + l2) - t``, by its two links'."""
         kept, grid = measure_stream(s, streams, configs, duration_ms, "sensor")
         noted = note(s, kept) if note else None
         # Latencies and packed samples once per sensor, for every run: paths
@@ -564,31 +578,26 @@ def simulate(
         l1, l2 = first.latency_ms, second.latency_ms
         latencies = [((t + l1) + l2) - t for t in kept.timestamps]
         total = len(kept)
-        runs = [
-            (m.report, m.flags, None, None) if config is None else (
-                m.report,
-                m.flags,
-                _log_digest(total, _packed_sent(kept, m.flags)),
-                _latency_summary(list(compress(latencies, m.flags))),
-            )
-            for config, m in zip(configs, grid)
-        ]
+
+        def sent(flags: bytearray) -> tuple:
+            digest = _log_digest(total, _packed_sent(kept, flags))
+            return digest, _latency_summary(list(compress(latencies, flags)))
+
+        filtered = {config: sent(m.flags) for config, m in zip(configs, grid) if config is not None}
         # Packed last, so that the whole stream's bytes never sit beside the
         # packed copies of what each run sent.
         packed = _packed(kept)
-        return s, packed, _latency_summary(latencies), _log_digest(total, packed), runs, noted
+        everything = (_log_digest(total, packed), _latency_summary(latencies))
+        runs = [(*filtered.get(config, everything), m) for config, m in zip(configs, grid)]
+        return s, packed, noted, everything, runs
 
+    args = (topology, paths, message_size_bytes)
+    runs = [_Traffic(config, *args) for config in configs]
     # Every run sends some of the kept samples, and each float metric grows
     # with what is sent, so the run that sends them all, cloud-only, bounds
-    # every run.
-    everything = _Traffic(topology, paths, message_size_bytes)
-    filtered = {
-        i: _Traffic(topology, paths, message_size_bytes)
-        for i, config in enumerate(configs)
-        if config is not None
-    }
-    reports: list[dict] = [{} for _ in configs]
-    flags: list[dict] = [{} for _ in configs]
+    # every run; when it is not one of the runs, it is accounted on its own.
+    alone = None not in configs
+    everything = _Traffic(None, *args) if alone else runs[configs.index(None)]
     notes: dict[str, object] = {}
     # Imported here, not at the top, so that `mistsim filter`, which makes no
     # digest, never loads OpenSSL; before fork_map, so that workers inherit it.
@@ -596,54 +605,31 @@ def simulate(
 
     sources_hash = hashlib.sha256()
     with closing(fork_map(sensor, sensor_ids)) as sensors:
-        for s, packed, latencies, digest, runs, noted in sensors:
+        for s, packed, noted, sent_all, entries in sensors:
             _hash_source(sources_hash, s, packed)
-            everything.add(s, digest, latencies)
             del packed
             if noted is not None:
                 notes[s] = noted
-            for i, (report, sent_flags, sent_digest, sent_latencies) in enumerate(runs):
-                reports[i][s], flags[i][s] = report, sent_flags
-                if i in filtered:
-                    filtered[i].add(s, sent_digest, sent_latencies)
+            for run, entry in zip(runs, entries):
+                run.add(s, *entry)
+            if alone:
+                everything.add(s, *sent_all)
 
-    cloud_only = everything.fields(energy, duration_ms)
-    bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in cloud_only["link_usage"].items()]
-    bounds += [(f"devices.{d}.energy_j", j) for d, j in cloud_only["device_energy_j"].items()]
+    shared = dict(
+        seed=seed, topology_fp=_topology_fp(topology), sources_fp=sources_hash.hexdigest(), notes=notes
+    )
+    bound = everything.metrics(energy, duration_ms, **shared)
+    bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in bound.link_usage.items()]
+    bounds += [(f"devices.{d}.energy_j", j) for d, j in bound.device_energy_j.items()]
     bounds += [
-        ("network.total_byte_ms", cloud_only["total_byte_ms"]),
-        ("latency_ms.max", cloud_only["latency_max_ms"]),
-        ("latency_ms.mean", cloud_only["latency_mean_ms"]),
+        ("network.total_byte_ms", bound.total_byte_ms),
+        ("latency_ms.max", bound.latency_max_ms),
+        ("latency_ms.mean", bound.latency_mean_ms),
     ]
     for name, value in bounds:
         if not math.isfinite(value):
             raise ValueError(f"a run's {name} would overflow to inf when every kept sample is sent")
-
-    topology_fp = _topology_fp(topology)
-    sources_fp = sources_hash.hexdigest()
-    results = []
-    for i, config in enumerate(configs):
-        if config is None:
-            fields = cloud_only
-        else:
-            fields = filtered[i].fields(energy, duration_ms)
-        mode = Mode.CLOUD_ONLY if config is None else Mode.MIST_FOG_CLOUD
-        results.append(
-            RunMetrics(
-                mode=mode.value,
-                seed=seed,
-                duration_ms=duration_ms,
-                message_size_bytes=message_size_bytes,
-                topology_fp=topology_fp,
-                sources_fp=sources_fp,
-                sensor_reports=reports[i],
-                flags=flags[i],
-                cloud_id=everything.cloud_id,
-                notes=notes,
-                **fields,
-            )
-        )
-    return results
+    return [bound if run is everything else run.metrics(energy, duration_ms, **shared) for run in runs]
 
 
 def run(

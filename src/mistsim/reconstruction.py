@@ -91,19 +91,6 @@ class ErrorReport(NamedTuple):
         }
 
 
-def empty_report() -> ErrorReport:
-    """The all-zero report used for a stream that produced no samples."""
-    return ErrorReport(
-        total_count=0,
-        transmitted_count=0,
-        suppressed_count=0,
-        reduction_fraction=0.0,
-        avg_abs_error=0.0,
-        max_abs_error=0.0,
-        avg_error_pct_of_mean=None,
-    )
-
-
 def reconstruct_zoh(log: TransmissionLog, timestamps: Sequence[float]) -> list[float]:
     """Zero-order hold of the log sampled at the raw timestamps.
 
@@ -163,15 +150,14 @@ def error_report(
     abs_errors = [abs(r - v) for r, v in zip(raw, reconstructed)]
     avg_err = _plain_sum(abs_errors) / total
     max_err = max(abs_errors)
-    suppressed, _ = reduction_stats(total, transmitted_count)
     mean_abs_raw = _plain_sum(map(abs, raw)) / total
     # The ratio first: 100 * an error near the float limit overflows.
     pct = 100.0 * (avg_err / mean_abs_raw) if mean_abs_raw > 0 else None
     return ErrorReport(
         total_count=total,
         transmitted_count=transmitted_count,
-        suppressed_count=suppressed,
-        reduction_fraction=suppressed / total,
+        suppressed_count=total - transmitted_count,
+        reduction_fraction=(total - transmitted_count) / total,
         avg_abs_error=avg_err,
         max_abs_error=max_err,
         avg_error_pct_of_mean=pct,
@@ -194,7 +180,7 @@ def measure_grid(
     A ``None`` config means no filter: every sample is transmitted.  Each
     result equals what :func:`build_log`, :func:`reconstruct_zoh` and
     :func:`error_report` give in turn for the decisions of
-    :meth:`EventFilter.step` (:func:`empty_report` for an empty stream).
+    :meth:`EventFilter.step`; an empty stream's report is all zero.
     Stage 1, :func:`window_averages`, runs once per distinct ``n`` in order
     of first occurrence and raises ``ValueError`` where ``step`` first
     meets an overflowing window; every ``p`` shares its averages.
@@ -241,7 +227,7 @@ def _measurement(
 ) -> Measurement:
     total = len(flags)
     if not total:
-        return Measurement(empty_report(), flags)
+        return Measurement(ErrorReport(0, 0, 0, 0.0, 0.0, 0.0, None), flags)
     if not math.isfinite(error_sum):  # errors are >= 0: one inf makes the sum inf
         at = _overflow_index(stream.values, flags)
         raise ValueError(
@@ -276,19 +262,3 @@ def _overflow_index(values: array, flags: bytearray) -> int:
             if error_sum == math.inf:
                 return i
     return len(flags) - 1
-
-
-def reduction_stats(total_count: int, transmitted_count: int) -> tuple[int, float]:
-    """Suppressed count and reduction percentage for a stream.
-
-    >>> reduction_stats(1000, 10)
-    (990, 99.0)
-    """
-    if total_count < 1:
-        raise ValueError("total_count must be >= 1")
-    if not 0 <= transmitted_count <= total_count:
-        raise ValueError(
-            f"transmitted_count {transmitted_count} out of range 0..{total_count}"
-        )
-    suppressed = total_count - transmitted_count
-    return suppressed, 100.0 * suppressed / total_count

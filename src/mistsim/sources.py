@@ -38,6 +38,8 @@ class SensorSpec(namedtuple("SensorSpec", "device_id mean stddev period_ms count
     ) -> SensorSpec:
         if not device_id:
             raise ValueError("device_id must be non-empty")
+        if "/" in device_id or "\0" in device_id:
+            raise ValueError(f"device_id {device_id!r} names files, so it must not contain '/' or NUL")
         if not math.isfinite(mean):
             raise ValueError(f"mean must be finite, got {mean!r}")
         if not math.isfinite(stddev) or stddev < 0:
@@ -77,6 +79,8 @@ class ReplaySpec(
     ) -> ReplaySpec:
         if not device_id:
             raise ValueError("device_id must be non-empty")
+        if "/" in device_id or "\0" in device_id:
+            raise ValueError(f"device_id {device_id!r} names files, so it must not contain '/' or NUL")
         if len(delimiter) != 1:
             raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
         if expected_period is not None and not (
@@ -142,11 +146,11 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
 
     A header row is required, and it must name the timestamp and value
     columns once each (after ``strip()``), else ``ValueError``.  Data rows
-    that cannot be parsed (missing cells, non-numeric values, unreadable
-    timestamps, non-finite values) are skipped and counted, as are rows
-    whose timestamp fails to advance.  When ``expected_period`` is set, a
-    gap is counted whenever the spacing between consecutive kept samples
-    exceeds 1.5 times the expected period.
+    that cannot be parsed (missing cells, values that are not plain ASCII
+    numbers, unreadable timestamps, non-finite values) are skipped and
+    counted, as are rows whose timestamp fails to advance.  When
+    ``expected_period`` is set, a gap is counted whenever the spacing
+    between consecutive kept samples exceeds 1.5 times the expected period.
 
     A path that is missing or is not a regular file (a directory, say)
     raises ``FileNotFoundError`` saying which.  A file the reader cannot
@@ -160,13 +164,19 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
     import csv
     from datetime import datetime, timezone
 
+    def number(cell: str) -> float:
+        """``float(cell)`` of plain ASCII with no ``_``; ``float`` reads ``1_0`` and ``١٢`` too."""
+        if not cell.isascii() or "_" in cell:
+            raise ValueError(f"not a plain number: {cell!r}")
+        return float(cell)
+
     def parse_timestamp(cell: str) -> float:
-        """Epoch seconds if ``float`` reads the cell, else ISO-8601, so a cell
-        such as ``20240101`` means the same on every Python.  Naive datetimes
-        count as UTC."""
+        """Epoch seconds if :func:`number` reads the cell, else ISO-8601, so a
+        cell such as ``20240101`` means the same on every Python.  Naive
+        datetimes count as UTC."""
         text = cell.strip()
         try:
-            return float(text)
+            return number(text)
         except ValueError:
             dt = datetime.fromisoformat(text)
         if dt.tzinfo is None:
@@ -207,7 +217,7 @@ def load_csv(spec: ReplaySpec) -> tuple[Stream, IngestReport]:
                 rows_read += 1
                 try:
                     ts = parse_timestamp(row[ts_idx])
-                    value = float(row[val_idx])
+                    value = number(row[val_idx])
                 except (ValueError, IndexError):
                     rows_skipped += 1
                     continue

@@ -45,6 +45,8 @@ class Device(namedtuple("Device", "id kind level uplink_kbps downlink_kbps ram_m
     ) -> Device:
         if not id:
             raise ValueError("device id must be non-empty")
+        if "/" in id or "\0" in id:
+            raise ValueError(f"device id {id!r} names files, so it must not contain '/' or NUL")
         if kind not in KINDS:
             raise ValueError(f"device kind must be one of {KINDS}, got {kind!r}")
         return tuple.__new__(cls, (id, kind, level, uplink_kbps, downlink_kbps, ram_mb))

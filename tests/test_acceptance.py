@@ -17,7 +17,7 @@ from mistsim.cli import main
 from mistsim.config import load_config
 from mistsim.engine import EnergyModel, Mode, compare, run
 from mistsim.mist_filter import EventFilter, FilterConfig, Sample
-from mistsim.reconstruction import build_log, error_report, reconstruct_zoh, reduction_stats
+from mistsim.reconstruction import build_log, error_report, reconstruct_zoh
 from mistsim.rng import SplitMix64
 from mistsim.sources import ReplaySpec, SensorSpec, gen_normal, load_csv
 from oracles import delivery_trace, to_rows, to_stream
@@ -99,11 +99,10 @@ def test_02_constant_signal_exactness():
     decisions = [filt.step(s) for s in samples]
     log = build_log(samples, decisions)
     assert len(log.entries) == 10
-    suppressed, pct = reduction_stats(1000, len(log.entries))
-    assert suppressed == 990
-    assert pct == 99.0
     recon = reconstruct_zoh(log, [s.timestamp for s in samples])
     report = error_report([s.value for s in samples], recon, len(log.entries))
+    assert report.suppressed_count == 990
+    assert report.to_dict()["reduction_percent"] == 99.0
     assert report.avg_abs_error == 0.0
     assert report.max_abs_error == 0.0
 

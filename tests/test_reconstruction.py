@@ -23,13 +23,12 @@ from mistsim.mist_filter import (
     window_averages,
 )
 from mistsim.reconstruction import (
+    ErrorReport,
     TransmissionLog,
     build_log,
-    empty_report,
     error_report,
     measure_grid,
     reconstruct_zoh,
-    reduction_stats,
 )
 from mistsim.sources import SensorSpec, gen_normal
 from oracles import dead_band_flags, hold_last, normal_suppression_rate, to_stream
@@ -203,41 +202,14 @@ def test_error_report_validation():
 
 
 def test_empty_report_is_all_zero():
-    rep = empty_report()
+    (measured,) = measure_grid(to_stream([]), [FilterConfig(n=10, p=0.05)])
+    rep = measured.report
     assert rep.total_count == 0
     assert rep.transmitted_count == 0
     assert rep.suppressed_count == 0
     assert rep.reduction_fraction == 0.0
     assert rep.avg_abs_error == 0.0
     assert rep.avg_error_pct_of_mean is None
-
-
-def test_reduction_stats_doc_example():
-    assert reduction_stats(1000, 10) == (990, 99.0)
-
-
-def test_reduction_stats_bounds():
-    assert reduction_stats(4, 4) == (0, 0.0)
-    assert reduction_stats(4, 0) == (4, 100.0)
-    with pytest.raises(ValueError):
-        reduction_stats(0, 0)
-    with pytest.raises(ValueError):
-        reduction_stats(10, 11)
-    with pytest.raises(ValueError):
-        reduction_stats(10, -1)
-
-
-@given(
-    total=st.integers(min_value=1, max_value=10**6),
-    transmitted=st.integers(min_value=0, max_value=10**6),
-)
-@settings(max_examples=100, deadline=None)
-def test_property_reduction_stats_consistent(total, transmitted):
-    transmitted = min(transmitted, total)
-    suppressed, pct = reduction_stats(total, transmitted)
-    assert suppressed + transmitted == total
-    assert pct == 100.0 * suppressed / total
-    assert 0.0 <= pct <= 100.0
 
 
 # ------------------------------------------------------- single-pass path
@@ -251,7 +223,7 @@ def reference_measurement(samples, filter_config):
     decisions = [filt.step(s) for s in samples]
     log = build_log(samples, decisions)
     if not samples:
-        return log, empty_report(), bytearray()
+        return log, ErrorReport(0, 0, 0, 0.0, 0.0, 0.0, None), bytearray()
     recon = reconstruct_zoh(log, [s.timestamp for s in samples])
     report = error_report([s.value for s in samples], recon, len(log.entries))
     return log, report, bytearray(d.transmit for d in decisions)

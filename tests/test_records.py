@@ -437,3 +437,19 @@ def test_overrides_construction_defaults_equality_repr_pickle_and_frozen():
     )
     _round_trips(full)
     _frozen(full, "seed")
+
+
+def test_star_import_binds_every_name_in_all():
+    import mistsim
+
+    namespace: dict = {}
+    exec("from mistsim import *", namespace)  # raises for a name the package lacks
+    assert set(mistsim.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize("bad", ["a/b", "a\0b"], ids=["slash", "nul"])
+def test_ids_that_cannot_name_a_file_are_rejected(bad):
+    rule = f"{bad!r} names files, so it must not contain '/' or NUL"
+    assert _message(lambda: Device(bad, "sensor", 2)) == f"device id {rule}"
+    assert _message(lambda: SensorSpec(bad, 0.0, 1.0, 1.0, 1, 1)) == f"device_id {rule}"
+    assert _message(lambda: ReplaySpec(bad, "d.csv")) == f"device_id {rule}"

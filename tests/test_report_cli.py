@@ -1231,6 +1231,27 @@ def test_exit_1_dataset_flag_naming_a_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["a/b", "a\0b"], ids=["slash", "nul"])
+@pytest.mark.parametrize("command", ["simulate", "filter"])
+def test_exit_1_id_that_cannot_name_a_file_writes_nothing(tmp_path, capsys, command, bad):
+    # An id names plot files, with plots on or off, so the section that
+    # declares it is rejected before any work: simulate meets [device a/b]
+    # first, and filter, given the sources alone, [source a/b].
+    text = SIM_CFG.replace("[device a]", f"[device {bad}]").replace("[link a gw]", f"[link {bad} gw]")
+    text = text.replace("[source a]", f"[source {bad}]")
+    if command == "filter":
+        text = "[run]\n\n" + text[text.index("[source "):]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    section, field = (f"device {bad}", "device id") if command == "simulate" else (f"source {bad}", "device_id")
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: [{section}]: {field} {bad!r} names files, so it must not contain '/' or NUL\n"
+    )
+    assert not out.exists()
+
+
 def test_exit_1_replay_source_naming_a_directory(tmp_path, capsys):
     cfg = tmp_path / "dir.cfg"
     cfg.write_text(f"[run]\n\n[source d]\nkind = replay\nfile = {tmp_path}\n", encoding="utf-8")
@@ -1454,6 +1475,7 @@ def test_exit_2_replay_past_the_horizon_writes_nothing(tmp_path, office_csv_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["both", "mist_fog_cloud"])
 @pytest.mark.parametrize(
     "edit, path",
     [
@@ -1471,10 +1493,11 @@ def test_exit_2_replay_past_the_horizon_writes_nothing(tmp_path, office_csv_path
     ],
     ids=["latency", "cloud-power"],
 )
-def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, edit, path):
+def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, edit, path, mode):
     # Finite inputs whose metrics would overflow: rejected once every stream
     # is measured, naming the report field.  When sensor a's windows
     # overflow too (mean 1e308), a's measuring error is met first and wins.
+    # The bound is the all-sent run's, also when cloud-only is not run.
     text = SIM_CFG
     for old, new in edit.items():
         assert old in text
@@ -1487,7 +1510,7 @@ def test_exit_2_report_overflow_names_the_field(tmp_path, capsys, edit, path):
         cfg = tmp_path / f"mean{mean}.cfg"
         cfg.write_text(text.replace("mean = 25\n", f"mean = {mean}\n"), encoding="utf-8")
         out = tmp_path / "out"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--mode", mode]) == 2
         assert capsys.readouterr().err.startswith(err)
         assert not out.exists()
 

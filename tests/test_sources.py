@@ -332,6 +332,19 @@ def test_load_csv_skips_bad_rows(tmp_path):
     assert report.rows_read == report.samples + report.rows_skipped
 
 
+@pytest.mark.parametrize(
+    "rows",
+    ["0,1_0\n1,2\n2,١٢\n3,4\n4_0,5\n", "0,1０\n1,2\n2,１２\n3,4\n４０,5\n"],
+    ids=["underscore-arabic-indic", "full-width"],
+)
+def test_load_csv_skips_a_cell_float_reads_but_that_is_not_plain_ascii(tmp_path, rows):
+    # float() reads 1_0 as 10.0, and Arabic-Indic or full-width digits as
+    # ASCII ones; such a cell is a typo, so its row is skipped.
+    samples, report = load_csv(ReplaySpec("d", write_csv(tmp_path, "timestamp,value\n" + rows)))
+    assert list(zip(samples.timestamps, samples.values)) == [(1.0, 2.0), (3.0, 4.0)]
+    assert report == IngestReport(rows_read=5, rows_skipped=3, samples=2, gaps_detected=0)
+
+
 def test_load_csv_drops_non_advancing_timestamps(tmp_path):
     path = write_csv(tmp_path, "timestamp,value\n0,1\n1,2\n1,3\n0.5,4\n2,5\n")
     samples, report = load_csv(ReplaySpec("d", path))
