@@ -11,45 +11,34 @@ The package has three layers:
   CSV).
 * ``config``, ``report``, ``cli``: the flat config format, byte-stable report
   writing, and the ``mistsim`` command line front end.
+
+``reference`` holds the per-sample implementations the kernels must match.
+No command imports it, so a run compiles less; the old names still work,
+here and in the modules they came from, and import it on first lookup.
 """
 
-from .mist_filter import (
-    EventFilter,
-    FilterConfig,
-    Reason,
-    Sample,
-    Stream,
-    TransmitDecision,
-    check_stream,
-)
-from .reconstruction import (
-    ErrorReport,
-    Measurement,
-    TransmissionLog,
-    build_log,
-    error_report,
-    measure_grid,
-    reconstruct_zoh,
-)
-from .rng import SplitMix64, derive_seed
-from .sources import (
-    IngestReport,
-    ReplaySpec,
-    SensorSpec,
-    gen_normal,
-    load_csv,
-)
+
+def _reference_names(module: str, names: str):
+    """A module ``__getattr__`` (PEP 562) finding ``names`` in :mod:`mistsim.reference`."""
+
+    def __getattr__(name: str):
+        if name in names.split():
+            from . import reference
+            return getattr(reference, name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    return __getattr__
+
+
+__getattr__ = _reference_names(__name__, """EventFilter Reason Sample TransmitDecision
+    TransmissionLog build_log error_report reconstruct_zoh SplitMix64""")
+
+# The submodules import _reference_names, so they load after it.
+from .mist_filter import FilterConfig, Stream, check_stream
+from .reconstruction import ErrorReport, Measurement, measure_grid
+from .rng import derive_seed
+from .sources import IngestReport, ReplaySpec, SensorSpec, gen_normal, load_csv
 from .topology import Device, Link, Topology, validate
-from .engine import (
-    EnergyModel,
-    EnergyParams,
-    Mode,
-    RunMetrics,
-    account_energy,
-    compare,
-    run,
-    simulate,
-)
+from .engine import EnergyModel, EnergyParams, Mode, RunMetrics, account_energy, compare, run, simulate
 from .config import ConfigError, Scenario, load_config, parse_config, serialize_scenario
 
 __version__ = "0.1.0"

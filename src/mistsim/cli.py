@@ -15,21 +15,22 @@ Exit codes: 0 success, 1 usage or config error, 2 runtime error, 3 a
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import __version__
+from . import __version__, _reference_names
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
 from .engine import Mode, compare, fork_map, measure_stream, simulate
 from .mist_filter import Stream
-# Unused here; perfbench/tracing.py wraps these names on this module.
-from .engine import run  # noqa: F401
-from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
 from .report import check_assertion, emit_report
 from .sources import ReplaySpec, SensorSpec, gen_normal, load_csv
 from .topology import TopologyError
+# Unused here; perfbench/tracing.py wraps these names on this module.
+from .engine import run  # noqa: F401
+__getattr__ = _reference_names(__name__, "build_log error_report reconstruct_zoh")
 
 
 class UsageError(Exception):
@@ -86,7 +87,7 @@ def _load_scenario(args, command: str) -> Scenario:
         dataset = Path(args.dataset)
         replace_sources = (
             ReplaySpec(
-                device_id=dataset.stem or "dataset",
+                device_id=re.sub(r"\s+", "_", dataset.stem) or "dataset",
                 path=args.dataset,
                 value_column="value" if args.column is None else args.column,
             ),

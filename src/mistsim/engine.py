@@ -44,12 +44,13 @@ from enum import Enum
 from itertools import compress, islice, takewhile
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from . import _reference_names
 from .mist_filter import FilterConfig, Stream, check_stream
 from .reconstruction import ErrorReport, measure_grid
 from .topology import Topology
 # Unused here; perfbench/tracing.py wraps these names on this module.
-from .reconstruction import build_log, error_report, reconstruct_zoh  # noqa: F401
 from .topology import validate  # noqa: F401
+__getattr__ = _reference_names(__name__, "build_log error_report reconstruct_zoh")
 
 
 class Mode(str, Enum):

@@ -29,9 +29,9 @@ Every timestamp and value, and every full window's average, must be finite;
 ``step`` rejects a NaN, an infinity or an overflowing window sum with
 ``ValueError``.
 
-:class:`EventFilter` steps one :class:`Sample` and is the reference.  A
-whole :class:`Stream`, two ``array('d')`` columns, is measured by a
-two-stage batch kernel that must agree with it bit for bit
+``EventFilter``, in :mod:`mistsim.reference`, steps one ``Sample`` and is
+the reference.  A whole :class:`Stream`, two ``array('d')`` columns, is
+measured by a two-stage batch kernel that must agree with it bit for bit
 (``tests/test_reconstruction.py`` checks that on random grids).
 :func:`check_stream` is the one check of the stream contract (timestamps
 finite and strictly increasing, values finite) outside ``step``; a caller
@@ -50,25 +50,12 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque, namedtuple
-from enum import Enum
 from itertools import islice
 from operator import lt
-from typing import Deque, NamedTuple, Optional
 
+from . import _reference_names
 
-class Reason(str, Enum):
-    """Why a value was (or was not) transmitted."""
-
-    WARMUP = "warmup"
-    EVENT = "event"
-    SUPPRESSED = "suppressed"
-
-
-class Sample(NamedTuple):
-    """One timestamped reading.  Timestamps must strictly increase per stream."""
-
-    timestamp: float
-    value: float
+__getattr__ = _reference_names(__name__, "EventFilter Reason Sample TransmitDecision")
 
 
 class Stream:
@@ -112,23 +99,8 @@ class Stream:
         return len(self.timestamps)
 
 
-class TransmitDecision(NamedTuple):
-    """Outcome of one filter step.
-
-    ``transmit`` is True exactly when ``reason`` is ``WARMUP`` or ``EVENT``.
-    """
-
-    transmit: bool
-    reason: Reason
-
-
 _isfinite = math.isfinite
 _INF = math.inf
-
-# Shared singletons: step() allocates nothing on the hot path.
-_WARMUP = TransmitDecision(True, Reason.WARMUP)
-_EVENT = TransmitDecision(True, Reason.EVENT)
-_SUPPRESSED = TransmitDecision(False, Reason.SUPPRESSED)
 
 
 class FilterConfig(namedtuple("FilterConfig", "n p")):
@@ -155,97 +127,13 @@ class FilterConfig(namedtuple("FilterConfig", "n p")):
         return tuple.__new__(cls, (n, p))
 
 
-class EventFilter:
-    """Streaming filter state for one sensor.
-
-    Attributes mirror what a conforming implementation must track: the
-    ``window`` of previous raw values (oldest first), the current ``avg``,
-    thresholds ``t_hi``/``t_lo``, and ``seen``, the count of values stepped
-    so far.  ``avg`` and the thresholds stay ``None`` until the first full
-    window exists.  Treat the attributes as read-only.
-    """
-
-    __slots__ = ("n", "p", "window", "avg", "t_hi", "t_lo", "seen", "_last_timestamp")
-
-    def __init__(self, config: FilterConfig) -> None:
-        self.n: int = config.n
-        self.p: float = config.p
-        self.window: Deque[float] = deque(maxlen=config.n)
-        self.avg: Optional[float] = None
-        self.t_hi: Optional[float] = None
-        self.t_lo: Optional[float] = None
-        self.seen: int = 0
-        # -inf: the first timestamp only has to be finite.
-        self._last_timestamp: float = -_INF
-
-    def step(self, sample: Sample) -> TransmitDecision:
-        """Classify one sample against the current band, then absorb it.
-
-        The decision uses the window of values seen before this sample.
-        Afterwards the sample's raw value enters the window and ``avg`` and
-        the thresholds are recomputed, regardless of the decision.
-
-        Raises
-        ------
-        ValueError
-            If the sample's timestamp is NaN or infinite or does not exceed
-            the previous one, if its value is NaN or infinite, or if the full
-            window's average is not finite (its sum overflowed).  A rejected
-            timestamp leaves the filter unchanged.  After either of the last
-            two the window holds the offending value; discard the filter.
-        """
-        timestamp, value = sample
-        last = self._last_timestamp
-        # Two comparisons on the hot path; a NaN timestamp fails both.
-        if not (last < timestamp and timestamp < _INF):
-            if not _isfinite(timestamp):
-                raise ValueError(f"non-finite timestamp {timestamp!r}")
-            raise ValueError(
-                f"out-of-order sample: timestamp {timestamp!r} does not exceed {last!r}"
-            )
-        self._last_timestamp = timestamp
-
-        n = self.n
-        seen = self.seen
-        if seen < n:
-            if not _isfinite(value):
-                raise ValueError(f"non-finite value {value!r} at timestamp {timestamp!r}")
-            decision = _WARMUP
-        elif value >= self.t_hi or value <= self.t_lo:
-            decision = _EVENT
-        else:
-            decision = _SUPPRESSED
-
-        window = self.window
-        window.append(value)
-        seen += 1
-        self.seen = seen
-        if seen >= n:  # the window is full
-            # Full recompute each step; cheap at telemetry window sizes and
-            # immune to incremental-sum drift on adversarial value ranges.
-            avg = sum(window) / n
-            if not _isfinite(avg):
-                # After warm-up a non-finite value always lands here too.
-                if not _isfinite(value):
-                    raise ValueError(f"non-finite value {value!r} at timestamp {timestamp!r}")
-                raise ValueError(
-                    f"window average overflowed to {avg!r} at timestamp {timestamp!r}; "
-                    "the sum of the last n values exceeds the float range"
-                )
-            band = self.p * abs(avg)
-            self.avg = avg
-            self.t_hi = avg + band
-            self.t_lo = avg - band
-        return decision
-
-
 def check_stream(stream: Stream) -> None:
     """Return when the stream's timestamps and values pass ``step``'s checks.
 
-    Otherwise raises what :meth:`EventFilter.step` raises at the first
-    failing sample, with a window that never fills: a window sum that
-    overflows is left to :func:`window_averages`, which finds it for each
-    ``n``.
+    Otherwise raises what :meth:`~mistsim.reference.EventFilter.step` raises
+    at the first failing sample, with a window that never fills: a window
+    sum that overflows is left to :func:`window_averages`, which finds it
+    for each ``n``.
     """
     times = stream.timestamps
     # Strictly increasing timestamps between finite ends are all finite (a
@@ -264,7 +152,8 @@ def window_averages(stream: Stream, n: int) -> array:
     ``step`` computes it, so it judges ``values[k + n]``; a stream of
     ``total >= n`` samples has ``total - n + 1`` of them, the last judging
     nothing.  Returns them as an ``array('d')``.  Raises what
-    :meth:`EventFilter.step` raises where a window sum first overflows.
+    :meth:`~mistsim.reference.EventFilter.step` raises where a window sum
+    first overflows.
     """
     values = stream.values
     # The window slides as step's does: n floats, summed oldest first.
@@ -281,6 +170,8 @@ def window_averages(stream: Stream, n: int) -> array:
 
 def _replay(stream: Stream, n: int) -> None:
     """Raise the exact error of ``stream`` stepped through a window of ``n``."""
+    from .reference import EventFilter
+
     filt = EventFilter(FilterConfig(n=n, p=0.0))
     for sample in zip(stream.timestamps, stream.values):
         filt.step(sample)

@@ -13,8 +13,8 @@ runs once per config on those shared averages: it makes each transmit
 decision and accounts the hold error in the same loop, as a running total
 and a running maximum, so apart from the flags, which are output, it keeps
 nothing per sample.
-:meth:`EventFilter.step` per :class:`Sample`, then :func:`build_log`,
-:func:`reconstruct_zoh` and :func:`error_report`, are the reference.  Kernel
+``EventFilter.step`` per ``Sample``, then ``build_log``, ``reconstruct_zoh``
+and ``error_report``, in :mod:`mistsim.reference`, are the reference.  Kernel
 and reference add every total left to right with no compensation
 (:func:`_plain_sum`), so they round alike on every Python version.
 """
@@ -23,41 +23,15 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import namedtuple
 from functools import reduce
 from itertools import islice
-from operator import add, lt
+from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .mist_filter import FilterConfig, Sample, Stream, TransmitDecision, window_averages
+from . import _reference_names
+from .mist_filter import FilterConfig, Stream, window_averages
 
-
-class TransmissionLog(namedtuple("TransmissionLog", "entries total_count")):
-    """What actually left a sensor: the transmitted samples, in order.
-
-    ``total_count`` is the number of raw samples the filter stepped through,
-    so ``total_count - len(entries)`` values were suppressed.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, entries: tuple[Sample, ...], total_count: int) -> TransmissionLog:
-        if total_count < 0:
-            raise ValueError("total_count must be >= 0")
-        if len(entries) > total_count:
-            raise ValueError("log cannot hold more entries than samples seen")
-        times = [entry.timestamp for entry in entries]
-        if not all(map(lt, times, islice(times, 1, None))):
-            raise ValueError("log timestamps must strictly increase")
-        return tuple.__new__(cls, (entries, total_count))
-
-
-def build_log(samples: Sequence[Sample], decisions: Sequence[TransmitDecision]) -> TransmissionLog:
-    """Pair raw samples with their decisions and keep the transmitted ones."""
-    if len(samples) != len(decisions):
-        raise ValueError("samples and decisions must have equal length")
-    entries = tuple(s for s, d in zip(samples, decisions) if d.transmit)
-    return TransmissionLog(entries=entries, total_count=len(samples))
+__getattr__ = _reference_names(__name__, "TransmissionLog build_log error_report reconstruct_zoh")
 
 
 class ErrorReport(NamedTuple):
@@ -91,77 +65,11 @@ class ErrorReport(NamedTuple):
         }
 
 
-def reconstruct_zoh(log: TransmissionLog, timestamps: Sequence[float]) -> list[float]:
-    """Zero-order hold of the log sampled at the raw timestamps.
-
-    For each timestamp the reconstruction is the most recent transmitted
-    value at or before it.  Every log timestamp must occur in ``timestamps``
-    and the first timestamp must not precede the first log entry (warm-up
-    guarantees both whenever anything was transmitted at all).
-    """
-    entries = log.entries
-    if not entries:
-        raise ValueError("cannot reconstruct from an empty transmission log")
-    known = set(timestamps)
-    for entry in entries:
-        if entry.timestamp not in known:
-            raise ValueError(
-                f"log timestamp {entry.timestamp!r} does not occur in the raw timeline"
-            )
-    if timestamps and timestamps[0] < entries[0].timestamp:
-        raise ValueError(
-            f"no transmitted value at or before timestamp {timestamps[0]!r}"
-        )
-    out: list[float] = []
-    j = 0
-    last = len(entries) - 1
-    for t in timestamps:
-        while j < last and entries[j + 1].timestamp <= t:
-            j += 1
-        out.append(entries[j].value)
-    return out
-
-
 def _plain_sum(numbers) -> float:
     """``numbers`` added left to right in floats, with no compensation, as
     ``sum()`` adds them before Python 3.12: the batch kernel's running
     totals round the same way."""
     return reduce(add, numbers, 0.0)
-
-
-def error_report(
-    raw: Sequence[float], reconstructed: Sequence[float], transmitted_count: int
-) -> ErrorReport:
-    """Compare a raw series against its reconstruction.
-
-    Both series must be non-empty and equally long; ``transmitted_count``
-    must lie in ``[0, len(raw)]``.
-    """
-    total = len(raw)
-    if total == 0:
-        raise ValueError("raw series must be non-empty")
-    if len(reconstructed) != total:
-        raise ValueError(
-            f"length mismatch: {total} raw values vs {len(reconstructed)} reconstructed"
-        )
-    if not 0 <= transmitted_count <= total:
-        raise ValueError(f"transmitted_count {transmitted_count} out of range 0..{total}")
-
-    abs_errors = [abs(r - v) for r, v in zip(raw, reconstructed)]
-    avg_err = _plain_sum(abs_errors) / total
-    max_err = max(abs_errors)
-    mean_abs_raw = _plain_sum(map(abs, raw)) / total
-    # The ratio first: 100 * an error near the float limit overflows.
-    pct = 100.0 * (avg_err / mean_abs_raw) if mean_abs_raw > 0 else None
-    return ErrorReport(
-        total_count=total,
-        transmitted_count=transmitted_count,
-        suppressed_count=total - transmitted_count,
-        reduction_fraction=(total - transmitted_count) / total,
-        avg_abs_error=avg_err,
-        max_abs_error=max_err,
-        avg_error_pct_of_mean=pct,
-    )
 
 
 class Measurement(NamedTuple):
@@ -178,9 +86,9 @@ def measure_grid(
 
     The stream must have passed :func:`~mistsim.mist_filter.check_stream`.
     A ``None`` config means no filter: every sample is transmitted.  Each
-    result equals what :func:`build_log`, :func:`reconstruct_zoh` and
-    :func:`error_report` give in turn for the decisions of
-    :meth:`EventFilter.step`; an empty stream's report is all zero.
+    result equals what the reference ``build_log``, ``reconstruct_zoh`` and
+    ``error_report`` give in turn for the decisions of ``EventFilter.step``;
+    an empty stream's report is all zero.
     Stage 1, :func:`window_averages`, runs once per distinct ``n`` in order
     of first occurrence and raises ``ValueError`` where ``step`` first
     meets an overflowing window; every ``p`` shares its averages.

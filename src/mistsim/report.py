@@ -24,10 +24,11 @@ from operator import eq, ge, gt, le, lt, ne
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
+from . import _reference_names
 from .engine import fork_map
 
-# Unused here; perfbench/tracing.py wraps this name on this module.
-from .reconstruction import reconstruct_zoh  # noqa: F401
+# perfbench/tracing.py wraps this name on this module.
+__getattr__ = _reference_names(__name__, "reconstruct_zoh")
 
 _OPS = {"<=": le, ">=": ge, "==": eq, "!=": ne, "<": lt, ">": gt}
 

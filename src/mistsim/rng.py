@@ -35,10 +35,10 @@ suite as golden vectors.  Exactness across machines is limited only by the
 platform's ``log``/``cos``/``sin``; on IEEE-754 doubles with a faithful libm
 the streams agree to at least twelve significant digits.
 
-Two implementations of the recipe live here.  :func:`normal_blocks` is the
-production path: synthetic sources draw through it.  :class:`SplitMix64`
-steps one draw at a time and is its reference; the tests require the two
-to agree float for float.  The block kernel rests on a property of
+Two implementations of the recipe exist.  :func:`normal_blocks` is the
+production path: synthetic sources draw through it.  ``SplitMix64``, in
+:mod:`mistsim.reference`, steps one draw at a time and is its reference; the
+tests require the two to agree float for float.  The block kernel rests on a property of
 splitmix64: the state before draw ``k`` (counting from 0) is
 ``seed + k * 0x9E3779B97F4A7C15`` modulo 2**64, so any run of draws can be
 computed at once without stepping through the ones before it.  It
@@ -61,7 +61,11 @@ import struct
 from functools import cache
 from itertools import repeat
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterator
+
+from . import _reference_names
+
+__getattr__ = _reference_names(__name__, "SplitMix64")
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -79,40 +83,6 @@ _BLOCK = 2048
 def derive_seed(seed_base: int, index: int) -> int:
     """Per-stream seed: ``seed_base + index``, reduced modulo 2**64."""
     return (seed_base + index) & _MASK64
-
-
-class SplitMix64:
-    """The pinned generator.  See the module docstring for the exact recipe."""
-
-    __slots__ = ("_state", "_spare")
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-        self._spare: Optional[float] = None
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_unit(self) -> float:
-        """Uniform double in (0, 1], 53 usable bits."""
-        return ((self.next_u64() >> 11) + 1) * _TWO_NEG53
-
-    def next_normal(self) -> float:
-        """Standard normal draw, Box-Muller pairs in the pinned order."""
-        spare = self._spare
-        if spare is not None:
-            self._spare = None
-            return spare
-        u1 = self.next_unit()
-        u2 = self.next_unit()
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = _TWO_PI * u2
-        self._spare = r * math.sin(theta)
-        return r * math.cos(theta)
 
 
 @cache

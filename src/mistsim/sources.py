@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional, Union
 
 from .mist_filter import Stream
 from .rng import normal_blocks
+from .topology import check_id
 
 # The most samples one synthetic source may have.  Its stream is built whole:
 # 16 B a sample, so about 160 MB.
@@ -36,10 +37,7 @@ class SensorSpec(namedtuple("SensorSpec", "device_id mean stddev period_ms count
     def __new__(
         cls, device_id: str, mean: float, stddev: float, period_ms: float, count: int, seed: int
     ) -> SensorSpec:
-        if not device_id:
-            raise ValueError("device_id must be non-empty")
-        if "/" in device_id or "\0" in device_id:
-            raise ValueError(f"device_id {device_id!r} names files, so it must not contain '/' or NUL")
+        check_id("device_id", device_id)
         if not math.isfinite(mean):
             raise ValueError(f"mean must be finite, got {mean!r}")
         if not math.isfinite(stddev) or stddev < 0:
@@ -77,10 +75,7 @@ class ReplaySpec(
         delimiter: str = ",",
         expected_period: Optional[float] = None,
     ) -> ReplaySpec:
-        if not device_id:
-            raise ValueError("device_id must be non-empty")
-        if "/" in device_id or "\0" in device_id:
-            raise ValueError(f"device_id {device_id!r} names files, so it must not contain '/' or NUL")
+        check_id("device_id", device_id)
         if len(delimiter) != 1:
             raise ValueError(f"delimiter must be a single character, got {delimiter!r}")
         if expected_period is not None and not (

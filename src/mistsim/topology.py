@@ -26,6 +26,16 @@ _LINK_KINDS = (("gateway", "sensor"), ("cloud", "gateway"))  # sorted kind pairs
 DEFAULT_LEVELS = {"cloud": 0, "gateway": 1, "sensor": 2}
 
 
+def check_id(field: str, id: str) -> None:
+    """Raise ``ValueError`` unless ``id`` can name a plot file and a config section."""
+    if not id:
+        raise ValueError(f"{field} must be non-empty")
+    if "/" in id or "\0" in id:
+        raise ValueError(f"{field} {id!r} names files, so it must not contain '/' or NUL")
+    if id.split() != [id]:  # str.split() cuts at every str.isspace() character
+        raise ValueError(f"{field} {id!r} names a config section, so it must not contain whitespace")
+
+
 class TopologyError(ValueError):
     """A topology that is not a valid three-tier tree; the message lists
     every violation."""
@@ -43,10 +53,7 @@ class Device(namedtuple("Device", "id kind level uplink_kbps downlink_kbps ram_m
         downlink_kbps: float = 0.0,
         ram_mb: float = 0.0,
     ) -> Device:
-        if not id:
-            raise ValueError("device id must be non-empty")
-        if "/" in id or "\0" in id:
-            raise ValueError(f"device id {id!r} names files, so it must not contain '/' or NUL")
+        check_id("device id", id)
         if kind not in KINDS:
             raise ValueError(f"device kind must be one of {KINDS}, got {kind!r}")
         return tuple.__new__(cls, (id, kind, level, uplink_kbps, downlink_kbps, ram_mb))

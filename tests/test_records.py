@@ -453,3 +453,13 @@ def test_ids_that_cannot_name_a_file_are_rejected(bad):
     assert _message(lambda: Device(bad, "sensor", 2)) == f"device id {rule}"
     assert _message(lambda: SensorSpec(bad, 0.0, 1.0, 1.0, 1, 1)) == f"device_id {rule}"
     assert _message(lambda: ReplaySpec(bad, "d.csv")) == f"device_id {rule}"
+
+
+@pytest.mark.parametrize("bad", ["a b", "a\tb", " a", "a\n", "a\u3000b"])
+def test_ids_that_cannot_name_a_config_section_are_rejected(bad):
+    # A [device <id>] or [source <id>] header splits on whitespace, so a
+    # config echo could not name such an id.
+    rule = f"{bad!r} names a config section, so it must not contain whitespace"
+    assert _message(lambda: Device(bad, "sensor", 2)) == f"device id {rule}"
+    assert _message(lambda: SensorSpec(bad, 0.0, 1.0, 1.0, 1, 1)) == f"device_id {rule}"
+    assert _message(lambda: ReplaySpec(bad, "d.csv")) == f"device_id {rule}"

@@ -1252,6 +1252,20 @@ def test_exit_1_id_that_cannot_name_a_file_writes_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, source", [("my data.csv", "my_data"), (" a \t b .csv", "_a_b_")])
+def test_dataset_with_whitespace_in_its_name_reruns_from_its_config_echo(tmp_path, name, source):
+    # The id --dataset takes from the file name heads a [source <id>]
+    # section, which splits on whitespace: each run of it becomes "_".
+    dataset = tmp_path / name
+    dataset.write_text("timestamp,value\n0,1\n1,2\n2,3\n3,9\n", encoding="utf-8")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["filter", "--dataset", str(dataset), "--out", str(first)]) == 0
+    echo = first / "resolved.cfg"
+    assert f"\n[source {source}]\n" in echo.read_text(encoding="utf-8")
+    assert main(["filter", "--config", str(echo), "--out", str(second)]) == 0
+    assert (second / "report.json").read_bytes() == (first / "report.json").read_bytes()
+
+
 def test_exit_1_replay_source_naming_a_directory(tmp_path, capsys):
     cfg = tmp_path / "dir.cfg"
     cfg.write_text(f"[run]\n\n[source d]\nkind = replay\nfile = {tmp_path}\n", encoding="utf-8")
