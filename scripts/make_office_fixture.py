@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mistsim.rng import SplitMix64
+from mistsim.reference import SplitMix64
 
 COUNT = 5000
 SEED = 20240101

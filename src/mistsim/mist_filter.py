@@ -30,19 +30,21 @@ Every timestamp and value, and every full window's average, must be finite;
 ``ValueError``.
 
 ``EventFilter``, in :mod:`mistsim.reference`, steps one ``Sample`` and is
-the reference.  A whole :class:`Stream`, two ``array('d')`` columns, is
-measured by a two-stage batch kernel that must agree with it bit for bit
+the reference; this module never imports it (``mist_filter.EventFilter``
+resolves there on lookup, for the benchmark's tracing).  A whole
+:class:`Stream`, two ``array('d')`` columns, is measured by a two-stage
+batch kernel that must agree with it bit for bit
 (``tests/test_reconstruction.py`` checks that on random grids).
 :func:`check_stream` is the one check of the stream contract (timestamps
 finite and strictly increasing, values finite) outside ``step``; a caller
-runs it once per stream.  Stage 1, :func:`window_averages`, depends only on
-its values and ``n``: it slides a window of ``n`` values over them as
-``step`` does and returns each full window's average, ``sum(window) / n``
-left to right, in an ``array('d')`` of 8 B a window.  It only has to catch
-a window sum that overflows.  Stage 2,
-:func:`mistsim.reconstruction.measure_grid`, applies the band for each
-``p`` to those shared averages.  Neither stage keeps a Python object per
-sample.
+runs it once per stream, and it raises ``step``'s message for the first bad
+sample.  Stage 1, :func:`window_averages`, depends only on its values and
+``n``: it slides a window of ``n`` values over them as ``step`` does and
+returns each full window's average, ``sum(window) / n`` left to right, in an
+``array('d')`` of 8 B a window.  It only has to catch a window sum that
+overflows, and raises ``step``'s message for it.  Stage 2,
+:func:`mistsim.reconstruction.measure_grid`, applies the band for each ``p``
+to those shared averages.  Neither stage keeps a Python object per sample.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from operator import lt
 
 from . import _reference_names
 
-__getattr__ = _reference_names(__name__, "EventFilter Reason Sample TransmitDecision")
+__getattr__ = _reference_names(__name__, "EventFilter")
 
 
 class Stream:
@@ -135,14 +137,26 @@ def check_stream(stream: Stream) -> None:
     sum that overflows is left to :func:`window_averages`, which finds it
     for each ``n``.
     """
-    times = stream.timestamps
+    times, values = stream.timestamps, stream.values
     # Strictly increasing timestamps between finite ends are all finite (a
     # NaN fails every comparison).
     ordered = not times or (
         -_INF < times[0] and times[-1] < _INF and all(map(lt, times, islice(times, 1, None)))
     )
-    if not (ordered and all(map(_isfinite, stream.values))):
-        _replay(stream, len(stream) + 1)
+    if ordered and all(map(_isfinite, values)):
+        return
+    # The first failure, found as step finds it: timestamp before value.
+    last = -_INF
+    for timestamp, value in zip(times, values):
+        if not (last < timestamp and timestamp < _INF):
+            if not _isfinite(timestamp):
+                raise ValueError(f"non-finite timestamp {timestamp!r}")
+            raise ValueError(
+                f"out-of-order sample: timestamp {timestamp!r} does not exceed {last!r}"
+            )
+        if not _isfinite(value):
+            raise ValueError(f"non-finite value {value!r} at timestamp {timestamp!r}")
+        last = timestamp
 
 
 def window_averages(stream: Stream, n: int) -> array:
@@ -164,15 +178,9 @@ def window_averages(stream: Stream, n: int) -> array:
         push(value)
         put(sum(window) / n)
     if not all(map(_isfinite, averages)):
-        _replay(stream, n)
+        k = list(map(_isfinite, averages)).index(False)
+        raise ValueError(
+            f"window average overflowed to {averages[k]!r} at timestamp "
+            f"{stream.timestamps[k + n - 1]!r}; the sum of the last n values exceeds the float range"
+        )
     return averages
-
-
-def _replay(stream: Stream, n: int) -> None:
-    """Raise the exact error of ``stream`` stepped through a window of ``n``."""
-    from .reference import EventFilter
-
-    filt = EventFilter(FilterConfig(n=n, p=0.0))
-    for sample in zip(stream.timestamps, stream.values):
-        filt.step(sample)
-    raise AssertionError("the bulk check rejected a stream EventFilter accepts")

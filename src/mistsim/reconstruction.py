@@ -14,7 +14,8 @@ decision and accounts the hold error in the same loop, as a running total
 and a running maximum, so apart from the flags, which are output, it keeps
 nothing per sample.
 ``EventFilter.step`` per ``Sample``, then ``build_log``, ``reconstruct_zoh``
-and ``error_report``, in :mod:`mistsim.reference`, are the reference.  Kernel
+and ``error_report`` are the reference; they are importable only from
+:mod:`mistsim.reference`, which this module never loads.  Kernel
 and reference add every total left to right with no compensation
 (:func:`_plain_sum`), so they round alike on every Python version.
 """
@@ -28,10 +29,7 @@ from itertools import islice
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from . import _reference_names
 from .mist_filter import FilterConfig, Stream, window_averages
-
-__getattr__ = _reference_names(__name__, "TransmissionLog build_log error_report reconstruct_zoh")
 
 
 class ErrorReport(NamedTuple):

@@ -3,9 +3,11 @@
 The filter, :class:`EventFilter`, then :func:`build_log`,
 :func:`reconstruct_zoh` and :func:`error_report`, give what
 :func:`~mistsim.reconstruction.measure_grid` gives; :class:`SplitMix64` draws
-what :func:`~mistsim.rng.normal_blocks` draws.  No command imports this
-module: the tests, ``check_stream``'s error replay and the old names
-(``mistsim.EventFilter``, ``mistsim.rng.SplitMix64``, ...) load it.
+what :func:`~mistsim.rng.normal_blocks` draws.  No command and no other
+module imports this one: the tests and ``scripts/make_office_fixture.py``
+import these names from here, and only the hooks the benchmark's tracing
+looks names up through (``mistsim.mist_filter.EventFilter``,
+``mistsim.cli.build_log``, ...) load it.
 """
 
 from __future__ import annotations

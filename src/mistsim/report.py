@@ -342,9 +342,10 @@ def check_assertion(report: dict, expression: str) -> bool:
     try:
         threshold = float(right.strip())
     except ValueError:
-        raise ValueError(
-            f"bad assertion {expression!r}: right side must be a number"
-        ) from None
+        threshold = math.nan
+    # A NaN gate would pass (!=) or fail (the rest) whatever the report holds.
+    if math.isnan(threshold):
+        raise ValueError(f"bad assertion {expression!r}: right side must be a number")
 
     node: Any = report
     for part in path.split("."):

@@ -36,22 +36,21 @@ platform's ``log``/``cos``/``sin``; on IEEE-754 doubles with a faithful libm
 the streams agree to at least twelve significant digits.
 
 Two implementations of the recipe exist.  :func:`normal_blocks` is the
-production path: synthetic sources draw through it.  ``SplitMix64``, in
-:mod:`mistsim.reference`, steps one draw at a time and is its reference; the
-tests require the two to agree float for float.  The block kernel rests on a property of
-splitmix64: the state before draw ``k`` (counting from 0) is
-``seed + k * 0x9E3779B97F4A7C15`` modulo 2**64, so any run of draws can be
-computed at once without stepping through the ones before it.  It
-packs up to ``_BLOCK`` states into the 128-bit lanes of one Python int and
-runs rule 1 as a handful of whole-int operations.  Lanes are 128 bits wide
-because a 64-bit lane times a 64-bit constant is below 2**128: the
-multiplications never carry into the next lane, and masking every lane to
-its low 64 bits afterwards is exactly the reduction modulo 2**64.  The
+production path: synthetic sources draw through it.  ``SplitMix64``,
+importable only from :mod:`mistsim.reference`, steps one draw at a time and
+is its reference; the tests require the two to agree float for float.  The
+block kernel rests on a property of splitmix64: the state before draw ``k``
+(counting from 0) is ``seed + k * 0x9E3779B97F4A7C15`` modulo 2**64, so any
+run of draws can be computed at once without stepping through the ones
+before it.  It packs up to ``_BLOCK`` states into the 128-bit lanes of one
+Python int and runs rule 1 as a handful of whole-int operations.  Lanes are
+128 bits wide because a 64-bit lane times a 64-bit constant is below 2**128:
+the multiplications never carry into the next lane, and masking every lane
+to its low 64 bits afterwards is exactly the reduction modulo 2**64.  The
 shifts do pull the neighbouring lane's low bits into a lane's upper half;
 those bits are masked off before they can reach the low 64.  Only rules 2
 and 3 (and the ``m + s * z_k`` step, in :func:`mistsim.sources.gen_normal`)
-run per element, in the same operations and order as the per-draw
-reference.
+run per element, in the same operations and order as the per-draw reference.
 """
 
 from __future__ import annotations
@@ -62,10 +61,6 @@ from functools import cache
 from itertools import repeat
 from operator import mul
 from typing import Iterator
-
-from . import _reference_names
-
-__getattr__ = _reference_names(__name__, "SplitMix64")
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15

@@ -54,6 +54,10 @@ class Device(namedtuple("Device", "id kind level uplink_kbps downlink_kbps ram_m
         ram_mb: float = 0.0,
     ) -> Device:
         check_id("device id", id)
+        if "->" in id:
+            raise ValueError(
+                f"device id {id!r} names links, reported as '<src>-><dst>', so it must not contain '->'"
+            )
         if kind not in KINDS:
             raise ValueError(f"device kind must be one of {KINDS}, got {kind!r}")
         return tuple.__new__(cls, (id, kind, level, uplink_kbps, downlink_kbps, ram_mb))

@@ -27,7 +27,7 @@ def to_stream(rows):
 
 def to_rows(stream):
     """A :class:`mistsim.mist_filter.Stream`'s samples as a list of ``Sample`` rows."""
-    from mistsim.mist_filter import Sample
+    from mistsim.reference import Sample
 
     return list(map(Sample, stream.timestamps, stream.values))
 

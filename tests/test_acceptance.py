@@ -16,9 +16,8 @@ import pytest
 from mistsim.cli import main
 from mistsim.config import load_config
 from mistsim.engine import EnergyModel, Mode, compare, run
-from mistsim.mist_filter import EventFilter, FilterConfig, Sample
-from mistsim.reconstruction import build_log, error_report, reconstruct_zoh
-from mistsim.rng import SplitMix64
+from mistsim.mist_filter import FilterConfig
+from mistsim.reference import EventFilter, Sample, SplitMix64, build_log, error_report, reconstruct_zoh
 from mistsim.sources import ReplaySpec, SensorSpec, gen_normal, load_csv
 from oracles import delivery_trace, to_rows, to_stream
 

@@ -36,7 +36,8 @@ from mistsim.engine import (
     run,
     simulate,
 )
-from mistsim.mist_filter import FilterConfig, Sample
+from mistsim.mist_filter import FilterConfig
+from mistsim.reference import Sample
 from mistsim.sources import SensorSpec, gen_normal
 from mistsim.topology import Device, Link, Topology, TopologyError, validate
 from oracles import (

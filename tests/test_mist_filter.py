@@ -11,18 +11,11 @@ import math
 from array import array
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mistsim.mist_filter import (
-    EventFilter,
-    FilterConfig,
-    Reason,
-    Sample,
-    Stream,
-    check_stream,
-    window_averages,
-)
+from mistsim.mist_filter import FilterConfig, Stream, check_stream, window_averages
+from mistsim.reference import EventFilter, Reason, Sample
 from oracles import dead_band_flags, dead_band_reasons, to_stream
 
 VALUES = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -401,21 +394,70 @@ def test_oracle_agrees_on_pathological_magnitudes():
 # ------------------------------------------------------- stream check split
 
 
-def test_check_stream_passes_or_raises_steps_error_for_its_window():
-    rows = [(0.0, 1e308), (1.0, 1e308), (2.0, math.nan)]
-    assert check_stream(to_stream(rows[:2])) is None
-    # The same broken stream, judged by check_stream's window that never
-    # fills and by stage 1's window of 2, which overflows before it reaches
-    # the NaN.
-    with pytest.raises(ValueError, match="^non-finite value nan at timestamp 2.0$"):
-        check_stream(to_stream(rows))
-    with pytest.raises(ValueError, match="overflowed to inf at timestamp 1.0"):
-        window_averages(to_stream(rows), 2)
+def _step_error(rows, n):
+    """The text ``EventFilter.step`` raises on ``rows`` with a window of ``n``, or None."""
+    filt = EventFilter(FilterConfig(n=n, p=0.0))
+    return _raised(lambda: [filt.step(Sample(t, v)) for t, v in rows])
+
+
+def _raised(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# (column, fault): column 0 is the timestamp, 1 the value.  "equal" and
+# "decreasing" are taken from the row before (the last row, for row 0).
+FAULTS = [(0, math.nan), (0, math.inf), (0, -math.inf), (0, "equal"), (0, "decreasing"),
+          (1, math.nan), (1, math.inf), (1, -math.inf)]
+
+
+@st.composite
+def faulty_rows(draw):
+    """Strictly increasing finite rows, then up to three faults at random rows."""
+    rows = [[t, draw(FINITE)] for t in sorted(draw(st.lists(FINITE, unique=True, max_size=30)))]
+    for column, fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3 if rows else 0)):
+        i = draw(st.integers(0, len(rows) - 1))
+        if fault == "equal":
+            fault = rows[i - 1][0]
+        elif fault == "decreasing":
+            fault = math.nextafter(rows[i - 1][0], -math.inf)
+        rows[i][column] = fault
+    return [tuple(row) for row in rows]
+
+
+@given(rows=faulty_rows())
+@example(rows=[(0.0, 1e308), (1.0, 1e308), (2.0, math.nan)])
+@settings(max_examples=300, deadline=None)
+def test_check_stream_passes_or_raises_steps_error_for_its_window(rows):
+    # check_stream judges with a window that never fills, so it raises
+    # exactly what step raises at the first bad sample, timestamp before
+    # value, and accepts exactly the streams step accepts.
+    assert _raised(lambda: check_stream(to_stream(rows))) == _step_error(rows, len(rows) + 1)
+
+
+HUGE = st.floats(min_value=1.6e308, max_value=1.7976931348623157e308)
+
+
+@given(
+    values=st.lists(st.one_of(HUGE, HUGE.map(float.__neg__), st.floats(-1e3, 1e3)), max_size=20),
+    n=st.integers(min_value=1, max_value=6),
+)
+@example(values=[1e308, 1e308, math.nan], n=2)
+@settings(max_examples=300, deadline=None)
+def test_property_window_average_overflow_is_steps_error(values, n):
+    # Stage 1 finds the first window whose sum overflows and raises step's
+    # text for it, so anything later (the NaN in the example) is not reached.
+    rows = [(float(i), v) for i, v in enumerate(values)]
+    assert _raised(lambda: window_averages(to_stream(rows), n)) == _step_error(rows, n)
 
 
 def test_window_averages_reads_only_the_checked_values():
-    # Stage 1 trusts check_stream: timestamps are not looked at again, and
-    # the samples are replayed only for an overflowing window's message.
+    # Stage 1 trusts check_stream: timestamps are not looked at again, but
+    # to name the sample an overflowing window's message points at.
     unchecked = to_stream([(math.nan, 1.0), (math.nan, 2.0), (math.nan, 4.0)])
     averages = window_averages(unchecked, 2)
     assert averages.typecode == "d" and list(averages) == [1.5, 3.0]

@@ -13,21 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mistsim import reconstruction
-from mistsim.mist_filter import (
+from mistsim.mist_filter import FilterConfig, check_stream, window_averages
+from mistsim.reconstruction import ErrorReport, measure_grid
+from mistsim.reference import (
     EventFilter,
-    FilterConfig,
     Reason,
     Sample,
-    TransmitDecision,
-    check_stream,
-    window_averages,
-)
-from mistsim.reconstruction import (
-    ErrorReport,
     TransmissionLog,
+    TransmitDecision,
     build_log,
     error_report,
-    measure_grid,
     reconstruct_zoh,
 )
 from mistsim.sources import SensorSpec, gen_normal

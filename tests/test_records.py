@@ -17,8 +17,9 @@ import pytest
 
 from mistsim.config import Overrides, Scenario
 from mistsim.engine import DEFAULT_ENERGY_PARAMS, EnergyModel, EnergyParams, RunMetrics
-from mistsim.mist_filter import FilterConfig, Sample, Stream
-from mistsim.reconstruction import ErrorReport, TransmissionLog
+from mistsim.mist_filter import FilterConfig, Stream
+from mistsim.reconstruction import ErrorReport
+from mistsim.reference import Sample, TransmissionLog
 from mistsim.sources import MAX_COUNT, IngestReport, ReplaySpec, SensorSpec
 from mistsim.topology import Device, Link, Topology
 
@@ -453,6 +454,16 @@ def test_ids_that_cannot_name_a_file_are_rejected(bad):
     assert _message(lambda: Device(bad, "sensor", 2)) == f"device id {rule}"
     assert _message(lambda: SensorSpec(bad, 0.0, 1.0, 1.0, 1, 1)) == f"device_id {rule}"
     assert _message(lambda: ReplaySpec(bad, "d.csv")) == f"device_id {rule}"
+
+
+@pytest.mark.parametrize("bad", ["a->b", "->", "a->"])
+def test_device_ids_that_cannot_name_a_link_are_rejected(bad):
+    # Links are reported as "<src>-><dst>", so with gateways "y->z" and
+    # "x->y" the links x -> y->z and x->y -> z would share one name.  A
+    # source id names no link.
+    rule = f"{bad!r} names links, reported as '<src>-><dst>', so it must not contain '->'"
+    assert _message(lambda: Device(bad, "gateway", 1)) == f"device id {rule}"
+    assert SensorSpec(bad, 0.0, 1.0, 1.0, 1, 1).device_id == ReplaySpec(bad, "d.csv").device_id == bad
 
 
 @pytest.mark.parametrize("bad", ["a b", "a\tb", " a", "a\n", "a\u3000b"])

@@ -1,9 +1,11 @@
 """The per-sample reference implementations live in ``mistsim.reference``.
 
-No command imports that module.  Every name that moved there is still
-reachable at its old path, through a module ``__getattr__`` that imports
-``mistsim.reference`` on first lookup; any other missing name is missing
-as before.
+Their one import path is ``mistsim.reference``.  No command and no product
+path imports that module.  The names the benchmark's tracing wraps on
+``cli``, ``engine``, ``report`` and ``mist_filter`` are still found there,
+through a module ``__getattr__`` that imports ``mistsim.reference`` on first
+lookup; every other module lacks every moved name, as any module lacks a
+name it never had.
 """
 
 from __future__ import annotations
@@ -22,16 +24,17 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Each module with a hook, and the names it finds in mistsim.reference.
 MOVED = {
-    "mistsim": "EventFilter Reason Sample TransmitDecision TransmissionLog build_log error_report "
-    "reconstruct_zoh SplitMix64",
-    "mistsim.mist_filter": "EventFilter Reason Sample TransmitDecision",
-    "mistsim.reconstruction": "TransmissionLog build_log error_report reconstruct_zoh",
-    "mistsim.rng": "SplitMix64",
+    "mistsim.mist_filter": "EventFilter",
     "mistsim.cli": "build_log error_report reconstruct_zoh",
     "mistsim.engine": "build_log error_report reconstruct_zoh",
     "mistsim.report": "reconstruct_zoh",
 }
-ALL_MOVED = MOVED["mistsim"].split()
+ALL_MOVED = (
+    "EventFilter Reason Sample TransmitDecision TransmissionLog build_log error_report "
+    "reconstruct_zoh SplitMix64"
+).split()
+# The modules whose hooks are gone, and the hooked ones.
+MODULES = ["mistsim", "mistsim.reconstruction", "mistsim.rng", *MOVED]
 
 
 def _python_stdout(code: str) -> str:
@@ -59,9 +62,10 @@ def test_each_old_path_is_the_reference_object(module, name):
     "module, name",
     [
         (module, name)
-        for module, names in MOVED.items()
+        for module in MODULES
         # A name that moved from another module is not found here either.
-        for name in ["no_such_name", "__wrapped__", *sorted(set(ALL_MOVED) - set(names.split()))]
+        for name in ["no_such_name", "__wrapped__", *sorted(ALL_MOVED)]
+        if name not in MOVED.get(module, "").split()
     ],
 )
 def test_any_other_missing_name_is_missing(module, name):
@@ -73,7 +77,7 @@ def test_any_other_missing_name_is_missing(module, name):
 def test_a_probe_for_a_missing_name_imports_nothing():
     code = (
         "import sys, importlib\n"
-        f"modules = [importlib.import_module(m) for m in {list(MOVED)!r}]\n"
+        f"modules = [importlib.import_module(m) for m in {MODULES!r}]\n"
         "before = set(sys.modules)\n"
         "names = ('__wrapped__', 'no_such_name', 'step')\n"
         "probes = [hasattr(m, name) for m in modules for name in names]\n"
@@ -99,19 +103,33 @@ def test_the_commands_run_without_the_reference(tmp_path):
     assert _python_stdout(code).splitlines()[-1] == "False False"
 
 
-def test_only_a_rejected_stream_loads_the_reference():
+def test_a_rejected_stream_leaves_the_reference_unloaded(tmp_path):
+    # check_stream and window_averages name the first failure themselves,
+    # with step's message, and a command that exits 2 on it loads nothing
+    # more.
+    csv = tmp_path / "huge.csv"
+    csv.write_text("timestamp,value\n0,1e308\n1,1e308\n2,1.0\n", encoding="utf-8")
+    filter_ = ["filter", "--dataset", str(csv), "--n", "2", "--out", str(tmp_path / "out")]
     code = (
         "import sys\n"
         "from array import array\n"
-        "from mistsim.mist_filter import Stream, check_stream\n"
+        "from mistsim import cli\n"
+        "from mistsim.mist_filter import Stream, check_stream, window_averages\n"
         "check_stream(Stream(array('d', [0.0, 1.0]), array('d', [1.0, 2.0])))\n"
-        "print('mistsim.reference' in sys.modules)\n"
-        "try:\n"
-        "    check_stream(Stream(array('d', [1.0, 0.0]), array('d', [1.0, 2.0])))\n"
-        "except ValueError as exc:\n"
-        "    print(exc)\n"
+        "for call in (\n"
+        "    lambda: check_stream(Stream(array('d', [1.0, 0.0]), array('d', [1.0, 2.0]))),\n"
+        "    lambda: window_averages(Stream(array('d', [0.0, 1.0]), array('d', [1e308, 1e308])), 2),\n"
+        "):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        f"print(cli.main({filter_!r}))\n"
         "print('mistsim.reference' in sys.modules)\n"
     )
     assert _python_stdout(code) == (
-        "False\nout-of-order sample: timestamp 0.0 does not exceed 1.0\nTrue\n"
+        "out-of-order sample: timestamp 0.0 does not exceed 1.0\n"
+        "window average overflowed to inf at timestamp 1.0; the sum of the last n values exceeds the float range\n"
+        "2\n"
+        "False\n"
     )

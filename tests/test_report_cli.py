@@ -28,8 +28,9 @@ from mistsim import topology as topology_module
 from mistsim.cli import main
 from mistsim.config import load_config
 from mistsim.engine import Mode
-from mistsim.mist_filter import FilterConfig, Sample, check_stream
-from mistsim.reconstruction import TransmissionLog, measure_grid, reconstruct_zoh
+from mistsim.mist_filter import FilterConfig, check_stream
+from mistsim.reconstruction import measure_grid
+from mistsim.reference import Sample, TransmissionLog, reconstruct_zoh
 from mistsim.report import _BLOCK, _OPEN_FILES, check_assertion, dumps_stable, emit_report, write_csv
 from mistsim.sources import MAX_COUNT, SensorSpec, gen_normal, load_csv
 from mistsim.topology import Topology
@@ -1252,6 +1253,29 @@ def test_exit_1_id_that_cannot_name_a_file_writes_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_exit_1_device_id_that_would_merge_two_links(tmp_path, capsys):
+    # Links are reported as "<src>-><dst>": here x -> y->z and x->y -> z
+    # would both be "x->y->z", and the report would hold 3 of the 4 links
+    # with their messages summed.  The first id that contains "->" is
+    # rejected, naming its section.
+    devices = [("z", "cloud"), ("y->z", "gateway"), ("x->y", "gateway"), ("x", "sensor"), ("w", "sensor")]
+    links = [("x", "y->z"), ("w", "x->y"), ("y->z", "z"), ("x->y", "z")]
+    source = "kind = normal\nmean = 10\nstddev = 1\nperiod_ms = 1000\ncount = 100\n"
+    text = "[run]\nseed = 1\nduration_ms = 200000\n\n"
+    text += "".join(f"[device {id}]\nkind = {kind}\n\n" for id, kind in devices)
+    text += "".join(f"[link {src} {dst}]\nlatency_ms = 1\n\n" for src, dst in links)
+    text += f"[source x]\n{source}\n[source w]\n{source}"
+    cfg = tmp_path / "links.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: [device y->z]: device id 'y->z' names links, "
+        "reported as '<src>-><dst>', so it must not contain '->'\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, source", [("my data.csv", "my_data"), (" a \t b .csv", "_a_b_")])
 def test_dataset_with_whitespace_in_its_name_reruns_from_its_config_echo(tmp_path, name, source):
     # The id --dataset takes from the file name heads a [source <id>]
@@ -1853,6 +1877,15 @@ def test_exit_1_unparsable_assertion(tmp_path, office_csv_path, capsys):
     ]
     assert main(args) == 1
     assert "bad assertion" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["seed != nan", "seed == nan", "seed < NaN", "seed >= -nan"])
+def test_exit_1_nan_assertion_threshold(tmp_path, office_csv_path, capsys, expr):
+    # Every comparison with a NaN is False (and != True), so such a gate
+    # could never tell one report from another: it is not a number here.
+    args = ["filter", "--dataset", str(office_csv_path), "--column", "temp_c", "--out", str(tmp_path / "o")]
+    assert main(args + ["--quiet", "--assert", expr]) == 1
+    assert capsys.readouterr().err == f"error: bad assertion {expr!r}: right side must be a number\n"
 
 
 def test_version_flag_exits_zero(capsys):

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mistsim.mist_filter import Stream
-from mistsim.rng import _BLOCK, SplitMix64, derive_seed, normal_blocks
+from mistsim.reference import SplitMix64
+from mistsim.rng import _BLOCK, derive_seed, normal_blocks
 from mistsim.sources import (
     IngestReport,
     ReplaySpec,
