@@ -25,7 +25,7 @@ from . import __version__, _reference_names
 from .config import MODES, ConfigError, Overrides, Scenario, load_config, parse_config, serialize_scenario
 from .engine import Mode, compare, fork_map, measure_stream, simulate
 from .mist_filter import Stream
-from .report import check_assertion, emit_report
+from .report import check_assertion, emit_report, parse_assertion
 from .sources import ReplaySpec, SensorSpec, gen_normal, load_csv
 from .topology import TopologyError
 # Unused here; perfbench/tracing.py wraps these names on this module.
@@ -394,6 +394,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
+    # Every gate is parsed before any work, so a bad one writes nothing.
+    try:
+        gates = [parse_assertion(expression) for expression in args.assertions]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
     try:
         command = _cmd_filter if args.command == "filter" else _cmd_simulate
         _check_out(args.out)
@@ -411,15 +418,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for path in written:
             print(f"wrote {path}")
 
-    failed = []
-    for expression in args.assertions:
-        try:
-            ok = check_assertion(report, expression)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if not ok:
-            failed.append(expression)
+    failed = [
+        expression
+        for expression, gate in zip(args.assertions, gates)
+        if not check_assertion(report, gate)
+    ]
     if failed:
         for expression in failed:
             print(f"assertion failed: {expression}", file=sys.stderr)

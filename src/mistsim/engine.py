@@ -507,6 +507,46 @@ def _latency_summary(latencies: Sequence[float]) -> tuple[int, float, float, flo
     return len(latencies), least, greatest, total
 
 
+def _latency_summaries(
+    timestamps: array, l1: float, l2: float
+) -> Callable[[Optional[bytearray]], tuple[int, float, float, float]]:
+    """A function of transmit flags: :func:`_latency_summary` of the
+    latencies ``((t + l1) + l2) - t`` of the samples the flags mark, of every
+    sample when they are ``None``.  ``timestamps`` are ordered.
+
+    The summary is in closed form, with no per-sample list, when it is
+    exact: when both latencies and every timestamp are integers and
+    ``max(|t|) + l1 + l2 <= 2**53``.  Every partial sum is then an integer
+    no larger than ``2**53`` in magnitude, which a double holds exactly, so
+    every latency is exactly ``L = l1 + l2`` and ``c`` sent samples sum to
+    ``c * L``, rounded once as the exact sum is.  Otherwise a hop may
+    round, and the latencies are listed one per sample.
+    """
+    total = len(timestamps)
+    # A library caller may pass an int latency; int has no is_integer on 3.11.
+    exact = (
+        total > 0
+        and float(l1).is_integer()
+        and float(l2).is_integer()
+        # Ordered, so the extremes are the ends; integers add exactly.
+        and int(max(-timestamps[0], timestamps[-1])) + int(l1) + int(l2) <= 1 << 53
+        and all(map(float.is_integer, timestamps))
+    )
+    if not exact:
+        latencies = [((t + l1) + l2) - t for t in timestamps]
+        return lambda flags: _latency_summary(
+            latencies if flags is None else list(compress(latencies, flags))
+        )
+    # The first sample's latency: L, with the sign every zero latency takes.
+    fixed = ((timestamps[0] + l1) + l2) - timestamps[0]
+
+    def summary(flags: Optional[bytearray]) -> tuple[int, float, float, float]:
+        count = total if flags is None else flags.count(1)
+        return (count, fixed, fixed, count * fixed) if count else (0, math.inf, -math.inf, 0.0)
+
+    return summary
+
+
 def simulate(
     topology: Topology,
     streams: Mapping[str, Stream],
@@ -535,12 +575,15 @@ def simulate(
     stream while it measures, plus the results of its share until this
     process has taken them: each sensor's kept samples, packed, and per run
     a :func:`_latency_summary` and what that run measured and sent: report,
-    flags and log digest.  This process takes them in topology order into
-    the sources hash and the accounting, so the results do not depend on
-    the number of workers.  ``note``, if given, is called as ``note(id,
-    kept)`` once per sensor, with its stream cut at the horizon, in the
-    process that measured it; each run's ``notes`` maps the id to what it
-    returned, unless ``None``.
+    flags and log digest.  A sensor's latency summaries hold no per-sample
+    list when they are exact in closed form: when both of its link
+    latencies and every kept timestamp are integers and ``max(|t|) + l1 +
+    l2 <= 2**53``, every latency is ``l1 + l2``.  This process takes them
+    in topology order into the sources hash and the accounting, so the
+    results do not depend on the number of workers.  ``note``, if given, is
+    called as ``note(id, kept)`` once per sensor, with its stream cut at the
+    horizon, in the process that measured it; each run's ``notes`` maps the
+    id to what it returned, unless ``None``.
 
     Errors: the first sensor, in topology order, whose stream fails to
     load, check or measure raises, whatever the number of workers; a
@@ -570,25 +613,26 @@ def simulate(
         :func:`_packed`, what ``note`` returned, ``(log digest, latencies)``
         of sending every kept sample, :func:`_latency_summary`, and per config
         ``(log digest, latencies, measurement)`` of what that run sent.  A
-        sample's latency is ``((t + l1) + l2) - t``, by its two links'."""
+        sample's latency is ``((t + l1) + l2) - t``, by its two links'.  When
+        ``l1``, ``l2`` and every kept ``t`` are integers and ``max(|t|) + l1
+        + l2 <= 2**53``, each is exactly ``l1 + l2`` and the summaries come
+        from the sent counts alone (:func:`_latency_summaries`)."""
         kept, grid = measure_stream(s, streams, configs, duration_ms, "sensor")
         noted = note(s, kept) if note else None
         # Latencies and packed samples once per sensor, for every run: paths
         # do not depend on the config.
         first, _, second = paths[s]
-        l1, l2 = first.latency_ms, second.latency_ms
-        latencies = [((t + l1) + l2) - t for t in kept.timestamps]
+        summary = _latency_summaries(kept.timestamps, first.latency_ms, second.latency_ms)
         total = len(kept)
 
         def sent(flags: bytearray) -> tuple:
-            digest = _log_digest(total, _packed_sent(kept, flags))
-            return digest, _latency_summary(list(compress(latencies, flags)))
+            return _log_digest(total, _packed_sent(kept, flags)), summary(flags)
 
         filtered = {config: sent(m.flags) for config, m in zip(configs, grid) if config is not None}
         # Packed last, so that the whole stream's bytes never sit beside the
         # packed copies of what each run sent.
         packed = _packed(kept)
-        everything = (_log_digest(total, packed), _latency_summary(latencies))
+        everything = (_log_digest(total, packed), summary(None))
         runs = [(*filtered.get(config, everything), m) for config, m in zip(configs, grid)]
         return s, packed, noted, everything, runs
 

@@ -3,7 +3,7 @@
 The filter, :class:`EventFilter`, then :func:`build_log`,
 :func:`reconstruct_zoh` and :func:`error_report`, give what
 :func:`~mistsim.reconstruction.measure_grid` gives; :class:`SplitMix64` draws
-what :func:`~mistsim.rng.normal_blocks` draws.  No command and no other
+the normals :func:`~mistsim.rng.normal_blocks` scales.  No command and no other
 module imports this one: the tests and ``scripts/make_office_fixture.py``
 import these names from here, and only the hooks the benchmark's tracing
 looks names up through (``mistsim.mist_filter.EventFilter``,

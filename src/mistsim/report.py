@@ -321,13 +321,13 @@ def _write_plot_csvs(out: Path, group: tuple[Sequence, Sequence, list]) -> None:
                     fh.write("".join(lines))
 
 
-def check_assertion(report: dict, expression: str) -> bool:
-    """Evaluate a gating expression like ``comparison.cloud_energy_j.reduction_percent > 0``.
+def parse_assertion(expression: str) -> tuple[tuple[str, ...], str, float]:
+    """Parse a gating expression like ``comparison.cloud_energy_j.reduction_percent > 0``
+    into ``(path keys, op, number)``, the gate :func:`check_assertion` evaluates.
 
     Grammar: ``<dotted.path> <op> <number>`` with ops ``< <= > >= == !=``.
-    The path walks dict keys (and list indices given as integers) in the
-    report.  A missing path or a ``None`` value fails the assertion rather
-    than erroring, so gates can probe optional fields.
+    An expression that does not parse, or whose number is NaN, raises
+    ``ValueError`` (``bad assertion ...``).
     """
     # The last operator, the longer where two start there: a path may hold one.
     at, _, op = max((expression.rfind(op), len(op), op) for op in _OPS)
@@ -346,9 +346,19 @@ def check_assertion(report: dict, expression: str) -> bool:
     # A NaN gate would pass (!=) or fail (the rest) whatever the report holds.
     if math.isnan(threshold):
         raise ValueError(f"bad assertion {expression!r}: right side must be a number")
+    return tuple(path.split(".")), op, threshold
 
+
+def check_assertion(report: dict, gate: tuple[tuple[str, ...], str, float]) -> bool:
+    """Whether ``report`` passes a gate :func:`parse_assertion` made.
+
+    The path walks dict keys (and list indices given as integers) in the
+    report.  A missing path or a ``None`` value fails the assertion rather
+    than erroring, so gates can probe optional fields.
+    """
+    path, op, threshold = gate
     node: Any = report
-    for part in path.split("."):
+    for part in path:
         digits = part.removeprefix("-")  # a list index: an optional "-", then ASCII digits
         if isinstance(node, dict) and part in node:
             node = node[part]

@@ -48,18 +48,24 @@ Python int and runs rule 1 as a handful of whole-int operations.  Lanes are
 the multiplications never carry into the next lane, and masking every lane
 to its low 64 bits afterwards is exactly the reduction modulo 2**64.  The
 shifts do pull the neighbouring lane's low bits into a lane's upper half;
-those bits are masked off before they can reach the low 64.  Only rules 2
-and 3 (and the ``m + s * z_k`` step, in :func:`mistsim.sources.gen_normal`)
-run per element, in the same operations and order as the per-draw reference.
+those bits are masked off before they can reach the low 64.
+
+Rules 2 and 3 and the ``m + s * z_k`` step run per element, in one Python
+loop per Box-Muller pair: ``math.log`` of ``u1``, ``math.sqrt`` of ``-2``
+times that, then ``math.cos`` and ``math.sin`` of ``2 * pi * u2``, each
+times ``r``, scaled and shifted.  These are the reference's calls on the
+same operands, with each product and sum rounded in the same order, so the
+two give the same float for every draw.  The one difference in form,
+``2 * pi * 2**-53`` folded into one constant, changes no value: scaling by
+a power of two is exact.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from array import array
 from functools import cache
-from itertools import repeat
-from operator import mul
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -97,13 +103,15 @@ def _lanes() -> tuple[int, int, int, int]:
     )
 
 
-def normal_blocks(seed: int, count: int) -> Iterator[list[float]]:
-    """The first ``count`` normals of ``SplitMix64(seed)``, in lists of at most ``_BLOCK``.
+def normal_blocks(seed: int, count: int, mean: float, stddev: float) -> Iterator[array]:
+    """``mean + stddev * z_k`` for the first ``count`` normals ``z_k`` of
+    ``SplitMix64(seed)``, in arrays of at most ``_BLOCK``.
 
-    Equal float for float to ``SplitMix64(seed).next_normal()`` called
-    ``count`` times, cosine value first, then sine.
+    ``z_k`` is equal float for float to the ``k``-th value that
+    ``SplitMix64(seed).next_normal()`` returns, cosine value first, then sine.
     """
     steps, ones, mask64, mask53 = _lanes()
+    log, sqrt, cos, sin = math.log, math.sqrt, math.cos, math.sin
     state = seed & _MASK64  # the state before the block's first draw
     while count > 0:
         n = min(count, _BLOCK)
@@ -121,14 +129,15 @@ def normal_blocks(seed: int, count: int) -> Iterator[list[float]]:
         # Each lane is two little-endian words, the value and a zero; the
         # Box-Muller pair j takes lanes 2j and 2j+1, so words 4j and 4j+2.
         words = struct.unpack(f"<{2 * draws}Q", z.to_bytes(16 * draws, "little"))
-        u1 = map(mul, words[0::4], repeat(_TWO_NEG53))
-        r = list(map(math.sqrt, map(mul, repeat(-2.0), map(math.log, u1))))
-        theta = list(map(mul, repeat(_TWO_PI_NEG53), words[2::4]))
-        normals = [0.0] * draws
-        normals[0::2] = map(mul, r, map(math.cos, theta))
-        normals[1::2] = map(mul, r, map(math.sin, theta))
+        block = array("d")
+        append = block.append
+        for w1, w2 in zip(words[0::4], words[2::4]):
+            r = sqrt(-2.0 * log(w1 * _TWO_NEG53))
+            theta = _TWO_PI_NEG53 * w2
+            append(mean + stddev * (r * cos(theta)))
+            append(mean + stddev * (r * sin(theta)))
         if n < draws:
-            del normals[n:]
-        yield normals
+            del block[n:]
+        yield block
         state = (state + draws * _GAMMA) & _MASK64
         count -= n

@@ -12,7 +12,7 @@ import math
 from array import array
 from collections import namedtuple
 from itertools import chain, repeat
-from operator import add, mul
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -108,15 +108,15 @@ def gen_normal(spec: SensorSpec) -> Stream:
     kernel block at a time, so no list the length of the stream exists
     beside the result.
     """
-    mean, stddev, period_ms = spec.mean, spec.stddev, spec.period_ms
+    period_ms = spec.period_ms
     # Both columns are allocated at their final size and filled a block at
     # a time; growing them by appends would leave spare capacity behind.
     timestamps = array("d", [0.0]) * spec.count
     values = array("d", [0.0]) * spec.count
     start = 0
-    for normals in normal_blocks(spec.seed, spec.count):
-        stop = start + len(normals)
-        values[start:stop] = array("d", map(add, repeat(mean), map(mul, repeat(stddev), normals)))
+    for block in normal_blocks(spec.seed, spec.count, spec.mean, spec.stddev):
+        stop = start + len(block)
+        values[start:stop] = block
         timestamps[start:stop] = array("d", map(mul, range(start, stop), repeat(period_ms)))
         start = stop
     return Stream(timestamps, values)

@@ -15,9 +15,11 @@ import sys
 import threading
 import time
 import weakref
+from array import array
 from collections.abc import Mapping
-from contextlib import closing
+from contextlib import closing, nullcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -171,6 +173,59 @@ def test_latency_is_each_sent_samples_time_to_the_cloud(monkeypatch, workers):
             in_turn += x
         differs |= in_turn / len(every) != total / len(every)
     assert differs  # a running sum over every sample would fail this test
+
+
+@st.composite
+def _integral_latency_case(draw):
+    """``(timestamps, l1, l2, flags)``: ordered integral timestamps whose
+    largest magnitude plus the two integral latencies lies near ``2**53``
+    (at, just past, or anywhere off it), latencies given as ``int`` or
+    ``float`` (``-0.0`` too), and flags sending 0 to all of the samples."""
+    def latency():
+        value = draw(st.one_of(st.integers(0, 100), st.integers(0, 2**53), st.sampled_from([2**52, 2**53])))
+        if draw(st.booleans()):
+            return value
+        return -0.0 if value == 0 and draw(st.booleans()) else float(value)
+
+    l1, l2 = latency(), latency()
+    slack = draw(st.one_of(st.sampled_from([-2, -1, 0, 1, 2]), st.integers(-(2**53), 2**53)))
+    m = max(0, 2**53 - int(l1) - int(l2) + slack)
+    extreme = -m if draw(st.booleans()) else m
+    others = draw(st.lists(st.integers(-m, m), max_size=12))
+    timestamps = sorted({float(t) for t in [extreme, *others]})
+    if draw(st.booleans()):
+        timestamps = timestamps[-1:] if timestamps[-1] == float(extreme) else timestamps[:1]
+    n = len(timestamps)
+    flags = bytearray(n)
+    for k in draw(st.permutations(range(n)))[: draw(st.integers(0, n))]:
+        flags[k] = 1
+    return timestamps, l1, l2, flags
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_integral_latency_case())
+@example(case=([2.0**53 - 2], 1, 1, bytearray([1])))  # at the guard: exact
+@example(case=([2.0**53 - 1], 1, 1, bytearray([1])))  # just past: the hops round
+@example(case=([0.0, 1.0, 2.0**53 - 1], 1.0, 1.0, bytearray([0, 1, 1])))
+@example(case=([-(2.0**52) - 2, 0.0], 2**51, 2**51 - 2, bytearray([1, 0])))  # at, by the first
+@example(case=([-(2.0**53) - 2, 0.0], 1, 0, bytearray([1, 1])))  # past, by the first
+@example(case=([0.0], -0.0, -0.0, bytearray([1])))  # a zero latency is +0.0
+@example(case=([], 4.0, 50.0, bytearray()))
+def test_property_integral_latency_summary_in_closed_form(case):
+    # The summary of the samples a run sent equals the per-sample one, of
+    # ((t + l1) + l2) - t; within the guard it is taken in closed form.
+    timestamps, l1, l2, flags = case
+    latencies = [((t + l1) + l2) - t for t in timestamps]
+    want_sent = engine._latency_summary([x for x, f in zip(latencies, flags) if f])
+    want_all = engine._latency_summary(latencies)
+    exact = bool(timestamps) and max(map(abs, map(int, timestamps))) + int(l1) + int(l2) <= 2**53
+    # Within the guard, no per-sample summary may run.
+    no_list = mock.patch.object(engine, "_latency_summary", side_effect=AssertionError)
+    with no_list if exact else nullcontext():
+        summary = engine._latency_summaries(array("d", timestamps), l1, l2)
+        got_sent, got_all = summary(flags), summary(None)
+    assert got_sent == want_sent and repr(got_sent) == repr(want_sent)
+    assert got_all == want_all and repr(got_all) == repr(want_all)
 
 
 def test_messages_in_flight_at_horizon_still_deliver():

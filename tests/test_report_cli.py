@@ -31,7 +31,15 @@ from mistsim.engine import Mode
 from mistsim.mist_filter import FilterConfig, check_stream
 from mistsim.reconstruction import measure_grid
 from mistsim.reference import Sample, TransmissionLog, reconstruct_zoh
-from mistsim.report import _BLOCK, _OPEN_FILES, check_assertion, dumps_stable, emit_report, write_csv
+from mistsim.report import (
+    _BLOCK,
+    _OPEN_FILES,
+    check_assertion,
+    dumps_stable,
+    emit_report,
+    parse_assertion,
+    write_csv,
+)
 from mistsim.sources import MAX_COUNT, SensorSpec, gen_normal, load_csv
 from mistsim.topology import Topology
 from oracles import first_failure, report_text, round_floats, to_stream, write_plot_csv
@@ -502,7 +510,7 @@ REPORT = {
     ],
 )
 def test_check_assertion(expr, expected):
-    assert check_assertion(REPORT, expr) is expected
+    assert check_assertion(REPORT, parse_assertion(expr)) is expected
 
 
 @pytest.mark.parametrize(
@@ -511,7 +519,7 @@ def test_check_assertion(expr, expected):
 )
 def test_check_assertion_bad_grammar(expr):
     with pytest.raises(ValueError):
-        check_assertion(REPORT, expr)
+        parse_assertion(expr)
 
 
 # ------------------------------------------------------------------ cli
@@ -1877,6 +1885,8 @@ def test_exit_1_unparsable_assertion(tmp_path, office_csv_path, capsys):
     ]
     assert main(args) == 1
     assert "bad assertion" in capsys.readouterr().err
+    # Parsed before the run: nothing is written.
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("expr", ["seed != nan", "seed == nan", "seed < NaN", "seed >= -nan"])
@@ -1886,6 +1896,7 @@ def test_exit_1_nan_assertion_threshold(tmp_path, office_csv_path, capsys, expr)
     args = ["filter", "--dataset", str(office_csv_path), "--column", "temp_c", "--out", str(tmp_path / "o")]
     assert main(args + ["--quiet", "--assert", expr]) == 1
     assert capsys.readouterr().err == f"error: bad assertion {expr!r}: right side must be a number\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_version_flag_exits_zero(capsys):

@@ -141,7 +141,9 @@ def per_draw_normals(seed, count):
 
 
 def kernel_normals(seed, count):
-    blocks = list(normal_blocks(seed, count))
+    # Mean 0 and deviation 1, so each value is 0.0 + 1.0 * z_k: z_k itself.
+    blocks = list(normal_blocks(seed, count, 0.0, 1.0))
+    assert all(type(b) is array and b.typecode == "d" for b in blocks)
     # Every block but the last is full; none is empty.
     assert all(len(b) == _BLOCK for b in blocks[:-1])
     assert all(0 < len(b) <= _BLOCK for b in blocks)
