@@ -87,7 +87,7 @@ def _load_scenario(args, command: str) -> Scenario:
         dataset = Path(args.dataset)
         replace_sources = (
             ReplaySpec(
-                device_id=re.sub(r"\s+", "_", dataset.stem) or "dataset",
+                device_id=re.sub(r'[\s,"]+', "_", dataset.stem) or "dataset",
                 path=args.dataset,
                 value_column="value" if args.column is None else args.column,
             ),
@@ -219,26 +219,15 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
             if keep:
                 plot_series[f"plot_{source_id}_n{cfg.n}_p{cfg.p!r}"] = (*columns, flags)
         runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors})
-    ingest = {source_id: block for source_id, ((block, _), _) in zip(ids, results) if block is not None}
 
-    report = {
-        "tool": {"name": "mistsim", "version": __version__},
-        "command": "filter",
-        "seed": scenario.seed,
-        "config_echo": serialize_scenario(scenario),
-        "runs": runs,
-    }
-    if ingest:
-        report["ingest"] = ingest
-
-    written = emit_report(
-        report,
-        args.out,
+    notes = {source_id: noted for source_id, (noted, _) in zip(ids, results)}
+    report, written = _write(
+        args.out, scenario, "filter", {"runs": runs}, notes,
         sensor_rows=sensor_rows,
         sensor_header=_SENSOR_HEADER_FILTER,
         plot_series=plot_series,
     )
-    return report, written + [_write_echo(report, args.out)], _summarise_filter(report)
+    return report, written, _summarise_filter(report)
 
 
 _SENSOR_HEADER_SIM = ("mode", "sensor", *_SENSOR_COLUMNS)
@@ -289,14 +278,7 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
             runs.setdefault(metrics.mode, []).append({**point, **block})
         else:
             runs[metrics.mode] = block
-    report = {
-        "tool": {"name": "mistsim", "version": __version__},
-        "command": "simulate",
-        "seed": scenario.seed,
-        "config_echo": serialize_scenario(scenario),
-        "modes_run": list(runs),
-        "runs": runs,
-    }
+    body = {"modes_run": list(runs), "runs": runs}
     # Every filtered run against the cloud-only baseline, when that ran.
     comparisons = [
         {**point, **compare(results[0], metrics)}
@@ -304,10 +286,7 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
         if configs[0] is None
     ]
     if comparisons:
-        report["comparison"] = comparisons if sweep else comparisons[0]
-    ingest = {sensor_id: block for sensor_id, (block, _) in notes.items() if block is not None}
-    if ingest:
-        report["ingest"] = ingest
+        body["comparison"] = comparisons if sweep else comparisons[0]
 
     sensor_rows = []
     link_rows = []
@@ -326,23 +305,39 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
             for sensor_id, flags in metrics.flags.items():
                 plot_series[f"plot_{sensor_id}{suffix}"] = (*notes[sensor_id][1], flags)
 
-    written = emit_report(
-        report,
-        args.out,
+    report, written = _write(
+        args.out, scenario, "simulate", body, notes,
         sensor_rows=sensor_rows,
         sensor_header=_SENSOR_HEADER_SIM,
         link_rows=link_rows,
         plot_series=plot_series,
     )
-    summary = _summarise_simulate(results, suffixes, comparisons, sweep)
-    return report, written + [_write_echo(report, args.out)], summary
+    return report, written, _summarise_simulate(results, suffixes, comparisons, sweep)
 
 
-def _write_echo(report: dict, out_dir) -> Path:
-    """``resolved.cfg``: the scenario text the report already echoes."""
-    path = Path(out_dir) / "resolved.cfg"
-    path.write_text(report["config_echo"], encoding="utf-8")
-    return path
+def _write(
+    out: str, scenario: Scenario, command: str, body: dict, notes: Mapping, **tables
+) -> tuple[dict, list]:
+    """``(report, written paths)`` of ``command``: the report is the header
+    both commands share, then ``body``, then the ingest block of each
+    replayed source, ``notes`` mapping each source id to its ``(ingest
+    block, plot columns)``.  :func:`emit_report` writes it to ``out`` with
+    its side ``tables``, and then ``resolved.cfg`` gets the scenario it
+    echoes."""
+    report = {
+        "tool": {"name": "mistsim", "version": __version__},
+        "command": command,
+        "seed": scenario.seed,
+        "config_echo": serialize_scenario(scenario),
+        **body,
+    }
+    ingest = {source_id: block for source_id, (block, _) in notes.items() if block is not None}
+    if ingest:
+        report["ingest"] = ingest
+    written = emit_report(report, out, **tables)
+    echo = Path(out) / "resolved.cfg"
+    echo.write_text(report["config_echo"], encoding="utf-8")
+    return report, [*written, echo]
 
 
 def _summarise_filter(report: dict) -> list[str]:

@@ -226,13 +226,6 @@ def _topology_fp(topology: Topology) -> str:
     return h.hexdigest()
 
 
-def _hash_source(h, sensor_id: str, packed: bytes) -> None:
-    """Feed one sensor's id and its kept samples, :func:`_packed`, into
-    ``sources_fp``'s running hash."""
-    h.update(sensor_id.encode() + b"\x00")
-    h.update(packed)
-
-
 def measure_stream(
     s: str, streams: Mapping[str, Stream],
     configs: Sequence[Optional[FilterConfig]], duration_ms: Optional[float], label: str,
@@ -442,14 +435,13 @@ class _Traffic:
         self.device_messages = {d.id: 0 for d in topology.devices}
         self.count, self.least, self.greatest, self.total = 0, math.inf, -math.inf, 0.0
 
-    def add(self, sensor_id: str, digest: str, latencies: tuple, measured=None) -> None:
+    def add(self, sensor_id: str, digest: str, latencies: tuple, measured) -> None:
         """Account what a sensor sent: its log digest, :func:`_log_digest`,
-        its sent samples' :func:`_latency_summary` and, unless ``None``, its
+        its sent samples' :func:`_latency_summary` and its
         :class:`~mistsim.reconstruction.Measurement`."""
         first, gw_id, second = self.paths[sensor_id]
         size = self.message_size_bytes
-        if measured is not None:
-            self.reports[sensor_id], self.flags[sensor_id] = measured
+        self.reports[sensor_id], self.flags[sensor_id] = measured
         self.log_digests[sensor_id] = digest
         count, least, greatest, total = latencies
         self.count += count
@@ -509,10 +501,11 @@ def _latency_summary(latencies: Sequence[float]) -> tuple[int, float, float, flo
 
 def _latency_summaries(
     timestamps: array, l1: float, l2: float
-) -> Callable[[Optional[bytearray]], tuple[int, float, float, float]]:
+) -> Callable[[bytearray], tuple[int, float, float, float]]:
     """A function of transmit flags: :func:`_latency_summary` of the
-    latencies ``((t + l1) + l2) - t`` of the samples the flags mark, of every
-    sample when they are ``None``.  ``timestamps`` are ordered.
+    latencies ``((t + l1) + l2) - t`` of the samples the flags mark, a
+    sample sent at ``t`` by a sensor whose two links' latencies are ``l1``
+    and ``l2``.  ``timestamps`` are ordered.
 
     The summary is in closed form, with no per-sample list, when it is
     exact: when both latencies and every timestamp are integers and
@@ -534,14 +527,12 @@ def _latency_summaries(
     )
     if not exact:
         latencies = [((t + l1) + l2) - t for t in timestamps]
-        return lambda flags: _latency_summary(
-            latencies if flags is None else list(compress(latencies, flags))
-        )
+        return lambda flags: _latency_summary(list(compress(latencies, flags)))
     # The first sample's latency: L, with the sign every zero latency takes.
     fixed = ((timestamps[0] + l1) + l2) - timestamps[0]
 
-    def summary(flags: Optional[bytearray]) -> tuple[int, float, float, float]:
-        count = total if flags is None else flags.count(1)
+    def summary(flags: bytearray) -> tuple[int, float, float, float]:
+        count = flags.count(1)
         return (count, fixed, fixed, count * fixed) if count else (0, math.inf, -math.inf, 0.0)
 
     return summary
@@ -574,16 +565,18 @@ def simulate(
     and drops it once measured, so with a lazy mapping a process holds one
     stream while it measures, plus the results of its share until this
     process has taken them: each sensor's kept samples, packed, and per run
-    a :func:`_latency_summary` and what that run measured and sent: report,
-    flags and log digest.  A sensor's latency summaries hold no per-sample
-    list when they are exact in closed form: when both of its link
-    latencies and every kept timestamp are integers and ``max(|t|) + l1 +
-    l2 <= 2**53``, every latency is ``l1 + l2``.  This process takes them
-    in topology order into the sources hash and the accounting, so the
+    a :func:`_latency_summaries` summary and what that run measured and
+    sent: report, flags and log digest.  This process takes them in
+    topology order into the sources hash and the accounting, so the
     results do not depend on the number of workers.  ``note``, if given, is
     called as ``note(id, kept)`` once per sensor, with its stream cut at the
     horizon, in the process that measured it; each run's ``notes`` maps the
     id to what it returned, unless ``None``.
+
+    The cloud-only run, which sends every kept sample, is always measured,
+    as an ordinary run, and returned only when ``None`` is among
+    ``configs``.  Every run sends some of the kept samples, and each float
+    metric grows with what is sent, so that run bounds every run.
 
     Errors: the first sensor, in topology order, whose stream fails to
     load, check or measure raises, whatever the number of workers; a
@@ -607,63 +600,55 @@ def simulate(
     extra = sorted(set(streams) - set(sensor_ids))
     if extra:
         raise ValueError(f"streams for unknown sensors: {extra}")
+    measured = configs if None in configs else [*configs, None]
 
     def sensor(s: str) -> tuple:
-        """``(s, packed, noted, everything, runs)``: the id, its kept samples,
-        :func:`_packed`, what ``note`` returned, ``(log digest, latencies)``
-        of sending every kept sample, :func:`_latency_summary`, and per config
-        ``(log digest, latencies, measurement)`` of what that run sent.  A
-        sample's latency is ``((t + l1) + l2) - t``, by its two links'.  When
-        ``l1``, ``l2`` and every kept ``t`` are integers and ``max(|t|) + l1
-        + l2 <= 2**53``, each is exactly ``l1 + l2`` and the summaries come
-        from the sent counts alone (:func:`_latency_summaries`)."""
-        kept, grid = measure_stream(s, streams, configs, duration_ms, "sensor")
+        """``(s, packed, noted, runs)``: the id, its kept samples,
+        :func:`_packed`, what ``note`` returned, and per measured config
+        ``(log digest, latencies, measurement)`` of what that run sent,
+        ``latencies`` being its :func:`_latency_summaries` summary."""
+        kept, grid = measure_stream(s, streams, measured, duration_ms, "sensor")
         noted = note(s, kept) if note else None
         # Latencies and packed samples once per sensor, for every run: paths
         # do not depend on the config.
         first, _, second = paths[s]
         summary = _latency_summaries(kept.timestamps, first.latency_ms, second.latency_ms)
         total = len(kept)
-
-        def sent(flags: bytearray) -> tuple:
-            return _log_digest(total, _packed_sent(kept, flags)), summary(flags)
-
-        filtered = {config: sent(m.flags) for config, m in zip(configs, grid) if config is not None}
+        digests = {
+            config: _log_digest(total, _packed_sent(kept, m.flags))
+            for config, m in zip(measured, grid)
+            if config is not None
+        }
         # Packed last, so that the whole stream's bytes never sit beside the
-        # packed copies of what each run sent.
+        # packed copies of what each run sent; cloud-only sends them all.
         packed = _packed(kept)
-        everything = (_log_digest(total, packed), summary(None))
-        runs = [(*filtered.get(config, everything), m) for config, m in zip(configs, grid)]
-        return s, packed, noted, everything, runs
+        digests[None] = _log_digest(total, packed)
+        return s, packed, noted, [(digests[c], summary(m.flags), m) for c, m in zip(measured, grid)]
 
     args = (topology, paths, message_size_bytes)
-    runs = [_Traffic(config, *args) for config in configs]
-    # Every run sends some of the kept samples, and each float metric grows
-    # with what is sent, so the run that sends them all, cloud-only, bounds
-    # every run; when it is not one of the runs, it is accounted on its own.
-    alone = None not in configs
-    everything = _Traffic(None, *args) if alone else runs[configs.index(None)]
+    runs = [_Traffic(config, *args) for config in measured]
     notes: dict[str, object] = {}
     # Imported here, not at the top, so that `mistsim filter`, which makes no
     # digest, never loads OpenSSL; before fork_map, so that workers inherit it.
     import hashlib
 
+    # sources_fp: each sensor's id and kept samples, in topology order.
     sources_hash = hashlib.sha256()
     with closing(fork_map(sensor, sensor_ids)) as sensors:
-        for s, packed, noted, sent_all, entries in sensors:
-            _hash_source(sources_hash, s, packed)
+        for s, packed, noted, entries in sensors:
+            sources_hash.update(s.encode() + b"\x00")
+            sources_hash.update(packed)
             del packed
             if noted is not None:
                 notes[s] = noted
             for run, entry in zip(runs, entries):
                 run.add(s, *entry)
-            if alone:
-                everything.add(s, *sent_all)
 
     shared = dict(
         seed=seed, topology_fp=_topology_fp(topology), sources_fp=sources_hash.hexdigest(), notes=notes
     )
-    bound = everything.metrics(energy, duration_ms, **shared)
+    results = [run.metrics(energy, duration_ms, **shared) for run in runs]
+    bound = results[measured.index(None)]
     bounds = [(f"links.{k}.byte_ms", u["byte_ms"]) for k, u in bound.link_usage.items()]
     bounds += [(f"devices.{d}.energy_j", j) for d, j in bound.device_energy_j.items()]
     bounds += [
@@ -674,7 +659,7 @@ def simulate(
     for name, value in bounds:
         if not math.isfinite(value):
             raise ValueError(f"a run's {name} would overflow to inf when every kept sample is sent")
-    return [bound if run is everything else run.metrics(energy, duration_ms, **shared) for run in runs]
+    return results[:len(configs)]
 
 
 def run(

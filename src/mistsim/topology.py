@@ -27,11 +27,14 @@ DEFAULT_LEVELS = {"cloud": 0, "gateway": 1, "sensor": 2}
 
 
 def check_id(field: str, id: str) -> None:
-    """Raise ``ValueError`` unless ``id`` can name a plot file and a config section."""
+    """Raise ``ValueError`` unless ``id`` can name a plot file, a CSV cell and
+    a config section."""
     if not id:
         raise ValueError(f"{field} must be non-empty")
     if "/" in id or "\0" in id:
         raise ValueError(f"{field} {id!r} names files, so it must not contain '/' or NUL")
+    if "," in id or '"' in id:
+        raise ValueError(f"{field} {id!r} names CSV cells, so it must not contain ',' or '\"'")
     if id.split() != [id]:  # str.split() cuts at every str.isspace() character
         raise ValueError(f"{field} {id!r} names a config section, so it must not contain whitespace")
 

@@ -223,7 +223,7 @@ def test_property_integral_latency_summary_in_closed_form(case):
     no_list = mock.patch.object(engine, "_latency_summary", side_effect=AssertionError)
     with no_list if exact else nullcontext():
         summary = engine._latency_summaries(array("d", timestamps), l1, l2)
-        got_sent, got_all = summary(flags), summary(None)
+        got_sent, got_all = summary(flags), summary(bytearray(b"\x01" * len(timestamps)))
     assert got_sent == want_sent and repr(got_sent) == repr(want_sent)
     assert got_all == want_all and repr(got_all) == repr(want_all)
 

@@ -456,6 +456,18 @@ def test_ids_that_cannot_name_a_file_are_rejected(bad):
     assert _message(lambda: ReplaySpec(bad, "d.csv")) == f"device_id {rule}"
 
 
+@pytest.mark.parametrize(
+    "bad", ["a,b", 'a"b', ",", '"'], ids=["comma", "quote", "lone-comma", "lone-quote"]
+)
+def test_ids_that_cannot_name_a_csv_cell_are_rejected(bad):
+    # sensor_metrics.csv and link_usage.csv write an id as a bare cell: a
+    # comma would add a cell to its row, a quote would open a quoted one.
+    rule = f"{bad!r} names CSV cells, so it must not contain ',' or '\"'"
+    assert _message(lambda: Device(bad, "sensor", 2)) == f"device id {rule}"
+    assert _message(lambda: SensorSpec(bad, 0.0, 1.0, 1.0, 1, 1)) == f"device_id {rule}"
+    assert _message(lambda: ReplaySpec(bad, "d.csv")) == f"device_id {rule}"
+
+
 @pytest.mark.parametrize("bad", ["a->b", "->", "a->"])
 def test_device_ids_that_cannot_name_a_link_are_rejected(bad):
     # Links are reported as "<src>-><dst>", so with gateways "y->z" and

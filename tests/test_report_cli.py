@@ -632,14 +632,14 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     tmp_path, table2_cfg_path, monkeypatch, count_calls
 ):
     # table2.cfg has six sensors; both modes share one pass over them, each
-    # stream hashed as it passes, and the values each stream's check returns
-    # are measured unchecked.  The flags are the only record of what was
-    # sent, so no transmission log is built, and the scenario is serialized
-    # once for both of its echoes.
+    # stream's sent samples digested once per run, and the values each
+    # stream's check returns are measured unchecked.  The flags are the
+    # only record of what was sent, so no transmission log is built, and
+    # the scenario is serialized once for both of its echoes.
     # The topology is checked once, by the engine's path lookup, before any
     # source is generated.
     calls, counted = count_calls
-    for name in ("check_stream", "_hash_source", "_topology_fp", "measure_grid"):
+    for name in ("check_stream", "_log_digest", "_topology_fp", "measure_grid"):
         counted(engine, name)
     counted(reconstruction, "window_averages")
     counted(Topology, "uplink_paths")
@@ -651,7 +651,7 @@ def test_cli_simulate_both_modes_checks_hashes_and_measures_once(
     assert main(args) == 0
     assert calls() == {
         "uplink_paths": 1, "_check": 1, "check_stream": 6, "_topology_fp": 1,
-        "_hash_source": 6, "measure_grid": 6, "window_averages": 6, "serialize_scenario": 1,
+        "_log_digest": 12, "measure_grid": 6, "window_averages": 6, "serialize_scenario": 1,
     }
 
 
@@ -667,7 +667,7 @@ def test_cli_simulate_sweeps_the_grid_in_one_pass(
     # checked once.  Each grid point is compared with the one baseline, in
     # grid order, and equals the single-point run at that point.
     calls, counted = count_calls
-    for name in ("check_stream", "_hash_source", "measure_grid"):
+    for name in ("check_stream", "_log_digest", "measure_grid"):
         counted(engine, name)
     counted(reconstruction, "window_averages")
     counted(topology_module, "_check")
@@ -676,7 +676,7 @@ def test_cli_simulate_sweeps_the_grid_in_one_pass(
     args = ["simulate", "--config", "table2.cfg", *SWEEP, "--assert", gate, "--quiet"]
     assert main([*args, "--out", str(tmp_path / "sweep")]) == 0
     assert calls() == {
-        "check_stream": 6, "measure_grid": 6, "window_averages": 18, "_hash_source": 6,
+        "check_stream": 6, "measure_grid": 6, "window_averages": 18, "_log_digest": 60,
         "_check": 1,
     }
     report = json.loads((tmp_path / "sweep" / "report.json").read_text())
@@ -764,6 +764,29 @@ def test_filter_memory_follows_one_source_not_the_source_count(tmp_path):
     one = _traced_filter_peak(tmp_path, 1)
     assert one < 8 * kept, (eight, one)
     assert eight - one <= 7 * kept * 1.25, (eight, one)
+
+
+@pytest.mark.parametrize(
+    "sweep", [[], ["--n", "5,10", "--p", "0.05,0.1"]], ids=["one-point", "sweep"]
+)
+def test_cli_simulate_filtered_mode_alone_equals_its_runs_under_both(tmp_path, sim_cfg, sweep):
+    # mist_fog_cloud alone still measures the all-sent run, as the bound of
+    # every run, but reports only its own runs: the same blocks and rows as
+    # under both, with no comparison.
+    outs = {mode: tmp_path / mode for mode in ("both", "mist_fog_cloud")}
+    for mode, out in outs.items():
+        args = ["simulate", "--config", str(sim_cfg), "--mode", mode, *sweep, "--quiet"]
+        assert main([*args, "--out", str(out)]) == 0
+    both, alone = (json.loads((out / "report.json").read_text()) for out in outs.values())
+    points = 4 if sweep else 1
+    assert alone["runs"] == {"mist_fog_cloud": both["runs"]["mist_fog_cloud"]}
+    assert alone["modes_run"] == ["mist_fog_cloud"]
+    assert "comparison" in both and "comparison" not in alone
+    for name in ("sensor_metrics.csv", "link_usage.csv"):
+        header, *rows = (outs["both"] / name).read_text().splitlines()
+        filtered = [row for row in rows if row.startswith("mist_fog_cloud")]
+        assert len(filtered) == len(rows) * points // (points + 1)
+        assert (outs["mist_fog_cloud"] / name).read_text().splitlines() == [header, *filtered]
 
 
 @pytest.mark.parametrize(
@@ -1261,6 +1284,22 @@ def test_exit_1_id_that_cannot_name_a_file_writes_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["a,b", 'a"b'], ids=["comma", "quote"])
+def test_exit_1_id_that_would_break_a_csv_cell_writes_nothing(tmp_path, capsys, bad):
+    # sensor_metrics.csv and link_usage.csv write ids as bare cells: with
+    # [device a,b], a's rows would have one cell more than the header.
+    text = SIM_CFG.replace("[device a]", f"[device {bad}]").replace("[link a gw]", f"[link {bad} gw]")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace("[source a]", f"[source {bad}]"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: [device {bad}]: device id {bad!r} names CSV cells, "
+        "so it must not contain ',' or '\"'\n"
+    )
+    assert not out.exists()
+
+
 def test_exit_1_device_id_that_would_merge_two_links(tmp_path, capsys):
     # Links are reported as "<src>-><dst>": here x -> y->z and x->y -> z
     # would both be "x->y->z", and the report would hold 3 of the 4 links
@@ -1296,6 +1335,20 @@ def test_dataset_with_whitespace_in_its_name_reruns_from_its_config_echo(tmp_pat
     assert f"\n[source {source}]\n" in echo.read_text(encoding="utf-8")
     assert main(["filter", "--config", str(echo), "--out", str(second)]) == 0
     assert (second / "report.json").read_bytes() == (first / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name, source", [("a,b.csv", "a_b"), ('"q",,x.csv', "_q_x")])
+def test_dataset_with_a_comma_or_quote_in_its_name_stays_one_csv_cell(tmp_path, name, source):
+    # The id --dataset takes from the file name is a bare CSV cell: each run
+    # of ',' and '"' becomes "_", as whitespace does.
+    dataset = tmp_path / name
+    dataset.write_text("timestamp,value\n0,1\n1,2\n2,3\n3,9\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--dataset", str(dataset), "--out", str(out), "--quiet"]) == 0
+    header, *rows = (out / "sensor_metrics.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.split(",")[2] for row in rows] == [source]
+    assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
+    assert f"\n[source {source}]\n" in (out / "resolved.cfg").read_text(encoding="utf-8")
 
 
 def test_exit_1_replay_source_naming_a_directory(tmp_path, capsys):
