@@ -176,7 +176,6 @@ class _LazyStreams(Mapping):
 _SENSOR_COLUMNS = (
     "total", "transmitted", "suppressed", "reduction_percent", "avg_abs_error", "max_abs_error"
 )
-_SENSOR_HEADER_FILTER = ("n", "p", "sensor", *_SENSOR_COLUMNS)
 
 
 def _cmd_filter(args) -> tuple[dict, list, list[str]]:
@@ -207,8 +206,9 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
     ids = [spec.device_id for spec in scenario.sources]
     results = list(fork_map(measure, ids))
 
-    runs = []
-    sensor_rows = []
+    # One pass over the grid builds each point's run block, its CSV rows,
+    # its plot series and its summary lines, sources sorted by id.
+    runs, sensor_rows, summary = [], [], []
     plot_series: dict = {}
     for k, cfg in enumerate(grid):
         sensors = {}
@@ -219,18 +219,26 @@ def _cmd_filter(args) -> tuple[dict, list, list[str]]:
             if keep:
                 plot_series[f"plot_{source_id}_n{cfg.n}_p{cfg.p!r}"] = (*columns, flags)
         runs.append({"n": cfg.n, "p": cfg.p, "sensors": sensors})
+        summary += (
+            f"n={cfg.n} p={cfg.p} {source_id}: {stats['transmitted']}/{stats['total']} "
+            f"transmitted, reduction {stats['reduction_percent']:.2f}%, "
+            f"avg error {stats['avg_abs_error']:.4f}"
+            for source_id, stats in sorted(sensors.items())
+        )
 
     notes = {source_id: noted for source_id, (noted, _) in zip(ids, results)}
-    report, written = _write(
-        args.out, scenario, "filter", {"runs": runs}, notes,
-        sensor_rows=sensor_rows,
-        sensor_header=_SENSOR_HEADER_FILTER,
-        plot_series=plot_series,
-    )
-    return report, written, _summarise_filter(report)
+    tables = {"sensor_metrics": (("n", "p", "sensor", *_SENSOR_COLUMNS), sensor_rows)}
+    report, written = _write(args.out, scenario, "filter", {"runs": runs}, notes, tables, plot_series)
+    return report, written, summary
 
 
-_SENSOR_HEADER_SIM = ("mode", "sensor", *_SENSOR_COLUMNS)
+# The comparison rows each simulate summary prints.
+_SUMMARY_KEYS = ("network_total_bytes", "cloud_energy_j")
+
+
+def _pct(row: dict) -> str:
+    value = row["reduction_percent"]
+    return "n/a" if value is None else f"{value:.3f}%"
 
 
 def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
@@ -265,65 +273,73 @@ def _cmd_simulate(args) -> tuple[dict, list, list[str]]:
     )
     notes = results[0].notes
 
-    # In a sweep, each filtered run carries its grid point: as leading keys
-    # of its run block and comparison row, and as the label suffix of its
-    # CSV rows and plot files.
+    # One pass over the runs.  In a sweep, each filtered run carries its grid
+    # point: as leading keys of its run block and comparison row, as the
+    # label suffix of its CSV rows, plot files and summary line, and its
+    # reductions end that line; otherwise the comparison lines follow it.
     sweep = len(scenario.grid) > 1
-    points = [{"n": cfg.n, "p": cfg.p} if cfg is not None and sweep else {} for cfg in configs]
-    suffixes = [f"_n{pt['n']}_p{pt['p']!r}" if pt else "" for pt in points]
-    blocks = [metrics.to_dict() for metrics in results]
+    plotted = results[-1].mode
+    baseline = None
     runs: dict = {}
-    for metrics, point, block in zip(results, points, blocks):
+    comparisons, sensor_rows, link_rows, summary = [], [], [], []
+    plot_series: dict = {}
+    for cfg, metrics in zip(configs, results):
+        point = {"n": cfg.n, "p": cfg.p} if cfg is not None and sweep else {}
+        suffix = f"_n{cfg.n}_p{cfg.p!r}" if point else ""
+        label = metrics.mode + suffix
+        block = metrics.to_dict()
         if point:
             runs.setdefault(metrics.mode, []).append({**point, **block})
         else:
             runs[metrics.mode] = block
-    body = {"modes_run": list(runs), "runs": runs}
-    # Every filtered run against the cloud-only baseline, when that ran.
-    comparisons = [
-        {**point, **compare(results[0], metrics)}
-        for point, metrics in zip(points[1:], results[1:])
-        if configs[0] is None
-    ]
-    if comparisons:
-        body["comparison"] = comparisons if sweep else comparisons[0]
-
-    sensor_rows = []
-    link_rows = []
-    plot_series: dict = {}
-    # Plot the filtered runs when they ran; cloud-only transmits every sample.
-    # A plot covers only the samples the runs kept, those before the horizon.
-    plotted = results[-1].mode
-    for metrics, suffix, block in zip(results, suffixes, blocks):
-        label = metrics.mode + suffix
         for sensor_id, stats in sorted(block["sensors"].items()):
             sensor_rows.append((label, sensor_id, *(stats[k] for k in _SENSOR_COLUMNS)))
-        for link_name in sorted(metrics.link_usage):
-            usage = metrics.link_usage[link_name]
+        for link_name, usage in sorted(metrics.link_usage.items()):
             link_rows.append((label, link_name, usage["messages"], usage["bytes"], usage["byte_ms"]))
+        # Plot the filtered runs when they ran; cloud-only transmits every
+        # sample.  A plot covers only the samples the runs kept, those before
+        # the horizon.
         if scenario.plot_data and metrics.mode == plotted:
             for sensor_id, flags in metrics.flags.items():
                 plot_series[f"plot_{sensor_id}{suffix}"] = (*notes[sensor_id][1], flags)
+        summary.append(
+            f"{label}: {metrics.messages_emitted} messages, {metrics.total_bytes} bytes on the wire"
+        )
+        if cfg is None:
+            baseline = metrics
+        elif baseline is not None:
+            row = {**point, **compare(baseline, metrics)}
+            comparisons.append(row)
+            if sweep:
+                summary[-1] += "".join(f", {key} reduction {_pct(row[key])}" for key in _SUMMARY_KEYS)
+            else:
+                summary += (
+                    f"{key}: baseline {row[key]['baseline']} candidate {row[key]['candidate']} "
+                    f"reduction {_pct(row[key])}"
+                    for key in _SUMMARY_KEYS
+                )
 
-    report, written = _write(
-        args.out, scenario, "simulate", body, notes,
-        sensor_rows=sensor_rows,
-        sensor_header=_SENSOR_HEADER_SIM,
-        link_rows=link_rows,
-        plot_series=plot_series,
-    )
-    return report, written, _summarise_simulate(results, suffixes, comparisons, sweep)
+    body = {"modes_run": list(runs), "runs": runs}
+    if comparisons:
+        body["comparison"] = comparisons if sweep else comparisons[0]
+    tables = {
+        "sensor_metrics": (("mode", "sensor", *_SENSOR_COLUMNS), sensor_rows),
+        "link_usage": (("mode", "link", "messages", "bytes", "byte_ms"), link_rows),
+    }
+    report, written = _write(args.out, scenario, "simulate", body, notes, tables, plot_series)
+    return report, written, summary
 
 
 def _write(
-    out: str, scenario: Scenario, command: str, body: dict, notes: Mapping, **tables
+    out: str, scenario: Scenario, command: str, body: dict, notes: Mapping,
+    tables: dict, plot_series: dict,
 ) -> tuple[dict, list]:
     """``(report, written paths)`` of ``command``: the report is the header
     both commands share, then ``body``, then the ingest block of each
     replayed source, ``notes`` mapping each source id to its ``(ingest
     block, plot columns)``.  :func:`emit_report` writes it to ``out`` with
-    its side ``tables``, and then ``resolved.cfg`` gets the scenario it
-    echoes."""
+    its side ``tables`` and ``plot_series``, and then ``resolved.cfg`` gets
+    the scenario it echoes."""
     report = {
         "tool": {"name": "mistsim", "version": __version__},
         "command": command,
@@ -334,51 +350,10 @@ def _write(
     ingest = {source_id: block for source_id, (block, _) in notes.items() if block is not None}
     if ingest:
         report["ingest"] = ingest
-    written = emit_report(report, out, **tables)
+    written = emit_report(report, out, tables=tables, plot_series=plot_series)
     echo = Path(out) / "resolved.cfg"
     echo.write_text(report["config_echo"], encoding="utf-8")
     return report, [*written, echo]
-
-
-def _summarise_filter(report: dict) -> list[str]:
-    lines = []
-    for block in report["runs"]:
-        for sensor_id, stats in sorted(block["sensors"].items()):
-            lines.append(
-                f"n={block['n']} p={block['p']} {sensor_id}: "
-                f"{stats['transmitted']}/{stats['total']} transmitted, "
-                f"reduction {stats['reduction_percent']:.2f}%, "
-                f"avg error {stats['avg_abs_error']:.4f}"
-            )
-    return lines
-
-
-def _summarise_simulate(
-    results: list, suffixes: list[str], comparisons: list[dict], sweep: bool
-) -> list[str]:
-    """One line per run, then the comparison; a sweep appends each grid
-    point's reductions to its run's line instead."""
-    keys = ("network_total_bytes", "cloud_energy_j")
-
-    def pct(row: dict) -> str:
-        value = row["reduction_percent"]
-        return "n/a" if value is None else f"{value:.3f}%"
-
-    lines = [
-        f"{metrics.mode}{suffix}: {metrics.messages_emitted} messages, "
-        f"{metrics.total_bytes} bytes on the wire"
-        for metrics, suffix in zip(results, suffixes)
-    ]
-    for i, row in enumerate(comparisons, start=1):  # row i compares results[i]
-        if sweep:
-            lines[i] += "".join(f", {key} reduction {pct(row[key])}" for key in keys)
-        else:
-            lines += [
-                f"{key}: baseline {row[key]['baseline']} candidate {row[key]['candidate']} "
-                f"reduction {pct(row[key])}"
-                for key in keys
-            ]
-    return lines
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -20,7 +20,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .engine import DEFAULT_ENERGY_PARAMS, EnergyModel, EnergyParams, Mode
+from .engine import DEFAULT_ENERGY_PARAMS, MESSAGE_SIZE_LIMIT, EnergyModel, EnergyParams, Mode
 from .mist_filter import FilterConfig
 from .rng import derive_seed
 from .sources import ReplaySpec, SensorSpec, SourceSpec, undecodable_line
@@ -135,7 +135,11 @@ _KEYS = {
             None,
             (lambda v: v is None or (math.isfinite(v) and v > 0), "must be finite and > 0"),
         ),
-        "message_size_bytes": (int, DEFAULT_MESSAGE_SIZE, (lambda v: v >= 1, "must be >= 1")),
+        "message_size_bytes": (
+            int,
+            DEFAULT_MESSAGE_SIZE,
+            (lambda v: 1 <= v < MESSAGE_SIZE_LIMIT, "must be >= 1 and below 2**1024 - 2**970"),
+        ),
         "mode": (str, "both", (lambda v: v in MODES, f"must be one of {MODES}")),
         "plot_data": (_bool, None, None),
     },

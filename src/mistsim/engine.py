@@ -73,6 +73,10 @@ class EnergyParams(namedtuple("EnergyParams", "busy_w idle_w busy_ms_per_message
         return tuple.__new__(cls, (busy_w, idle_w, busy_ms_per_message))
 
 
+# The least int float() overflows on.  A link's byte_ms multiplies the
+# message size by a float latency, so a size must stay below it.
+MESSAGE_SIZE_LIMIT = 2**1024 - 2**970
+
 # Conventional defaults, freely overridable in the config: a cloud host at
 # 107.339 W busy / 83.433 W idle, a gateway at half that, a sensor node far
 # below either.
@@ -590,8 +594,10 @@ def simulate(
         raise ValueError(f"configs must be non-empty and distinct, got {configs!r}")
     if not math.isfinite(duration_ms) or duration_ms <= 0:
         raise ValueError(f"duration_ms must be finite and > 0, got {duration_ms!r}")
-    if message_size_bytes < 1:
-        raise ValueError(f"message_size_bytes must be >= 1, got {message_size_bytes!r}")
+    if not 1 <= message_size_bytes < MESSAGE_SIZE_LIMIT:
+        raise ValueError(
+            f"message_size_bytes must be >= 1 and below 2**1024 - 2**970, got {message_size_bytes!r}"
+        )
 
     sensor_ids = list(paths)
     missing = sorted(set(sensor_ids) - set(streams))

@@ -165,11 +165,13 @@ def window_averages(stream: Stream, n: int) -> array:
     ``averages[k]`` is the average of ``values[k:k + n]``, computed as
     ``step`` computes it, so it judges ``values[k + n]``; a stream of
     ``total >= n`` samples has ``total - n + 1`` of them, the last judging
-    nothing.  Returns them as an ``array('d')``.  Raises what
-    :meth:`~mistsim.reference.EventFilter.step` raises where a window sum
-    first overflows.
+    nothing, and a shorter one none.  Returns them as an ``array('d')``.
+    Raises what :meth:`~mistsim.reference.EventFilter.step` raises where a
+    window sum first overflows.
     """
     values = stream.values
+    if n > len(values):  # every sample is warm-up
+        return array("d")
     # The window slides as step's does: n floats, summed oldest first.
     window = deque(islice(values, n - 1), maxlen=n)
     averages = array("d")

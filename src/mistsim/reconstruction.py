@@ -114,7 +114,7 @@ def measure_grid(
         flags = bytearray(b"\x01" * warm) + bytes(total - warm)
         error_sum = max_error = 0.0
         held = values[warm - 1] if warm else 0.0
-        for i, value, avg in zip(range(n, total), islice(values, n, None), averages):
+        for i, value, avg in zip(range(warm, total), islice(values, warm, None), averages):
             band = p * abs(avg)
             if value >= avg + band or value <= avg - band:
                 flags[i] = 1

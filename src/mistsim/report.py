@@ -212,13 +212,15 @@ def emit_report(
     report: dict,
     out_dir: str | Path,
     *,
-    sensor_rows: Optional[list] = None,
-    sensor_header: Optional[Sequence[str]] = None,
-    link_rows: Optional[list] = None,
+    tables: Optional[dict] = None,
     plot_series: Optional[dict] = None,
 ) -> list[Path]:
-    """Write the report document plus its CSV side tables.
+    """Write the report document plus the side tables it is handed.
 
+    ``tables`` maps a file stem to ``(header, rows)``; each becomes a
+    ``<stem>.csv`` that :func:`write_csv` writes, in the order given,
+    after ``report.json`` and before the plot files.  The caller names
+    every table and its header.
     ``plot_series`` maps a file stem to ``(timestamps, values, flags)``,
     one sample per index, ``flags[i]`` being 1 when sample ``i`` was
     transmitted; each becomes a ``<stem>.csv`` with, for each of the first
@@ -235,7 +237,7 @@ def emit_report(
     written in turn and then dropped, so the text is never joined into one
     string.  A report that cannot be encoded (a non-finite float, a
     non-``str`` key) raises before ``out_dir`` is made.  Returns the
-    written paths.
+    written paths, in the order written.
     """
     blocks = _report_blocks(report)
     out = Path(out_dir)
@@ -248,14 +250,9 @@ def emit_report(
     del blocks
     written.append(report_path)
 
-    if sensor_rows is not None:
-        path = out / "sensor_metrics.csv"
-        write_csv(path, sensor_header or (), sensor_rows)
-        written.append(path)
-
-    if link_rows is not None:
-        path = out / "link_usage.csv"
-        write_csv(path, ("mode", "link", "messages", "bytes", "byte_ms"), link_rows)
+    for stem, (header, rows) in (tables or {}).items():
+        path = out / f"{stem}.csv"
+        write_csv(path, header, rows)
         written.append(path)
 
     plot_series = plot_series or {}

@@ -192,6 +192,8 @@ def test_property_flags_and_filter_section_parse_alike(n_values, p_values, sep):
             "[source s]: the last timestamp (count - 1) * period_ms must be finite, got inf",
         ),
         ("[run]\nmessage_size_bytes = 0\n", ">= 1"),
+        ("[run]\nmessage_size_bytes = 1" + "0" * 400 + "\n", ">= 1 and below 2**1024"),
+        (f"[run]\nmessage_size_bytes = {2**1024 - 2**970}\n", ">= 1 and below 2**1024"),
         ("[run]\nmode = sideways\n", "mode"),
         ("[run]\nplot_data = maybe\n", "boolean"),
         ("[run]\n\n[filter]\nq = 1\n", "unknown keys"),

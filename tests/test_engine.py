@@ -298,6 +298,15 @@ def test_run_rejects_bad_duration_and_size():
         run(topo, streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0, message_size_bytes=0)
 
 
+def test_run_rejects_a_size_past_the_float_range():
+    # float() overflows from 2**1024 - 2**970 on: the argument check rejects
+    # the size, not an OverflowError where a link's byte_ms is accounted.
+    streams = {"s1": to_stream([]), "s2": to_stream([])}
+    size = 2**1024 - 2**970
+    with pytest.raises(ValueError, match=r"message_size_bytes must be >= 1 and below 2\*\*1024"):
+        run(small_topology(), streams, Mode.CLOUD_ONLY, FC, ENERGY, 1000.0, message_size_bytes=size)
+
+
 def test_run_rejects_stream_mismatches():
     topo = small_topology()
     with pytest.raises(ValueError, match="no stream for sensors"):

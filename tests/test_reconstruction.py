@@ -402,6 +402,15 @@ def test_measure_grid_rejects_an_overflowing_hold_error(values, timestamp):
         measure_checked(samples, [None, config])
 
 
+def test_measure_grid_window_longer_than_the_stream_sends_everything():
+    # n = 2**63 does not fit a C ssize_t: every sample is warm-up, sent and
+    # exact, as for any window longer than the stream.
+    stream = to_stream([(float(t), 20.0 + t % 3) for t in range(50)])
+    (measured,) = measure_grid(stream, [FilterConfig(n=2**63, p=0.05)])
+    assert measured.flags == bytearray(b"\x01" * 50)
+    assert (measured.report.avg_abs_error, measured.report.max_abs_error) == (0.0, 0.0)
+
+
 def test_measure_grid_shares_one_window_pass_per_n(monkeypatch):
     calls = []
 

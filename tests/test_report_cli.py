@@ -319,13 +319,24 @@ def test_emit_report_writes_expected_files(tmp_path):
     written = emit_report(
         {"k": 1.0},
         tmp_path,
-        sensor_rows=[("x", 1)],
-        sensor_header=("sensor", "total"),
-        link_rows=[("m", "a->b", 1, 100, 400.0)],
+        tables={
+            "zeta": (("sensor", "total"), [("x", 1)]),
+            "link_usage": (
+                ("mode", "link", "messages", "bytes", "byte_ms"), [("m", "a->b", 1, 100, 400.0)]
+            ),
+            "empty": (("a", "b"), []),
+        },
         plot_series={"plot_x": (timestamps, values, bytearray([1, 0, 1]))},
     )
+    # The tables in the order given, after report.json and before the plots.
     names = [p.name for p in written]
-    assert names == ["report.json", "sensor_metrics.csv", "link_usage.csv", "plot_x.csv"]
+    assert names == ["report.json", "zeta.csv", "link_usage.csv", "empty.csv", "plot_x.csv"]
+    assert (tmp_path / "zeta.csv").read_text() == "sensor,total\nx,1\n"
+    assert (tmp_path / "link_usage.csv").read_text() == (
+        "mode,link,messages,bytes,byte_ms\nm,a->b,1,100,400\n"
+    )
+    # No rows: the header line only, as write_csv writes it.
+    assert (tmp_path / "empty.csv").read_text() == "a,b\n"
     plot_lines = (tmp_path / "plot_x.csv").read_text().splitlines()
     assert plot_lines[0] == "timestamp,raw,reconstructed,transmitted_flag"
     assert len(plot_lines) == 4  # header + one row per sample
@@ -970,6 +981,88 @@ def test_reference_runs_are_byte_golden(name, tmp_path, table2_cfg_path, monkeyp
     assert digests == golden
 
 
+# Each reference run's stdout, its --out directory shown as <out>: the
+# summary lines, then one "wrote" line per file in the order written.
+SUMMARY_RUNS = {
+    **{name: args for name, (args, _) in GOLDEN_RUNS.items()},
+    "simulate-table2-filtered": ["simulate", "--config", "table2.cfg", "--mode", "mist_fog_cloud"],
+    "simulate-table2-cloud-only": ["simulate", "--config", "table2.cfg", "--mode", "cloud_only"],
+}
+_TABLE2_WROTE = """\
+wrote <out>/report.json
+wrote <out>/sensor_metrics.csv
+wrote <out>/link_usage.csv
+wrote <out>/resolved.cfg
+"""
+SUMMARY_GOLDEN = {
+    "simulate-table2": """\
+cloud_only: 60000 messages, 12000000 bytes on the wire
+mist_fog_cloud: 41082 messages, 8216400 bytes on the wire
+network_total_bytes: baseline 12000000 candidate 8216400 reduction 31.530%
+cloud_energy_j: baseline 835764.3600000001 candidate 835312.106292 reduction 0.054%
+""" + _TABLE2_WROTE,
+    "filter-office": """\
+n=10 p=0.05 office_temperature: 369/5000 transmitted, reduction 92.62%, avg error 0.2542
+wrote <out>/report.json
+wrote <out>/sensor_metrics.csv
+wrote <out>/plot_office_temperature_n10_p0.05.csv
+wrote <out>/resolved.cfg
+""",
+    "filter-grid": """\
+n=5 p=0.01 cold: 296/300 transmitted, reduction 1.33%, avg error 0.0291
+n=5 p=0.01 office_temperature: 697/5000 transmitted, reduction 86.06%, avg error 0.1645
+n=5 p=0.01 warm: 367/400 transmitted, reduction 8.25%, avg error 0.2047
+n=5 p=0.1 cold: 250/300 transmitted, reduction 16.67%, avg error 0.3287
+n=5 p=0.1 office_temperature: 68/5000 transmitted, reduction 98.64%, avg error 1.4603
+n=5 p=0.1 warm: 204/400 transmitted, reduction 49.00%, avg error 1.6475
+n=50 p=0.01 cold: 296/300 transmitted, reduction 1.33%, avg error 0.0211
+n=50 p=0.01 office_temperature: 2651/5000 transmitted, reduction 46.98%, avg error 0.0931
+n=50 p=0.01 warm: 382/400 transmitted, reduction 4.50%, avg error 0.1075
+n=50 p=0.1 cold: 260/300 transmitted, reduction 13.33%, avg error 0.2254
+n=50 p=0.1 office_temperature: 335/5000 transmitted, reduction 93.30%, avg error 2.2529
+n=50 p=0.1 warm: 208/400 transmitted, reduction 48.00%, avg error 1.9206
+wrote <out>/report.json
+wrote <out>/sensor_metrics.csv
+""" + "".join(
+        f"wrote <out>/plot_{source}_n{n}_p{p}.csv\n"
+        for n in (5, 50)
+        for p in ("0.01", "0.1")
+        for source in ("warm", "cold", "office_temperature")
+    ) + "wrote <out>/resolved.cfg\n",
+    "simulate-plots": """\
+cloud_only: 400 messages, 80000 bytes on the wire
+mist_fog_cloud_n10_p0.05: 311 messages, 62200 bytes on the wire, \
+network_total_bytes reduction 22.250%, cloud_energy_j reduction 0.085%
+mist_fog_cloud_n10_p0.1: 253 messages, 50600 bytes on the wire, \
+network_total_bytes reduction 36.750%, cloud_energy_j reduction 0.140%
+wrote <out>/report.json
+wrote <out>/sensor_metrics.csv
+wrote <out>/link_usage.csv
+wrote <out>/plot_a_n10_p0.05.csv
+wrote <out>/plot_b_n10_p0.05.csv
+wrote <out>/plot_a_n10_p0.1.csv
+wrote <out>/plot_b_n10_p0.1.csv
+wrote <out>/resolved.cfg
+""",
+    "simulate-table2-filtered": (
+        "mist_fog_cloud: 41082 messages, 8216400 bytes on the wire\n" + _TABLE2_WROTE
+    ),
+    "simulate-table2-cloud-only": (
+        "cloud_only: 60000 messages, 12000000 bytes on the wire\n" + _TABLE2_WROTE
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SUMMARY_RUNS))
+def test_reference_runs_print_the_golden_summary(
+    name, tmp_path, table2_cfg_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(table2_cfg_path.parent)
+    out = tmp_path / "out"
+    assert main([*SUMMARY_RUNS[name], "--out", str(out)]) == 0
+    assert capsys.readouterr().out.replace(str(out), "<out>") == SUMMARY_GOLDEN[name]
+
+
 @pytest.mark.parametrize(
     "name, forks",
     # Three sources fork two workers to measure and two to plot; two
@@ -1401,17 +1494,32 @@ def test_exit_2_unreadable_replay_file_names_the_file_and_line(
     [
         ("[device a]\n", "[device a]\nram_mb = -1\n", "[device a]: ram_mb must be finite and >= 0, got -1.0"),
         ("latency_ms = 4\n", "latency_ms = -5\n", "[link a gw]: latency_ms must be finite and >= 0, got -5.0"),
+        (
+            "mode = both\n",
+            "mode = both\nmessage_size_bytes = 1" + "0" * 400 + "\n",
+            "[run]: message_size_bytes must be >= 1 and below 2**1024 - 2**970, got 1" + "0" * 400,
+        ),
     ],
 )
 def test_exit_1_negative_capacity_or_latency(tmp_path, capsys, command, old, new, message):
-    # Both commands reject what simulate's topology check would, naming the
-    # section, and write nothing: filter has no topology to check.
+    # Both commands reject what simulate's topology or argument check would,
+    # naming the section, and write nothing: filter has no topology to check.
     cfg = tmp_path / "sim.cfg"
     cfg.write_text(SIM_CFG.replace(old, new, 1), encoding="utf-8")
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [str(2**63), str(10**20)])
+def test_window_longer_than_any_ssize_t_sends_everything(tmp_path, office_csv_path, capsys, n):
+    # A window longer than the stream is legal: every sample is warm-up.
+    args = ["filter", "--dataset", str(office_csv_path), "--column", "temp_c", "--n", n]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"n={n} p=0.05 office_temperature: 5000/5000 transmitted, ")
+    assert err == ""
 
 
 @pytest.mark.parametrize("command", ["simulate", "filter"])
